@@ -162,15 +162,16 @@ class ExperimentConfig:
         kind = spec.get("type")
         try:
             if kind == "rho":
-                return RhoTransform(rho=np.asarray(spec["rho"], dtype=float))
+                n = model.n if isinstance(model, FiniteSymmetricModel) else None
+                return RhoTransform(rho=_state_vector(spec["rho"], "rho", n))
             if kind == "phi":
                 return PureJumpPhi(phi=_phi_table(spec["phi"], _model_size(model)))
             if kind == "general":
                 n = _model_size(model)
                 return GeneralMF(
                     phi=_phi_table(spec["phi"], n, symmetric=False),
-                    a_rate=np.asarray(spec["a_rate"], dtype=float) if "a_rate" in spec else None,
-                    phi_delta=np.asarray(spec["phi_delta"], dtype=float) if "phi_delta" in spec else None,
+                    a_rate=_state_vector(spec.get("a_rate"), "a_rate", n),
+                    phi_delta=_state_vector(spec.get("phi_delta"), "phi_delta", n),
                 )
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"malformed transform spec: {exc}") from exc
@@ -183,6 +184,17 @@ def _model_size(model) -> int:
     if not isinstance(model, FiniteSymmetricModel):
         raise ConfigError("tabular transforms need a finite model")
     return model.n
+
+
+def _state_vector(values, name: str, n: Optional[int]):
+    """``values`` as a float vector of ``n`` entries (any length when ``n``
+    is None); None stays None."""
+    if values is None:
+        return None
+    vec = np.asarray(values, dtype=float)
+    if n is not None and vec.shape != (n,):
+        raise ConfigError(f"transform {name!r} needs one value per state ({n})")
+    return vec
 
 
 def _phi_table(entries, n: int, symmetric: bool = True) -> np.ndarray:
@@ -223,27 +235,97 @@ class _CheckOutput:
     forms: list = field(default_factory=list)       # forms.csv rows
 
 
-def _need_transform(transform, check_id):
-    if transform is None:
-        raise ConfigError(f"check {check_id!r} needs a transform in the config")
-    return transform
+_ANY_TRANSFORM = (RhoTransform, PureJumpPhi, GeneralMF)
+
+# check id -> (transform types it accepts, or None when it needs no
+# transform; config fields it cannot run without)
+_REQUIREMENTS = {
+    "symmetry": (None, ()),
+    "conservativeness": ((RhoTransform,), ()),
+    "form_identity": ((RhoTransform, PureJumpPhi), ()),
+    "mass": (_ANY_TRANSFORM, ()),
+    "semigroup": (_ANY_TRANSFORM, ("f",)),
+    "symmetry_gap": (_ANY_TRANSFORM, ("f", "g")),
+    "quadratic_form": (_ANY_TRANSFORM, ("f",)),
+    "jump_rate": (_ANY_TRANSFORM, ("pair",)),
+}
 
 
-def _need_finite(model, check_id):
+def _validate_check(model, transform, check) -> None:
+    """Raise ``ConfigError`` unless ``check`` can run on this model and transform.
+
+    Run for every check before any of them starts, so a bad check costs no
+    sampling and no finished results are thrown away.
+    """
+    cid = check["id"]
     if not isinstance(model, FiniteSymmetricModel):
-        raise ConfigError(f"check {check_id!r} needs a finite model")
-    return model
+        raise ConfigError(f"check {cid!r} needs a finite model")
+    kinds, fields = _REQUIREMENTS[cid]
+    if kinds is not None:
+        if transform is None:
+            raise ConfigError(f"check {cid!r} needs a transform in the config")
+        if not isinstance(transform, kinds):
+            raise ConfigError(f"check {cid!r} does not apply to a {type(transform).__name__} transform")
+    missing = [key for key in fields if key not in check]
+    if missing:
+        raise ConfigError(f"check {cid!r} needs {', '.join(map(repr, missing))}")
+    n = model.n
+    try:
+        for key in ("f", "g"):
+            if key in check and np.shape(check[key]) != (n,):
+                raise ConfigError(f"check {cid!r}: {key!r} needs one value per state ({n})")
+        if "x" in check and not (0 <= int(check["x"]) < n):
+            raise ConfigError(f"check {cid!r}: x = {check['x']} is not a state")
+        if "pair" in check:
+            pair = [int(s) for s in check["pair"]]
+            if len(pair) != 2 or not all(0 <= s < n for s in pair) or pair[0] == pair[1]:
+                raise ConfigError(f"check {cid!r}: 'pair' must name two distinct states")
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"check {cid!r} is malformed: {exc}") from exc
+
+
+def _lowered(transform) -> tuple:
+    """Canonical triple ``(phi, phi_delta, a_rate)`` of a chain transform.
+
+    A rho tilt is the jump tilt ``rho(y)/rho(x) - 1`` with death tilt -1
+    (``GeneralMF.from_rho``); a symmetric jump tilt has no death tilt and no
+    nonincreasing part.
+    """
+    if isinstance(transform, RhoTransform):
+        transform = GeneralMF.from_rho(transform.rho)
+    elif isinstance(transform, PureJumpPhi):
+        transform = GeneralMF(phi=transform.phi)
+    phi = np.asarray(transform.phi, dtype=float)
+    zero = np.zeros(phi.shape[0])
+    phi_delta = zero if transform.phi_delta is None else np.asarray(transform.phi_delta, dtype=float)
+    a_rate = zero if transform.a_rate is None else np.asarray(transform.a_rate, dtype=float)
+    return phi, phi_delta, a_rate
+
+
+def _cemetery_generator(model, transform) -> np.ndarray:
+    """Generator of ``g -> E_x[Z_t g(X_t)]`` on the states plus a cemetery.
+
+    Index ``n`` is the absorbing cemetery.  Jumps run at ``(1 + phi) q``,
+    killing flows into the cemetery at ``k (1 + phi_delta)``, and ``a_rate``
+    discounts without moving mass anywhere.  A weighted path that dies keeps
+    its weight at death, so ``P_t(x, cemetery)`` is ``E_x[Z_t; dead at t]``.
+    """
+    phi, phi_delta, a_rate = _lowered(transform)
+    n = model.n
+    rates = (1.0 + phi) * model.q
+    np.fill_diagonal(rates, 0.0)
+    death = model.k * (1.0 + phi_delta)
+    gen = np.zeros((n + 1, n + 1))
+    gen[:n, :n] = rates
+    gen[:n, n] = death
+    gen[np.arange(n), np.arange(n)] = -(rates.sum(axis=1) + death + a_rate)
+    return gen
 
 
 def _oracle_semigroup(model, transform, f, x, t) -> float:
     """Matrix-exponential value of the transformed semigroup at a state."""
-    if isinstance(transform, RhoTransform):
-        gen = dirichlet.transformed_generator(model, transform.rho)
-    elif isinstance(transform, PureJumpPhi):
-        gen = dirichlet.pure_jump_generator(model, transform.phi)
-    else:
-        raise ConfigError("no exact oracle for this transform type")
-    return float((expm(t * gen) @ np.asarray(f, dtype=float))[int(x)])
+    p = expm(t * _cemetery_generator(model, transform))
+    return float(p[int(x), : model.n] @ np.asarray(f, dtype=float))
 
 
 def _check_symmetry(model, transform, check, rng, paths):
@@ -253,9 +335,6 @@ def _check_symmetry(model, transform, check, rng, paths):
     return out
 
 def _check_conservativeness(model, transform, check, rng, paths):
-    transform = _need_transform(transform, "conservativeness")
-    if not isinstance(transform, RhoTransform):
-        raise ConfigError("conservativeness check applies to rho transforms")
     rep = dirichlet.conservativeness_check(model, transform.rho)
     worst = max(rep.row_sum_residual, abs(rep.unit_form_value))
     out = _CheckOutput()
@@ -269,18 +348,15 @@ def _form_for(model, transform, f):
         gen = dirichlet.transformed_generator(model, transform.rho)
         rho = np.asarray(transform.rho, dtype=float)
         mu = rho * rho * model.m
-    elif isinstance(transform, PureJumpPhi):
+    else:
         fv = dirichlet.transformed_form_phi(model, transform, f)
         gen = dirichlet.pure_jump_generator(model, transform.phi)
         mu = model.m
-    else:
-        raise ConfigError("form identity needs a rho or phi transform")
     cross = float(-np.sum((gen @ f) * f * mu))
     return fv, cross
 
 
 def _check_form_identity(model, transform, check, rng, paths):
-    transform = _need_transform(transform, "form_identity")
     n = model.n
     gen_rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(rng.seed)))
     worst = 0.0
@@ -301,7 +377,6 @@ def _check_form_identity(model, transform, check, rng, paths):
 
 
 def _check_mass(model, transform, check, rng, paths):
-    transform = _need_transform(transform, "mass")
     x = int(check.get("x", 0))
     t = float(check.get("t", 1.0))
     n = paths or int(check.get("paths", 100_000))
@@ -313,9 +388,6 @@ def _check_mass(model, transform, check, rng, paths):
 
 
 def _check_semigroup(model, transform, check, rng, paths):
-    transform = _need_transform(transform, "semigroup")
-    if "f" not in check:
-        raise ConfigError("semigroup check needs an 'f' vector")
     f = np.asarray(check["f"], dtype=float)
     x = int(check.get("x", 0))
     t = float(check.get("t", 1.0))
@@ -328,9 +400,6 @@ def _check_semigroup(model, transform, check, rng, paths):
 
 
 def _check_symmetry_gap(model, transform, check, rng, paths):
-    transform = _need_transform(transform, "symmetry_gap")
-    if "f" not in check or "g" not in check:
-        raise ConfigError("symmetry_gap check needs 'f' and 'g' vectors")
     f = np.asarray(check["f"], dtype=float)
     g = np.asarray(check["g"], dtype=float)
     t = float(check.get("t", 0.7))
@@ -342,42 +411,32 @@ def _check_symmetry_gap(model, transform, check, rng, paths):
 
 
 def _check_quadratic_form(model, transform, check, rng, paths):
-    transform = _need_transform(transform, "quadratic_form")
-    if "f" not in check:
-        raise ConfigError("quadratic_form check needs an 'f' vector")
     f = np.asarray(check["f"], dtype=float)
     ts = [float(t) for t in check.get("ts", (0.2, 0.1, 0.05))]
     n = paths or int(check.get("paths", 100_000))
     trend = montecarlo.quadratic_form_trend(model, transform, f, ts, n, rng)
-    if isinstance(transform, RhoTransform):
-        gen = dirichlet.transformed_generator(model, transform.rho)
-        rho = np.asarray(transform.rho, dtype=float)
-        mu = rho * rho * model.m
-    else:
-        gen = dirichlet.pure_jump_generator(model, transform.phi)
-        mu = model.m
+    gen = _cemetery_generator(model, transform)
+    mu = montecarlo._tilted_weight_vector(model, transform)
+    # (f(y) - f(x))^2 for every end state y, the cemetery (f = 0) last
+    sq = (np.append(f, 0.0)[None, :] - f[:, None]) ** 2
 
     def exact_at(t):
-        # exact finite-t value of the energy statistic (killing-free case)
-        pt = expm(t * gen)
-        return float(np.sum(mu * f * ((np.eye(model.n) - pt) @ f)) / t)
+        # exact finite-t value of the energy statistic, dead paths included
+        pt = expm(t * gen)[: model.n]
+        return float(np.sum(mu * np.sum(pt * sq, axis=1)) / (2.0 * t))
 
+    exact = {t: exact_at(t) for t, _res in trend}
     out = _CheckOutput()
     t_min, res_min = min(trend, key=lambda pair: pair[0])
-    oracle_min = exact_at(t_min)
-    out.rows.append(("quadratic_form", res_min.mean, res_min.stderr, oracle_min,
-                     res_min.covers(oracle_min)))
+    out.rows.append(("quadratic_form", res_min.mean, res_min.stderr, exact[t_min],
+                     res_min.covers(exact[t_min])))
     for t, res in trend:
-        out.series.append(("quadratic_form", t, res.mean, res.stderr, exact_at(t)))
+        out.series.append(("quadratic_form", t, res.mean, res.stderr, exact[t]))
     return out
 
 
 def _check_jump_rate(model, transform, check, rng, paths):
-    transform = _need_transform(transform, "jump_rate")
-    pair = check.get("pair")
-    if pair is None or len(pair) != 2:
-        raise ConfigError("jump_rate check needs a 'pair' [x, y]")
-    x, y = int(pair[0]), int(pair[1])
+    x, y = (int(s) for s in check["pair"])
     horizon = float(check.get("horizon", 2.0))
     n = paths or int(check.get("paths", 20_000))
     res = montecarlo.estimate_jump_intensity_ratio(model, transform, (x, y), horizon, n, rng)
@@ -417,7 +476,7 @@ def run(config: ExperimentConfig, out_dir: Optional[str] = None,
         model = config.resolve_model()
         transform = config.resolve_transform()
         for check in config.checks:
-            _need_finite(model, check["id"])
+            _validate_check(model, transform, check)
     except GirsanovError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

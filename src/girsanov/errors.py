@@ -21,9 +21,5 @@ class TransformError(GirsanovError):
     """Invalid change-of-measure data (non-positive density, jump tilt <= -1, ...)."""
 
 
-class IntegrabilityError(TransformError):
-    """Jump tilt fails the integrability requirement against the jump kernel."""
-
-
 class ConfigError(GirsanovError):
     """Bad experiment configuration handed to the command-line driver."""

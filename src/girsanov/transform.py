@@ -232,6 +232,17 @@ def _general_chain_weights(model: FiniteSymmetricModel, spec: GeneralMF) -> _Cha
     return _ChainWeights(rate, log_jump, log_death)
 
 
+def _chain_weights(model: FiniteSymmetricModel, transform: TransformSpec) -> _ChainWeights:
+    """Compensator rates and log factors of any chain transform."""
+    if isinstance(transform, RhoTransform):
+        return _rho_chain_weights(model, transform.rho)
+    if isinstance(transform, PureJumpPhi):
+        return _phi_chain_weights(model, transform.phi)
+    if isinstance(transform, GeneralMF):
+        return _general_chain_weights(model, transform)
+    raise TransformError(f"unsupported transform: {type(transform).__name__}")
+
+
 def _chain_trace(path: Path, t: float, w: _ChainWeights) -> MFTrace:
     if t < 0.0 or t > path.horizon + 1e-12 * max(1.0, path.horizon):
         raise DomainError("t must lie in [0, horizon]")
@@ -502,17 +513,10 @@ def log_weight_fn(model: FiniteSymmetricModel, transform: TransformSpec) -> Call
     """Fast scalar evaluator ``(path, t) -> log Z_t`` for chain paths.
 
     Resolves the transform into per-state compensator rates and per-jump log
-    factors once, so estimator loops pay only the walk along each path.
+    factors once, so a loop over paths pays only the walk along each path.
     """
-    if isinstance(transform, RhoTransform):
-        w = _rho_chain_weights(model, transform.rho)
-    elif isinstance(transform, PureJumpPhi):
-        w = _phi_chain_weights(model, transform.phi)
-    elif isinstance(transform, GeneralMF):
-        w = _general_chain_weights(model, transform)
-    else:
-        raise TransformError(f"unsupported transform: {type(transform).__name__}")
-    # plain Python containers: this closure sits inside estimator hot loops
+    w = _chain_weights(model, transform)
+    # plain Python containers: this closure is called once per path
     rate = tuple(float(r) for r in w.rate)
     log_jump = tuple(tuple(float(v) for v in row) for row in w.log_jump)
     log_death = tuple(float(v) for v in w.log_death)

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -7,7 +8,7 @@ import sys
 import pytest
 
 import girsanov
-from girsanov import ConfigError
+from girsanov import ConfigError, montecarlo
 from girsanov.cli import ExperimentConfig, emit_plot_data, main, run
 
 CHAIN3_MODEL = {
@@ -226,6 +227,84 @@ def test_verify_exit_two_on_missing_pieces(tmp_path, capsys):
     assert main(["verify", "--config", cfg, "--out", out]) == 2
     err = capsys.readouterr().err
     assert "error:" in err
+
+
+# -- exact oracles under killing --------------------------------------------
+
+KILLED_MODEL = {**CHAIN3_MODEL, "k": [0.0, 1.0, 0.0]}
+PHI_TILT = {"type": "phi", "phi": [[0, 1, 1.0], [1, 2, -0.5]]}
+GENERAL_TILT = {
+    "type": "general",
+    "phi": [[0, 1, 1.0], [1, 0, 1.0], [1, 2, -0.5], [2, 1, -0.5]],
+    "a_rate": [0.5, 0.0, 0.0],
+    "phi_delta": [0.0, -0.5, 0.0],
+}
+
+
+def verify_report(tmp_path, transform, checks, paths=2000, model=KILLED_MODEL):
+    cfg = write_config(tmp_path, {"model": model, "transform": transform,
+                                  "checks": checks, "seed": 7})
+    out = str(tmp_path / "out")
+    code = main(["verify", "--config", cfg, "--out", out, "--paths", str(paths)])
+    with open(os.path.join(out, "report.json"), encoding="utf-8") as fh:
+        return code, {row["check_id"]: row for row in json.load(fh)["checks"]}
+
+
+def test_energy_oracle_counts_dead_paths_under_a_jump_tilt(tmp_path):
+    # the killing-blind value (<f, f> - <f, P_t f>) / t would be 2.4871
+    _code, rows = verify_report(tmp_path, PHI_TILT,
+                                [{"id": "quadratic_form", "f": [0, 1, 0], "ts": [0.2]}])
+    assert rows["quadratic_form"]["oracle"] == pytest.approx(2.1325, abs=5e-5)
+
+
+def test_energy_oracle_keeps_death_tilt_and_discount_of_general_transform(tmp_path):
+    code, rows = verify_report(tmp_path, GENERAL_TILT,
+                               [{"id": "quadratic_form", "f": [0, 1, 0], "ts": [0.2]}],
+                               paths=20_000)
+    assert rows["quadratic_form"]["oracle"] == pytest.approx(1.9868, abs=5e-5)
+    assert code == 0 and rows["quadratic_form"]["pass"]
+
+
+def test_mass_and_semigroup_oracles_for_general_transform(tmp_path):
+    code, rows = verify_report(tmp_path, GENERAL_TILT, [
+        {"id": "mass", "x": 0, "t": 0.5},
+        {"id": "semigroup", "f": [0, 1, 0], "x": 1, "t": 0.5},
+    ], paths=20_000)
+    assert code == 0
+    assert rows["mass"]["pass"] and rows["semigroup"]["pass"]
+    # a constant discount alone scales the mass by exp(-a t)
+    discount = {"type": "general", "phi": [], "a_rate": [0.5, 0.5, 0.5]}
+    _code, rows = verify_report(tmp_path, discount, [{"id": "mass", "x": 2, "t": 0.8}],
+                                model=CHAIN3_MODEL)
+    assert rows["mass"]["oracle"] == pytest.approx(math.exp(-0.4), rel=1e-12)
+
+
+def test_checks_are_validated_before_any_sampling(tmp_path, monkeypatch, capsys):
+    calls = []
+    for name in ("estimate_transformed_semigroup", "estimate_mass", "quadratic_form_trend"):
+        monkeypatch.setattr(montecarlo, name, lambda *a, name=name, **k: calls.append(name))
+    cfg = write_config(tmp_path, {
+        "model": KILLED_MODEL,
+        "transform": GENERAL_TILT,
+        "checks": ["symmetry", {"id": "semigroup", "f": [0, 1, 0], "t": 0.5}, "form_identity"],
+    })
+    out = tmp_path / "out"
+    assert main(["verify", "--config", cfg, "--out", str(out)]) == 2
+    assert "form_identity" in capsys.readouterr().err
+    assert calls == []
+    assert not (out / "report.csv").exists()
+
+
+@pytest.mark.parametrize("check", [
+    {"id": "semigroup", "f": [0, 1]},
+    {"id": "mass", "x": 3},
+    {"id": "jump_rate", "pair": [1, 1]},
+    {"id": "symmetry_gap", "f": [0, 1, 0]},
+])
+def test_malformed_check_fields_exit_two(tmp_path, check, capsys):
+    cfg = write_config(tmp_path, {"model": CHAIN3_MODEL, "transform": RHO121, "checks": [check]})
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert "error:" in capsys.readouterr().err
 
 
 # -- plotdata ----------------------------------------------------------------

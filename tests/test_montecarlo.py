@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from conftest import make_reversible, make_symmetric_phi
 from girsanov import (
     DomainError,
     EstimatorResult,
     FiniteSymmetricModel,
+    GeneralMF,
     JumpDiffusionModel,
     PureJumpPhi,
     RhoTransform,
@@ -17,6 +19,7 @@ from girsanov import (
     estimate_quadratic_form,
     estimate_symmetry_gap,
     estimate_transformed_semigroup,
+    log_weight_fn,
     pure_jump_generator,
     quadratic_form_trend,
     sample_finite_path,
@@ -26,7 +29,8 @@ from girsanov import (
     transformed_generator,
     transformed_model,
 )
-from girsanov.montecarlo import _StreamPool
+from girsanov import montecarlo
+from girsanov.montecarlo import _ChainEngine, _PhiloxUniforms, _StreamPool
 
 F010 = np.array([0.0, 1.0, 0.0])
 
@@ -64,6 +68,36 @@ def test_stream_pool_matches_fresh_streams():
     g2 = pool.stream(5)
     got = (g2.random(), g2.integers(10), g2.normal(), g2.random(3).tolist())
     assert want == got
+
+
+def test_offset_shifts_the_stream_block():
+    spec = RngSpec(seed=31, offset=40)
+    np.testing.assert_array_equal(spec.stream(2).random(5), RngSpec(seed=31).stream(42).random(5))
+    with pytest.raises(DomainError):
+        RngSpec(seed=0, offset=-1)
+
+
+def test_numpy_philox_matches_numpy_generator():
+    # keys near 2**64 - 1 wrap to 0 and 1; twelve draws cross three blocks
+    seed, offset = 2**64 - 1, 2**64 - 3
+    draws = _PhiloxUniforms(RngSpec(seed=seed, offset=offset), 0, 5)
+    rows = np.arange(5)
+    got = np.array([draws.draw(rows) for _ in range(12)]).T
+    for i in range(5):
+        key = np.array([seed, (offset + i) % 2**64], dtype=np.uint64)
+        want = np.random.Generator(np.random.Philox(key=key)).random(12)
+        np.testing.assert_array_equal(got[i], want)
+
+
+def test_numpy_philox_rows_advance_independently():
+    spec = RngSpec(seed=5, offset=1000)
+    draws = _PhiloxUniforms(spec, 10, 3)
+    seen = {0: [], 1: [], 2: []}
+    for rows in ([0, 1, 2], [2], [2], [0, 2], [2], [2], [1, 2], [2]):
+        for r, u in zip(rows, draws.draw(np.array(rows))):
+            seen[r].append(u)
+    for r, got in seen.items():
+        assert got == spec.stream(10 + r).random(len(got)).tolist()
 
 
 # -- chain sampler statistics ------------------------------------------------
@@ -334,3 +368,208 @@ def test_estimator_result_from_samples():
     assert r.mean == pytest.approx(float(np.mean(samples)), rel=1e-12)
     assert r.stderr == pytest.approx(float(np.std(samples, ddof=1) / math.sqrt(500)), rel=1e-12)
     assert r.n == 500
+
+
+# -- batched engine vs. the scalar reference ---------------------------------
+#
+# The reference is a per-path loop: one keyed stream, ``sample_finite_path``
+# and ``log_weight_fn`` per path.  The batched engine must reproduce it bit
+# for bit, so results are compared with ``==``.
+
+
+def _reference_start(model, transform):
+    if isinstance(transform, RhoTransform):
+        mu = transform.rho * transform.rho * model.m
+    else:
+        mu = model.m
+    total = float(np.sum(mu))
+    return np.cumsum(mu) / total, total
+
+
+def _reference_paths(model, transform, t, n, rng, x=None):
+    """``(x0, path, log weight)`` per path, started at ``x`` or drawn."""
+    log_w = log_weight_fn(model, transform)
+    cum, _total = _reference_start(model, transform)
+    for i in range(n):
+        stream = rng.stream(i)
+        x0 = x if x is not None else int(np.searchsorted(cum, stream.random(), side="right"))
+        path = sample_finite_path(model, x0, t, stream)
+        yield x0, path, log_w(path, t)
+
+
+def reference_semigroup(model, transform, f, x, t, n, rng):
+    samples = np.empty(n)
+    for i, (_x0, path, lw) in enumerate(_reference_paths(model, transform, t, n, rng, x)):
+        samples[i] = math.exp(lw) * f[path.state_at(t)] if path.alive_at(t) else 0.0
+    return EstimatorResult.from_samples(samples)
+
+
+def reference_symmetry_gap(model, transform, f, g, t, n, rng):
+    _cum, total = _reference_start(model, transform)
+    samples = np.empty(n)
+    for i, (x0, path, lw) in enumerate(_reference_paths(model, transform, t, n, rng)):
+        if not path.alive_at(t):
+            samples[i] = 0.0
+            continue
+        xt = path.state_at(t)
+        w = total * math.exp(lw)
+        samples[i] = w * (g[x0] * f[xt] - f[x0] * g[xt])
+    return EstimatorResult.from_samples(samples)
+
+
+def reference_quadratic_form(model, transform, f, t, n, rng):
+    _cum, total = _reference_start(model, transform)
+    samples = np.empty(n)
+    inv_2t = 1.0 / (2.0 * t)
+    for i, (x0, path, lw) in enumerate(_reference_paths(model, transform, t, n, rng)):
+        w = total * math.exp(lw)
+        f_end = f[path.state_at(t)] if path.alive_at(t) else 0.0
+        diff = f_end - f[x0]
+        samples[i] = w * diff * diff * inv_2t
+    return EstimatorResult.from_samples(samples)
+
+
+def reference_counts(path, pair, horizon):
+    """Jumps along ``pair`` and time spent in its first state."""
+    x, y = pair
+    count, occ = 0, 0.0
+    prev_t, prev_x = 0.0, path.x0
+    for s, state in path.events:
+        if prev_x == x:
+            occ += s - prev_t
+        if prev_x == x and state == y:
+            count += 1
+        prev_t, prev_x = s, state
+    end = path.killed_at if path.killed_at is not None else horizon
+    if prev_x == x:
+        occ += end - prev_t
+    return count, occ
+
+
+def reference_jump_ratio(model, transform, pair, horizon, n, rng):
+    num, den = np.empty(n), np.empty(n)
+    paths = _reference_paths(model, transform, horizon, n, rng, pair[0])
+    for i, (_x0, path, lw) in enumerate(paths):
+        w = math.exp(lw)
+        count, occ = reference_counts(path, pair, horizon)
+        num[i], den[i] = w * count, w * occ
+    num_mean, den_mean = float(np.sum(num) / n), float(np.sum(den) / n)
+    ratio = num_mean / den_mean
+    dn, dd = num - num_mean, den - den_mean
+    var_num = float(np.sum(dn * dn) / (n - 1))
+    var_den = float(np.sum(dd * dd) / (n - 1))
+    cov = float(np.sum(dn * dd) / (n - 1))
+    var_ratio = var_num - 2.0 * ratio * cov + ratio * ratio * var_den
+    stderr = float(np.sqrt(max(var_ratio, 0.0) / n)) / den_mean
+    return EstimatorResult(mean=ratio, stderr=stderr, n=n)
+
+
+def same(a, b):
+    return (a.mean, a.stderr, a.n) == (b.mean, b.stderr, b.n)
+
+
+def parity_cases():
+    """(model, transform) pairs: every transform family, with and without killing."""
+    q = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 2.0], [0.0, 2.0, 0.0]])
+    chain = FiniteSymmetricModel(m=np.ones(3), q=q)
+    killed = FiniteSymmetricModel(m=np.ones(3), q=q, k=np.array([0.0, 1.0, 0.0]))
+    phi = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, -0.5], [0.0, -0.5, 0.0]])
+    rng = np.random.default_rng(41)
+    big = make_reversible(rng, 7, with_killing=True)
+    big_phi = make_symmetric_phi(rng, 7)
+    general = GeneralMF(phi=phi, a_rate=np.array([0.5, 0.0, 0.0]), phi_delta=np.array([0.0, -0.5, 0.0]))
+    # a tilt of exactly -1 zeroes the weight of paths that take (2, 1)
+    zeroing = GeneralMF(phi=np.array([[0.0, 0.5, 0.0], [0.2, 0.0, 0.0], [0.0, -1.0, 0.0]]),
+                        phi_delta=np.array([1.0, 0.0, 0.0]))
+    out = []
+    for name, model in (("chain", chain), ("killed", killed)):
+        out.append((f"{name}-rho", model, RhoTransform(rho=np.array([1.0, 2.0, 1.0]))))
+        out.append((f"{name}-phi", model, PureJumpPhi(phi=phi)))
+        out.append((f"{name}-general", model, general))
+    out.append(("killed-zeroing", killed, zeroing))
+    out.append(("random7-rho", big, RhoTransform(rho=rng.uniform(0.5, 2.0, size=7))))
+    out.append(("random7-phi", big, PureJumpPhi(phi=big_phi)))
+    return out
+
+
+PARITY = parity_cases()
+
+
+@pytest.mark.parametrize("name,model,transform", PARITY, ids=[c[0] for c in PARITY])
+@pytest.mark.parametrize("seed", [0, 7, 2**64 - 2])
+def test_batched_estimators_equal_scalar_reference(name, model, transform, seed):
+    rng = RngSpec(seed=seed)
+    n = 400
+    f = np.linspace(-1.0, 2.0, model.n)
+    g = np.cos(np.arange(model.n))
+    assert same(estimate_transformed_semigroup(model, transform, f, 1, 0.7, n, rng),
+                reference_semigroup(model, transform, f, 1, 0.7, n, rng))
+    assert same(estimate_mass(model, transform, 0, 1.3, n, rng),
+                reference_semigroup(model, transform, np.ones(model.n), 0, 1.3, n, rng))
+    assert same(estimate_symmetry_gap(model, transform, f, g, 0.5, n, rng),
+                reference_symmetry_gap(model, transform, f, g, 0.5, n, rng))
+    trend = quadratic_form_trend(model, transform, f, (0.3, 0.05), n, rng)
+    for idx, (t, res) in enumerate(trend):
+        block = RngSpec(seed=seed, offset=idx * n)
+        assert same(res, reference_quadratic_form(model, transform, f, t, n, block))
+    assert same(estimate_jump_intensity_ratio(model, transform, (1, 2), 2.0, n, rng),
+                reference_jump_ratio(model, transform, (1, 2), 2.0, n, rng))
+
+
+def test_batched_estimators_equal_scalar_reference_across_chunks(chain3_killed, phi3):
+    # more paths than one chunk, from a stream block that does not start at 0
+    n = 2 * montecarlo._CHUNK + 300
+    rng = RngSpec(seed=11, offset=5)
+    transform = GeneralMF(phi=phi3, a_rate=np.array([0.5, 0.0, 0.0]), phi_delta=np.array([0.0, -0.5, 0.0]))
+    assert same(estimate_quadratic_form(chain3_killed, transform, F010, 0.2, n, rng),
+                reference_quadratic_form(chain3_killed, transform, F010, 0.2, n, rng))
+    assert same(estimate_transformed_semigroup(chain3_killed, transform, F010, 1, 0.5, n, rng),
+                reference_semigroup(chain3_killed, transform, F010, 1, 0.5, n, rng))
+
+
+class ScriptedDraws:
+    """Uniform source with a fixed sequence per path."""
+
+    def __init__(self, scripts):
+        self.scripts = [iter(s) for s in scripts]
+
+    def draw(self, rows):
+        return np.array([next(self.scripts[r]) for r in rows])
+
+
+class ScriptedStream:
+    def __init__(self, script):
+        self.script = iter(script)
+
+    def random(self):
+        return next(self.script)
+
+
+def test_zero_uniform_is_redrawn_like_the_scalar_sampler(chain3_killed, phi3):
+    rng = np.random.default_rng(3)
+    scripts = []
+    for i in range(40):
+        script = rng.uniform(0.0, 1.0, size=200)
+        script[rng.random(200) < 0.2] = 0.0
+        script[0] = 0.0  # a holding-time draw: must be redrawn
+        script[1] = 0.0 if i % 2 else script[1]  # twice in a row on odd paths
+        scripts.append(script)
+    transform = PureJumpPhi(phi=phi3)
+    engine = _ChainEngine(chain3_killed, transform)
+    horizon = 3.0
+    [(lo, hi, rec)] = engine.run(horizon, len(scripts), RngSpec(seed=0), x0=1, pair=(1, 2),
+                                 uniforms=lambda _rng, first, count: ScriptedDraws(scripts[first:first + count]))
+    assert (lo, hi) == (0, len(scripts))
+    log_w = log_weight_fn(chain3_killed, transform)
+    for i, script in enumerate(scripts):
+        path = sample_finite_path(chain3_killed, 1, horizon, ScriptedStream(script))
+        assert rec.alive[i] == path.alive_at(horizon)
+        if path.alive_at(horizon):
+            assert rec.x_t[i] == path.state_at(horizon)
+        assert rec.log_w[i] == log_w(path, horizon)
+        assert (rec.count[i], rec.occupation[i]) == reference_counts(path, (1, 2), horizon)
+
+
+def test_engine_rejects_bad_start(chain3, rho121):
+    with pytest.raises(DomainError):
+        estimate_transformed_semigroup(chain3, RhoTransform(rho=rho121), F010, 3, 0.5, 10, RngSpec(seed=0))
