@@ -570,7 +570,11 @@ def _initial_cumulative(mu: np.ndarray):
     total = float(np.sum(mu))
     if total <= 0.0:
         raise ModelError("reference measure has no mass")
-    return np.cumsum(mu) / total, total
+    cdf = np.cumsum(mu) / total
+    # cumsum adds in order and sum pairwise, so the quotient can end an ulp
+    # below 1; a uniform in that gap would draw the nonexistent state n
+    cdf[-1] = 1.0
+    return cdf, total
 
 
 def estimate_symmetry_gap(model: FiniteSymmetricModel, transform, f, g,

@@ -23,6 +23,7 @@ from girsanov import (
     transformed_generator,
     transformed_levy_kernel,
 )
+from girsanov.dirichlet import _quad_level
 
 F010 = np.array([0.0, 1.0, 0.0])
 
@@ -189,6 +190,77 @@ def test_continuum_quadrature_constant_function():
     assert qf.total == 0.0
     assert qf.error_estimate == 0.0
     assert not qf.inconclusive
+
+
+def dense_quad_level(rho, f, model, lo, hi, n):
+    """Reference: the mesh-level form value as a dense n x n pair sum,
+    with the near-diagonal pairs dropped by the float test ``dist < 2h``."""
+    h = (hi - lo) / n
+    x = lo + (np.arange(n) + 0.5) * h
+    fx = np.asarray(f(x), dtype=float)
+    rx = np.asarray(rho(x), dtype=float)
+    df = (np.asarray(f(x + h), dtype=float) - np.asarray(f(x - h), dtype=float)) / (2.0 * h)
+    cont = 0.5 * float(np.sum(rx * rx * df * df)) * h
+    delta = 2.0 * h
+    alpha = model.alpha
+    dist = np.abs(x[:, None] - x[None, :])
+    fbar = fx[:, None] - fx[None, :]
+    weight = rx[:, None] * rx[None, :]
+    with np.errstate(divide="ignore"):
+        kern = (model.c / 2.0) * dist ** (-1.0 - alpha)
+    kern[dist < delta] = 0.0
+    far = float(np.sum(fbar * fbar * weight * kern)) * h * h
+    near_factor = model.c * delta ** (2.0 - alpha) / (2.0 - alpha)
+    near = float(np.sum(rx * rx * df * df)) * near_factor * h
+    return cont, far + near
+
+
+QUAD_RHO = lambda x: 1.0 + 0.5 * np.exp(-np.asarray(x, dtype=float) ** 2)
+QUAD_F = {
+    "wide": lambda x: np.exp(-np.asarray(x, dtype=float) ** 2),
+    "narrow": lambda x: np.exp(-(np.asarray(x, dtype=float) / 0.25) ** 2),
+    "constant": lambda x: np.ones_like(np.asarray(x, dtype=float)),
+}
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
+@pytest.mark.parametrize("name", sorted(QUAD_F))
+def test_quad_level_matches_dense_pair_sum(alpha, name):
+    model = JumpDiffusionModel(d=1, alpha=alpha, c=1.0)
+    f = QUAD_F[name]
+    for mesh in (8, 37, 160, 320, 1280):
+        for n in (mesh, 2 * mesh):
+            cont, jump = _quad_level(QUAD_RHO, f, model, -8.0, 8.0, n)
+            want_cont, want_jump = dense_quad_level(QUAD_RHO, f, model, -8.0, 8.0, n)
+            assert cont == pytest.approx(want_cont, rel=1e-11, abs=0.0)
+            assert jump == pytest.approx(want_jump, rel=1e-11, abs=0.0)
+
+
+def test_quad_level_keeps_the_float_cutoff_at_offset_two():
+    # on 320 cells over [-8, 8] rounding drops some pairs two cells apart
+    # and keeps others; dropping all or keeping all moves the value
+    n, lo, hi = 320, -8.0, 8.0
+    h = (hi - lo) / n
+    x = lo + (np.arange(n) + 0.5) * h
+    keep = np.abs(x[2:] - x[:-2]) >= 2.0 * h
+    assert keep.any() and not keep.all()
+    f = QUAD_F["narrow"]
+    _cont, jump = _quad_level(QUAD_RHO, f, STABLE1, lo, hi, n)
+    _cont, want = dense_quad_level(QUAD_RHO, f, STABLE1, lo, hi, n)
+    # each offset-2 pair's share of the jump part, both orders, alpha = c = 1
+    fx, rx = f(x), QUAD_RHO(x)
+    pair = 2.0 * (fx[2:] - fx[:-2]) ** 2 * rx[2:] * rx[:-2] * 0.5 * (2.0 * h) ** -2.0 * h * h
+    assert abs(jump - want) < 1e-3 * min(np.sum(pair[keep]), np.sum(pair[~keep]))
+
+
+def test_continuum_quadrature_fine_mesh_in_linear_memory():
+    # 65536 fine cells: a dense pair sum would need four 65536^2 float arrays
+    rho, f = QUAD_RHO, QUAD_F["wide"]
+    big = continuum_form_quadrature(rho, f, STABLE1, (-8.0, 8.0), 2 ** 15)
+    ref = continuum_form_quadrature(rho, f, STABLE1, (-8.0, 8.0), 1280)
+    assert np.isfinite(big.total) and not big.inconclusive
+    assert big.mesh == 2 ** 16
+    assert big.total == pytest.approx(ref.total, rel=0.01)
 
 
 def test_continuum_quadrature_validation():

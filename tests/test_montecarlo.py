@@ -383,7 +383,9 @@ def _reference_start(model, transform):
     else:
         mu = model.m
     total = float(np.sum(mu))
-    return np.cumsum(mu) / total, total
+    cum = np.cumsum(mu) / total
+    cum[-1] = 1.0
+    return cum, total
 
 
 def _reference_paths(model, transform, t, n, rng, x=None):
@@ -573,3 +575,22 @@ def test_zero_uniform_is_redrawn_like_the_scalar_sampler(chain3_killed, phi3):
 def test_engine_rejects_bad_start(chain3, rho121):
     with pytest.raises(DomainError):
         estimate_transformed_semigroup(chain3, RhoTransform(rho=rho121), F010, 3, 0.5, 10, RngSpec(seed=0))
+
+
+def test_start_uniform_above_rounded_cdf_draws_the_last_state():
+    # with ten weights of 0.1, cumsum / sum ends one ulp below 1, so the
+    # largest uniform below 1 would draw the nonexistent state 10
+    n = 10
+    ring = np.roll(np.eye(n), 1, axis=1) + np.roll(np.eye(n), -1, axis=1)
+    model = FiniteSymmetricModel(m=np.full(n, 0.1), q=ring)
+    transform = RhoTransform(rho=np.ones(n))
+    mu = montecarlo._tilted_weight_vector(model, transform)
+    gap = np.nextafter(1.0, 0.0)
+    assert (np.cumsum(mu) / np.sum(mu))[-1] <= gap
+    cdf, total = montecarlo._initial_cumulative(mu)
+    assert cdf[-1] == 1.0 and total == pytest.approx(1.0)
+    script = np.concatenate([[gap], np.random.default_rng(5).uniform(0.1, 1.0, size=200)])
+    engine = _ChainEngine(model, transform)
+    [(_lo, _hi, rec)] = engine.run(0.01, 1, RngSpec(seed=0), start_cdf=cdf,
+                                   uniforms=lambda _rng, first, count: ScriptedDraws([script]))
+    assert rec.x0[0] == n - 1
