@@ -18,6 +18,18 @@ inputs), so every estimate equals, bit for bit, the one a per-path loop over
 :func:`sample_finite_path` and :func:`log_weight_fn` gives.  That scalar
 route stays as the public sampler and as the tests' reference.
 
+The continuum energy estimator runs on a second batched engine,
+:class:`_ContinuumEngine`, over chunks of paths.  Path ``i`` reads its draws
+in order from the same ``(seed, offset + i)`` Philox stream, each word ``w``
+mapped into the open unit interval as ``((w >> 11) + 0.5) * 2**-53``: the
+start, the count of jumps longer than ``eps`` (Poisson, by inversion of a
+pinned CDF table), that many jump times, radii and signs, then one normal
+(``ndtri``) per grid step.  Jumps shorter than ``eps`` are folded into the
+Gaussian step, as in :func:`sample_jump_diffusion_path`.  One pass over the
+(paths, steps) grid then gives every path's end state and rho-tilt weight;
+on the same draws these agree with :func:`sample_jump_diffusion_path` and
+:func:`rho_transform_mf` to rounding (the sums run in another order).
+
 The estimators weight base-process paths by the transform's multiplicative
 functional instead of simulating the transformed process directly; the
 cemetery convention ``f(dead) = 0`` applies throughout.
@@ -31,6 +43,7 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
+from scipy.special import ndtri
 
 from .errors import DomainError, ModelError, TransformError
 from .model import (
@@ -45,8 +58,9 @@ from .transform import (
     PureJumpPhi,
     RhoTransform,
     _chain_weights,
+    _finite_diff_grad,
     log_weight_fn,  # noqa: F401  (the scalar route's weight, kept in this namespace)
-    rho_transform_mf,
+    rho_transform_mf,  # noqa: F401  (likewise)
     stable_rate_table,
 )
 
@@ -91,32 +105,6 @@ class RngSpec:
         return np.random.Generator(np.random.Philox(key=key))
 
 
-class _StreamPool:
-    """Reusable generator that re-keys one Philox state per path.
-
-    Produces draw-for-draw the same output as ``RngSpec.stream(index)`` at a
-    fraction of the construction cost; the continuum estimator goes through
-    this.
-    """
-
-    def __init__(self, seed: int, offset: int = 0):
-        key = np.array([seed & _MASK64, 0], dtype=np.uint64)
-        self._bg = np.random.Philox(key=key)
-        self.gen = np.random.Generator(self._bg)
-        self._state = self._bg.state
-        self._offset = offset
-
-    def stream(self, index: int) -> np.random.Generator:
-        st = self._state
-        st["state"]["key"][1] = (self._offset + index) & _MASK64
-        st["state"]["counter"][:] = 0
-        st["buffer_pos"] = 4
-        st["has_uint32"] = 0
-        st["uinteger"] = 0
-        self._bg.state = st
-        return self.gen
-
-
 # ---------------------------------------------------------------------------
 # vectorised Philox4x64-10
 
@@ -129,16 +117,29 @@ _PHILOX_ROUNDS = 10
 
 
 def _mulhilo(a: np.ndarray, mul: int):
-    """High and low 64-bit words of ``a * mul``, from 32-bit limbs."""
+    """High and low 64-bit words of ``a * mul``, from 32-bit limbs.
+
+    Updates its own temporaries in place, so a call allocates five arrays
+    of ``a``'s size at most; uint64 sums wrap, so their order is free.
+    """
     m0 = np.uint64(mul & 0xFFFFFFFF)
     m1 = np.uint64(mul >> 32)
-    a0 = a & _LO32
-    a1 = a >> _SHIFT32
-    p01 = a0 * m1
-    p10 = a1 * m0
-    mid = ((a0 * m0) >> _SHIFT32) + (p01 & _LO32) + (p10 & _LO32)
-    hi = a1 * m1 + (p01 >> _SHIFT32) + (p10 >> _SHIFT32) + (mid >> _SHIFT32)
-    return hi, a * np.uint64(mul)
+    lo = a & _LO32
+    hi = a >> _SHIFT32
+    p01 = lo * m1
+    p10 = hi * m0
+    lo *= m0
+    lo >>= _SHIFT32
+    hi *= m1
+    lo += p01 & _LO32
+    lo += p10 & _LO32
+    lo >>= _SHIFT32  # the carry out of the middle limb
+    hi += lo
+    hi += p01 >> _SHIFT32
+    p10 >>= _SHIFT32
+    hi += p10
+    np.multiply(a, np.uint64(mul), out=lo)
+    return hi, lo
 
 
 def _philox_block(counter: np.ndarray, key0: int, key1: np.ndarray):
@@ -153,7 +154,11 @@ def _philox_block(counter: np.ndarray, key0: int, key1: np.ndarray):
             k1 = k1 + np.uint64(_PHILOX_WEYL[1])
         hi0, lo0 = _mulhilo(c0, _PHILOX_MUL[0])
         hi1, lo1 = _mulhilo(c2, _PHILOX_MUL[1])
-        c0, c1, c2, c3 = hi1 ^ c1 ^ np.uint64(key0), lo1, hi0 ^ c3 ^ k1, lo0
+        hi1 ^= c1
+        hi1 ^= np.uint64(key0)
+        hi0 ^= c3
+        hi0 ^= k1
+        c0, c1, c2, c3 = hi1, lo1, hi0, lo0
     return c0, c1, c2, c3
 
 
@@ -290,6 +295,24 @@ def sample_finite_path(model: FiniteSymmetricModel, x0: int, horizon: float,
     return _FiniteSampler(model).sample(int(x0), float(horizon), rng)
 
 
+def _grid_and_jump_mean(model: JumpDiffusionModel, horizon: float, dt: float, eps: float):
+    """Grid steps up to ``horizon`` and the mean count of jumps longer than
+    ``eps`` before it, for a truncated grid path."""
+    if dt <= 0.0 or eps <= 0.0:
+        raise DomainError("dt and eps must be positive")
+    n_steps = int(round(horizon / dt))
+    if n_steps < 1 or abs(n_steps * dt - horizon) > 1e-9 * max(1.0, horizon):
+        raise DomainError("horizon must be a positive multiple of dt")
+    mean = stable_tail_intensity(model, eps) * horizon
+    if mean < 1e-6:
+        warnings.warn(
+            "truncation radius leaves essentially no explicit jumps "
+            f"(intensity * horizon = {mean:.3g})",
+            UserWarning,
+        )
+    return n_steps, mean
+
+
 def sample_jump_diffusion_path(model: JumpDiffusionModel, x0, horizon: float,
                                dt: float, eps: float,
                                rng: np.random.Generator) -> Path:
@@ -301,20 +324,9 @@ def sample_jump_diffusion_path(model: JumpDiffusionModel, x0, horizon: float,
     a step the jumps land first and the Gaussian move follows, so recorded
     pre/post jump states contain no partial Gaussian displacement.
     """
-    if dt <= 0.0 or eps <= 0.0:
-        raise DomainError("dt and eps must be positive")
-    n_steps = int(round(horizon / dt))
-    if n_steps < 1 or abs(n_steps * dt - horizon) > 1e-9 * max(1.0, horizon):
-        raise DomainError("horizon must be a positive multiple of dt")
-    lam = stable_tail_intensity(model, eps)
-    if lam * horizon < 1e-6:
-        warnings.warn(
-            "truncation radius leaves essentially no explicit jumps "
-            f"(intensity * horizon = {lam * horizon:.3g})",
-            UserWarning,
-        )
+    n_steps, mean = _grid_and_jump_mean(model, horizon, dt, eps)
     d = model.d
-    n_jumps = int(rng.poisson(lam * horizon))
+    n_jumps = int(rng.poisson(mean))
     while True:
         jump_times = np.sort(rng.uniform(0.0, horizon, size=n_jumps))
         if n_jumps == 0 or (jump_times[0] > 0.0 and np.all(np.diff(jump_times) > 0.0)):
@@ -337,7 +349,8 @@ def sample_jump_diffusion_path(model: JumpDiffusionModel, x0, horizon: float,
     x0_arr = float(x0) if d == 1 else np.asarray(x0, dtype=float)
     grid[0] = x0_arr
     steps = gauss.copy()
-    step_of_jump = np.minimum(np.ceil(jump_times / dt - 1e-9).astype(int) - 1, n_steps - 1)
+    # a time within 1e-9 dt of 0 belongs to the first step
+    step_of_jump = np.clip(np.ceil(jump_times / dt - 1e-9).astype(int) - 1, 0, n_steps - 1)
     events = []
     pres = []
     cur = grid[0]
@@ -528,6 +541,180 @@ class _ChainEngine:
 
 
 # ---------------------------------------------------------------------------
+# batched continuum engine
+
+
+# paths per chunk of the continuum engine.  A chunk of 512 paths of 50 steps
+# peaks near 1.8 MB (most of it inside the Philox pass over its ~11k blocks);
+# it also ran faster than chunks of 256 or 1024 on the acceptance settings
+_CONTINUUM_CHUNK = 1 << 9
+
+_TWO_M53 = 2.0 ** -53
+_BELOW_ONE = 1.0 - 2.0 ** -53  # the largest double below 1
+
+
+def _open_uniform(words: np.ndarray) -> np.ndarray:
+    """Philox words as uniforms ``((w >> 11) + 0.5) * 2**-53``, never 0.
+
+    Above 1/2 the half does not fit in a double and the sum rounds to even,
+    so the top word would give exactly 1; it is held at the largest double
+    below 1 instead, and every uniform lies in the open unit interval.
+    """
+    u = (words >> np.uint64(11)).astype(float)
+    u += 0.5
+    u *= _TWO_M53
+    return np.minimum(u, _BELOW_ONE, out=u)
+
+
+def _poisson_cdf(mean: float) -> np.ndarray:
+    """CDF table ``c_0 .. c_kmax`` of a Poisson count, for inversion.
+
+    Sequential recurrence ``p_k = p_{k-1} mean / k``, ``c_k = c_{k-1} + p_k``
+    from ``p_0 = e^{-mean}``, out to ``mean + 10 sqrt(mean) + 20``, where the
+    tail left is far below one ulp; the last entry is pinned to 1.0, so every
+    uniform in (0, 1] finds a count (:func:`_poisson_count`).
+    """
+    if mean > 700.0:  # e^{-mean} would be subnormal or 0
+        raise DomainError(
+            f"{mean:.4g} explicit jumps per path on average is beyond the count "
+            "table; raise eps"
+        )
+    p = math.exp(-mean)
+    kmax = int(mean + 10.0 * math.sqrt(mean) + 20.0)
+    cdf = np.empty(kmax + 1)
+    c = cdf[0] = p
+    for k in range(1, kmax + 1):
+        p = p * mean / k
+        c = cdf[k] = c + p
+    cdf[-1] = 1.0
+    return cdf
+
+
+def _poisson_count(cdf: np.ndarray, u):
+    """Inversion: the least ``k`` with ``u <= c_k``."""
+    return np.searchsorted(cdf, u, side="left")
+
+
+class _ContinuumEngine:
+    """Truncated grid paths of the 1-d Brownian-plus-stable process with the
+    rho tilt's weight, a chunk of paths at a time.
+
+    Path ``i`` reads its draws in order from the ``(seed, offset + i)``
+    Philox stream (numpy's counter and word order, :func:`_open_uniform`):
+    the start (inverse of the ``rho^2`` table), the explicit-jump count N
+    (:func:`_poisson_count`), N jump times ``t u``, N radii
+    ``eps u^{-1/alpha}``, N signs (``u < 1/2`` is negative), then one normal
+    ``std ndtri(u)`` per grid step.  Jump sizes pair with the times sorted,
+    in draw order.  This is the law and the pairing of
+    :func:`sample_jump_diffusion_path`, and the weight is the one
+    :func:`rho_transform_mf` accumulates along its grid.
+    """
+
+    def __init__(self, model: JumpDiffusionModel, rho, region, t: float, dt: float,
+                 eps: float, rho_grad=None, compensator=None):
+        steps, mean = _grid_and_jump_mean(model, t, dt, eps)
+        if compensator is None:
+            lo, hi = float(region[0]), float(region[1])
+            compensator = stable_rate_table(
+                model, lambda a, b: rho(b) / rho(a) - 1.0, eps, lo - 2.0, hi + 2.0
+            )
+        self.rho = rho
+        self.rho_grad = rho_grad if rho_grad is not None else _finite_diff_grad(rho)
+        self.compensator = compensator
+        self.xs, self.start_cdf, self.scale = _continuum_initial_table(rho, region)
+        self.count_cdf = _poisson_cdf(mean)
+        self.var_rate = 1.0 + stable_small_jump_variance(model, eps)
+        self.std = np.sqrt(self.var_rate * dt)
+        self.alpha = model.alpha
+        self.t, self.dt, self.eps, self.steps = float(t), float(dt), float(eps), steps
+
+    def run(self, n: int, rng: RngSpec):
+        """Yield ``(lo, hi, x0, x_t, log_w)`` for paths ``lo .. hi - 1`` of ``n``."""
+        for lo in range(0, n, _CONTINUUM_CHUNK):
+            hi = min(n, lo + _CONTINUUM_CHUNK)
+            yield (lo, hi) + self._chunk(rng, lo, hi - lo)
+
+    def _uniforms(self, rng: RngSpec, first: int, m: int):
+        """Every draw of paths ``first .. first + m - 1``, path after path.
+
+        Returns the starts, the jump counts, the flat uniforms and, per path,
+        the index of its first jump-time draw (draw 2).
+        """
+        paths = np.arange(m)
+        key0 = rng.seed & _MASK64
+        key1 = paths.astype(np.uint64) + np.uint64((rng.offset + first) & _MASK64)
+        # the first block (counter 1) holds the start and the jump count,
+        # which fix how many blocks each path reads; the full pass computes
+        # it again, so that each path's words are one contiguous run
+        c0, c1, _, _ = _philox_block(np.ones(m, dtype=np.uint64), key0, key1)
+        x0 = np.interp(_open_uniform(c0), self.start_cdf, self.xs)
+        count = _poisson_count(self.count_cdf, _open_uniform(c1))
+        blocks = (2 + 3 * count + self.steps + 3) >> 2
+        owner = np.repeat(paths, blocks)
+        row0 = np.cumsum(blocks) - blocks
+        counter = (np.arange(owner.size) - row0[owner] + 1).astype(np.uint64)
+        words = _philox_block(counter, key0, key1[owner])
+        u = np.empty((owner.size, 4))  # allocated after the pass, past its peak
+        for j, w in enumerate(words):
+            u[:, j] = _open_uniform(w)
+        return x0, count, u.ravel(), 4 * row0 + 2
+
+    def _chunk(self, rng: RngSpec, first: int, m: int):
+        K, dt = self.steps, self.dt
+        x0, count, u, start = self._uniforms(rng, first, m)
+
+        # explicit jumps, one flat entry each, in path order
+        jpath = np.repeat(np.arange(m), count)
+        slot = start[jpath] + np.arange(jpath.size) - (np.cumsum(count) - count)[jpath]
+        times = self.t * u[slot]
+        slot += count[jpath]
+        sizes = self.eps * u[slot] ** (-1.0 / self.alpha)
+        slot += count[jpath]
+        sizes *= np.where(u[slot] < 0.5, -1.0, 1.0)
+        times = times[np.lexsort((times, jpath))]
+        # the step holding each jump; a time within 1e-9 dt of 0 is in the first
+        step = np.clip(np.ceil(times / dt - 1e-9).astype(np.intp) - 1, 0, K - 1)
+        brown = u[(start + 3 * count)[:, None] + np.arange(K)]
+        del u
+        ndtri(brown, out=brown)
+        brown *= self.std
+
+        # grid: x0, then per step the jumps and the Gaussian move
+        grid = np.empty((m, K + 1))
+        grid[:, 0] = x0
+        grid[:, 1:] = brown
+        cell = jpath * K + step
+        grid[:, 1:] += np.bincount(cell, weights=sizes, minlength=m * K).reshape(m, K)
+        np.cumsum(grid, axis=1, out=grid)
+
+        # pre-jump states: the step's start, then each jump where the last ended
+        pre = grid[jpath, step]
+        rank = np.arange(cell.size)
+        new = np.ones(cell.size, dtype=bool)
+        new[1:] = cell[1:] != cell[:-1]
+        rank -= np.maximum.accumulate(np.where(new, rank, 0))
+        for r in range(1, int(rank.max(initial=0)) + 1):
+            at = np.flatnonzero(rank == r)
+            pre[at] = pre[at - 1] + sizes[at - 1]
+        post = pre + sizes
+        jump_log = np.log(np.asarray(self.rho(post), dtype=float)
+                          / np.asarray(self.rho(pre), dtype=float))
+
+        # log Z_t: compensator, continuous exponential g dB - g^2 var_rate dt / 2
+        # with g = rho'/rho, and the explicit-jump factors
+        base = grid[:, :K]
+        g = np.asarray(self.rho_grad(base), dtype=float) / np.asarray(self.rho(base), dtype=float)
+        step_log = np.asarray(self.compensator(base), dtype=float) * -dt
+        brown *= g
+        g *= g
+        g *= 0.5 * self.var_rate * dt
+        brown -= g
+        step_log += brown
+        log_w = step_log.sum(axis=1) + np.bincount(jpath, weights=jump_log, minlength=m)
+        return x0, grid[:, K].copy(), log_w
+
+
+# ---------------------------------------------------------------------------
 # estimators
 
 
@@ -622,7 +809,9 @@ def estimate_quadratic_form(model, transform, f, t: float, n: int, rng: RngSpec,
     killing part; the transforms exercised here have none or are
     conservative.  On the continuum model (``region`` required, d = 1) the
     start is drawn from ``rho^2`` restricted to the region and the weight is
-    the truncated-sampler functional.
+    the truncated-sampler functional, all on the batched continuum engine
+    (see the module docstring for its draws); there ``f``, ``rho``,
+    ``rho_grad`` and ``compensator`` are called on float arrays.
     """
     if isinstance(model, JumpDiffusionModel):
         if model.d != 1:
@@ -631,23 +820,12 @@ def estimate_quadratic_form(model, transform, f, t: float, n: int, rng: RngSpec,
             raise DomainError("continuum estimators need a region")
         if not isinstance(transform, RhoTransform) or not callable(transform.rho):
             raise TransformError("continuum estimators need a callable rho tilt")
-        rho = transform.rho
-        if compensator is None:
-            lo, hi = float(region[0]), float(region[1])
-            compensator = stable_rate_table(
-                model, lambda a, b: rho(b) / rho(a) - 1.0, eps, lo - 2.0, hi + 2.0
-            )
-        xs, cdf, scale = _continuum_initial_table(rho, region)
-        pool = _StreamPool(rng.seed, rng.offset)
+        engine = _ContinuumEngine(model, transform.rho, region, t, dt, eps,
+                                  rho_grad=rho_grad, compensator=compensator)
         samples = np.empty(n)
-        for i in range(n):
-            stream = pool.stream(i)
-            x0 = float(np.interp(stream.random(), cdf, xs))
-            path = sample_jump_diffusion_path(model, x0, t, dt, eps, stream)
-            trace = rho_transform_mf(path, rho, model, t,
-                                     rho_grad=rho_grad, compensator=compensator)
-            diff = float(f(path.state_at(t))) - float(f(x0))
-            samples[i] = scale * trace.end_value * diff * diff / (2.0 * t)
+        for lo, hi, x0, x_t, log_w in engine.run(n, rng):
+            diff = np.asarray(f(x_t), dtype=float) - np.asarray(f(x0), dtype=float)
+            samples[lo:hi] = engine.scale * np.exp(log_w) * diff * diff / (2.0 * t)
         return EstimatorResult.from_samples(samples)
     f = _check_chain_inputs(model, f)
     cum, total = _initial_cumulative(_tilted_weight_vector(model, transform))

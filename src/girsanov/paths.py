@@ -333,8 +333,8 @@ def _brownian_increments(path: Path, k_steps: int):
     """Per-step continuous increments: grid differences minus jump sizes."""
     inc = np.diff(path.grid[: k_steps + 1], axis=0).astype(float)
     for (s, post), pre in zip(path.events, path.jump_pre):
-        j = int(np.ceil(s / path.dt - 1e-9)) - 1
-        if 0 <= j < k_steps:
+        j = max(int(np.ceil(s / path.dt - 1e-9)) - 1, 0)
+        if j < k_steps:
             inc[j] = inc[j] - (np.asarray(post, dtype=float) - np.asarray(pre, dtype=float))
     return inc
 

@@ -332,6 +332,36 @@ def _finite_diff_grad(fn, h: float = 1e-6) -> Callable:
     return grad
 
 
+# composite Gauss-Legendre rule of the rate table, in u = log r
+_RATE_PANELS = 192
+_RATE_NODES = 16
+# the rule stops 40/alpha past log(cut), where the kernel mass left is
+# e**-40 of that beyond cut, but never past cut * e**230 (about 1e100 cut), so
+# a tilt may square the gap without overflow; what lies beyond the last node
+# enters as one more node carrying the kernel's exact tail mass
+_RATE_U_SPAN = 230.0
+
+
+def _gauss_legendre(n: int):
+    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1].
+
+    Newton's method on the Legendre three-term recurrence; numpy's
+    ``leggauss`` calls an eigen-solver instead, whose first call sets aside
+    about 1 MB of LAPACK buffers.
+    """
+    x = np.cos(np.pi * (np.arange(n) + 0.75) / (n + 0.5))
+    for _ in range(100):
+        p0, p1 = np.ones(n), x
+        for k in range(2, n + 1):
+            p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+        dp = n * (x * p1 - p0) / (x * x - 1.0)
+        dx = p1 / dp
+        x = x - dx
+        if np.max(np.abs(dx)) < 1e-15:
+            break
+    return x, 2.0 / ((1.0 - x * x) * dp * dp)
+
+
 def stable_rate_table(model: JumpDiffusionModel, tilt, eps: float, lo: float, hi: float,
                       n_nodes: int = 241) -> Callable:
     """Interpolated ``x -> int_{|z| > eps} tilt(x, x + z) c |z|^{-1-alpha} dz``.
@@ -339,21 +369,35 @@ def stable_rate_table(model: JumpDiffusionModel, tilt, eps: float, lo: float, hi
     One-dimensional models only; the table spans ``[lo, hi]`` and is clamped
     to its edge values outside.  Used to compensate explicit (truncated)
     jumps of diffusion-path weights.
+
+    ``tilt(x, y)`` is called with a float ``x`` (a table node) and a float
+    array ``y`` of jump targets, and must return an array of ``y``'s shape.
+    Each node's integral is one composite Gauss-Legendre rule in
+    ``u = log |z|`` (192 panels of 16 nodes on ``[log eps, log cut + 40/alpha]``,
+    ``cut = max(10, 4 (hi - lo))``, the span capped at ``log cut + 230``),
+    where the kernel becomes the smooth weight ``c e^{-alpha u} du``, plus
+    one node at the end of the span carrying the kernel's mass beyond it.
     """
     if model.d != 1:
         raise DomainError("rate tables are implemented for one-dimensional models")
     xs = np.linspace(lo, hi, n_nodes)
-    out = np.empty(n_nodes)
     a = model.alpha
     cut = max(10.0, 4.0 * (hi - lo))
-    for i, x in enumerate(xs):
+    u_hi = math.log(cut) + min(40.0 / a, _RATE_U_SPAN)
+    nodes, weights = _gauss_legendre(_RATE_NODES)
+    edges = np.linspace(math.log(eps), u_hi, _RATE_PANELS + 1)
+    half = 0.5 * np.diff(edges)[:, None]
+    u = (edges[:-1, None] + half * (nodes + 1.0)).ravel()
+    r = np.append(np.exp(u), math.exp(u_hi))
+    # c r^{-1-alpha} dr = c e^{-alpha u} du; the last node is the tail past e^{u_hi}
+    kernel = np.append((half * weights).ravel() * model.c * np.exp(-a * u),
+                       model.c * math.exp(-a * u_hi) / a)
+    out = np.empty(n_nodes)
+    for i, x in enumerate(xs.tolist()):
         # the two sides are integrated together: their first-order parts
-        # cancel, which removes the near-edge spike the quadrature would
-        # otherwise fight
-        f = lambda r: (tilt(x, x + r) + tilt(x, x - r)) * model.c * r ** (-1.0 - a)
-        main, _ = _integrate.quad(f, eps, cut, limit=200)
-        tail, _ = _integrate.quad(f, cut, np.inf, limit=200)
-        out[i] = main + tail
+        # cancel, which removes the near-edge spike a rule would otherwise fight
+        out[i] = np.dot(np.asarray(tilt(x, x + r), dtype=float)
+                        + np.asarray(tilt(x, x - r), dtype=float), kernel)
     return lambda x: np.interp(x, xs, out)
 
 
@@ -384,7 +428,7 @@ def _grid_trace(path: Path, t: float, *, log_jump, comp_rate, mc=None, var_rate=
     for (s, post), pre in zip(path.events, path.jump_pre):
         if s > t:
             break
-        j = int(np.ceil(s / dt - 1e-9))
+        j = max(int(np.ceil(s / dt - 1e-9)), 1)
         log_z[j:] += float(log_jump(pre, post))
     times = np.arange(K + 1) * dt
     return MFTrace(times, log_z, log_z.copy())

@@ -5,7 +5,9 @@ import shutil
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+from scipy.linalg import expm
 
 import girsanov
 from girsanov import ConfigError, montecarlo
@@ -277,6 +279,42 @@ def test_mass_and_semigroup_oracles_for_general_transform(tmp_path):
     _code, rows = verify_report(tmp_path, discount, [{"id": "mass", "x": 2, "t": 0.8}],
                                 model=CHAIN3_MODEL)
     assert rows["mass"]["oracle"] == pytest.approx(math.exp(-0.4), rel=1e-12)
+
+
+def _exact_symmetry_gap(phi_entries, f, g, t):
+    # built here from the chain3 rates, not through the package
+    q = np.array(CHAIN3_MODEL["q"])
+    phi = np.zeros((3, 3))
+    for x, y, v in phi_entries:
+        phi[x, y] = v
+    gen = (1.0 + phi) * q
+    np.fill_diagonal(gen, -gen.sum(axis=1))
+    p = expm(t * gen)
+    f, g = np.asarray(f, dtype=float), np.asarray(g, dtype=float)
+    return float(np.sum(np.array(CHAIN3_MODEL["m"]) * (g * (p @ f) - f * (p @ g))))
+
+
+@pytest.mark.parametrize("phi_entries, value", [
+    # GeneralMF.from_rho((1, 2, 1)): the README rho tilt, whose reversing
+    # measure is rho^2 m rather than the start measure m
+    ([[0, 1, 1.0], [1, 0, -0.5], [1, 2, -0.5], [2, 1, 1.0]], 0.421499),
+    ([[0, 1, 1.0], [1, 0, -0.5]], 0.319049),
+])
+def test_symmetry_gap_oracle_of_general_transform(tmp_path, phi_entries, value):
+    transform = {"type": "general", "phi": phi_entries}
+    if len(phi_entries) == 4:
+        transform["phi_delta"] = [-1.0, -1.0, -1.0]
+    f, g, t = [0, 1, 0], [1, 0, 0], 0.7
+    code, rows = verify_report(tmp_path, transform,
+                               [{"id": "symmetry_gap", "f": f, "g": g, "t": t}],
+                               paths=20_000, model=CHAIN3_MODEL)
+    row = rows["symmetry_gap"]
+    exact = _exact_symmetry_gap(phi_entries, f, g, t)
+    assert exact == pytest.approx(value, abs=5e-7)
+    assert row["oracle"] == pytest.approx(exact, rel=1e-12)
+    lo, hi = row["estimate"] - 1.96 * row["stderr"], row["estimate"] + 1.96 * row["stderr"]
+    assert lo <= exact <= hi
+    assert code == 0 and row["pass"]
 
 
 def test_checks_are_validated_before_any_sampling(tmp_path, monkeypatch, capsys):

@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats as scipy_stats
 from scipy.linalg import expm
+from scipy.special import ndtri
 
 from conftest import make_reversible, make_symmetric_phi
 from girsanov import (
@@ -22,6 +24,7 @@ from girsanov import (
     log_weight_fn,
     pure_jump_generator,
     quadratic_form_trend,
+    rho_transform_mf,
     sample_finite_path,
     sample_jump_diffusion_path,
     stable_small_jump_variance,
@@ -30,7 +33,8 @@ from girsanov import (
     transformed_model,
 )
 from girsanov import montecarlo
-from girsanov.montecarlo import _ChainEngine, _PhiloxUniforms, _StreamPool
+from girsanov.montecarlo import _ChainEngine, _PhiloxUniforms
+from girsanov.paths import _brownian_increments
 
 F010 = np.array([0.0, 1.0, 0.0])
 
@@ -53,21 +57,6 @@ def test_rng_streams_are_reproducible_and_distinct():
     assert not np.array_equal(a, d)
     with pytest.raises(DomainError):
         RngSpec(seed=-1)
-
-
-def test_stream_pool_matches_fresh_streams():
-    spec = RngSpec(seed=99)
-    pool = _StreamPool(99)
-    for index in (0, 3, 1, 3, 250):  # revisits must reset cleanly
-        fresh = spec.stream(index).random(6)
-        pooled = pool.stream(index).random(6)
-        np.testing.assert_array_equal(fresh, pooled)
-    # mixed draw kinds consume buffered state differently; still identical
-    g1 = spec.stream(5)
-    want = (g1.random(), g1.integers(10), g1.normal(), g1.random(3).tolist())
-    g2 = pool.stream(5)
-    got = (g2.random(), g2.integers(10), g2.normal(), g2.random(3).tolist())
-    assert want == got
 
 
 def test_offset_shifts_the_stream_block():
@@ -282,6 +271,7 @@ def test_weighted_base_equals_direct_transformed_simulation(chain3, rho121):
 # -- jump-diffusion sampler --------------------------------------------------
 
 STABLE1 = JumpDiffusionModel(d=1, alpha=1.0, c=0.01)
+STABLE_C = JumpDiffusionModel(d=1, alpha=1.0, c=1.0)
 
 
 def test_jump_diffusion_validation():
@@ -345,6 +335,170 @@ def test_jump_diffusion_two_dimensional():
     for (s, post), pre in zip(p.events, p.jump_pre):
         assert np.linalg.norm(np.asarray(post) - np.asarray(pre)) >= 0.3
     assert p.state_at(1.0).shape == (2,)
+
+
+class _OneEarlyJump:
+    """Draws of one explicit jump at time 1e-20, radius drawn at 3/4, no
+    Gaussian moves."""
+
+    def poisson(self, lam):
+        return 1
+
+    def uniform(self, low, high, size):
+        return np.full(size, 1e-20)
+
+    def random(self, size=None):
+        return 0.75 if size is None else np.full(size, 0.75)
+
+    def normal(self, loc, scale, size):
+        return np.zeros(size)
+
+
+def test_jump_at_time_near_zero_lands_in_the_first_step():
+    # ceil(s/dt - 1e-9) - 1 is -1 for s < 1e-9 dt; such a jump was left
+    # out of the grid, and with it every later jump of the path
+    p = sample_jump_diffusion_path(STABLE1, 0.0, 0.1, 0.01, 0.1, _OneEarlyJump())
+    size = 0.1 * 0.75 ** -1.0
+    assert len(p.events) == 1 and p.jump_pre == (0.0,)
+    np.testing.assert_array_equal(p.grid[1:], size)
+    np.testing.assert_array_equal(_brownian_increments(p, 10), 0.0)
+
+
+# -- continuum engine vs. the scalar reference -------------------------------
+
+RHO_C = lambda x: 1.0 + 0.5 * np.exp(-np.asarray(x) ** 2)  # noqa: E731
+RHO_C_GRAD = lambda x: -np.asarray(x) * np.exp(-np.asarray(x) ** 2)  # noqa: E731
+F_C = lambda x: np.exp(-np.asarray(x) ** 2)  # noqa: E731
+CONT = dict(region=(-8.0, 8.0), dt=1e-3, eps=0.01)
+TOP_WORD = (1 << 64) - 1
+
+
+def _open_uniforms(words):
+    u = ((np.asarray(words, dtype=np.uint64) >> np.uint64(11)).astype(float) + 0.5) * 2.0 ** -53
+    return np.minimum(u, 1.0 - 2.0 ** -53)
+
+
+class _Replay:
+    """Generator stand-in for the scalar sampler that hands out the engine's
+    draws: the path's numpy Philox words, mapped to open uniforms, with the
+    Poisson count by inversion and normals by ``ndtri``."""
+
+    def __init__(self, words):
+        self.u = _open_uniforms(words)
+        self.pos = 0
+
+    def _take(self, size):
+        k = 1 if size is None else int(np.prod(size))
+        out = self.u[self.pos:self.pos + k]
+        assert out.size == k, "replay ran out of draws"
+        self.pos += k
+        return float(out[0]) if size is None else out.reshape(size)
+
+    def random(self, size=None):
+        return self._take(size)
+
+    def uniform(self, low=0.0, high=1.0, size=None):
+        return low + (high - low) * self._take(size)
+
+    def poisson(self, lam):
+        return int(montecarlo._poisson_count(montecarlo._poisson_cdf(lam), self._take(None)))
+
+    def normal(self, loc=0.0, scale=1.0, size=None):
+        return loc + scale * ndtri(self._take(size))
+
+
+def _engine_paths(engine, n, rng):
+    parts = list(zip(*((x0, x_t, log_w) for _lo, _hi, x0, x_t, log_w in engine.run(n, rng))))
+    return tuple(np.concatenate(p) for p in parts)
+
+
+@pytest.mark.parametrize("seed, offset", [(5, 0), (61, 1000)])
+def test_continuum_engine_matches_scalar_reference(monkeypatch, seed, offset):
+    # equal draws, different summation order: start exact, weight to 1e-12
+    # relative, end state to 1e-12 of the path's largest state (an end state
+    # near 0 is the sum of terms far larger than itself).  The one known divergence is two equal jump times in
+    # one path (about 1e-15 a path), where the scalar sampler redraws the
+    # times and the engine keeps them.
+    t, n = 0.05, 150
+    monkeypatch.setattr(montecarlo, "_CONTINUUM_CHUNK", 64)  # three chunks
+    engine = montecarlo._ContinuumEngine(STABLE_C, RHO_C, t=t, rho_grad=RHO_C_GRAD, **CONT)
+    rng = RngSpec(seed=seed, offset=offset)
+    x0, x_t, log_w = _engine_paths(engine, n, rng)
+    samples = []
+    for i in range(n):
+        replay = _Replay(rng.stream(i).bit_generator.random_raw(4 * 64))
+        start = float(np.interp(replay.random(), engine.start_cdf, engine.xs))
+        assert start == x0[i]
+        path = sample_jump_diffusion_path(STABLE_C, start, t, CONT["dt"], CONT["eps"], replay)
+        z = rho_transform_mf(path, RHO_C, STABLE_C, t, rho_grad=RHO_C_GRAD,
+                             compensator=engine.compensator).end_value
+        assert abs(x_t[i] - path.state_at(t)) <= 1e-12 * np.max(np.abs(path.grid))
+        assert math.exp(log_w[i]) == pytest.approx(z, rel=1e-12)
+        diff = float(F_C(path.state_at(t))) - float(F_C(start))
+        samples.append(engine.scale * z * diff * diff / (2.0 * t))
+    est = estimate_quadratic_form(STABLE_C, RhoTransform(rho=RHO_C), F_C, t, n, rng,
+                                  rho_grad=RHO_C_GRAD, compensator=engine.compensator, **CONT)
+    assert est.mean == pytest.approx(np.mean(samples), rel=1e-12)
+    # a path's draws and arithmetic do not depend on the chunk it ran in
+    monkeypatch.setattr(montecarlo, "_CONTINUUM_CHUNK", 4096)
+    for a, b in zip(_engine_paths(engine, n, rng), (x0, x_t, log_w)):
+        np.testing.assert_allclose(a, b, rtol=1e-15, atol=0.0)
+
+
+def test_open_uniforms_at_the_extreme_words():
+    u = montecarlo._open_uniform(np.array([0, TOP_WORD], dtype=np.uint64))
+    assert u.tolist() == [2.0 ** -54, 1.0 - 2.0 ** -53]
+    assert np.all(np.isfinite(ndtri(u)))
+    assert np.all(np.isfinite(CONT["eps"] * u ** (-1.0 / STABLE_C.alpha)))
+
+
+def test_poisson_table_and_the_top_uniform():
+    cdf = montecarlo._poisson_cdf(10.0)
+    k = np.arange(cdf.size - 1)
+    np.testing.assert_allclose(cdf[:-1], scipy_stats.poisson.cdf(k, 10.0), rtol=1e-13)
+    assert cdf[-1] == 1.0
+    # 1 - 2**-54 rounds to 1.0 in double; either way the count is the table's
+    for u in (1.0 - 2.0 ** -54, 1.0 - 2.0 ** -53):
+        count = montecarlo._poisson_count(cdf, u)
+        assert 0 <= count < cdf.size
+    assert montecarlo._poisson_count(cdf, 2.0 ** -54) == 0
+    with pytest.raises(DomainError):
+        montecarlo._poisson_cdf(800.0)
+
+
+@pytest.mark.parametrize("words", [(0, 0, 0, 0), (0, TOP_WORD, 0, 0), (TOP_WORD,) * 4])
+def test_continuum_engine_stays_finite_on_extreme_words(monkeypatch, words):
+    # every block gives the same four words: the smallest and largest
+    # uniforms as starts, counts, times (in the first step, and at the very
+    # end), radii (eps 2**54 and eps), signs and normals (about -8.3 and 8.2)
+    def block(counter, key0, key1):
+        return tuple(np.full(counter.shape, w, dtype=np.uint64) for w in words)
+
+    monkeypatch.setattr(montecarlo, "_philox_block", block)
+    engine = montecarlo._ContinuumEngine(STABLE_C, RHO_C, t=0.05, rho_grad=RHO_C_GRAD, **CONT)
+    x0, x_t, log_w = _engine_paths(engine, 3, RngSpec(seed=0))
+    assert np.all(np.isfinite(x0)) and np.all(np.isfinite(x_t)) and np.all(np.isfinite(log_w))
+
+
+def test_continuum_estimate_matches_the_scalar_route_in_law():
+    # the acceptance (c) statistic, batched engine against a per-path loop
+    # over the scalar sampler and weight on numpy's own Philox draws
+    t, n = 0.05, 4000
+    est = estimate_quadratic_form(STABLE_C, RhoTransform(rho=RHO_C), F_C, t, n, RngSpec(seed=71),
+                                  rho_grad=RHO_C_GRAD, **CONT)
+    engine = montecarlo._ContinuumEngine(STABLE_C, RHO_C, t=t, rho_grad=RHO_C_GRAD, **CONT)
+    spec = RngSpec(seed=72)
+    samples = []
+    for i in range(n):
+        stream = spec.stream(i)
+        start = float(np.interp(stream.random(), engine.start_cdf, engine.xs))
+        path = sample_jump_diffusion_path(STABLE_C, start, t, CONT["dt"], CONT["eps"], stream)
+        z = rho_transform_mf(path, RHO_C, STABLE_C, t, rho_grad=RHO_C_GRAD,
+                             compensator=engine.compensator).end_value
+        diff = float(F_C(path.state_at(t))) - float(F_C(start))
+        samples.append(engine.scale * z * diff * diff / (2.0 * t))
+    scalar = EstimatorResult.from_samples(np.array(samples))
+    assert abs(est.mean - scalar.mean) < 4.0 * math.hypot(est.stderr, scalar.stderr)
 
 
 # -- result container --------------------------------------------------------

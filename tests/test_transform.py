@@ -376,6 +376,25 @@ def test_stable_rate_table_matches_direct_quadrature():
         assert table2(x) == pytest.approx(direct, rel=1e-7)
 
 
+@pytest.mark.parametrize("alpha", [0.05, 0.5, 1.5, 1.95])
+def test_stable_rate_table_is_finite_and_tight_across_alpha(alpha):
+    # both sides of r^2/(1+r^2) against c r^{-1-alpha}:
+    # 2 c (int_0^inf - int_0^eps) r^{1-alpha}/(1+r^2) dr, the first in closed
+    # form, the second by quad with the algebraic weight r^{1-alpha}; small
+    # alpha puts mass out to r ~ e^{40/alpha}, where the rule's range is capped
+    model = JumpDiffusionModel(d=1, alpha=alpha, c=0.7)
+    tilt = lambda x, y: (1.0 + 0.3 * math.sin(x)) * (y - x) ** 2 / (1.0 + (y - x) ** 2)
+    table = stable_rate_table(model, tilt, 0.1, -2.0, 2.0)
+    head, _ = integrate.quad(lambda r: 1.0 / (1.0 + r * r), 0.0, 0.1, weight="alg",
+                             wvar=(1.0 - alpha, 0.0), epsabs=0.0, epsrel=1e-13)
+    whole = math.pi / (2.0 * math.sin(math.pi * alpha / 2.0))
+    xs = np.linspace(-2.0, 2.0, 241)  # the table's own nodes
+    assert np.all(np.isfinite(table(xs)))
+    for x in (-2.0, 0.5, 2.0):
+        expect = 2.0 * 0.7 * (1.0 + 0.3 * math.sin(x)) * (whole - head)
+        assert table(x) == pytest.approx(expect, rel=1e-12)
+
+
 def test_grid_weight_pure_jump_hand_check():
     model = JumpDiffusionModel(d=1, alpha=1.0, c=1.0)
     p = Path(
