@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -33,6 +34,8 @@ from .transform import (
     GeneralMF,
     PureJumpPhi,
     RhoTransform,
+    transformed_jump_measure,
+    transformed_killing,
     transformed_levy_kernel,
 )
 
@@ -228,6 +231,11 @@ def _phi_table(entries, n: int, symmetric: bool = True) -> np.ndarray:
 # checks
 
 
+# A check returns its plan: the chain requests it samples, and a function
+# from their estimates, in order, to its output.  ``run`` samples the
+# requests of every check in one call.
+
+
 @dataclass
 class _CheckOutput:
     rows: list = field(default_factory=list)        # report.csv rows
@@ -280,6 +288,16 @@ def _validate_check(model, transform, check) -> None:
             pair = [int(s) for s in check["pair"]]
             if len(pair) != 2 or not all(0 <= s < n for s in pair) or pair[0] == pair[1]:
                 raise ConfigError(f"check {cid!r}: 'pair' must name two distinct states")
+        times = [check[key] for key in ("t", "horizon") if key in check]
+        if "ts" in check:
+            if not check["ts"]:
+                raise ConfigError(f"check {cid!r}: 'ts' needs at least one time")
+            times.extend(check["ts"])
+        for t in times:
+            if not (math.isfinite(float(t)) and float(t) > 0.0):
+                raise ConfigError(f"check {cid!r}: times must be finite and > 0, got {t!r}")
+        if "paths" in check and int(check["paths"]) < 2:
+            raise ConfigError(f"check {cid!r}: 'paths' must be at least 2")
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"check {cid!r} is malformed: {exc}") from exc
 
@@ -336,75 +354,91 @@ def _oracle_symmetry_gap(model, transform, f, g, t) -> float:
     return float(np.sum(mu * (g * (pt @ f) - f * (pt @ g))))
 
 
+def _exact(out: _CheckOutput):
+    """The plan of a check that samples nothing."""
+    return [], lambda _results: out
+
+
+def _statistical_row(cid: str, res, oracle: float) -> _CheckOutput:
+    out = _CheckOutput()
+    out.rows.append((cid, res.mean, res.stderr, oracle, res.covers(oracle)))
+    return out
+
+
 def _check_symmetry(model, transform, check, rng, paths):
     report = validate_symmetry(model)
     out = _CheckOutput()
     out.rows.append(("symmetry", report.max_residual, None, 0.0, report.ok))
-    return out
+    return _exact(out)
+
 
 def _check_conservativeness(model, transform, check, rng, paths):
     rep = dirichlet.conservativeness_check(model, transform.rho)
     worst = max(rep.row_sum_residual, abs(rep.unit_form_value))
     out = _CheckOutput()
     out.rows.append(("conservativeness", worst, None, 0.0, rep.ok))
-    return out
+    return _exact(out)
 
 
-def _form_for(model, transform, f):
+def _form_pieces(model, transform):
+    """The parts of the form identity that do not depend on ``f``: the
+    tilted jump measure and killing, the generator built by the independent
+    route, and mu."""
     if isinstance(transform, RhoTransform):
-        fv = dirichlet.transformed_form_rho(model, transform.rho, f)
-        gen = dirichlet.transformed_generator(model, transform.rho)
         rho = np.asarray(transform.rho, dtype=float)
-        mu = rho * rho * model.m
+        gen, mu = dirichlet.transformed_generator(model, rho), rho * rho * model.m
     else:
-        fv = dirichlet.transformed_form_phi(model, transform, f)
-        gen = dirichlet.pure_jump_generator(model, transform.phi)
-        mu = model.m
+        gen, mu = dirichlet.pure_jump_generator(model, transform.phi), model.m
+    return transformed_jump_measure(model, transform), transformed_killing(model, transform), gen, mu
+
+
+def _form_for(pieces, f):
+    """Form value of ``f`` and its cross-check ``-<Q f, f>_mu``."""
+    jump, kappa, gen, mu = pieces
+    fv = dirichlet.FormValue(0.0, dirichlet._pair_energy(jump, f), float(np.sum(kappa * f * f)))
     cross = float(-np.sum((gen @ f) * f * mu))
     return fv, cross
 
 
 def _check_form_identity(model, transform, check, rng, paths):
     n = model.n
+    pieces = _form_pieces(model, transform)
     gen_rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(rng.seed)))
     worst = 0.0
     for _ in range(int(check.get("draws", 200))):
         f = gen_rng.uniform(-1.0, 1.0, size=n)
-        fv, cross = _form_for(model, transform, f)
+        fv, cross = _form_for(pieces, f)
         worst = max(worst, abs(fv.total - cross) / max(1.0, abs(fv.total)))
     out = _CheckOutput()
     out.rows.append(("form_identity", worst, None, 0.0, worst <= _EXACT_TOL))
     if "f" in check:
         f = np.asarray(check["f"], dtype=float)
-        fv, cross = _form_for(model, transform, f)
+        fv, cross = _form_for(pieces, f)
         out.forms.append(("continuous", fv.continuous_part, None, None))
         out.forms.append(("jump", fv.jump_part, None, None))
         out.forms.append(("killing", fv.killing_part, None, None))
         out.forms.append(("total", fv.total, cross, abs(fv.total - cross)))
-    return out
+    return _exact(out)
 
 
-def _check_mass(model, transform, check, rng, paths):
+def _semigroup_plan(cid, model, transform, f, check, rng, paths):
     x = int(check.get("x", 0))
     t = float(check.get("t", 1.0))
     n = paths or int(check.get("paths", 100_000))
-    res = montecarlo.estimate_mass(model, transform, x, t, n, rng)
-    oracle = _oracle_semigroup(model, transform, np.ones(model.n), x, t)
-    out = _CheckOutput()
-    out.rows.append(("mass", res.mean, res.stderr, oracle, res.covers(oracle)))
-    return out
+
+    def finish(results):
+        return _statistical_row(cid, results[0], _oracle_semigroup(model, transform, f, x, t))
+
+    return [montecarlo.semigroup_request(model, transform, f, x, t, n, rng)], finish
+
+
+def _check_mass(model, transform, check, rng, paths):
+    return _semigroup_plan("mass", model, transform, np.ones(model.n), check, rng, paths)
 
 
 def _check_semigroup(model, transform, check, rng, paths):
     f = np.asarray(check["f"], dtype=float)
-    x = int(check.get("x", 0))
-    t = float(check.get("t", 1.0))
-    n = paths or int(check.get("paths", 100_000))
-    res = montecarlo.estimate_transformed_semigroup(model, transform, f, x, t, n, rng)
-    oracle = _oracle_semigroup(model, transform, f, x, t)
-    out = _CheckOutput()
-    out.rows.append(("semigroup", res.mean, res.stderr, oracle, res.covers(oracle)))
-    return out
+    return _semigroup_plan("semigroup", model, transform, f, check, rng, paths)
 
 
 def _check_symmetry_gap(model, transform, check, rng, paths):
@@ -412,49 +446,57 @@ def _check_symmetry_gap(model, transform, check, rng, paths):
     g = np.asarray(check["g"], dtype=float)
     t = float(check.get("t", 0.7))
     n = paths or int(check.get("paths", 100_000))
-    res = montecarlo.estimate_symmetry_gap(model, transform, f, g, t, n, rng)
-    oracle = _oracle_symmetry_gap(model, transform, f, g, t)
-    out = _CheckOutput()
-    out.rows.append(("symmetry_gap", res.mean, res.stderr, oracle, res.covers(oracle)))
-    return out
+    req = montecarlo.symmetry_gap_request(model, transform, f, g, t, n, rng)
+
+    def finish(results):
+        res = results[0] if results else montecarlo.EstimatorResult(0.0, 0.0, n)
+        return _statistical_row("symmetry_gap", res, _oracle_symmetry_gap(model, transform, f, g, t))
+
+    return ([] if req is None else [req]), finish
 
 
 def _check_quadratic_form(model, transform, check, rng, paths):
     f = np.asarray(check["f"], dtype=float)
     ts = [float(t) for t in check.get("ts", (0.2, 0.1, 0.05))]
     n = paths or int(check.get("paths", 100_000))
-    trend = montecarlo.quadratic_form_trend(model, transform, f, ts, n, rng)
-    gen = _cemetery_generator(model, transform)
-    mu = montecarlo._tilted_weight_vector(model, transform)
-    # (f(y) - f(x))^2 for every end state y, the cemetery (f = 0) last
-    sq = (np.append(f, 0.0)[None, :] - f[:, None]) ** 2
 
-    def exact_at(t):
-        # exact finite-t value of the energy statistic, dead paths included
-        pt = expm(t * gen)[: model.n]
-        return float(np.sum(mu * np.sum(pt * sq, axis=1)) / (2.0 * t))
+    def finish(results):
+        trend = list(zip(ts, results))
+        gen = _cemetery_generator(model, transform)
+        mu = montecarlo._tilted_weight_vector(model, transform)
+        # (f(y) - f(x))^2 for every end state y, the cemetery (f = 0) last
+        sq = (np.append(f, 0.0)[None, :] - f[:, None]) ** 2
 
-    exact = {t: exact_at(t) for t, _res in trend}
-    out = _CheckOutput()
-    t_min, res_min = min(trend, key=lambda pair: pair[0])
-    out.rows.append(("quadratic_form", res_min.mean, res_min.stderr, exact[t_min],
-                     res_min.covers(exact[t_min])))
-    for t, res in trend:
-        out.series.append(("quadratic_form", t, res.mean, res.stderr, exact[t]))
-    return out
+        def exact_at(t):
+            # exact finite-t value of the energy statistic, dead paths included
+            pt = expm(t * gen)[: model.n]
+            return float(np.sum(mu * np.sum(pt * sq, axis=1)) / (2.0 * t))
+
+        exact = {t: exact_at(t) for t, _res in trend}
+        t_min, res_min = min(trend, key=lambda pair: pair[0])
+        out = _statistical_row("quadratic_form", res_min, exact[t_min])
+        for t, res in trend:
+            out.series.append(("quadratic_form", t, res.mean, res.stderr, exact[t]))
+        return out
+
+    return montecarlo.quadratic_form_requests(model, transform, f, ts, n, rng), finish
 
 
 def _check_jump_rate(model, transform, check, rng, paths):
     x, y = (int(s) for s in check["pair"])
     horizon = float(check.get("horizon", 2.0))
     n = paths or int(check.get("paths", 20_000))
-    res = montecarlo.estimate_jump_intensity_ratio(model, transform, (x, y), horizon, n, rng)
-    oracle = float(transformed_levy_kernel(model, transform)[x, y])
-    passed = res.covers(oracle) if oracle > 0.0 else res.mean == 0.0
-    out = _CheckOutput()
-    out.rows.append(("jump_rate", res.mean, res.stderr, oracle, passed))
-    out.series.append(("jump_rate", horizon, res.mean, res.stderr, oracle))
-    return out
+
+    def finish(results):
+        res = results[0]
+        oracle = float(transformed_levy_kernel(model, transform)[x, y])
+        passed = res.covers(oracle) if oracle > 0.0 else res.mean == 0.0
+        out = _CheckOutput()
+        out.rows.append(("jump_rate", res.mean, res.stderr, oracle, passed))
+        out.series.append(("jump_rate", horizon, res.mean, res.stderr, oracle))
+        return out
+
+    return [montecarlo.jump_rate_request(model, transform, (x, y), horizon, n, rng)], finish
 
 
 _CHECK_FNS = {
@@ -484,6 +526,8 @@ def run(config: ExperimentConfig, out_dir: Optional[str] = None,
     try:
         model = config.resolve_model()
         transform = config.resolve_transform()
+        if paths is not None and paths < 2:
+            raise ConfigError("--paths must be at least 2")
         for check in config.checks:
             _validate_check(model, transform, check)
     except GirsanovError as exc:
@@ -496,9 +540,16 @@ def run(config: ExperimentConfig, out_dir: Optional[str] = None,
     series = []
     forms = []
     try:
+        plans = []
         for check in config.checks:
             log.info("running check %s", check["id"])
-            res = _CHECK_FNS[check["id"]](model, transform, check, rng, paths)
+            plans.append(_CHECK_FNS[check["id"]](model, transform, check, rng, paths))
+        # every statistical check's paths in one call, so checks that read
+        # the same stream block share one batch
+        results = montecarlo.estimate_chain(model, transform, [req for reqs, _finish in plans for req in reqs])
+        for reqs, finish in plans:
+            res = finish(results[: len(reqs)])
+            results = results[len(reqs):]
             rows.extend(res.rows)
             series.extend(res.series)
             forms.extend(res.forms)

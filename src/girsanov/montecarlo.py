@@ -10,13 +10,24 @@ The chain estimators run on a batched engine: a numpy Philox4x64-10 (Salmon
 et al., "Parallel random numbers: as easy as 1, 2, 3", SC'11) produces every
 path's stream at once, and one struct-of-arrays event step advances all
 live paths of a fixed-size chunk together.  Each chunk fills one record
-(start state, end state, alive flag, log weight) that the estimators reduce.
-The step performs the scalar sampler's floating-point operations in the
-same order, and takes ``log`` and ``exp`` from the C library through
-``math`` (numpy's vectorised kernels differ from it in the last bit on some
-inputs), so every estimate equals, bit for bit, the one a per-path loop over
-:func:`sample_finite_path` and :func:`log_weight_fn` gives.  That scalar
-route stays as the public sampler and as the tests' reference.
+(start state, end state, alive flag, log weight) per horizon asked, which
+the estimators reduce.  The step performs the scalar sampler's
+floating-point operations in the same order, and takes ``log`` and ``exp``
+from the C library through ``math`` (numpy's vectorised kernels differ from
+it in the last bit on some inputs), so every estimate equals, bit for bit,
+the one a per-path loop over :func:`sample_finite_path` and
+:func:`log_weight_fn` gives.  That scalar route stays as the public sampler
+and as the tests' reference.
+
+Every chain estimator is a :class:`ChainRequest` (start law, stream block,
+path count, horizon, an optional tracked pair) plus a reducer from a chunk
+record to its per-path samples, and :func:`estimate_chain` is the one batch
+sampler that serves them.  Requests with the same start law, stream block
+and path count read one batch: the engine runs it once, to the largest
+horizon asked, and records every path at each smaller horizon on the way
+(a checkpoint), since a path's stream does not depend on its horizon.  This
+makes those requests use common random numbers, as their identical streams
+already did, and changes no value.
 
 The continuum energy estimator runs on a second batched engine,
 :class:`_ContinuumEngine`, over chunks of paths.  Path ``i`` reads its draws
@@ -40,7 +51,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 from scipy.special import ndtri
@@ -67,6 +78,12 @@ from .transform import (
 __all__ = [
     "RngSpec",
     "EstimatorResult",
+    "ChainRequest",
+    "estimate_chain",
+    "semigroup_request",
+    "symmetry_gap_request",
+    "quadratic_form_requests",
+    "jump_rate_request",
     "sample_finite_path",
     "sample_jump_diffusion_path",
     "estimate_transformed_semigroup",
@@ -409,12 +426,12 @@ _exp = _libm(math.exp)
 
 @dataclass
 class _BatchRecord:
-    """Outcome of one chunk of chain paths, one entry per path.
+    """Outcome of one chunk of chain paths at one horizon, one entry per path.
 
-    ``x_t`` is the state at the horizon (meaningless where ``alive`` is
-    false) and ``log_w`` the log weight ``log Z_t``.  For the jump-rate
-    estimator, ``count`` holds the number of jumps along the tracked pair and
-    ``occupation`` the time spent in its first state before the horizon or
+    ``x_t`` is the state at the horizon (the state at death where ``alive``
+    is false) and ``log_w`` the log weight ``log Z_t``.  For each tracked
+    pair ``(x, y)``, ``count[(x, y)]`` holds the number of ``x -> y`` jumps
+    and ``occupation[(x, y)]`` the time spent in ``x`` before the horizon or
     death.
     """
 
@@ -422,8 +439,8 @@ class _BatchRecord:
     x_t: np.ndarray
     alive: np.ndarray
     log_w: np.ndarray
-    count: Optional[np.ndarray] = None
-    occupation: Optional[np.ndarray] = None
+    count: dict
+    occupation: dict
 
 
 class _ChainEngine:
@@ -431,10 +448,11 @@ class _ChainEngine:
 
     Runs the algorithm of :class:`_FiniteSampler` and the walk of
     :func:`log_weight_fn` over arrays: each pass of the event loop draws a
-    holding time for every live path, ends the paths that pass the horizon,
-    and kills or moves the rest, adding each path's log-weight increment in
-    the scalar walk's order.  The rows of cumulative rates are padded with
-    ``inf`` and searched by vectorised bisection.
+    holding time for every live path, closes the checkpoints that holding
+    time passes, ends the paths that pass the last horizon, and kills or
+    moves the rest, adding each path's log-weight increment in the scalar
+    walk's order.  The rows of cumulative rates are padded with ``inf`` and
+    searched by vectorised bisection.
     """
 
     def __init__(self, model: FiniteSymmetricModel, transform):
@@ -452,54 +470,71 @@ class _ChainEngine:
         self.rate = w.rate
         self.log_jump = w.log_jump
         self.log_death = w.log_death
-        self.n = model.n
 
-    def run(self, horizon: float, n: int, rng: RngSpec, *, x0: Optional[int] = None,
-            start_cdf: Optional[np.ndarray] = None, pair=None, uniforms=_PhiloxUniforms):
-        """Yield ``(lo, hi, record)`` for paths ``lo .. hi - 1`` of ``n``.
+    def run(self, horizons: tuple, n: int, rng: RngSpec, *, x0: Optional[int] = None,
+            start_cdf: Optional[np.ndarray] = None, pairs: tuple = (), uniforms=_PhiloxUniforms):
+        """Yield ``(lo, hi, records)`` for paths ``lo .. hi - 1`` of ``n``.
 
-        Paths start at state ``x0``, or at a state drawn from the path's
-        first uniform against ``start_cdf``.  ``pair = (x, y)`` asks for the
-        jump count and occupation time of the jump-rate estimator.
-        ``uniforms(rng, first, count)`` supplies the draws.
+        ``horizons`` is a sorted tuple; ``records`` holds one
+        :class:`_BatchRecord` per horizon.  A path's stream does not depend
+        on the horizon, so the record at ``h`` equals, bit for bit, the one a
+        run to ``h`` alone gives.  Paths start at state ``x0``, or at a state
+        drawn from the path's first uniform against ``start_cdf``.  Each
+        pair ``(x, y)`` of ``pairs`` gets the jump count and occupation time
+        of the jump-rate estimator.  ``uniforms(rng, first, count)``
+        supplies the draws.
         """
-        if x0 is not None and not (0 <= int(x0) < self.n):
-            raise DomainError(f"x0 = {x0} is not a state of the model")
+        horizons = tuple(float(h) for h in horizons)
         for lo in range(0, n, _CHUNK):
             hi = min(n, lo + _CHUNK)
             draws = uniforms(rng, lo, hi - lo)
-            yield lo, hi, self._chunk(draws, hi - lo, float(horizon), x0, start_cdf, pair)
+            yield lo, hi, self._chunk(draws, hi - lo, horizons, x0, start_cdf, pairs)
 
-    def _chunk(self, draws, m: int, horizon: float, x0, start_cdf, pair) -> _BatchRecord:
+    def _chunk(self, draws, m: int, horizons: tuple, x0, start_cdf, pairs) -> tuple:
         rows = np.arange(m)
         if start_cdf is None:
             x = np.full(m, int(x0), dtype=np.intp)
         else:
             x = np.searchsorted(start_cdf, draws.draw(rows), side="right")
-        # x is the current state of every path; the record keeps it as x_t
-        rec = _BatchRecord(x0=x.copy(), x_t=x, alive=np.ones(m, dtype=bool), log_w=np.zeros(m))
-        if pair is not None:
-            rec.count = np.zeros(m, dtype=np.int64)
-            rec.occupation = np.zeros(m)
+        # the running state of every path (its alive flag unused), kept as it
+        # was at death by a dead one; a checkpoint's alive flag marks the
+        # paths it has closed
+        run = _BatchRecord(x0=x.copy(), x_t=x, alive=np.ones(m, dtype=bool), log_w=np.zeros(m),
+                           count={p: np.zeros(m, dtype=np.int64) for p in pairs},
+                           occupation={p: np.zeros(m) for p in pairs})
+        marks = [_BatchRecord(x0=run.x0, x_t=np.empty(m, dtype=np.intp), alive=np.zeros(m, dtype=bool),
+                              log_w=np.empty(m), count={p: np.empty(m, dtype=np.int64) for p in pairs},
+                              occupation={p: np.empty(m) for p in pairs})
+                 for _ in horizons]
         t = np.zeros(m)
         live = rows
         while live.size:
             total = self.total[x[live]]
             stuck = total <= 0.0
             if stuck.any():
-                self._finish(rec, t, live[stuck], horizon, pair)
+                # a path that cannot leave its state stays in it past every horizon
+                done = live[stuck]
+                for horizon, mark in zip(horizons, marks):
+                    self._close(mark, run, t, done[t[done] <= horizon], horizon)
                 live, total = live[~stuck], total[~stuck]
             u = draws.draw(live)
             zero = u == 0.0
             while zero.any():
                 u[zero] = draws.draw(live[zero])
                 zero = u == 0.0
-            t_next = t[live] - _log(1.0 - u) / total
-            over = t_next > horizon
+            t_live = t[live]
+            t_next = t_live - _log(1.0 - u) / total
+            # a checkpoint closes where a holding time first runs past it; a
+            # live path has not passed the last horizon
+            for horizon, mark in zip(horizons[:-1], marks):
+                passes = (t_next > horizon) & (t_live <= horizon)
+                if passes.any():
+                    self._close(mark, run, t, live[passes], horizon)
+            over = t_next > horizons[-1]
             if over.any():
-                self._finish(rec, t, live[over], horizon, pair)
+                self._close(marks[-1], run, t, live[over], horizons[-1])
                 keep = ~over
-                live, total, t_next = live[keep], total[keep], t_next[keep]
+                live, total, t_live, t_next = live[keep], total[keep], t_live[keep], t_next[keep]
             if not live.size:
                 break
             src = x[live]
@@ -515,29 +550,42 @@ class _ChainEngine:
                 span = np.where(below, span, mid)
             dst = self.target[src, lo]
             step = np.where(dies, self.log_death[src], self.log_jump[src, dst])
-            held = t_next - t[live]
-            rec.log_w[live] = rec.log_w[live] + (-self.rate[src] * held + step)
-            if pair is not None:
+            held = t_next - t_live
+            run.log_w[live] = run.log_w[live] + (-self.rate[src] * held + step)
+            for pair in pairs:
                 here = src == pair[0]
                 at = live[here]
-                rec.occupation[at] = rec.occupation[at] + held[here]
-                rec.count[live] += here & ~dies & (dst == pair[1])
-            rec.alive[live[dies]] = False
+                run.occupation[pair][at] = run.occupation[pair][at] + held[here]
+                run.count[pair][live] += here & ~dies & (dst == pair[1])
             moves = ~dies
             live = live[moves]
             x[live] = dst[moves]
             t[live] = t_next[moves]
-        return rec
+        # the paths a checkpoint has not closed died before it
+        for mark in marks:
+            dead = ~mark.alive
+            mark.x_t[dead] = run.x_t[dead]
+            mark.log_w[dead] = run.log_w[dead]
+            for pair in pairs:
+                mark.count[pair][dead] = run.count[pair][dead]
+                mark.occupation[pair][dead] = run.occupation[pair][dead]
+        return tuple(marks)
 
-    def _finish(self, rec: _BatchRecord, t: np.ndarray, done: np.ndarray, horizon: float, pair) -> None:
-        """Close alive paths at the horizon: the compensator since the last event."""
-        state = rec.x_t[done]
+    def _close(self, mark: _BatchRecord, run: _BatchRecord, t: np.ndarray, done: np.ndarray,
+               horizon: float) -> None:
+        """Record paths ``done`` alive at the horizon: the compensator since
+        the last event."""
+        state = run.x_t[done]
         rest = horizon - t[done]
-        rec.log_w[done] = rec.log_w[done] - self.rate[state] * rest
-        if pair is not None:
+        mark.x_t[done] = state
+        mark.alive[done] = True
+        mark.log_w[done] = run.log_w[done] - self.rate[state] * rest
+        for pair, occupation in run.occupation.items():
+            mark.count[pair][done] = run.count[pair][done]
+            occupation = occupation[done]
             here = state == pair[0]
-            at = done[here]
-            rec.occupation[at] = rec.occupation[at] + rest[here]
+            occupation[here] = occupation[here] + rest[here]
+            mark.occupation[pair][done] = occupation
 
 
 # ---------------------------------------------------------------------------
@@ -735,24 +783,6 @@ def _tilted_weight_vector(model: FiniteSymmetricModel, transform) -> np.ndarray:
     raise TransformError(f"unsupported transform: {type(transform).__name__}")
 
 
-def estimate_transformed_semigroup(model: FiniteSymmetricModel, transform, f,
-                                   x: int, t: float, n: int, rng: RngSpec) -> EstimatorResult:
-    """Weighted estimate of the transformed semigroup at a point:
-    mean of ``Z_t f(X_t)`` over paths from ``x``, zero after death."""
-    f = _check_chain_inputs(model, f)
-    samples = np.zeros(n)
-    for lo, _hi, rec in _ChainEngine(model, transform).run(t, n, rng, x0=x):
-        alive = np.flatnonzero(rec.alive)
-        samples[lo + alive] = _exp(rec.log_w[alive]) * f[rec.x_t[alive]]
-    return EstimatorResult.from_samples(samples)
-
-
-def estimate_mass(model: FiniteSymmetricModel, transform, x: int, t: float,
-                  n: int, rng: RngSpec) -> EstimatorResult:
-    """Weighted mass ``E_x[Z_t; alive]``; equals 1 for every rho tilt."""
-    return estimate_transformed_semigroup(model, transform, np.ones(model.n), x, t, n, rng)
-
-
 def _initial_cumulative(mu: np.ndarray):
     total = float(np.sum(mu))
     if total <= 0.0:
@@ -764,6 +794,193 @@ def _initial_cumulative(mu: np.ndarray):
     return cdf, total
 
 
+# ---------------------------------------------------------------------------
+# the chain batch sampler
+
+
+def _ratio_estimate(num: np.ndarray, den: np.ndarray) -> EstimatorResult:
+    """Ratio of two sample means, its standard error by the delta method."""
+    n = num.size
+    num_mean = float(np.sum(num) / n)
+    den_mean = float(np.sum(den) / n)
+    ratio = num_mean / den_mean
+    dn = num - num_mean
+    dd = den - den_mean
+    var_num = float(np.sum(dn * dn) / (n - 1))
+    var_den = float(np.sum(dd * dd) / (n - 1))
+    cov = float(np.sum(dn * dd) / (n - 1))
+    var_ratio = var_num - 2.0 * ratio * cov + ratio * ratio * var_den
+    stderr = float(np.sqrt(max(var_ratio, 0.0) / n)) / den_mean
+    return EstimatorResult(mean=ratio, stderr=stderr, n=n)
+
+
+@dataclass(frozen=True, eq=False)
+class ChainRequest:
+    """One chain estimate: the paths it reads and how it reduces them.
+
+    The paths are streams ``rng.offset .. rng.offset + n - 1`` run to
+    ``horizon``, started at state ``x0``, or, when ``x0`` is None, from the
+    normalised tilted reference measure (:func:`_tilted_weight_vector`).
+    ``pair`` asks for the jump count and occupation time of that pair.
+    ``reduce`` maps a chunk's :class:`_BatchRecord` at the horizon to a
+    tuple of per-path sample arrays, and ``summarize`` maps the full arrays
+    to the estimate.
+    """
+
+    x0: Optional[int]
+    horizon: float
+    n: int
+    rng: RngSpec
+    reduce: Callable[[_BatchRecord], tuple]
+    summarize: Callable[..., EstimatorResult] = EstimatorResult.from_samples
+    pair: Optional[tuple] = None
+
+
+def estimate_chain(model: FiniteSymmetricModel, transform, requests) -> list:
+    """Estimates of every request, in order, each distinct path batch sampled once.
+
+    Requests with the same start law, stream block and path count read the
+    same paths, so they form one group: the engine runs it once, to its
+    largest horizon, and hands each chunk's record at every horizon to the
+    requests that asked for it.  A path to an earlier horizon is the prefix
+    of the same path to a later one, so each estimate equals, bit for bit,
+    the one a run of its request alone gives; requests of one group use
+    common random numbers, as their identical streams already did.
+    """
+    requests = list(requests)
+    for req in requests:
+        if req.n < 2:
+            raise DomainError("estimators need at least two samples")
+        if req.x0 is not None and not (0 <= req.x0 < model.n):
+            raise DomainError(f"x0 = {req.x0} is not a state of the model")
+    if not requests:
+        return []
+    engine = _ChainEngine(model, transform)
+    start_cdf = None
+    if any(req.x0 is None for req in requests):
+        start_cdf, _total = _initial_cumulative(_tilted_weight_vector(model, transform))
+    groups = {}
+    for idx, req in enumerate(requests):
+        groups.setdefault((req.x0, req.rng, req.n), []).append(idx)
+    results = [None] * len(requests)
+    for (x0, rng, n), members in groups.items():
+        cdf = start_cdf if x0 is None else None
+        estimates = _sample_group(engine, [requests[i] for i in members], x0, rng, n, cdf)
+        for i, res in zip(members, estimates):
+            results[i] = res
+    return results
+
+
+def _sample_group(engine: _ChainEngine, requests: list, x0, rng: RngSpec, n: int, start_cdf) -> list:
+    """Estimates of requests that read the same paths, from one engine run."""
+    horizons = tuple(sorted({req.horizon for req in requests}))
+    pairs = tuple(sorted({req.pair for req in requests} - {None}))
+    at = [horizons.index(req.horizon) for req in requests]
+    samples = [None] * len(requests)
+    for lo, hi, records in engine.run(horizons, n, rng, x0=x0, start_cdf=start_cdf, pairs=pairs):
+        for k, req in enumerate(requests):
+            parts = req.reduce(records[at[k]])
+            if samples[k] is None:
+                samples[k] = tuple(np.empty(n) for _ in parts)
+            for whole, part in zip(samples[k], parts):
+                whole[lo:hi] = part
+    return [req.summarize(*arrays) for req, arrays in zip(requests, samples)]
+
+
+def semigroup_request(model: FiniteSymmetricModel, transform, f, x: int, t: float,
+                      n: int, rng: RngSpec) -> ChainRequest:
+    """Request of ``E_x[Z_t f(X_t)]``: samples ``Z_t f(X_t)``, zero after death."""
+    f = _check_chain_inputs(model, f)
+
+    def reduce(rec):
+        out = np.zeros(rec.alive.size)
+        alive = np.flatnonzero(rec.alive)
+        out[alive] = _exp(rec.log_w[alive]) * f[rec.x_t[alive]]
+        return (out,)
+
+    return ChainRequest(x0=int(x), horizon=float(t), n=int(n), rng=rng, reduce=reduce)
+
+
+def symmetry_gap_request(model: FiniteSymmetricModel, transform, f, g, t: float,
+                         n: int, rng: RngSpec) -> Optional[ChainRequest]:
+    """Request of the antisymmetrised pairing gap, or None when ``f = g``:
+    the gap is then exactly zero and needs no paths."""
+    f = _check_chain_inputs(model, f)
+    g = _check_chain_inputs(model, g)
+    if np.array_equal(f, g):
+        return None
+    _cdf, total = _initial_cumulative(_tilted_weight_vector(model, transform))
+
+    def reduce(rec):
+        out = np.zeros(rec.alive.size)
+        alive = np.flatnonzero(rec.alive)
+        x0, xt = rec.x0[alive], rec.x_t[alive]
+        w = total * _exp(rec.log_w[alive])
+        out[alive] = w * (g[x0] * f[xt] - f[x0] * g[xt])
+        return (out,)
+
+    return ChainRequest(x0=None, horizon=float(t), n=int(n), rng=rng, reduce=reduce)
+
+
+def _trend_blocks(ts, n: int, rng: RngSpec) -> list:
+    """``(t, streams)`` for each time of an energy trend: the time of index
+    ``idx`` reads streams ``rng.offset + idx n`` onward."""
+    return [(float(t), replace(rng, offset=rng.offset + idx * n)) for idx, t in enumerate(ts)]
+
+
+def quadratic_form_requests(model: FiniteSymmetricModel, transform, f, ts, n: int,
+                            rng: RngSpec) -> list:
+    """Requests of the energy statistic at each time of ``ts``, each time on
+    its own block of streams."""
+    f = _check_chain_inputs(model, f)
+    _cdf, total = _initial_cumulative(_tilted_weight_vector(model, transform))
+
+    def request(t, block):
+        inv_2t = 1.0 / (2.0 * t)
+
+        def reduce(rec):
+            w = total * _exp(rec.log_w)
+            diff = np.where(rec.alive, f[rec.x_t], 0.0) - f[rec.x0]
+            return (w * diff * diff * inv_2t,)
+
+        return ChainRequest(x0=None, horizon=t, n=int(n), rng=block, reduce=reduce)
+
+    return [request(t, block) for t, block in _trend_blocks(ts, n, rng)]
+
+
+def jump_rate_request(model: FiniteSymmetricModel, transform, pair, horizon: float,
+                      n: int, rng: RngSpec) -> ChainRequest:
+    """Request of the tilted jump rate of ``pair``: weighted jump counts over
+    weighted occupation times, from the pair's first state."""
+    x, y = int(pair[0]), int(pair[1])
+    if not (0 <= x < model.n and 0 <= y < model.n and x != y):
+        raise DomainError("pair must name two distinct states")
+
+    def reduce(rec):
+        w = _exp(rec.log_w)
+        return (w * rec.count[(x, y)], w * rec.occupation[(x, y)])
+
+    return ChainRequest(x0=x, horizon=float(horizon), n=int(n), rng=rng, reduce=reduce,
+                        summarize=_ratio_estimate, pair=(x, y))
+
+
+# ---------------------------------------------------------------------------
+# estimators
+
+
+def estimate_transformed_semigroup(model: FiniteSymmetricModel, transform, f,
+                                   x: int, t: float, n: int, rng: RngSpec) -> EstimatorResult:
+    """Weighted estimate of the transformed semigroup at a point:
+    mean of ``Z_t f(X_t)`` over paths from ``x``, zero after death."""
+    return estimate_chain(model, transform, [semigroup_request(model, transform, f, x, t, n, rng)])[0]
+
+
+def estimate_mass(model: FiniteSymmetricModel, transform, x: int, t: float,
+                  n: int, rng: RngSpec) -> EstimatorResult:
+    """Weighted mass ``E_x[Z_t; alive]``; equals 1 for every rho tilt."""
+    return estimate_transformed_semigroup(model, transform, np.ones(model.n), x, t, n, rng)
+
+
 def estimate_symmetry_gap(model: FiniteSymmetricModel, transform, f, g,
                           t: float, n: int, rng: RngSpec) -> EstimatorResult:
     """Antisymmetrized pairing gap of the transformed semigroup.
@@ -773,18 +990,10 @@ def estimate_symmetry_gap(model: FiniteSymmetricModel, transform, f, g,
     share the path (common random numbers), and ``f = g`` short-circuits to
     an exact zero.
     """
-    f = _check_chain_inputs(model, f)
-    g = _check_chain_inputs(model, g)
-    if np.array_equal(f, g):
+    req = symmetry_gap_request(model, transform, f, g, t, n, rng)
+    if req is None:
         return EstimatorResult(0.0, 0.0, n)
-    cum, total = _initial_cumulative(_tilted_weight_vector(model, transform))
-    samples = np.zeros(n)
-    for lo, _hi, rec in _ChainEngine(model, transform).run(t, n, rng, start_cdf=cum):
-        alive = np.flatnonzero(rec.alive)
-        x0, xt = rec.x0[alive], rec.x_t[alive]
-        w = total * _exp(rec.log_w[alive])
-        samples[lo + alive] = w * (g[x0] * f[xt] - f[x0] * g[xt])
-    return EstimatorResult.from_samples(samples)
+    return estimate_chain(model, transform, [req])[0]
 
 
 def _continuum_initial_table(rho, region, nodes: int = 4097):
@@ -827,25 +1036,17 @@ def estimate_quadratic_form(model, transform, f, t: float, n: int, rng: RngSpec,
             diff = np.asarray(f(x_t), dtype=float) - np.asarray(f(x0), dtype=float)
             samples[lo:hi] = engine.scale * np.exp(log_w) * diff * diff / (2.0 * t)
         return EstimatorResult.from_samples(samples)
-    f = _check_chain_inputs(model, f)
-    cum, total = _initial_cumulative(_tilted_weight_vector(model, transform))
-    samples = np.empty(n)
-    inv_2t = 1.0 / (2.0 * t)
-    for lo, hi, rec in _ChainEngine(model, transform).run(t, n, rng, start_cdf=cum):
-        w = total * _exp(rec.log_w)
-        diff = np.where(rec.alive, f[rec.x_t], 0.0) - f[rec.x0]
-        samples[lo:hi] = w * diff * diff * inv_2t
-    return EstimatorResult.from_samples(samples)
+    return estimate_chain(model, transform, quadratic_form_requests(model, transform, f, (t,), n, rng))[0]
 
 
 def quadratic_form_trend(model, transform, f, ts, n: int, rng: RngSpec, **kw):
     """The energy statistic at several times, smallest-variance bookkeeping
     left to the caller; each time gets its own disjoint block of streams."""
-    return [
-        (float(t), estimate_quadratic_form(model, transform, f, float(t), n,
-                                           replace(rng, offset=rng.offset + idx * n), **kw))
-        for idx, t in enumerate(ts)
-    ]
+    if isinstance(model, JumpDiffusionModel):
+        return [(t, estimate_quadratic_form(model, transform, f, t, n, block, **kw))
+                for t, block in _trend_blocks(ts, n, rng)]
+    requests = quadratic_form_requests(model, transform, f, ts, n, rng)
+    return [(req.horizon, res) for req, res in zip(requests, estimate_chain(model, transform, requests))]
 
 
 def estimate_jump_intensity_ratio(model: FiniteSymmetricModel, transform, pair,
@@ -856,23 +1057,4 @@ def estimate_jump_intensity_ratio(model: FiniteSymmetricModel, transform, pair,
     at ``x``, both under the end-of-path weight; the ratio converges to the
     tilted kernel entry and its standard error comes from the delta method.
     """
-    x, y = int(pair[0]), int(pair[1])
-    if not (0 <= x < model.n and 0 <= y < model.n and x != y):
-        raise DomainError("pair must name two distinct states")
-    num = np.empty(n)
-    den = np.empty(n)
-    for lo, hi, rec in _ChainEngine(model, transform).run(horizon, n, rng, x0=x, pair=(x, y)):
-        w = _exp(rec.log_w)
-        num[lo:hi] = w * rec.count
-        den[lo:hi] = w * rec.occupation
-    num_mean = float(np.sum(num) / n)
-    den_mean = float(np.sum(den) / n)
-    ratio = num_mean / den_mean
-    dn = num - num_mean
-    dd = den - den_mean
-    var_num = float(np.sum(dn * dn) / (n - 1))
-    var_den = float(np.sum(dd * dd) / (n - 1))
-    cov = float(np.sum(dn * dd) / (n - 1))
-    var_ratio = var_num - 2.0 * ratio * cov + ratio * ratio * var_den
-    stderr = float(np.sqrt(max(var_ratio, 0.0) / n)) / den_mean
-    return EstimatorResult(mean=ratio, stderr=stderr, n=n)
+    return estimate_chain(model, transform, [jump_rate_request(model, transform, pair, horizon, n, rng)])[0]

@@ -319,7 +319,7 @@ def test_symmetry_gap_oracle_of_general_transform(tmp_path, phi_entries, value):
 
 def test_checks_are_validated_before_any_sampling(tmp_path, monkeypatch, capsys):
     calls = []
-    for name in ("estimate_transformed_semigroup", "estimate_mass", "quadratic_form_trend"):
+    for name in ("estimate_chain", "estimate_transformed_semigroup", "estimate_mass", "quadratic_form_trend"):
         monkeypatch.setattr(montecarlo, name, lambda *a, name=name, **k: calls.append(name))
     cfg = write_config(tmp_path, {
         "model": KILLED_MODEL,
@@ -343,6 +343,75 @@ def test_malformed_check_fields_exit_two(tmp_path, check, capsys):
     cfg = write_config(tmp_path, {"model": CHAIN3_MODEL, "transform": RHO121, "checks": [check]})
     assert main(["verify", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("check, paths", [
+    ({"id": "quadratic_form", "f": [0, 1, 0], "ts": [0.0]}, None),
+    ({"id": "jump_rate", "pair": [0, 1], "horizon": 0.0}, None),
+    ({"id": "semigroup", "f": [0, 1, 0], "t": -1}, None),
+    ({"id": "mass", "paths": 1}, None),
+    ({"id": "quadratic_form", "f": [0, 1, 0], "ts": [0.2, float("nan")]}, None),
+    ({"id": "symmetry_gap", "f": [0, 1, 0], "g": [1, 0, 0], "t": float("inf")}, None),
+    ({"id": "mass"}, "1"),
+])
+def test_times_and_path_counts_are_validated_before_any_sampling(tmp_path, monkeypatch, capsys,
+                                                                 check, paths):
+    calls = []
+    monkeypatch.setattr(montecarlo, "estimate_chain", lambda *a, **k: calls.append(a))
+    cfg = write_config(tmp_path, {"model": CHAIN3_MODEL, "transform": RHO121,
+                                  "checks": ["symmetry", check]})
+    out = tmp_path / "out"
+    argv = ["verify", "--config", cfg, "--out", str(out)]
+    assert main(argv + (["--paths", paths] if paths else [])) == 2
+    assert "error:" in capsys.readouterr().err
+    assert calls == []
+    assert not (out / "report.json").exists()
+
+
+def _all_chain_checks():
+    f, g = [0.5, 1.0, -0.25], [1.0, 0.0, 2.0]
+    return [
+        "symmetry",
+        {"id": "form_identity", "f": f},
+        {"id": "mass", "x": 0, "t": 2.0},
+        {"id": "semigroup", "f": f, "x": 0, "t": 2.0},
+        {"id": "symmetry_gap", "f": f, "g": g, "t": 2.0},
+        {"id": "quadratic_form", "f": f, "ts": [3.0, 2.0]},
+        {"id": "jump_rate", "pair": [0, 1], "horizon": 2.0},
+    ]
+
+
+def _verify_json(tmp_path, name, checks):
+    cfg = write_config(tmp_path, {"model": KILLED_MODEL, "transform": PHI_TILT, "checks": checks,
+                                  "seed": 5}, name=f"{name}.json")
+    out = tmp_path / name
+    main(["verify", "--config", cfg, "--out", str(out), "--paths", "600"])
+    with open(out / "report.json", encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def test_checks_reading_the_same_streams_share_one_batch(tmp_path, monkeypatch):
+    chunk = montecarlo._ChainEngine._chunk
+    runs = []
+
+    def counted(self, *args, **kwargs):
+        runs.append(args[2])  # the horizons of the run
+        return chunk(self, *args, **kwargs)
+
+    monkeypatch.setattr(montecarlo._ChainEngine, "_chunk", counted)
+    together = _verify_json(tmp_path, "together", _all_chain_checks())
+    # mass, semigroup and jump_rate from x = 0 to t = 2; symmetry_gap at t = 2
+    # and quadratic_form at t = 3 on the first block; quadratic_form at t = 2
+    # on the second block: three runs where each check alone would make six
+    assert sorted(runs) == [(2.0,), (2.0,), (2.0, 3.0)]
+    alone = {"checks": [], "series": []}
+    for idx, check in enumerate(_all_chain_checks()):
+        report = _verify_json(tmp_path, f"alone{idx}", [check])
+        alone["checks"] += report["checks"]
+        alone["series"] += report["series"]
+    assert len(runs) == 3 + 6
+    assert together["checks"] == alone["checks"]
+    assert together["series"] == alone["series"]
 
 
 # -- plotdata ----------------------------------------------------------------

@@ -683,6 +683,47 @@ def test_batched_estimators_equal_scalar_reference_across_chunks(chain3_killed, 
                 reference_semigroup(chain3_killed, transform, F010, 1, 0.5, n, rng))
 
 
+def records_equal(a, b):
+    fields = ("x0", "x_t", "alive", "log_w")
+    return (all(np.array_equal(getattr(a, k), getattr(b, k)) for k in fields)
+            and a.count.keys() == b.count.keys() == a.occupation.keys() == b.occupation.keys()
+            and all(np.array_equal(a.count[p], b.count[p]) and np.array_equal(a.occupation[p], b.occupation[p])
+                    for p in a.count))
+
+
+def checkpoint_cases():
+    """The parity cases, plus a chain with an isolated state, where paths
+    drawn to start there never move."""
+    q = np.zeros((4, 4))
+    q[:3, :3] = [[0.0, 1.0, 0.0], [1.0, 0.0, 2.0], [0.0, 2.0, 0.0]]
+    isolated = FiniteSymmetricModel(m=np.ones(4), q=q, k=np.array([0.0, 1.0, 0.0, 0.0]))
+    return PARITY + [("isolated-rho", isolated, RhoTransform(rho=np.array([1.0, 2.0, 1.0, 1.5])))]
+
+
+CHECKPOINTS = checkpoint_cases()
+
+
+@pytest.mark.parametrize("name,model,transform", CHECKPOINTS, ids=[c[0] for c in CHECKPOINTS])
+def test_checkpoints_equal_separate_runs(name, model, transform, monkeypatch):
+    # three chunks (100, 100, 50) from a stream block that does not start at 0
+    monkeypatch.setattr(montecarlo, "_CHUNK", 100)
+    engine = _ChainEngine(model, transform)
+    rng = RngSpec(seed=17, offset=1234)
+    cdf, _total = montecarlo._initial_cumulative(montecarlo._tilted_weight_vector(model, transform))
+    starts = ({"x0": 1, "pairs": ((1, 2), (0, 1))}, {"start_cdf": cdf}, {"x0": 0, "pairs": ((0, 1),)})
+    for start in starts:
+        both = list(engine.run((2.0, 3.0), 250, rng, **start))
+        early = list(engine.run((2.0,), 250, rng, **start))
+        late = list(engine.run((3.0,), 250, rng, **start))
+        assert [(lo, hi) for lo, hi, _recs in both] == [(0, 100), (100, 200), (200, 250)]
+        for (lo, hi, (at2, at3)), (lo2, hi2, (one2,)), (lo3, hi3, (one3,)) in zip(both, early, late):
+            assert (lo, hi) == (lo2, hi2) == (lo3, hi3)
+            assert records_equal(at2, one2)
+            assert records_equal(at3, one3)
+        # the two checkpoints differ, so the test would see a mix-up
+        assert not all(records_equal(recs[0], recs[1]) for _lo, _hi, recs in both)
+
+
 class ScriptedDraws:
     """Uniform source with a fixed sequence per path."""
 
@@ -713,8 +754,8 @@ def test_zero_uniform_is_redrawn_like_the_scalar_sampler(chain3_killed, phi3):
     transform = PureJumpPhi(phi=phi3)
     engine = _ChainEngine(chain3_killed, transform)
     horizon = 3.0
-    [(lo, hi, rec)] = engine.run(horizon, len(scripts), RngSpec(seed=0), x0=1, pair=(1, 2),
-                                 uniforms=lambda _rng, first, count: ScriptedDraws(scripts[first:first + count]))
+    [(lo, hi, (rec,))] = engine.run((horizon,), len(scripts), RngSpec(seed=0), x0=1, pairs=((1, 2),),
+                                    uniforms=lambda _rng, first, count: ScriptedDraws(scripts[first:first + count]))
     assert (lo, hi) == (0, len(scripts))
     log_w = log_weight_fn(chain3_killed, transform)
     for i, script in enumerate(scripts):
@@ -723,7 +764,7 @@ def test_zero_uniform_is_redrawn_like_the_scalar_sampler(chain3_killed, phi3):
         if path.alive_at(horizon):
             assert rec.x_t[i] == path.state_at(horizon)
         assert rec.log_w[i] == log_w(path, horizon)
-        assert (rec.count[i], rec.occupation[i]) == reference_counts(path, (1, 2), horizon)
+        assert (rec.count[(1, 2)][i], rec.occupation[(1, 2)][i]) == reference_counts(path, (1, 2), horizon)
 
 
 def test_engine_rejects_bad_start(chain3, rho121):
@@ -745,6 +786,6 @@ def test_start_uniform_above_rounded_cdf_draws_the_last_state():
     assert cdf[-1] == 1.0 and total == pytest.approx(1.0)
     script = np.concatenate([[gap], np.random.default_rng(5).uniform(0.1, 1.0, size=200)])
     engine = _ChainEngine(model, transform)
-    [(_lo, _hi, rec)] = engine.run(0.01, 1, RngSpec(seed=0), start_cdf=cdf,
-                                   uniforms=lambda _rng, first, count: ScriptedDraws([script]))
+    [(_lo, _hi, (rec,))] = engine.run((0.01,), 1, RngSpec(seed=0), start_cdf=cdf,
+                                      uniforms=lambda _rng, first, count: ScriptedDraws([script]))
     assert rec.x0[0] == n - 1
