@@ -233,7 +233,8 @@ def _phi_table(entries, n: int, symmetric: bool = True) -> np.ndarray:
 
 # A check returns its plan: the chain requests it samples, and a function
 # from their estimates, in order, to its output.  ``run`` samples the
-# requests of every check in one call.
+# requests of every check in one call, then runs the functions in config
+# order.
 
 
 @dataclass
@@ -354,9 +355,12 @@ def _oracle_symmetry_gap(model, transform, f, g, t) -> float:
     return float(np.sum(mu * (g * (pt @ f) - f * (pt @ g))))
 
 
-def _exact(out: _CheckOutput):
-    """The plan of a check that samples nothing."""
-    return [], lambda _results: out
+def _exact(check_fn):
+    """Plan maker of a check that samples nothing: ``check_fn`` does all its
+    work, when ``run`` reaches the check."""
+    def plan(model, transform, check, rng, paths):
+        return [], lambda _results: check_fn(model, transform, check, rng, paths)
+    return plan
 
 
 def _statistical_row(cid: str, res, oracle: float) -> _CheckOutput:
@@ -369,7 +373,7 @@ def _check_symmetry(model, transform, check, rng, paths):
     report = validate_symmetry(model)
     out = _CheckOutput()
     out.rows.append(("symmetry", report.max_residual, None, 0.0, report.ok))
-    return _exact(out)
+    return out
 
 
 def _check_conservativeness(model, transform, check, rng, paths):
@@ -377,7 +381,7 @@ def _check_conservativeness(model, transform, check, rng, paths):
     worst = max(rep.row_sum_residual, abs(rep.unit_form_value))
     out = _CheckOutput()
     out.rows.append(("conservativeness", worst, None, 0.0, rep.ok))
-    return _exact(out)
+    return out
 
 
 def _form_pieces(model, transform):
@@ -418,7 +422,7 @@ def _check_form_identity(model, transform, check, rng, paths):
         out.forms.append(("jump", fv.jump_part, None, None))
         out.forms.append(("killing", fv.killing_part, None, None))
         out.forms.append(("total", fv.total, cross, abs(fv.total - cross)))
-    return _exact(out)
+    return out
 
 
 def _semigroup_plan(cid, model, transform, f, check, rng, paths):
@@ -446,13 +450,11 @@ def _check_symmetry_gap(model, transform, check, rng, paths):
     g = np.asarray(check["g"], dtype=float)
     t = float(check.get("t", 0.7))
     n = paths or int(check.get("paths", 100_000))
-    req = montecarlo.symmetry_gap_request(model, transform, f, g, t, n, rng)
 
     def finish(results):
-        res = results[0] if results else montecarlo.EstimatorResult(0.0, 0.0, n)
-        return _statistical_row("symmetry_gap", res, _oracle_symmetry_gap(model, transform, f, g, t))
+        return _statistical_row("symmetry_gap", results[0], _oracle_symmetry_gap(model, transform, f, g, t))
 
-    return ([] if req is None else [req]), finish
+    return [montecarlo.symmetry_gap_request(model, transform, f, g, t, n, rng)], finish
 
 
 def _check_quadratic_form(model, transform, check, rng, paths):
@@ -500,9 +502,9 @@ def _check_jump_rate(model, transform, check, rng, paths):
 
 
 _CHECK_FNS = {
-    "symmetry": _check_symmetry,
-    "conservativeness": _check_conservativeness,
-    "form_identity": _check_form_identity,
+    "symmetry": _exact(_check_symmetry),
+    "conservativeness": _exact(_check_conservativeness),
+    "form_identity": _exact(_check_form_identity),
     "mass": _check_mass,
     "semigroup": _check_semigroup,
     "symmetry_gap": _check_symmetry_gap,
@@ -540,14 +542,14 @@ def run(config: ExperimentConfig, out_dir: Optional[str] = None,
     series = []
     forms = []
     try:
-        plans = []
-        for check in config.checks:
-            log.info("running check %s", check["id"])
-            plans.append(_CHECK_FNS[check["id"]](model, transform, check, rng, paths))
+        plans = [_CHECK_FNS[check["id"]](model, transform, check, rng, paths) for check in config.checks]
         # every statistical check's paths in one call, so checks that read
         # the same stream block share one batch
-        results = montecarlo.estimate_chain(model, transform, [req for reqs, _finish in plans for req in reqs])
-        for reqs, finish in plans:
+        requests = [req for reqs, _finish in plans for req in reqs]
+        log.info("sampling %d chain requests", len(requests))
+        results = montecarlo.estimate_chain(model, transform, requests)
+        for check, (reqs, finish) in zip(config.checks, plans):
+            log.info("running check %s", check["id"])
             res = finish(results[: len(reqs)])
             results = results[len(reqs):]
             rows.extend(res.rows)

@@ -818,20 +818,23 @@ def _ratio_estimate(num: np.ndarray, den: np.ndarray) -> EstimatorResult:
 class ChainRequest:
     """One chain estimate: the paths it reads and how it reduces them.
 
-    The paths are streams ``rng.offset .. rng.offset + n - 1`` run to
-    ``horizon``, started at state ``x0``, or, when ``x0`` is None, from the
-    normalised tilted reference measure (:func:`_tilted_weight_vector`).
-    ``pair`` asks for the jump count and occupation time of that pair.
-    ``reduce`` maps a chunk's :class:`_BatchRecord` at the horizon to a
-    tuple of per-path sample arrays, and ``summarize`` maps the full arrays
-    to the estimate.
+    The paths are streams ``rng.offset .. rng.offset + n - 1`` of ``model``
+    under ``transform``, run to ``horizon``, started at state ``x0``, or,
+    when ``x0`` is None, from the normalised tilted reference measure
+    (:func:`_tilted_weight_vector`).  ``pair`` asks for the jump count and
+    occupation time of that pair.  ``reduce`` maps a chunk's
+    :class:`_BatchRecord` at the horizon to a tuple of per-path sample
+    arrays, and ``summarize`` maps the full arrays to the estimate.  A
+    request with no ``reduce`` is exactly zero and samples nothing.
     """
 
+    model: FiniteSymmetricModel
+    transform: object
     x0: Optional[int]
     horizon: float
     n: int
     rng: RngSpec
-    reduce: Callable[[_BatchRecord], tuple]
+    reduce: Optional[Callable[[_BatchRecord], tuple]]
     summarize: Callable[..., EstimatorResult] = EstimatorResult.from_samples
     pair: Optional[tuple] = None
 
@@ -845,24 +848,31 @@ def estimate_chain(model: FiniteSymmetricModel, transform, requests) -> list:
     requests that asked for it.  A path to an earlier horizon is the prefix
     of the same path to a later one, so each estimate equals, bit for bit,
     the one a run of its request alone gives; requests of one group use
-    common random numbers, as their identical streams already did.
+    common random numbers, as their identical streams already did.  Every
+    request must have been built for this ``model`` and ``transform``, since
+    its reducer holds their constants; a request without a reducer gives
+    an exact zero.
     """
     requests = list(requests)
-    for req in requests:
+    results = [None] * len(requests)
+    groups = {}
+    for idx, req in enumerate(requests):
+        if req.model is not model or req.transform is not transform:
+            raise DomainError("request was built for another model or transform")
+        if req.reduce is None:
+            results[idx] = EstimatorResult(0.0, 0.0, req.n)
+            continue
         if req.n < 2:
             raise DomainError("estimators need at least two samples")
         if req.x0 is not None and not (0 <= req.x0 < model.n):
             raise DomainError(f"x0 = {req.x0} is not a state of the model")
-    if not requests:
-        return []
+        groups.setdefault((req.x0, req.rng, req.n), []).append(idx)
+    if not groups:
+        return results
     engine = _ChainEngine(model, transform)
     start_cdf = None
-    if any(req.x0 is None for req in requests):
+    if any(x0 is None for x0, _rng, _n in groups):
         start_cdf, _total = _initial_cumulative(_tilted_weight_vector(model, transform))
-    groups = {}
-    for idx, req in enumerate(requests):
-        groups.setdefault((req.x0, req.rng, req.n), []).append(idx)
-    results = [None] * len(requests)
     for (x0, rng, n), members in groups.items():
         cdf = start_cdf if x0 is None else None
         estimates = _sample_group(engine, [requests[i] for i in members], x0, rng, n, cdf)
@@ -898,17 +908,17 @@ def semigroup_request(model: FiniteSymmetricModel, transform, f, x: int, t: floa
         out[alive] = _exp(rec.log_w[alive]) * f[rec.x_t[alive]]
         return (out,)
 
-    return ChainRequest(x0=int(x), horizon=float(t), n=int(n), rng=rng, reduce=reduce)
+    return ChainRequest(model, transform, x0=int(x), horizon=float(t), n=int(n), rng=rng, reduce=reduce)
 
 
 def symmetry_gap_request(model: FiniteSymmetricModel, transform, f, g, t: float,
-                         n: int, rng: RngSpec) -> Optional[ChainRequest]:
-    """Request of the antisymmetrised pairing gap, or None when ``f = g``:
-    the gap is then exactly zero and needs no paths."""
+                         n: int, rng: RngSpec) -> ChainRequest:
+    """Request of the antisymmetrised pairing gap; when ``f = g`` the gap is
+    exactly zero, and the request has no reducer and samples nothing."""
     f = _check_chain_inputs(model, f)
     g = _check_chain_inputs(model, g)
     if np.array_equal(f, g):
-        return None
+        return ChainRequest(model, transform, x0=None, horizon=float(t), n=int(n), rng=rng, reduce=None)
     _cdf, total = _initial_cumulative(_tilted_weight_vector(model, transform))
 
     def reduce(rec):
@@ -919,7 +929,7 @@ def symmetry_gap_request(model: FiniteSymmetricModel, transform, f, g, t: float,
         out[alive] = w * (g[x0] * f[xt] - f[x0] * g[xt])
         return (out,)
 
-    return ChainRequest(x0=None, horizon=float(t), n=int(n), rng=rng, reduce=reduce)
+    return ChainRequest(model, transform, x0=None, horizon=float(t), n=int(n), rng=rng, reduce=reduce)
 
 
 def _trend_blocks(ts, n: int, rng: RngSpec) -> list:
@@ -943,7 +953,7 @@ def quadratic_form_requests(model: FiniteSymmetricModel, transform, f, ts, n: in
             diff = np.where(rec.alive, f[rec.x_t], 0.0) - f[rec.x0]
             return (w * diff * diff * inv_2t,)
 
-        return ChainRequest(x0=None, horizon=t, n=int(n), rng=block, reduce=reduce)
+        return ChainRequest(model, transform, x0=None, horizon=t, n=int(n), rng=block, reduce=reduce)
 
     return [request(t, block) for t, block in _trend_blocks(ts, n, rng)]
 
@@ -960,8 +970,8 @@ def jump_rate_request(model: FiniteSymmetricModel, transform, pair, horizon: flo
         w = _exp(rec.log_w)
         return (w * rec.count[(x, y)], w * rec.occupation[(x, y)])
 
-    return ChainRequest(x0=x, horizon=float(horizon), n=int(n), rng=rng, reduce=reduce,
-                        summarize=_ratio_estimate, pair=(x, y))
+    return ChainRequest(model, transform, x0=x, horizon=float(horizon), n=int(n), rng=rng,
+                        reduce=reduce, summarize=_ratio_estimate, pair=(x, y))
 
 
 # ---------------------------------------------------------------------------
@@ -990,10 +1000,7 @@ def estimate_symmetry_gap(model: FiniteSymmetricModel, transform, f, g,
     share the path (common random numbers), and ``f = g`` short-circuits to
     an exact zero.
     """
-    req = symmetry_gap_request(model, transform, f, g, t, n, rng)
-    if req is None:
-        return EstimatorResult(0.0, 0.0, n)
-    return estimate_chain(model, transform, [req])[0]
+    return estimate_chain(model, transform, [symmetry_gap_request(model, transform, f, g, t, n, rng)])[0]
 
 
 def _continuum_initial_table(rho, region, nodes: int = 4097):
@@ -1042,11 +1049,8 @@ def estimate_quadratic_form(model, transform, f, t: float, n: int, rng: RngSpec,
 def quadratic_form_trend(model, transform, f, ts, n: int, rng: RngSpec, **kw):
     """The energy statistic at several times, smallest-variance bookkeeping
     left to the caller; each time gets its own disjoint block of streams."""
-    if isinstance(model, JumpDiffusionModel):
-        return [(t, estimate_quadratic_form(model, transform, f, t, n, block, **kw))
-                for t, block in _trend_blocks(ts, n, rng)]
-    requests = quadratic_form_requests(model, transform, f, ts, n, rng)
-    return [(req.horizon, res) for req, res in zip(requests, estimate_chain(model, transform, requests))]
+    return [(t, estimate_quadratic_form(model, transform, f, t, n, block, **kw))
+            for t, block in _trend_blocks(ts, n, rng)]
 
 
 def estimate_jump_intensity_ratio(model: FiniteSymmetricModel, transform, pair,

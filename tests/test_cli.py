@@ -1,4 +1,5 @@
 import json
+import logging
 import math
 import os
 import shutil
@@ -412,6 +413,17 @@ def test_checks_reading_the_same_streams_share_one_batch(tmp_path, monkeypatch):
     assert len(runs) == 3 + 6
     assert together["checks"] == alone["checks"]
     assert together["series"] == alone["series"]
+
+
+def test_check_log_lines_follow_the_shared_sampling(tmp_path, caplog):
+    checks = ["symmetry", {"id": "mass", "t": 0.5}, "form_identity"]
+    cfg = write_config(tmp_path, {"model": CHAIN3_MODEL, "transform": RHO121, "checks": checks})
+    with caplog.at_level(logging.INFO, logger="girsanov"):
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path / "out"), "--paths", "200"]) == 0
+    lines = [r.getMessage() for r in caplog.records
+             if r.getMessage().startswith(("sampling", "running check"))]
+    assert lines == ["sampling 1 chain requests", "running check symmetry",
+                     "running check mass", "running check form_identity"]
 
 
 # -- plotdata ----------------------------------------------------------------

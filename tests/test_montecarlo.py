@@ -724,6 +724,24 @@ def test_checkpoints_equal_separate_runs(name, model, transform, monkeypatch):
         assert not all(records_equal(recs[0], recs[1]) for _lo, _hi, recs in both)
 
 
+def test_estimate_chain_rejects_requests_built_for_another_transform(chain3):
+    rng = RngSpec(seed=3)
+    rho = RhoTransform(rho=np.array([1.0, 2.0, 1.0]))
+    flat = RhoTransform(rho=np.ones(3))
+    req = montecarlo.quadratic_form_requests(chain3, rho, F010, (0.2,), 50, rng)[0]
+    with pytest.raises(DomainError, match="another model or transform"):
+        montecarlo.estimate_chain(chain3, flat, [req])
+
+
+def test_equal_pair_gap_is_exact_zero_without_sampling(chain3, monkeypatch):
+    monkeypatch.setattr(_ChainEngine, "_chunk", lambda *a, **k: pytest.fail("sampled"))
+    rho = RhoTransform(rho=np.array([1.0, 2.0, 1.0]))
+    req = montecarlo.symmetry_gap_request(chain3, rho, F010, F010, 0.5, 40, RngSpec(seed=1))
+    assert req.reduce is None
+    assert montecarlo.estimate_chain(chain3, rho, [req]) == [EstimatorResult(0.0, 0.0, 40)]
+    assert estimate_symmetry_gap(chain3, rho, F010, F010, 0.5, 40, RngSpec(seed=1)) == EstimatorResult(0.0, 0.0, 40)
+
+
 class ScriptedDraws:
     """Uniform source with a fixed sequence per path."""
 
