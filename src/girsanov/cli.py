@@ -34,6 +34,7 @@ from .transform import (
     GeneralMF,
     PureJumpPhi,
     RhoTransform,
+    lower,
     transformed_jump_measure,
     transformed_killing,
     transformed_levy_kernel,
@@ -116,11 +117,14 @@ class ExperimentConfig:
             if ch["id"] not in KNOWN_CHECKS:
                 raise ConfigError(f"unknown check id {ch['id']!r}")
             norm_checks.append(dict(ch))
+        seed = raw.get("seed", 0)
+        if type(seed) is not int or not 0 <= seed < 2**64:  # a bool is no seed
+            raise ConfigError(f"'seed' must be an integer in [0, 2**64), got {seed!r}")
         cfg = cls(
             model=dict(raw["model"]),
             transform=dict(raw["transform"]) if raw.get("transform") is not None else None,
             checks=tuple(norm_checks),
-            seed=int(raw.get("seed", 0)),
+            seed=seed,
             out=str(raw.get("out", ".")),
         )
         cfg.resolve_model()  # validate eagerly so bad configs exit with code 2
@@ -247,16 +251,16 @@ class _CheckOutput:
 _ANY_TRANSFORM = (RhoTransform, PureJumpPhi, GeneralMF)
 
 # check id -> (transform types it accepts, or None when it needs no
-# transform; config fields it cannot run without)
+# transform; config fields it cannot run without; the other fields it reads)
 _REQUIREMENTS = {
-    "symmetry": (None, ()),
-    "conservativeness": ((RhoTransform,), ()),
-    "form_identity": ((RhoTransform, PureJumpPhi), ()),
-    "mass": (_ANY_TRANSFORM, ()),
-    "semigroup": (_ANY_TRANSFORM, ("f",)),
-    "symmetry_gap": (_ANY_TRANSFORM, ("f", "g")),
-    "quadratic_form": (_ANY_TRANSFORM, ("f",)),
-    "jump_rate": (_ANY_TRANSFORM, ("pair",)),
+    "symmetry": (None, (), ()),
+    "conservativeness": ((RhoTransform,), (), ()),
+    "form_identity": ((RhoTransform, PureJumpPhi), (), ("f", "draws")),
+    "mass": (_ANY_TRANSFORM, (), ("x", "t", "paths")),
+    "semigroup": (_ANY_TRANSFORM, ("f",), ("x", "t", "paths")),
+    "symmetry_gap": (_ANY_TRANSFORM, ("f", "g"), ("t", "paths")),
+    "quadratic_form": (_ANY_TRANSFORM, ("f",), ("ts", "paths")),
+    "jump_rate": (_ANY_TRANSFORM, ("pair",), ("horizon", "paths")),
 }
 
 
@@ -269,7 +273,11 @@ def _validate_check(model, transform, check) -> None:
     cid = check["id"]
     if not isinstance(model, FiniteSymmetricModel):
         raise ConfigError(f"check {cid!r} needs a finite model")
-    kinds, fields = _REQUIREMENTS[cid]
+    kinds, fields, optional = _REQUIREMENTS[cid]
+    unknown = sorted(set(check) - {"id", *fields, *optional})
+    if unknown:
+        raise ConfigError(f"check {cid!r} has unknown fields {unknown}; it reads "
+                          f"{sorted({*fields, *optional}) or 'none'}")
     if kinds is not None:
         if transform is None:
             raise ConfigError(f"check {cid!r} needs a transform in the config")
@@ -299,59 +307,23 @@ def _validate_check(model, transform, check) -> None:
                 raise ConfigError(f"check {cid!r}: times must be finite and > 0, got {t!r}")
         if "paths" in check and int(check["paths"]) < 2:
             raise ConfigError(f"check {cid!r}: 'paths' must be at least 2")
+        if "draws" in check and (type(check["draws"]) is not int or check["draws"] < 1):
+            raise ConfigError(f"check {cid!r}: 'draws' must be an integer >= 1, got {check['draws']!r}")
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"check {cid!r} is malformed: {exc}") from exc
 
 
-def _lowered(transform) -> tuple:
-    """Canonical triple ``(phi, phi_delta, a_rate)`` of a chain transform.
-
-    A rho tilt is the jump tilt ``rho(y)/rho(x) - 1`` with death tilt -1
-    (``GeneralMF.from_rho``); a symmetric jump tilt has no death tilt and no
-    nonincreasing part.
-    """
-    if isinstance(transform, RhoTransform):
-        transform = GeneralMF.from_rho(transform.rho)
-    elif isinstance(transform, PureJumpPhi):
-        transform = GeneralMF(phi=transform.phi)
-    phi = np.asarray(transform.phi, dtype=float)
-    zero = np.zeros(phi.shape[0])
-    phi_delta = zero if transform.phi_delta is None else np.asarray(transform.phi_delta, dtype=float)
-    a_rate = zero if transform.a_rate is None else np.asarray(transform.a_rate, dtype=float)
-    return phi, phi_delta, a_rate
-
-
-def _cemetery_generator(model, transform) -> np.ndarray:
-    """Generator of ``g -> E_x[Z_t g(X_t)]`` on the states plus a cemetery.
-
-    Index ``n`` is the absorbing cemetery.  Jumps run at ``(1 + phi) q``,
-    killing flows into the cemetery at ``k (1 + phi_delta)``, and ``a_rate``
-    discounts without moving mass anywhere.  A weighted path that dies keeps
-    its weight at death, so ``P_t(x, cemetery)`` is ``E_x[Z_t; dead at t]``.
-    """
-    phi, phi_delta, a_rate = _lowered(transform)
-    n = model.n
-    rates = (1.0 + phi) * model.q
-    np.fill_diagonal(rates, 0.0)
-    death = model.k * (1.0 + phi_delta)
-    gen = np.zeros((n + 1, n + 1))
-    gen[:n, :n] = rates
-    gen[:n, n] = death
-    gen[np.arange(n), np.arange(n)] = -(rates.sum(axis=1) + death + a_rate)
-    return gen
-
-
 def _oracle_semigroup(model, transform, f, x, t) -> float:
     """Matrix-exponential value of the transformed semigroup at a state."""
-    p = expm(t * _cemetery_generator(model, transform))
+    p = expm(t * dirichlet.cemetery_generator(model, transform))
     return float(p[int(x), : model.n] @ np.asarray(f, dtype=float))
 
 
 def _oracle_symmetry_gap(model, transform, f, g, t) -> float:
     """Exact ``sum_x mu_x (g P_t f - f P_t g)(x)`` from the start measure the
     estimator uses; 0 when the tilted jumps are in detailed balance with it."""
-    pt = expm(t * _cemetery_generator(model, transform))[: model.n, : model.n]
-    mu = montecarlo._tilted_weight_vector(model, transform)
+    pt = expm(t * dirichlet.cemetery_generator(model, transform))[: model.n, : model.n]
+    mu = lower(model, transform).mu
     return float(np.sum(mu * (g * (pt @ f) - f * (pt @ g))))
 
 
@@ -386,14 +358,11 @@ def _check_conservativeness(model, transform, check, rng, paths):
 
 def _form_pieces(model, transform):
     """The parts of the form identity that do not depend on ``f``: the
-    tilted jump measure and killing, the generator built by the independent
-    route, and mu."""
-    if isinstance(transform, RhoTransform):
-        rho = np.asarray(transform.rho, dtype=float)
-        gen, mu = dirichlet.transformed_generator(model, rho), rho * rho * model.m
-    else:
-        gen, mu = dirichlet.pure_jump_generator(model, transform.phi), model.m
-    return transformed_jump_measure(model, transform), transformed_killing(model, transform), gen, mu
+    tilted jump measure and killing, the generator of the lowered kernel on
+    the states, and mu."""
+    gen = dirichlet.cemetery_generator(model, transform)[: model.n, : model.n]
+    return (transformed_jump_measure(model, transform), transformed_killing(model, transform), gen,
+            lower(model, transform).mu)
 
 
 def _form_for(pieces, f):
@@ -464,8 +433,8 @@ def _check_quadratic_form(model, transform, check, rng, paths):
 
     def finish(results):
         trend = list(zip(ts, results))
-        gen = _cemetery_generator(model, transform)
-        mu = montecarlo._tilted_weight_vector(model, transform)
+        gen = dirichlet.cemetery_generator(model, transform)
+        mu = lower(model, transform).mu
         # (f(y) - f(x))^2 for every end state y, the cemetery (f = 0) last
         sq = (np.append(f, 0.0)[None, :] - f[:, None]) ** 2
 
@@ -532,12 +501,12 @@ def run(config: ExperimentConfig, out_dir: Optional[str] = None,
             raise ConfigError("--paths must be at least 2")
         for check in config.checks:
             _validate_check(model, transform, check)
+        rng = RngSpec(seed=seed if seed is not None else config.seed)
     except GirsanovError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     out_dir = out_dir if out_dir is not None else config.out
     os.makedirs(out_dir, exist_ok=True)
-    rng = RngSpec(seed=seed if seed is not None else config.seed)
     rows = []
     series = []
     forms = []
@@ -608,11 +577,11 @@ def _simulate(config: ExperimentConfig, out_dir: str, seed: Optional[int],
               n_paths: int, horizon: float, dt: float, eps: float) -> int:
     try:
         model = config.resolve_model()
+        rng = RngSpec(seed=seed if seed is not None else config.seed)
     except GirsanovError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     os.makedirs(out_dir, exist_ok=True)
-    rng = RngSpec(seed=seed if seed is not None else config.seed)
     blocks = []
     header = None
     for i in range(n_paths):

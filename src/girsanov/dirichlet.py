@@ -28,9 +28,11 @@ from .model import (
     killing_measure,
 )
 from .transform import (
-    GeneralMF,
     PureJumpPhi,
     RhoTransform,
+    _lowered_jump_measure,
+    _unwrap,
+    lower,
     transformed_jump_measure,
     transformed_killing,
 )
@@ -39,6 +41,7 @@ __all__ = [
     "FormValue",
     "base_form",
     "transformed_generator",
+    "cemetery_generator",
     "pure_jump_generator",
     "transformed_form_rho",
     "transformed_form_phi",
@@ -91,13 +94,9 @@ def transformed_generator(model: FiniteSymmetricModel, rho) -> np.ndarray:
     rather than from the tilted kernel, so the two routes can be compared.
     Row sums vanish identically (killing is absorbed by the tilt).
     """
-    if isinstance(rho, RhoTransform):
-        rho = rho.rho
-    rho = np.asarray(rho, dtype=float)
+    rho = RhoTransform(_unwrap(rho, RhoTransform)).rho  # finite and strictly positive
     if rho.shape != (model.n,):
         raise DomainError("rho has the wrong length for this model")
-    if np.any(rho <= 0.0) or not np.all(np.isfinite(rho)):
-        raise TransformError("rho must be finite and strictly positive")
     Q = model.generator()
     Qrho = Q @ rho
     n = model.n
@@ -109,35 +108,51 @@ def transformed_generator(model: FiniteSymmetricModel, rho) -> np.ndarray:
     return out
 
 
-def pure_jump_generator(model: FiniteSymmetricModel, phi) -> np.ndarray:
-    """Generator with jump rates ``(1 + phi) q`` and the base killing."""
-    if isinstance(phi, PureJumpPhi):
-        phi = phi.phi
-    phi = np.asarray(phi, dtype=float)
-    rates = (1.0 + phi) * model.q
+def cemetery_generator(model: FiniteSymmetricModel, transform) -> np.ndarray:
+    """Generator of ``g -> E_x[Z_t g(X_t)]`` on the states plus a cemetery,
+    built from the transform's lowering.
+
+    Index ``n`` is the absorbing cemetery.  Jumps run at ``(1 + phi) q``,
+    killing flows into the cemetery at ``k (1 + phi_delta)``, and ``a_rate``
+    discounts without moving mass anywhere.  A weighted path that dies keeps
+    its weight at death, so ``P_t(x, cemetery)`` is ``E_x[Z_t; dead at t]``.
+    """
+    low = lower(model, transform)
+    n = model.n
+    rates = (1.0 + low.phi) * model.q
     np.fill_diagonal(rates, 0.0)
-    out = rates.copy()
-    np.fill_diagonal(out, -(rates.sum(axis=1) + model.k))
-    return out
+    death = model.k * (1.0 + low.phi_delta)
+    gen = np.zeros((n + 1, n + 1))
+    gen[:n, :n] = rates
+    gen[:n, n] = death
+    gen[np.arange(n), np.arange(n)] = -(rates.sum(axis=1) + death + low.a_rate)
+    return gen
+
+
+def pure_jump_generator(model: FiniteSymmetricModel, phi) -> np.ndarray:
+    """Generator with jump rates ``(1 + phi) q`` and the base killing: the
+    state block of the jump tilt's :func:`cemetery_generator`."""
+    return cemetery_generator(model, PureJumpPhi(_unwrap(phi, PureJumpPhi)))[: model.n, : model.n]
 
 
 def transformed_form_rho(model: FiniteSymmetricModel, rho, f) -> FormValue:
     """Energy of the rho-tilted process: jump measure ``rho(x)rho(y)J``,
-    no killing part.  Equals ``-(Qhat f, f)`` weighted by ``rho^2 m``."""
-    if isinstance(rho, RhoTransform):
-        rho = rho.rho
-    rho = np.asarray(rho, dtype=float)
+    no killing part.  Equals ``-(Qhat f, f)`` weighted by ``rho^2 m``.
+
+    The measure is built from rho directly, not from the lowering, so it
+    stays an independent reference for :func:`transformed_jump_measure`.
+    """
+    rho = RhoTransform(_unwrap(rho, RhoTransform)).rho
     f = np.asarray(f, dtype=float)
     if f.shape != (model.n,):
         raise DomainError("f has the wrong length for this model")
-    J_hat = transformed_jump_measure(model, RhoTransform(rho))
+    J_hat = rho[:, None] * rho[None, :] * jump_measure(model)
     return FormValue(0.0, _pair_energy(J_hat, f), 0.0)
 
 
 def transformed_form_phi(model: FiniteSymmetricModel, phi, f) -> FormValue:
     """Energy of the jump-tilted process: measure ``(1 + phi)J``, killing kept."""
-    if not isinstance(phi, PureJumpPhi):
-        phi = PureJumpPhi(np.asarray(phi, dtype=float))
+    phi = PureJumpPhi(_unwrap(phi, PureJumpPhi))
     f = np.asarray(f, dtype=float)
     if f.shape != (model.n,):
         raise DomainError("f has the wrong length for this model")
@@ -308,21 +323,10 @@ def domain_membership(model, transform, f, region=None, mesh: int = 256) -> Doma
     """
     if isinstance(model, FiniteSymmetricModel):
         f_arr = np.asarray(f, dtype=float)
-        if isinstance(transform, RhoTransform):
-            rho = np.asarray(transform.rho, dtype=float)
-            fv = transformed_form_rho(model, rho, f_arr)
-            sq = float(np.sum(f_arr * f_arr * rho * rho * model.m))
-        elif isinstance(transform, PureJumpPhi):
-            fv = transformed_form_phi(model, transform, f_arr)
-            sq = float(np.sum(f_arr * f_arr * model.m))
-        elif isinstance(transform, GeneralMF):
-            J_y = (1.0 + np.asarray(transform.phi, dtype=float)) * jump_measure(model)
-            fv = FormValue(0.0, _pair_energy(0.5 * (J_y + J_y.T), f_arr),
-                           float(np.sum(transformed_killing(model, transform) * f_arr * f_arr)))
-            sq = float(np.sum(f_arr * f_arr * model.m))
-        else:
-            raise TransformError(f"unsupported transform: {type(transform).__name__}")
-        wits = (fv.continuous_part, fv.jump_part, sq)
+        low = lower(model, transform)
+        J_y = _lowered_jump_measure(model, low)
+        # the symmetric part of the jump measure carries the form
+        wits = (0.0, _pair_energy(0.5 * (J_y + J_y.T), f_arr), float(np.sum(f_arr * f_arr * low.mu)))
         return DomainReport(all(np.isfinite(w) for w in wits), *wits)
     if not isinstance(model, JumpDiffusionModel):
         raise DomainError(f"unsupported model type: {type(model).__name__}")

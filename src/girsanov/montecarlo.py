@@ -65,13 +65,11 @@ from .model import (
 )
 from .paths import Path
 from .transform import (
-    GeneralMF,
-    PureJumpPhi,
     RhoTransform,
-    _chain_weights,
     _finite_diff_grad,
     log_weight_fn,  # noqa: F401  (the scalar route's weight, kept in this namespace)
     rho_transform_mf,  # noqa: F401  (likewise)
+    lower,
     stable_rate_table,
 )
 
@@ -112,8 +110,8 @@ class RngSpec:
     offset: int = 0
 
     def __post_init__(self):
-        if int(self.seed) < 0:
-            raise DomainError("seed must be a nonnegative integer")
+        if not 0 <= int(self.seed) <= _MASK64:  # a larger seed would alias seed & _MASK64
+            raise DomainError("seed must be an integer in [0, 2**64)")
         if int(self.offset) < 0:
             raise DomainError("offset must be a nonnegative integer")
 
@@ -466,10 +464,7 @@ class _ChainEngine:
         self.bisections = width.bit_length()
         self.jump_total = np.array([row[2] for row in rows])
         self.total = np.array([row[3] for row in rows])
-        w = _chain_weights(model, transform)
-        self.rate = w.rate
-        self.log_jump = w.log_jump
-        self.log_death = w.log_death
+        self.low = lower(model, transform)
 
     def run(self, horizons: tuple, n: int, rng: RngSpec, *, x0: Optional[int] = None,
             start_cdf: Optional[np.ndarray] = None, pairs: tuple = (), uniforms=_PhiloxUniforms):
@@ -549,9 +544,9 @@ class _ChainEngine:
                 lo = np.where(below, mid + 1, lo)
                 span = np.where(below, span, mid)
             dst = self.target[src, lo]
-            step = np.where(dies, self.log_death[src], self.log_jump[src, dst])
+            step = np.where(dies, self.low.log_death[src], self.low.log_jump[src, dst])
             held = t_next - t_live
-            run.log_w[live] = run.log_w[live] + (-self.rate[src] * held + step)
+            run.log_w[live] = run.log_w[live] + (-self.low.rate[src] * held + step)
             for pair in pairs:
                 here = src == pair[0]
                 at = live[here]
@@ -579,7 +574,7 @@ class _ChainEngine:
         rest = horizon - t[done]
         mark.x_t[done] = state
         mark.alive[done] = True
-        mark.log_w[done] = run.log_w[done] - self.rate[state] * rest
+        mark.log_w[done] = run.log_w[done] - self.low.rate[state] * rest
         for pair, occupation in run.occupation.items():
             mark.count[pair][done] = run.count[pair][done]
             occupation = occupation[done]
@@ -773,16 +768,6 @@ def _check_chain_inputs(model, f):
     return f
 
 
-def _tilted_weight_vector(model: FiniteSymmetricModel, transform) -> np.ndarray:
-    """Reference measure of the transformed process on a finite model."""
-    if isinstance(transform, RhoTransform):
-        rho = np.asarray(transform.rho, dtype=float)
-        return rho * rho * model.m
-    if isinstance(transform, (PureJumpPhi, GeneralMF)):
-        return model.m.copy()
-    raise TransformError(f"unsupported transform: {type(transform).__name__}")
-
-
 def _initial_cumulative(mu: np.ndarray):
     total = float(np.sum(mu))
     if total <= 0.0:
@@ -820,8 +805,8 @@ class ChainRequest:
 
     The paths are streams ``rng.offset .. rng.offset + n - 1`` of ``model``
     under ``transform``, run to ``horizon``, started at state ``x0``, or,
-    when ``x0`` is None, from the normalised tilted reference measure
-    (:func:`_tilted_weight_vector`).  ``pair`` asks for the jump count and
+    when ``x0`` is None, from the normalised reference measure ``mu`` of the
+    transform's lowering (:func:`~girsanov.transform.lower`).  ``pair`` asks for the jump count and
     occupation time of that pair.  ``reduce`` maps a chunk's
     :class:`_BatchRecord` at the horizon to a tuple of per-path sample
     arrays, and ``summarize`` maps the full arrays to the estimate.  A
@@ -870,9 +855,7 @@ def estimate_chain(model: FiniteSymmetricModel, transform, requests) -> list:
     if not groups:
         return results
     engine = _ChainEngine(model, transform)
-    start_cdf = None
-    if any(x0 is None for x0, _rng, _n in groups):
-        start_cdf, _total = _initial_cumulative(_tilted_weight_vector(model, transform))
+    start_cdf, _total = _initial_cumulative(engine.low.mu)
     for (x0, rng, n), members in groups.items():
         cdf = start_cdf if x0 is None else None
         estimates = _sample_group(engine, [requests[i] for i in members], x0, rng, n, cdf)
@@ -919,7 +902,7 @@ def symmetry_gap_request(model: FiniteSymmetricModel, transform, f, g, t: float,
     g = _check_chain_inputs(model, g)
     if np.array_equal(f, g):
         return ChainRequest(model, transform, x0=None, horizon=float(t), n=int(n), rng=rng, reduce=None)
-    _cdf, total = _initial_cumulative(_tilted_weight_vector(model, transform))
+    _cdf, total = _initial_cumulative(lower(model, transform).mu)
 
     def reduce(rec):
         out = np.zeros(rec.alive.size)
@@ -943,7 +926,7 @@ def quadratic_form_requests(model: FiniteSymmetricModel, transform, f, ts, n: in
     """Requests of the energy statistic at each time of ``ts``, each time on
     its own block of streams."""
     f = _check_chain_inputs(model, f)
-    _cdf, total = _initial_cumulative(_tilted_weight_vector(model, transform))
+    _cdf, total = _initial_cumulative(lower(model, transform).mu)
 
     def request(t, block):
         inv_2t = 1.0 / (2.0 * t)

@@ -11,6 +11,12 @@ product form: a continuous exponential part, a nonincreasing part driven by
 ``A_rate``, and the jump product ``prod (1 + phi) e^{-phi}``; it reproduces
 both special cases.
 
+On a chain every transform has one lowering, :func:`lower` (the only chain
+code that branches on its type), which the chain traces and weights, the
+batched engine and start law, the transformed structure below, the cemetery
+generator and the CLI oracles all read; the telescoped rho trace and
+``dirichlet.transformed_generator`` stay independent, as references.
+
 All weight accumulation happens in log space; a jump tilt of exactly -1
 drives the weight to zero and the trace records the first time this happens.
 """
@@ -18,7 +24,7 @@ drives the weight to zero and the trace records the first time this happens.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -49,6 +55,8 @@ __all__ = [
     "transformed_killing",
     "transformed_revuz",
     "transformed_model",
+    "LoweredTransform",
+    "lower",
     "reversal_identity_residual",
     "inverse_transform",
     "integrability_check",
@@ -152,6 +160,14 @@ class GeneralMF:
 TransformSpec = Union[RhoTransform, PureJumpPhi, GeneralMF]
 
 
+def _unwrap(value, spec: type):
+    """The data of ``value`` when it is a ``spec`` transform (``RhoTransform``
+    or ``PureJumpPhi``), else ``value`` itself: a raw rho or phi."""
+    if isinstance(value, spec):
+        return value.rho if spec is RhoTransform else value.phi
+    return value
+
+
 # ---------------------------------------------------------------------------
 # traces
 
@@ -189,61 +205,90 @@ class MFTrace:
         return float(np.exp(self.log_z[-1]))
 
 
-class _ChainWeights:
-    """Per-state compensator rates and per-jump log factors of a transform."""
-
-    __slots__ = ("rate", "log_jump", "log_death")
-
-    def __init__(self, rate, log_jump, log_death):
-        self.rate = np.asarray(rate, dtype=float)
-        self.log_jump = np.asarray(log_jump, dtype=float)
-        self.log_death = np.asarray(log_death, dtype=float)
+# ---------------------------------------------------------------------------
+# the lowering of chain transforms
 
 
-def _rho_chain_weights(model: FiniteSymmetricModel, rho: np.ndarray) -> _ChainWeights:
-    rho = np.asarray(rho, dtype=float)
-    if rho.shape != (model.n,):
-        raise TransformError("rho has the wrong length for this model")
-    if np.any(rho <= 0.0):
-        raise TransformError("rho must be strictly positive on visited states")
-    rate = model.generator() @ rho / rho
-    lr = np.log(rho)
-    return _ChainWeights(rate, lr[None, :] - lr[:, None], np.full(model.n, -np.inf))
+@dataclass(frozen=True)
+class LoweredTransform:
+    """A chain transform as the general form ``(phi, phi_delta, a_rate)``,
+    its reference measure ``mu`` (the estimators' start law) and its walk
+    tables: the log weight falls at ``rate[x]`` while the path sits at ``x``
+    and moves by ``log_jump[x, y]`` at a jump and ``log_death[x]`` at death.
+    """
+
+    phi: np.ndarray
+    phi_delta: np.ndarray
+    a_rate: np.ndarray
+    mu: np.ndarray
+    rate: np.ndarray
+    log_jump: np.ndarray
+    log_death: np.ndarray
 
 
-def _phi_chain_weights(model: FiniteSymmetricModel, phi: np.ndarray) -> _ChainWeights:
-    phi = np.asarray(phi, dtype=float)
-    PureJumpPhi(phi)  # reuse the structural validation
-    rate = (model.q * phi).sum(axis=1)
-    return _ChainWeights(rate, np.log1p(phi), np.zeros(model.n))
+def _table(values, name: str, shape: tuple) -> np.ndarray:
+    if callable(values):
+        raise TransformError(f"{name} must be a table on the chain's states, not a callable")
+    arr = np.asarray(values, dtype=float)
+    if arr.shape != shape:
+        raise TransformError(f"{name} has shape {arr.shape}; this model needs {shape}")
+    return arr
 
 
-def _general_chain_weights(model: FiniteSymmetricModel, spec: GeneralMF) -> _ChainWeights:
-    phi = np.asarray(spec.phi, dtype=float)
-    if phi.shape != (model.n, model.n):
-        raise TransformError("phi has the wrong shape for this model")
+def lower(model: FiniteSymmetricModel, transform: TransformSpec) -> LoweredTransform:
+    """The one lowering of a chain transform, and the only chain code that
+    branches on its type; every table must match the model's size.
+
+    A rho tilt is the jump tilt ``rho(y)/rho(x) - 1`` with death tilt -1 and
+    mu = ``rho^2 m``, and keeps its telescoped walk: rate ``Q rho / rho``,
+    jumps ``log rho(y) - log rho(x)``, death to zero weight.  A symmetric
+    jump tilt is the general form without death tilt or ``a_rate``; both
+    walk with rate ``N phi + k phi_delta + a_rate``, factors ``log(1 + phi)``
+    and ``log(1 + phi_delta)``, and mu = ``m``.
+    """
     n = model.n
-    phi_delta = np.zeros(n) if spec.phi_delta is None else np.asarray(spec.phi_delta, dtype=float)
-    a_rate = np.zeros(n) if spec.a_rate is None else np.asarray(spec.a_rate, dtype=float)
-    rate = (model.q * phi).sum(axis=1) + model.k * phi_delta + a_rate
-    with np.errstate(divide="ignore"):
-        log_jump = np.log1p(phi)
-        log_death = np.log1p(phi_delta)
-    return _ChainWeights(rate, log_jump, log_death)
-
-
-def _chain_weights(model: FiniteSymmetricModel, transform: TransformSpec) -> _ChainWeights:
-    """Compensator rates and log factors of any chain transform."""
+    zero = np.zeros(n)
     if isinstance(transform, RhoTransform):
-        return _rho_chain_weights(model, transform.rho)
+        rho = _table(transform.rho, "rho", (n,))
+        lr = np.log(rho)
+        return LoweredTransform(
+            phi=rho[None, :] / rho[:, None] - 1.0, phi_delta=np.full(n, -1.0), a_rate=zero,
+            mu=rho * rho * model.m, rate=model.generator() @ rho / rho,
+            log_jump=lr[None, :] - lr[:, None], log_death=np.full(n, -np.inf),
+        )
     if isinstance(transform, PureJumpPhi):
-        return _phi_chain_weights(model, transform.phi)
-    if isinstance(transform, GeneralMF):
-        return _general_chain_weights(model, transform)
-    raise TransformError(f"unsupported transform: {type(transform).__name__}")
+        phi, phi_delta, a_rate = _table(transform.phi, "phi", (n, n)), zero, zero
+    elif isinstance(transform, GeneralMF):
+        phi = _table(transform.phi, "phi", (n, n))
+        phi_delta = zero if transform.phi_delta is None else _table(transform.phi_delta, "phi_delta", (n,))
+        a_rate = zero if transform.a_rate is None else _table(transform.a_rate, "a_rate", (n,))
+    else:
+        raise TransformError(f"unsupported transform: {type(transform).__name__}")
+    with np.errstate(divide="ignore"):
+        log_jump, log_death = np.log1p(phi), np.log1p(phi_delta)
+    return LoweredTransform(
+        phi=phi, phi_delta=phi_delta, a_rate=a_rate, mu=model.m,
+        rate=(model.q * phi).sum(axis=1) + model.k * phi_delta + a_rate,
+        log_jump=log_jump, log_death=log_death,
+    )
 
 
-def _chain_trace(path: Path, t: float, w: _ChainWeights) -> MFTrace:
+def _moves(path: Path, t: float) -> list:
+    """``(time, state)`` of each jump up to ``t``, then ``(time, None)`` for
+    a death up to ``t``: the path frozen at the cemetery."""
+    moves = [(s, x) for s, x in path.events if s <= t]
+    if path.killed_at is not None and path.killed_at <= t:
+        moves.append((path.killed_at, None))
+    return moves
+
+
+def _chain_trace(path: Path, t: float, w: LoweredTransform) -> MFTrace:
+    """The weight walk of ``w``'s tables along a chain path.
+
+    Each holding time adds ``-rate * held + step`` to the log weight in one
+    sum, as the batched engine does, so the end value equals the engine's
+    bit for bit; the left limit at an event is ``log_z - rate * held``.
+    """
     if t < 0.0 or t > path.horizon + 1e-12 * max(1.0, path.horizon):
         raise DomainError("t must lie in [0, horizon]")
     times = [0.0]
@@ -252,27 +297,15 @@ def _chain_trace(path: Path, t: float, w: _ChainWeights) -> MFTrace:
     zero_time = None
     cur = 0.0
     prev_t, prev_x = 0.0, path.x0
-    for s, x in path.events:
-        if s > t:
-            break
-        pre = cur - w.rate[prev_x] * (s - prev_t)
-        cur = pre + w.log_jump[prev_x, x]
+    for s, x in _moves(path, t):
+        decay = w.rate[prev_x] * (s - prev_t)
+        log_pre.append(cur - decay)
+        cur = cur + (-decay + (w.log_death[prev_x] if x is None else w.log_jump[prev_x, x]))
         times.append(s)
-        log_pre.append(pre)
         log_z.append(cur)
         if zero_time is None and not np.isfinite(cur):
             zero_time = s
         prev_t, prev_x = s, x
-    if path.killed_at is not None and path.killed_at <= t:
-        s = path.killed_at
-        pre = cur - w.rate[prev_x] * (s - prev_t)
-        cur = pre + w.log_death[prev_x]
-        times.append(s)
-        log_pre.append(pre)
-        log_z.append(cur)
-        if zero_time is None and not np.isfinite(cur):
-            zero_time = s
-        prev_t, prev_x = s, None  # frozen at the cemetery
     if times[-1] < t:
         decay = 0.0 if prev_x is None else w.rate[prev_x] * (t - prev_t)
         cur = cur - decay
@@ -285,35 +318,25 @@ def _chain_trace(path: Path, t: float, w: _ChainWeights) -> MFTrace:
 def _rho_closed_trace(path: Path, t: float, model, rho) -> MFTrace:
     """Telescoped form: log z = log rho(X_s) - log rho(X_0) - cumulative rate."""
     rho = np.asarray(rho, dtype=float)
-    w = _rho_chain_weights(model, rho)
+    rate = lower(model, RhoTransform(rho)).rate
     lr = np.log(rho)
     times = [0.0]
     log_z = [0.0]
     log_pre = [0.0]
-    zero_time = None
     cum = 0.0
     prev_t, prev_x = 0.0, path.x0
-    for s, x in path.events:
-        if s > t:
-            break
-        cum += w.rate[prev_x] * (s - prev_t)
+    for s, x in _moves(path, t):
+        cum += rate[prev_x] * (s - prev_t)
         log_pre.append(lr[prev_x] - lr[path.x0] - cum)
-        log_z.append(lr[x] - lr[path.x0] - cum)
+        log_z.append(-np.inf if x is None else lr[x] - lr[path.x0] - cum)
         times.append(s)
         prev_t, prev_x = s, x
-    if path.killed_at is not None and path.killed_at <= t:
-        s = path.killed_at
-        cum += w.rate[prev_x] * (s - prev_t)
-        log_pre.append(lr[prev_x] - lr[path.x0] - cum)
-        log_z.append(-np.inf)
-        times.append(s)
-        zero_time = s
-        prev_t, prev_x = s, None
+    zero_time = path.killed_at if prev_x is None else None
     if times[-1] < t:
         if prev_x is None:
             val = -np.inf
         else:
-            cum += w.rate[prev_x] * (t - prev_t)
+            cum += rate[prev_x] * (t - prev_t)
             val = lr[prev_x] - lr[path.x0] - cum
         times.append(t)
         log_pre.append(val)
@@ -449,8 +472,7 @@ def rho_transform_mf(path: Path, rho, model, t: float, method: str = "closed",
     integrand ``rho'/rho``, explicit-jump factors ``rho(post)/rho(pre)`` and
     their quadrature compensator (built on the fly when not supplied).
     """
-    if isinstance(rho, RhoTransform):
-        rho = rho.rho
+    rho = _unwrap(rho, RhoTransform)
     if path.is_grid:
         if not callable(rho):
             raise TransformError("diffusion paths need rho as a callable")
@@ -473,33 +495,21 @@ def rho_transform_mf(path: Path, rho, model, t: float, method: str = "closed",
             mc=lambda x: grad(x) / rho(x),
             var_rate=vr,
         )
-    rho = np.asarray(rho, dtype=float)
     if method == "closed":
         return _rho_closed_trace(path, t, model, rho)
     if method == "incremental":
-        w = _rho_chain_weights(model, rho)
-        ratio = rho[None, :] / rho[:, None]
-        w = _ChainWeights(w.rate, np.log1p(ratio - 1.0), w.log_death)
-        return _chain_trace(path, t, w)
+        low = lower(model, RhoTransform(rho))
+        return _chain_trace(path, t, replace(low, log_jump=np.log1p(low.phi)))
     raise ValueError(f"unknown method {method!r}")
 
 
 def pure_jump_mf(path: Path, phi, model, t: float, compensator=None) -> MFTrace:
-    """Weight ``prod (1 + phi) * exp(- int N phi)`` of a symmetric jump tilt."""
-    if isinstance(phi, PureJumpPhi):
-        phi = phi.phi
+    """Weight ``prod (1 + phi) * exp(- int N phi)`` of a symmetric jump tilt:
+    the general form with a jump tilt only."""
+    phi = _unwrap(phi, PureJumpPhi)
     if path.is_grid:
-        if not callable(phi):
-            raise TransformError("diffusion paths need phi as a callable")
-        if compensator is None:
-            span = float(np.max(np.abs(path.grid))) + 2.0
-            compensator = stable_rate_table(model, phi, path.eps, -span, span)
-        return _grid_trace(
-            path, t,
-            log_jump=lambda pre, post: math.log1p(float(phi(pre, post))),
-            comp_rate=compensator,
-        )
-    return _chain_trace(path, t, _phi_chain_weights(model, np.asarray(phi, dtype=float)))
+        return general_mf(path, GeneralMF(phi=phi), model, t, compensator=compensator)
+    return _chain_trace(path, t, lower(model, PureJumpPhi(phi)))
 
 
 def general_mf(path: Path, spec: GeneralMF, model, t: float, compensator=None) -> MFTrace:
@@ -513,11 +523,10 @@ def general_mf(path: Path, spec: GeneralMF, model, t: float, compensator=None) -
         phi = spec.phi
         if not callable(phi):
             raise TransformError("diffusion paths need phi as a callable")
-        if compensator is None:
+        comp = compensator
+        if comp is None:
             span = float(np.max(np.abs(path.grid))) + 2.0
             comp = stable_rate_table(model, phi, path.eps, -span, span)
-        else:
-            comp = compensator
         a_rate = spec.a_rate
         if a_rate is not None:
             base_comp = comp
@@ -530,7 +539,7 @@ def general_mf(path: Path, spec: GeneralMF, model, t: float, compensator=None) -
             mc=spec.mc_integrand,
             var_rate=vr,
         )
-    return _chain_trace(path, t, _general_chain_weights(model, spec))
+    return _chain_trace(path, t, lower(model, spec))
 
 
 def split_mf(path: Path, phi, model, t: float):
@@ -540,59 +549,23 @@ def split_mf(path: Path, phi, model, t: float):
     and exponentiates the negative-tilt compensator, the minus part the other
     way around; their pointwise product is the full weight.
     """
-    if isinstance(phi, PureJumpPhi):
-        phi = phi.phi
-    phi = np.asarray(phi, dtype=float)
-    PureJumpPhi(phi)
-    pos = np.clip(phi, 0.0, None)
-    neg = np.clip(-phi, 0.0, None)
-    n_pos = (model.q * pos).sum(axis=1)
-    n_neg = (model.q * neg).sum(axis=1)
-    plus = _chain_trace(path, t, _ChainWeights(-n_neg, np.log1p(pos), np.zeros(model.n)))
-    minus = _chain_trace(path, t, _ChainWeights(n_pos, np.log1p(-neg), np.zeros(model.n)))
+    phi = np.asarray(_unwrap(phi, PureJumpPhi), dtype=float)
+    up = lower(model, PureJumpPhi(np.clip(phi, 0.0, None)))  # the positive tilts
+    down = lower(model, PureJumpPhi(-np.clip(-phi, 0.0, None)))  # the negative tilts
+    plus = _chain_trace(path, t, replace(up, rate=down.rate))
+    minus = _chain_trace(path, t, replace(down, rate=up.rate))
     return plus, minus
 
 
 def log_weight_fn(model: FiniteSymmetricModel, transform: TransformSpec) -> Callable:
-    """Fast scalar evaluator ``(path, t) -> log Z_t`` for chain paths.
-
-    Resolves the transform into per-state compensator rates and per-jump log
-    factors once, so a loop over paths pays only the walk along each path.
-    """
-    w = _chain_weights(model, transform)
-    # plain Python containers: this closure is called once per path
-    rate = tuple(float(r) for r in w.rate)
-    log_jump = tuple(tuple(float(v) for v in row) for row in w.log_jump)
-    log_death = tuple(float(v) for v in w.log_death)
-
-    def log_weight(path: Path, t: float) -> float:
-        cur = 0.0
-        prev_t, prev_x = 0.0, path.x0
-        for s, x in path.events:
-            if s > t:
-                break
-            cur += -rate[prev_x] * (s - prev_t) + log_jump[prev_x][x]
-            prev_t, prev_x = s, x
-        if path.killed_at is not None and path.killed_at <= t:
-            cur += -rate[prev_x] * (path.killed_at - prev_t) + log_death[prev_x]
-        else:
-            cur -= rate[prev_x] * (t - prev_t)
-        return cur
-
-    return log_weight
+    """Scalar evaluator ``(path, t) -> log Z_t`` for chain paths: the end
+    value of the weight walk, with the transform lowered once."""
+    low = lower(model, transform)
+    return lambda path, t: float(_chain_trace(path, t, low).log_z[-1])
 
 
 # ---------------------------------------------------------------------------
 # transformed structure
-
-
-def _implied_phi(model: FiniteSymmetricModel, transform: TransformSpec) -> np.ndarray:
-    if isinstance(transform, RhoTransform):
-        rho = np.asarray(transform.rho, dtype=float)
-        return rho[None, :] / rho[:, None] - 1.0
-    if isinstance(transform, (PureJumpPhi, GeneralMF)):
-        return np.asarray(transform.phi, dtype=float)
-    raise TransformError(f"unsupported transform: {type(transform).__name__}")
 
 
 def jump_measure_density(model: FiniteSymmetricModel, rho, phi, tol: float = 1e-10) -> np.ndarray:
@@ -642,37 +615,48 @@ def transformed_levy_kernel(model, transform: TransformSpec):
             phi = transform.phi
             return lambda x, y: (1.0 + phi(x, y)) * stable_kernel_density(x, y, model)
         raise TransformError("unsupported continuum transform")
-    return (1.0 + _implied_phi(model, transform)) * model.q
+    return (1.0 + lower(model, transform).phi) * model.q
+
+
+def _lowered_jump_measure(model: FiniteSymmetricModel, low: LoweredTransform) -> np.ndarray:
+    """Half the flow ``mu_x (1 + phi(x, y)) q(x, y)`` of the lowered kernel,
+    computed as ``(1 + phi) (mu/m) J``: ``mu/m`` is exactly 1 where mu = m,
+    so a jump tilt's measure is ``(1 + phi) J`` to the bit."""
+    return (1.0 + low.phi) * (low.mu / model.m)[:, None] * jump_measure(model)
 
 
 def transformed_jump_measure(model: FiniteSymmetricModel, transform: TransformSpec) -> np.ndarray:
-    """Jump measure of the transformed process: the tilt density times the base measure."""
-    J = jump_measure(model)
-    if isinstance(transform, RhoTransform):
-        rho = np.asarray(transform.rho, dtype=float)
-        return rho[:, None] * rho[None, :] * J
-    if isinstance(transform, PureJumpPhi):
-        return (1.0 + np.asarray(transform.phi, dtype=float)) * J
-    raise TransformError("transformed jump measure needs a rho or symmetric jump tilt")
+    """Jump measure of the transformed process, ``(mu/m)(x) (1 + phi(x, y)) J(x, y)``
+    from the lowering: ``rho(x) rho(y) J`` for a rho tilt, ``(1 + phi) J``
+    for a symmetric jump tilt.
+
+    Defined when the lowered kernel is in detailed balance with mu, which
+    is when this measure is symmetric: an asymmetry beyond 1e-10 relative
+    to the larger entry of the pair (or to 1) raises ``TransformError``.
+    """
+    measure = _lowered_jump_measure(model, lower(model, transform))  # >= 0, as phi >= -1
+    rel = np.abs(measure - measure.T) / np.maximum(1.0, np.maximum(measure, measure.T))
+    worst = float(rel.max())
+    if worst > 1e-10:
+        x, y = np.unravel_index(np.argmax(rel), rel.shape)
+        raise TransformError(
+            "the lowered kernel (1 + phi) q is not in detailed balance with the reference "
+            f"measure at ({x}, {y}), relative residual {worst:.3e}: the transformed "
+            "process is not reversible"
+        )
+    return measure
 
 
 def transformed_killing(model: FiniteSymmetricModel, transform: TransformSpec) -> np.ndarray:
-    """Killing measure of the transformed process.
+    """Killing measure of the transformed process against its reference
+    measure mu: ``(1 + phi_delta) k mu + a_rate mu``.
 
     A rho tilt absorbs killing entirely (identically zero); a symmetric jump
     tilt leaves it unchanged; the general form scales it by ``1 + phi_delta``
     and adds the rate measure of the nonincreasing part.
     """
-    kappa = model.k * model.m
-    if isinstance(transform, RhoTransform):
-        return np.zeros(model.n)
-    if isinstance(transform, PureJumpPhi):
-        return kappa.copy()
-    if isinstance(transform, GeneralMF):
-        pd = np.zeros(model.n) if transform.phi_delta is None else np.asarray(transform.phi_delta, dtype=float)
-        a = np.zeros(model.n) if transform.a_rate is None else np.asarray(transform.a_rate, dtype=float)
-        return (1.0 + pd) * kappa + a * model.m
-    raise TransformError(f"unsupported transform: {type(transform).__name__}")
+    low = lower(model, transform)
+    return (1.0 + low.phi_delta) * (model.k * low.mu) + low.a_rate * low.mu
 
 
 def transformed_revuz(mu, rho) -> np.ndarray:
@@ -683,21 +667,18 @@ def transformed_revuz(mu, rho) -> np.ndarray:
 
 
 def transformed_model(model: FiniteSymmetricModel, transform: TransformSpec) -> FiniteSymmetricModel:
-    """The transformed process as a finite model of its own.
+    """The transformed process as a finite model of its own: weights mu,
+    rates ``(1 + phi) q``, killing ``k (1 + phi_delta) + a_rate``.
 
     Rho tilt: weights ``rho^2 m``, rates ``rho(y)/rho(x) q``, no killing.
     Symmetric jump tilt: weights ``m``, rates ``(1 + phi) q``, killing kept.
+    A kernel out of detailed balance with mu raises ``TransformError``.
     """
-    if isinstance(transform, RhoTransform):
-        rho = np.asarray(transform.rho, dtype=float)
-        q_hat = rho[None, :] / rho[:, None] * model.q
-        np.fill_diagonal(q_hat, 0.0)
-        return FiniteSymmetricModel(m=rho * rho * model.m, q=q_hat, k=np.zeros(model.n))
-    if isinstance(transform, PureJumpPhi):
-        q_hat = (1.0 + np.asarray(transform.phi, dtype=float)) * model.q
-        np.fill_diagonal(q_hat, 0.0)
-        return FiniteSymmetricModel(m=model.m.copy(), q=q_hat, k=model.k.copy())
-    raise TransformError("only rho and symmetric jump tilts induce a reversible model")
+    transformed_jump_measure(model, transform)  # raises unless reversible
+    low = lower(model, transform)
+    q_hat = (1.0 + low.phi) * model.q
+    np.fill_diagonal(q_hat, 0.0)
+    return FiniteSymmetricModel(m=low.mu, q=q_hat, k=model.k * (1.0 + low.phi_delta) + low.a_rate)
 
 
 def reversal_identity_residual(path: Path, rho, model, t: float, **grid_kw) -> float:
@@ -707,8 +688,7 @@ def reversal_identity_residual(path: Path, rho, model, t: float, **grid_kw) -> f
     forward weight times ``rho(X_0)^2 / rho(X_t)^2``; on chains the residual
     is rounding-level, on diffusion grids it carries discretisation noise.
     """
-    if isinstance(rho, RhoTransform):
-        rho = rho.rho
+    rho = _unwrap(rho, RhoTransform)
     fwd = rho_transform_mf(path, rho, model, t, **grid_kw)
     rev_path = reverse(path, t)
     bwd = rho_transform_mf(rev_path, rho, model, t, **grid_kw)
@@ -723,17 +703,18 @@ def reversal_identity_residual(path: Path, rho, model, t: float, **grid_kw) -> f
 
 
 def inverse_transform(phi):
-    """Jump tilt of the inverse transform: ``-phi / (1 + phi)``.
+    """Jump tilt of the inverse transform: ``-phi / (1 + phi)``, wrapped as a
+    ``PureJumpPhi`` when ``phi`` is one.
 
     Applying it twice recovers ``phi``; the pointwise products
     ``(1 + phi)(1 + inverse) = 1`` hold identically.
     """
-    if isinstance(phi, PureJumpPhi):
-        return PureJumpPhi(inverse_transform(phi.phi))
-    phi = np.asarray(phi, dtype=float)
-    if np.any(phi <= -1.0):
+    raw = _unwrap(phi, PureJumpPhi)
+    arr = np.asarray(raw, dtype=float)
+    if np.any(arr <= -1.0):
         raise TransformError("inverse tilt undefined at phi <= -1")
-    return -phi / (1.0 + phi)
+    inverse = -arr / (1.0 + arr)
+    return inverse if raw is phi else PureJumpPhi(inverse)
 
 
 # ---------------------------------------------------------------------------

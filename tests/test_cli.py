@@ -369,6 +369,38 @@ def test_times_and_path_counts_are_validated_before_any_sampling(tmp_path, monke
     assert not (out / "report.json").exists()
 
 
+@pytest.mark.parametrize("check", [
+    {"id": "mass", "T": 0.5, "path": 10, "paths": 2000},  # misspelt t and paths
+    {"id": "symmetry_gap", "f": [0, 1, 0], "g": [1, 0, 0], "x": 1},  # starts from mu, not x
+    {"id": "form_identity", "draws": 0},
+    {"id": "form_identity", "draws": -5},
+    {"id": "form_identity", "draws": 2.5},
+    {"id": "form_identity", "draws": True},
+])
+def test_unread_fields_and_empty_draws_exit_two(tmp_path, monkeypatch, capsys, check):
+    calls = []
+    monkeypatch.setattr(montecarlo, "estimate_chain", lambda *a, **k: calls.append(a))
+    cfg = write_config(tmp_path, {"model": CHAIN3_MODEL, "transform": RHO121, "checks": ["symmetry", check]})
+    out = tmp_path / "out"
+    assert main(["verify", "--config", cfg, "--out", str(out)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert calls == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("seed, argv", [(-3, []), ("abc", []), (2.0, []), (2**64, []), (0, ["--seed", "-1"]),
+                                        (0, ["--seed", str(2**64)])])
+def test_bad_seed_exits_two_before_any_file(tmp_path, capsys, seed, argv):
+    cfg = write_config(tmp_path, {"model": CHAIN3_MODEL, "transform": RHO121,
+                                  "checks": ["symmetry"], "seed": seed})
+    out = tmp_path / "out"
+    assert main(["verify", "--config", cfg, "--out", str(out)] + argv) == 2
+    assert "seed" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["simulate", "--config", cfg, "--out", str(out), "--paths", "1"] + argv) == 2
+    assert not out.exists()
+
+
 def _all_chain_checks():
     f, g = [0.5, 1.0, -0.25], [1.0, 0.0, 2.0]
     return [

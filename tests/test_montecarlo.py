@@ -35,6 +35,7 @@ from girsanov import (
 from girsanov import montecarlo
 from girsanov.montecarlo import _ChainEngine, _PhiloxUniforms
 from girsanov.paths import _brownian_increments
+from girsanov.transform import lower
 
 F010 = np.array([0.0, 1.0, 0.0])
 
@@ -709,7 +710,7 @@ def test_checkpoints_equal_separate_runs(name, model, transform, monkeypatch):
     monkeypatch.setattr(montecarlo, "_CHUNK", 100)
     engine = _ChainEngine(model, transform)
     rng = RngSpec(seed=17, offset=1234)
-    cdf, _total = montecarlo._initial_cumulative(montecarlo._tilted_weight_vector(model, transform))
+    cdf, _total = montecarlo._initial_cumulative(lower(model, transform).mu)
     starts = ({"x0": 1, "pairs": ((1, 2), (0, 1))}, {"start_cdf": cdf}, {"x0": 0, "pairs": ((0, 1),)})
     for start in starts:
         both = list(engine.run((2.0, 3.0), 250, rng, **start))
@@ -797,7 +798,7 @@ def test_start_uniform_above_rounded_cdf_draws_the_last_state():
     ring = np.roll(np.eye(n), 1, axis=1) + np.roll(np.eye(n), -1, axis=1)
     model = FiniteSymmetricModel(m=np.full(n, 0.1), q=ring)
     transform = RhoTransform(rho=np.ones(n))
-    mu = montecarlo._tilted_weight_vector(model, transform)
+    mu = lower(model, transform).mu
     gap = np.nextafter(1.0, 0.0)
     assert (np.cumsum(mu) / np.sum(mu))[-1] <= gap
     cdf, total = montecarlo._initial_cumulative(mu)

@@ -5,6 +5,8 @@ import pytest
 from scipy import integrate
 
 from conftest import make_consistent_pair, make_reversible, make_symmetric_phi
+from girsanov import dirichlet
+from girsanov.transform import _chain_trace, lower
 from girsanov import (
     DomainError,
     FiniteSymmetricModel,
@@ -15,6 +17,7 @@ from girsanov import (
     RhoTransform,
     RngSpec,
     TransformError,
+    estimate_mass,
     jump_measure_density,
     general_mf,
     integrability_check,
@@ -353,6 +356,135 @@ def test_split_parts_are_monotone(chain3):
         assert np.all(np.diff(minus.log_z) <= 1e-12)
         full = pure_jump_mf(p, phi, chain3, 1.5).end_value
         assert plus.end_value * minus.end_value == pytest.approx(full, rel=1e-12)
+
+
+# -- the lowering --------------------------------------------------------------
+
+
+def _random_families(rng, model):
+    """One transform of each family on ``model``, with the general form's
+    phi asymmetric and reaching -1, and its death tilt reaching -1."""
+    n = model.n
+    phi = rng.uniform(-1.0, 2.0, size=(n, n))
+    phi[rng.uniform(size=(n, n)) < 0.2] = -1.0
+    np.fill_diagonal(phi, 0.0)
+    phi_delta = rng.uniform(-1.0, 2.0, size=n)
+    phi_delta[0] = -1.0
+    return (
+        RhoTransform(rho=rng.uniform(0.3, 3.0, size=n)),
+        PureJumpPhi(phi=make_symmetric_phi(rng, n)),
+        GeneralMF(phi=phi, phi_delta=phi_delta, a_rate=rng.uniform(0.0, 1.0, size=n)),
+    )
+
+
+def _parent_tables(model, transform):
+    """The walk tables and start measure as each family built them before
+    there was one lowering."""
+    n = model.n
+    if isinstance(transform, RhoTransform):
+        rho = transform.rho
+        lr = np.log(rho)
+        return (model.generator() @ rho / rho, lr[None, :] - lr[:, None], np.full(n, -np.inf),
+                rho * rho * model.m)
+    if isinstance(transform, PureJumpPhi):
+        return (model.q * transform.phi).sum(axis=1), np.log1p(transform.phi), np.zeros(n), model.m.copy()
+    with np.errstate(divide="ignore"):
+        return ((model.q * transform.phi).sum(axis=1) + model.k * transform.phi_delta + transform.a_rate,
+                np.log1p(transform.phi), np.log1p(transform.phi_delta), model.m.copy())
+
+
+def _walk(tables, path, t):
+    """The scalar log-weight walk in the batched engine's order: each holding
+    time adds ``-rate * held + step`` in one sum."""
+    rate, log_jump, log_death = (tables[0].tolist(), tables[1].tolist(), tables[2].tolist())
+    cur = 0.0
+    prev_t, prev_x = 0.0, path.x0
+    for s, x in path.events:
+        if s > t:
+            break
+        cur += -rate[prev_x] * (s - prev_t) + log_jump[prev_x][x]
+        prev_t, prev_x = s, x
+    if path.killed_at is not None and path.killed_at <= t:
+        cur += -rate[prev_x] * (path.killed_at - prev_t) + log_death[prev_x]
+    else:
+        cur -= rate[prev_x] * (t - prev_t)
+    return cur
+
+
+def test_lowering_equals_each_familys_own_tables():
+    rng = np.random.default_rng(61)
+    for _ in range(40):
+        model = make_reversible(rng, int(rng.integers(3, 9)), with_killing=True)
+        for transform in _random_families(rng, model):
+            low = lower(model, transform)
+            rate, log_jump, log_death, mu = _parent_tables(model, transform)
+            np.testing.assert_array_equal(low.rate, rate, strict=True)
+            np.testing.assert_array_equal(low.log_jump, log_jump, strict=True)
+            np.testing.assert_array_equal(low.log_death, log_death, strict=True)
+            np.testing.assert_array_equal(low.mu, mu, strict=True)
+    with pytest.raises(TransformError, match="unsupported transform"):
+        lower(model, np.ones(model.n))
+
+
+def test_chain_trace_ends_where_the_engine_order_walk_ends():
+    rng = np.random.default_rng(62)
+    spec = RngSpec(seed=63)
+    model = make_reversible(rng, 5, with_killing=True)
+    for transform in _random_families(rng, model):
+        tables = _parent_tables(model, transform)
+        low = lower(model, transform)
+        log_w = log_weight_fn(model, transform)
+        for i in range(300):
+            p = sample_finite_path(model, i % 5, 2.0, spec.stream(i))
+            want = _walk(tables, p, 2.0)
+            assert _chain_trace(p, 2.0, low).log_z[-1] == want
+            assert log_w(p, 2.0) == want
+
+
+def test_pure_jump_generator_is_the_cemetery_generators_state_block():
+    rng = np.random.default_rng(64)
+    for _ in range(20):
+        model = make_reversible(rng, int(rng.integers(3, 9)), with_killing=True)
+        phi = make_symmetric_phi(rng, model.n)
+        rates = (1.0 + phi) * model.q
+        np.fill_diagonal(rates, 0.0)
+        want = rates.copy()
+        np.fill_diagonal(want, -(rates.sum(axis=1) + model.k))
+        np.testing.assert_array_equal(dirichlet.pure_jump_generator(model, phi), want, strict=True)
+        np.testing.assert_array_equal(dirichlet.pure_jump_generator(model, PureJumpPhi(phi)), want)
+
+
+@pytest.mark.parametrize("transform, field", [
+    (RhoTransform(rho=np.ones(2)), "rho"),
+    (PureJumpPhi(phi=np.zeros((4, 4))), "phi"),
+    (GeneralMF(phi=np.zeros((3, 3)), phi_delta=np.zeros(4)), "phi_delta"),
+    (GeneralMF(phi=np.zeros((3, 3)), a_rate=np.array([0.1, 0.2])), "a_rate"),
+    (GeneralMF(phi=lambda x, y: 0.0), "phi"),
+])
+def test_lower_rejects_tables_that_do_not_fit_the_model(chain3_killed, transform, field):
+    with pytest.raises(TransformError, match=rf"^{field} "):
+        lower(chain3_killed, transform)
+    with pytest.raises(TransformError, match=rf"^{field} "):
+        transformed_killing(chain3_killed, transform)
+    with pytest.raises(TransformError, match=rf"^{field} "):
+        estimate_mass(chain3_killed, transform, 0, 1.0, 100, RngSpec(seed=1))
+
+
+def test_reversibility_not_type_decides_the_transformed_structure(chain3_killed, phi3):
+    # a general form with a symmetric jump tilt is in detailed balance with m
+    g = GeneralMF(phi=phi3, a_rate=np.array([0.5, 0.0, 0.0]), phi_delta=np.array([0.0, 1.0, 0.0]))
+    np.testing.assert_array_equal(transformed_jump_measure(chain3_killed, g),
+                                  transformed_jump_measure(chain3_killed, PureJumpPhi(phi=phi3)))
+    hat = transformed_model(chain3_killed, g)
+    assert validate_symmetry(hat).ok
+    np.testing.assert_array_equal(hat.k, [0.5, 2.0, 0.0])  # k (1 + phi_delta) + a_rate
+    np.testing.assert_allclose(hat.generator(), dirichlet.cemetery_generator(chain3_killed, g)[:3, :3],
+                               rtol=0.0, atol=1e-15)
+    # an asymmetric jump tilt is not
+    skew = GeneralMF(phi=np.array([[0.0, 1.0, 0.0], [0.5, 0.0, 0.0], [0.0, 0.0, 0.0]]))
+    for structure in (transformed_jump_measure, transformed_model):
+        with pytest.raises(TransformError, match="detailed balance"):
+            structure(chain3_killed, skew)
 
 
 # -- diffusion-path weights --------------------------------------------------
