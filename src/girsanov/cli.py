@@ -291,11 +291,12 @@ def _validate_check(model, transform, check) -> None:
         for key in ("f", "g"):
             if key in check and np.shape(check[key]) != (n,):
                 raise ConfigError(f"check {cid!r}: {key!r} needs one value per state ({n})")
-        if "x" in check and not (0 <= int(check["x"]) < n):
-            raise ConfigError(f"check {cid!r}: x = {check['x']} is not a state")
+        if "x" in check and not (type(check["x"]) is int and 0 <= check["x"] < n):
+            raise ConfigError(f"check {cid!r}: x = {check['x']!r} is not a state")
         if "pair" in check:
-            pair = [int(s) for s in check["pair"]]
-            if len(pair) != 2 or not all(0 <= s < n for s in pair) or pair[0] == pair[1]:
+            pair = list(check["pair"])
+            if (len(pair) != 2 or not all(type(s) is int and 0 <= s < n for s in pair)
+                    or pair[0] == pair[1]):
                 raise ConfigError(f"check {cid!r}: 'pair' must name two distinct states")
         times = [check[key] for key in ("t", "horizon") if key in check]
         if "ts" in check:
@@ -305,8 +306,8 @@ def _validate_check(model, transform, check) -> None:
         for t in times:
             if not (math.isfinite(float(t)) and float(t) > 0.0):
                 raise ConfigError(f"check {cid!r}: times must be finite and > 0, got {t!r}")
-        if "paths" in check and int(check["paths"]) < 2:
-            raise ConfigError(f"check {cid!r}: 'paths' must be at least 2")
+        if "paths" in check and (type(check["paths"]) is not int or check["paths"] < 2):
+            raise ConfigError(f"check {cid!r}: 'paths' must be an integer >= 2, got {check['paths']!r}")
         if "draws" in check and (type(check["draws"]) is not int or check["draws"] < 1):
             raise ConfigError(f"check {cid!r}: 'draws' must be an integer >= 1, got {check['draws']!r}")
     except (TypeError, ValueError) as exc:

@@ -15,10 +15,11 @@ generator built by an independent route.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft as sp_fft
+from numpy import fft
 
 from .errors import DomainError, TransformError
 from .model import (
@@ -216,6 +217,22 @@ class QuadratureForm:
         return self.continuous_part + self.jump_part + self.killing_part
 
 
+@functools.lru_cache(maxsize=128)
+def _fast_len(m: int) -> int:
+    """The least ``2**a 3**b 5**c >= m``, a length the FFT splits into small
+    factors; at a length with a large prime factor it is several times slower."""
+    best = 1 << (m - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # p35 times the least power of two that reaches m
+            best = min(best, p35 << (-(-m // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def _quad_level(rho, f, model: JumpDiffusionModel, lo: float, hi: float, n: int):
     """Midpoint-rule form value on one mesh level, in O(n log n) time and
     O(n) memory.
@@ -234,38 +251,71 @@ def _quad_level(rho, f, model: JumpDiffusionModel, lo: float, hi: float, n: int)
     The last form, which cancels entry by entry, is the one summed; for
     constant ``f`` the two convolved vectors are equal and it is exactly 0.
 
-    Both products come from one real FFT of the kernel, embedded as a
-    circulant of length ``next_fast_len(2n)``, and carry the offsets
+    Both products come from one real FFT of the kernel (numpy's), embedded
+    as a circulant of length :func:`_fast_len` ``(2n)`` (``2n`` itself when
+    ``n`` has no prime factor above 5), and carry the offsets
     ``|i - j| >= 3``, which the cutoff always keeps.  Offsets below 2 are
     always dropped.  At ``|i - j| = 2`` the float test ``|x_i - x_j| <
     delta`` is decided by rounding, so those pairs are summed directly with
     the same test, pair by pair, to keep the values of the dense pair sum.
     """
     h = (hi - lo) / n
-    x = lo + (np.arange(n) + 0.5) * h
+    size = _fast_len(2 * n)
+    half = size // 2 + 1  # length of a real transform's spectrum
+    # Every array the level computes is a view of one block, written in place
+    # (the callables' results stay their own arrays).  As some twenty arrays,
+    # the level's memory went back to the system after each call and was
+    # faulted in again on the next (2-3.5 MB a pass over meshes 160-2560):
+    # glibc sets its trim threshold to twice the largest block it has
+    # unmapped, and this block is larger than all else a level allocates.
+    block = np.empty(7 * n + 3 * size + 6 * half)
+    x, df, rf, tmp, dist, left, right = block[: 7 * n].reshape(7, n)
+    col = block[7 * n : 7 * n + size]
+    spectra = block[7 * n + size : 7 * n + size + 6 * half].view(complex).reshape(3, half)
+    conv = block[7 * n + size + 6 * half :].reshape(2, size)
+    np.add(np.arange(n), 0.5, out=x)
+    x *= h
+    x += lo
+    np.subtract(np.asarray(f(x + h), dtype=float), np.asarray(f(x - h), dtype=float), out=df)
+    df /= 2.0 * h
     fx = np.asarray(f(x), dtype=float)
     rx = np.asarray(rho(x), dtype=float)
-    df = (np.asarray(f(x + h), dtype=float) - np.asarray(f(x - h), dtype=float)) / (2.0 * h)
-    cont = 0.5 * float(np.sum(rx * rx * df * df)) * h
+    np.multiply(rx, rx, out=tmp)
+    tmp *= df
+    tmp *= df
+    energy = float(np.sum(tmp))
+    cont = 0.5 * energy * h
     delta = 2.0 * h
     alpha = model.alpha
     half_c = model.c / 2.0
     # offsets |i - j| >= 3: Toeplitz products by circulant convolution
-    size = sp_fft.next_fast_len(2 * n, real=True)
-    col = np.zeros(size)
+    col[:] = 0.0
     col[3:n] = half_c * (np.arange(3, n) * h) ** (-1.0 - alpha)
     col[size - n + 1 : size - 2] = col[n - 1 : 2 : -1]
-    rf = rx * fx
-    spectra = sp_fft.rfft(np.stack([rx, rf]), size) * sp_fft.rfft(col)
-    k_r, k_rf = sp_fft.irfft(spectra, size)[:, :n]
-    far = 2.0 * float(np.dot(rf, fx * k_r - k_rf))
+    np.multiply(rx, fx, out=rf)
+    fft.rfft(rx, size, out=spectra[0])
+    fft.rfft(rf, size, out=spectra[1])
+    fft.rfft(col, out=spectra[2])
+    np.multiply(spectra[:2], spectra[2], out=spectra[:2])
+    fft.irfft(spectra[:2], size, out=conv)
+    k_r, k_rf = conv[:, :n]
+    np.multiply(fx, k_r, out=tmp)
+    tmp -= k_rf
+    far = 2.0 * float(np.dot(rf, tmp))
     # offset 2: the dense route's float test, both orders of each pair
-    dist = np.abs(x[2:] - x[:-2])
-    d2 = fx[2:] - fx[:-2]
-    band = d2 * d2 * rx[2:] * rx[:-2] * (half_c * dist ** (-1.0 - alpha))
-    far = (far + 2.0 * float(np.sum(band[dist >= delta]))) * h * h
+    dist, left, right = dist[: n - 2], left[: n - 2], right[: n - 2]
+    np.subtract(x[2:], x[:-2], out=dist)
+    np.abs(dist, out=dist)
+    np.subtract(fx[2:], fx[:-2], out=left)
+    left *= left
+    left *= rx[2:]
+    left *= rx[:-2]
+    np.power(dist, -1.0 - alpha, out=right)
+    right *= half_c
+    left *= right
+    far = (far + 2.0 * float(np.sum(left[dist >= delta]))) * h * h
     near_factor = model.c * delta ** (2.0 - alpha) / (2.0 - alpha)
-    near = float(np.sum(rx * rx * df * df)) * near_factor * h
+    near = energy * near_factor * h
     return cont, far + near
 
 

@@ -41,6 +41,14 @@ Gaussian step, as in :func:`sample_jump_diffusion_path`.  One pass over the
 on the same draws these agree with :func:`sample_jump_diffusion_path` and
 :func:`rho_transform_mf` to rounding (the sums run in another order).
 
+Both engines run the Philox kernel on a workspace of their own: one uint64
+array of ``(12, capacity)`` (two banks of four counter words, the running
+key and three scratch rows), grown when a chunk needs more streams and
+otherwise reused.  Every step of a block writes into it, so a block
+allocates no array and a long run does not build and free a kernel's worth
+of temporaries per chunk.  The words a block returns are rows of the
+workspace and hold until the engine's next block.
+
 The estimators weight base-process paths by the transform's multiplicative
 functional instead of simulating the transformed process directly; the
 cemetery convention ``f(dead) = 0`` applies throughout.
@@ -49,12 +57,12 @@ cemetery convention ``f(dead) = 0`` applies throughout.
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import ndtri
 
 from .errors import DomainError, ModelError, TransformError
 from .model import (
@@ -96,6 +104,16 @@ __all__ = [
 _MASK64 = (1 << 64) - 1
 
 
+def _index(value) -> Optional[int]:
+    """``value`` as an exact Python int, or None for a bool or a non-integer."""
+    if isinstance(value, bool):
+        return None
+    try:
+        return operator.index(value)
+    except TypeError:
+        return None
+
+
 @dataclass(frozen=True)
 class RngSpec:
     """Reproducible random source: one independent stream per path index.
@@ -110,10 +128,13 @@ class RngSpec:
     offset: int = 0
 
     def __post_init__(self):
-        if not 0 <= int(self.seed) <= _MASK64:  # a larger seed would alias seed & _MASK64
-            raise DomainError("seed must be an integer in [0, 2**64)")
-        if int(self.offset) < 0:
-            raise DomainError("offset must be a nonnegative integer")
+        seed, offset = _index(self.seed), _index(self.offset)
+        if seed is None or not 0 <= seed <= _MASK64:  # a larger seed would alias seed & _MASK64
+            raise DomainError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
+        if offset is None or offset < 0:
+            raise DomainError(f"offset must be a nonnegative integer, got {self.offset!r}")
+        object.__setattr__(self, "seed", seed)  # numpy integers become ints, so key arithmetic is exact
+        object.__setattr__(self, "offset", offset)
 
     def stream(self, index: int) -> np.random.Generator:
         key = np.array([self.seed & _MASK64, (self.offset + index) & _MASK64], dtype=np.uint64)
@@ -129,52 +150,71 @@ _SHIFT32 = np.uint64(32)
 _PHILOX_MUL = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
 _PHILOX_WEYL = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 _PHILOX_ROUNDS = 10
+_PHILOX_ROWS = 12  # two banks of four counter words, the running key, three scratch rows
 
 
-def _mulhilo(a: np.ndarray, mul: int):
-    """High and low 64-bit words of ``a * mul``, from 32-bit limbs.
+def _philox_workspace(capacity: int, ws: Optional[np.ndarray] = None) -> np.ndarray:
+    """Scratch for :func:`_philox_block` over up to ``capacity`` streams:
+    ``ws`` itself when it has room, else a new workspace."""
+    if ws is not None and ws.shape[1] >= capacity:
+        return ws
+    return np.empty((_PHILOX_ROWS, capacity), dtype=np.uint64)
 
-    Updates its own temporaries in place, so a call allocates five arrays
-    of ``a``'s size at most; uint64 sums wrap, so their order is free.
+
+def _mulhilo(a: np.ndarray, mul: int, hi: np.ndarray, lo: np.ndarray, scratch) -> None:
+    """Write the high and low 64-bit words of ``a * mul`` into ``hi``, ``lo``.
+
+    The 64x64 -> 128 product from 32-bit limbs (Warren, *Hacker's Delight*,
+    ``mulhu``) in fifteen ufunc calls, each writing into one of ``hi``,
+    ``lo`` and the three ``scratch`` rows; none of the sums can wrap.
     """
     m0 = np.uint64(mul & 0xFFFFFFFF)
     m1 = np.uint64(mul >> 32)
-    lo = a & _LO32
-    hi = a >> _SHIFT32
-    p01 = lo * m1
-    p10 = hi * m0
-    lo *= m0
-    lo >>= _SHIFT32
-    hi *= m1
-    lo += p01 & _LO32
-    lo += p10 & _LO32
-    lo >>= _SHIFT32  # the carry out of the middle limb
-    hi += lo
-    hi += p01 >> _SHIFT32
-    p10 >>= _SHIFT32
-    hi += p10
+    a_lo, w, t = scratch
+    np.bitwise_and(a, _LO32, out=a_lo)
+    np.multiply(a_lo, m0, out=w)
+    np.right_shift(w, _SHIFT32, out=w)  # the carry out of the low limb
+    np.right_shift(a, _SHIFT32, out=hi)
+    np.multiply(hi, m0, out=t)
+    np.add(t, w, out=t)
+    np.bitwise_and(t, _LO32, out=w)
+    np.right_shift(t, _SHIFT32, out=t)
+    np.multiply(a_lo, m1, out=a_lo)
+    np.add(w, a_lo, out=w)
+    np.right_shift(w, _SHIFT32, out=w)  # the carry out of the middle limb
+    np.multiply(hi, m1, out=hi)
+    np.add(hi, t, out=hi)
+    np.add(hi, w, out=hi)
     np.multiply(a, np.uint64(mul), out=lo)
-    return hi, lo
 
 
-def _philox_block(counter: np.ndarray, key0: int, key1: np.ndarray):
+def _philox_block(counter: np.ndarray, key0: int, key1: np.ndarray, ws: np.ndarray):
     """Philox4x64-10 output words for counters ``(counter[i], 0, 0, 0)``
-    under keys ``(key0, key1[i])``, as numpy's ``Philox`` computes them."""
-    zero = np.zeros_like(counter)
-    c0, c1, c2, c3 = counter, zero, zero, zero
-    k1 = key1
+    under keys ``(key0, key1[i])``, as numpy's ``Philox`` computes them.
+
+    Every step writes into the workspace ``ws`` (from
+    :func:`_philox_workspace`, with room for ``counter.size`` streams), so a
+    call allocates no array.  The four words returned are rows of ``ws``:
+    they hold until the next call on the same workspace.
+    """
+    rows = tuple(ws[:, : counter.size])
+    c, nxt, k1, scratch = rows[0:4], rows[4:8], rows[8], rows[9:12]
+    np.copyto(c[0], counter)
+    for word in c[1:]:
+        word.fill(0)
+    np.copyto(k1, key1)
     for r in range(_PHILOX_ROUNDS):
         if r:
             key0 = (key0 + _PHILOX_WEYL[0]) & _MASK64
-            k1 = k1 + np.uint64(_PHILOX_WEYL[1])
-        hi0, lo0 = _mulhilo(c0, _PHILOX_MUL[0])
-        hi1, lo1 = _mulhilo(c2, _PHILOX_MUL[1])
-        hi1 ^= c1
-        hi1 ^= np.uint64(key0)
-        hi0 ^= c3
-        hi0 ^= k1
-        c0, c1, c2, c3 = hi1, lo1, hi0, lo0
-    return c0, c1, c2, c3
+            np.add(k1, np.uint64(_PHILOX_WEYL[1]), out=k1)
+        _mulhilo(c[0], _PHILOX_MUL[0], nxt[2], nxt[3], scratch)
+        _mulhilo(c[2], _PHILOX_MUL[1], nxt[0], nxt[1], scratch)
+        np.bitwise_xor(nxt[0], c[1], out=nxt[0])
+        np.bitwise_xor(nxt[0], np.uint64(key0), out=nxt[0])
+        np.bitwise_xor(nxt[2], c[3], out=nxt[2])
+        np.bitwise_xor(nxt[2], k1, out=nxt[2])
+        c, nxt = nxt, c
+    return c[0], c[1], c[2], c[3]
 
 
 class _PhiloxUniforms:
@@ -183,10 +223,12 @@ class _PhiloxUniforms:
     Row ``i`` yields, draw for draw, ``rng.stream(first + i).random()``:
     numpy's Philox increments the counter before each block (so the first
     block has counter 1), hands out the block's four words in order and maps
-    a word ``x`` to ``(x >> 11) * 2**-53``.
+    a word ``x`` to ``(x >> 11) * 2**-53``.  ``ws`` is the Philox
+    workspace to run on (one of its own by default).
     """
 
-    def __init__(self, rng: RngSpec, first: int, count: int):
+    def __init__(self, rng: RngSpec, first: int, count: int, ws: Optional[np.ndarray] = None):
+        self._ws = _philox_workspace(count, ws)
         self._key0 = rng.seed & _MASK64
         # uint64 array arithmetic wraps modulo 2**64, as the stream keys do
         self._key1 = np.arange(count, dtype=np.uint64) + np.uint64((rng.offset + first) & _MASK64)
@@ -195,7 +237,7 @@ class _PhiloxUniforms:
         self._fill(np.arange(count), np.ones(count, dtype=np.uint64))
 
     def _fill(self, rows: np.ndarray, counter: np.ndarray) -> None:
-        words = _philox_block(counter, self._key0, self._key1[rows])
+        words = _philox_block(counter, self._key0, self._key1[rows], self._ws)
         for j, w in enumerate(words):
             self._buf[rows, j] = (w >> np.uint64(11)).astype(float) * (1.0 / 9007199254740992.0)
 
@@ -465,9 +507,10 @@ class _ChainEngine:
         self.jump_total = np.array([row[2] for row in rows])
         self.total = np.array([row[3] for row in rows])
         self.low = lower(model, transform)
+        self._ws = _philox_workspace(0)
 
     def run(self, horizons: tuple, n: int, rng: RngSpec, *, x0: Optional[int] = None,
-            start_cdf: Optional[np.ndarray] = None, pairs: tuple = (), uniforms=_PhiloxUniforms):
+            start_cdf: Optional[np.ndarray] = None, pairs: tuple = (), uniforms=None):
         """Yield ``(lo, hi, records)`` for paths ``lo .. hi - 1`` of ``n``.
 
         ``horizons`` is a sorted tuple; ``records`` holds one
@@ -477,12 +520,17 @@ class _ChainEngine:
         drawn from the path's first uniform against ``start_cdf``.  Each
         pair ``(x, y)`` of ``pairs`` gets the jump count and occupation time
         of the jump-rate estimator.  ``uniforms(rng, first, count)``
-        supplies the draws.
+        supplies the draws; by default the paths' Philox streams, on the
+        engine's workspace.
         """
         horizons = tuple(float(h) for h in horizons)
         for lo in range(0, n, _CHUNK):
             hi = min(n, lo + _CHUNK)
-            draws = uniforms(rng, lo, hi - lo)
+            if uniforms is None:
+                self._ws = _philox_workspace(hi - lo, self._ws)
+                draws = _PhiloxUniforms(rng, lo, hi - lo, self._ws)
+            else:
+                draws = uniforms(rng, lo, hi - lo)
             yield lo, hi, self._chunk(draws, hi - lo, horizons, x0, start_cdf, pairs)
 
     def _chunk(self, draws, m: int, horizons: tuple, x0, start_cdf, pairs) -> tuple:
@@ -670,6 +718,7 @@ class _ContinuumEngine:
         self.std = np.sqrt(self.var_rate * dt)
         self.alpha = model.alpha
         self.t, self.dt, self.eps, self.steps = float(t), float(dt), float(eps), steps
+        self._ws = _philox_workspace(0)
 
     def run(self, n: int, rng: RngSpec):
         """Yield ``(lo, hi, x0, x_t, log_w)`` for paths ``lo .. hi - 1`` of ``n``."""
@@ -689,15 +738,17 @@ class _ContinuumEngine:
         # the first block (counter 1) holds the start and the jump count,
         # which fix how many blocks each path reads; the full pass computes
         # it again, so that each path's words are one contiguous run
-        c0, c1, _, _ = _philox_block(np.ones(m, dtype=np.uint64), key0, key1)
+        self._ws = _philox_workspace(m, self._ws)
+        c0, c1, _, _ = _philox_block(np.ones(m, dtype=np.uint64), key0, key1, self._ws)
         x0 = np.interp(_open_uniform(c0), self.start_cdf, self.xs)
         count = _poisson_count(self.count_cdf, _open_uniform(c1))
         blocks = (2 + 3 * count + self.steps + 3) >> 2
         owner = np.repeat(paths, blocks)
         row0 = np.cumsum(blocks) - blocks
         counter = (np.arange(owner.size) - row0[owner] + 1).astype(np.uint64)
-        words = _philox_block(counter, key0, key1[owner])
-        u = np.empty((owner.size, 4))  # allocated after the pass, past its peak
+        self._ws = _philox_workspace(owner.size, self._ws)
+        words = _philox_block(counter, key0, key1[owner], self._ws)
+        u = np.empty((owner.size, 4))
         for j, w in enumerate(words):
             u[:, j] = _open_uniform(w)
         return x0, count, u.ravel(), 4 * row0 + 2
@@ -719,6 +770,8 @@ class _ContinuumEngine:
         step = np.clip(np.ceil(times / dt - 1e-9).astype(np.intp) - 1, 0, K - 1)
         brown = u[(start + 3 * count)[:, None] + np.arange(K)]
         del u
+        from scipy.special import ndtri  # here, so that importing the package does not load it
+
         ndtri(brown, out=brown)
         brown *= self.std
 

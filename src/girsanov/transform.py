@@ -28,7 +28,6 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional, Union
 
 import numpy as np
-from scipy import integrate as _integrate
 
 from .errors import DomainError, TransformError
 from .model import (
@@ -742,11 +741,13 @@ class IntegrabilityReport:
 
 def _radial_annulus(model, tilt, x, r_lo, r_hi, dirs):
     """Integral of |tilt| against the stable kernel over an annulus."""
+    from scipy import integrate  # here, so that importing the package does not load it
+
     a = model.alpha
     total = 0.0
     for u in dirs:
         f = lambda r: abs(tilt(x, x + r * u)) * model.c * r ** (-1.0 - a)
-        val, _ = _integrate.quad(f, r_lo, r_hi, limit=100)
+        val, _ = integrate.quad(f, r_lo, r_hi, limit=100)
         total += val
     if model.d == 1:
         return total  # dirs are the two signs; surface factor already counted

@@ -388,6 +388,28 @@ def test_unread_fields_and_empty_draws_exit_two(tmp_path, monkeypatch, capsys, c
     assert not out.exists()
 
 
+@pytest.mark.parametrize("check", [
+    {"id": "semigroup", "f": [0, 1, 0], "t": 0.5, "paths": 2.9},  # would run 2 paths
+    {"id": "semigroup", "f": [0, 1, 0], "x": 1.7, "t": 0.5},  # would start from state 1
+    {"id": "mass", "x": True, "t": 0.5},
+    {"id": "mass", "x": "0", "t": 0.5},
+    {"id": "mass", "t": 0.5, "paths": True},
+    {"id": "mass", "t": 0.5, "paths": "2000"},
+    {"id": "jump_rate", "pair": [0.0, 1], "horizon": 0.5},
+    {"id": "jump_rate", "pair": [0, 1.9], "horizon": 0.5},
+    {"id": "jump_rate", "pair": [False, 1], "horizon": 0.5},
+])
+def test_non_integer_counts_and_states_exit_two_before_any_file(tmp_path, monkeypatch, capsys, check):
+    calls = []
+    monkeypatch.setattr(montecarlo, "estimate_chain", lambda *a, **k: calls.append(a))
+    cfg = write_config(tmp_path, {"model": CHAIN3_MODEL, "transform": RHO121, "checks": ["symmetry", check]})
+    out = tmp_path / "out"
+    assert main(["verify", "--config", cfg, "--out", str(out)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert calls == []
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("seed, argv", [(-3, []), ("abc", []), (2.0, []), (2**64, []), (0, ["--seed", "-1"]),
                                         (0, ["--seed", str(2**64)])])
 def test_bad_seed_exits_two_before_any_file(tmp_path, capsys, seed, argv):
@@ -573,6 +595,35 @@ def check_logging_levels(launcher, tmp_path):
     )
     assert quiet.returncode == 0
     assert quiet.stderr.strip() == ""
+
+
+_IMPORT_FOOTPRINT = """
+import sys
+import numpy as np
+
+def scipy_loaded():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+import girsanov
+assert scipy_loaded() == [], scipy_loaded()
+import girsanov.cli
+for name in ("scipy.integrate", "scipy.special", "scipy.fft"):
+    assert name not in sys.modules, name
+assert "scipy.linalg" in sys.modules
+model = girsanov.JumpDiffusionModel(d=1, alpha=1.0, c=1.0)
+rho = lambda x: 1.0 + 0.5 * np.exp(-np.asarray(x) ** 2)
+report = girsanov.integrability_check(model, lambda x, y: rho(y) / rho(x) - 1.0, (-1.0, 1.0), 0.1, levels=3)
+assert report.status in ("finite", "divergent", "inconclusive"), report.status
+est = girsanov.estimate_quadratic_form(model, girsanov.RhoTransform(rho=rho), lambda x: np.exp(-np.asarray(x) ** 2),
+                                       0.05, 2, girsanov.RngSpec(seed=0), region=(-8.0, 8.0), dt=1e-3, eps=0.01)
+assert np.isfinite(est.mean)
+"""
+
+
+def test_import_loads_only_the_scipy_a_run_calls():
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_FOOTPRINT], capture_output=True, text=True,
+                          env=_src_env())
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_console_script_logging_levels(tmp_path):

@@ -23,7 +23,7 @@ from girsanov import (
     transformed_generator,
     transformed_levy_kernel,
 )
-from girsanov.dirichlet import _quad_level
+from girsanov.dirichlet import _fast_len, _quad_level
 
 F010 = np.array([0.0, 1.0, 0.0])
 
@@ -234,6 +234,18 @@ def test_quad_level_matches_dense_pair_sum(alpha, name):
             want_cont, want_jump = dense_quad_level(QUAD_RHO, f, model, -8.0, 8.0, n)
             assert cont == pytest.approx(want_cont, rel=1e-11, abs=0.0)
             assert jump == pytest.approx(want_jump, rel=1e-11, abs=0.0)
+
+
+def test_fast_len_is_the_least_five_smooth_length():
+    def smooth(k):
+        for p in (2, 3, 5):
+            while k % p == 0:
+                k //= p
+        return k == 1
+
+    for m in range(1, 3000):
+        want = next(k for k in range(m, 2 * m + 1) if smooth(k))
+        assert _fast_len(m) == want, m
 
 
 def test_quad_level_keeps_the_float_cutoff_at_offset_two():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -67,6 +68,19 @@ def test_offset_shifts_the_stream_block():
         RngSpec(seed=0, offset=-1)
 
 
+@pytest.mark.parametrize("kwargs", [dict(seed=1.5), dict(seed=1, offset=2.5), dict(seed=True),
+                                    dict(seed=1, offset=False), dict(seed="3"), dict(seed=None)])
+def test_rng_spec_rejects_non_integer_seeds_and_offsets(kwargs):
+    with pytest.raises(DomainError):
+        RngSpec(**kwargs)
+
+
+def test_rng_spec_takes_numpy_integers_as_ints():
+    spec = RngSpec(seed=np.uint64(2**64 - 1), offset=np.int64(3))
+    assert type(spec.seed) is int and type(spec.offset) is int
+    np.testing.assert_array_equal(spec.stream(1).random(5), RngSpec(seed=2**64 - 1).stream(4).random(5))
+
+
 def test_numpy_philox_matches_numpy_generator():
     # keys near 2**64 - 1 wrap to 0 and 1; twelve draws cross three blocks
     seed, offset = 2**64 - 1, 2**64 - 3
@@ -77,6 +91,38 @@ def test_numpy_philox_matches_numpy_generator():
         key = np.array([seed, (offset + i) % 2**64], dtype=np.uint64)
         want = np.random.Generator(np.random.Philox(key=key)).random(12)
         np.testing.assert_array_equal(got[i], want)
+
+
+def test_philox_workspace_is_reused_over_growing_and_shrinking_blocks():
+    # keys and counters near 2**64 wrap; each call overwrites the last one's words
+    key0 = 2**64 - 1
+    ws = montecarlo._philox_workspace(4096)
+    for n, first in ((4096, 2**64 - 2000), (1, 2**64 - 1), (7, 2**64 - 4), (4096, 0), (3, 2**64 - 2)):
+        key1 = np.arange(n, dtype=np.uint64) + np.uint64(first)
+        counter = (np.arange(n, dtype=np.uint64) % np.uint64(3)) + np.uint64(1)
+        assert montecarlo._philox_workspace(n, ws) is ws
+        got = np.stack(montecarlo._philox_block(counter, key0, key1, ws), axis=1)
+        for i in sorted({0, 1, n // 2, n - 2, n - 1} & set(range(n))):
+            bits = np.random.Philox(key=np.array([key0, key1[i]], dtype=np.uint64))
+            want = bits.random_raw(4 * int(counter[i]))[-4:]
+            np.testing.assert_array_equal(got[i], want)
+    assert montecarlo._philox_workspace(4097, ws).shape == (ws.shape[0], 4097)
+
+
+def test_warm_philox_block_allocates_nothing():
+    n = 4096
+    ws = montecarlo._philox_workspace(n)
+    counter, key1 = np.ones(n, dtype=np.uint64), np.arange(n, dtype=np.uint64)
+    montecarlo._philox_block(counter, 7, key1, ws)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        montecarlo._philox_block(counter, 7, key1, ws)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - before < 4096  # one 4096-row uint64 array alone is 32 KB
 
 
 def test_numpy_philox_rows_advance_independently():
@@ -472,7 +518,7 @@ def test_continuum_engine_stays_finite_on_extreme_words(monkeypatch, words):
     # every block gives the same four words: the smallest and largest
     # uniforms as starts, counts, times (in the first step, and at the very
     # end), radii (eps 2**54 and eps), signs and normals (about -8.3 and 8.2)
-    def block(counter, key0, key1):
+    def block(counter, key0, key1, _ws):
         return tuple(np.full(counter.shape, w, dtype=np.uint64) for w in words)
 
     monkeypatch.setattr(montecarlo, "_philox_block", block)
