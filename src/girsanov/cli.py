@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -43,17 +42,6 @@ from .transform import (
 __all__ = ["ExperimentConfig", "run", "emit_plot_data", "main"]
 
 log = logging.getLogger("girsanov")
-
-KNOWN_CHECKS = (
-    "symmetry",
-    "conservativeness",
-    "form_identity",
-    "mass",
-    "semigroup",
-    "symmetry_gap",
-    "quadratic_form",
-    "jump_rate",
-)
 
 _EXACT_TOL = 1e-12
 
@@ -103,8 +91,14 @@ class ExperimentConfig:
         unknown = set(raw) - {"model", "transform", "checks", "seed", "out"}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        if "model" not in raw:
-            raise ConfigError("config needs a 'model' entry")
+        if not isinstance(raw.get("model"), dict):
+            raise ConfigError("config needs a 'model' entry that is a JSON object")
+        transform = raw.get("transform")
+        if transform is not None and not isinstance(transform, dict):
+            raise ConfigError("'transform' must be a JSON object")
+        out = raw.get("out", ".")
+        if not isinstance(out, str):
+            raise ConfigError(f"'out' must be a string, got {out!r}")
         checks = raw.get("checks", [])
         if not isinstance(checks, list):
             raise ConfigError("'checks' must be a list")
@@ -112,9 +106,9 @@ class ExperimentConfig:
         for ch in checks:
             if isinstance(ch, str):
                 ch = {"id": ch}
-            if not isinstance(ch, dict) or "id" not in ch:
-                raise ConfigError("each check must be an id string or an object with 'id'")
-            if ch["id"] not in KNOWN_CHECKS:
+            if not isinstance(ch, dict) or not isinstance(ch.get("id"), str):
+                raise ConfigError("each check must be an id string or an object with an 'id' string")
+            if ch["id"] not in _CHECKS:
                 raise ConfigError(f"unknown check id {ch['id']!r}")
             norm_checks.append(dict(ch))
         seed = raw.get("seed", 0)
@@ -122,10 +116,10 @@ class ExperimentConfig:
             raise ConfigError(f"'seed' must be an integer in [0, 2**64), got {seed!r}")
         cfg = cls(
             model=dict(raw["model"]),
-            transform=dict(raw["transform"]) if raw.get("transform") is not None else None,
+            transform=dict(transform) if transform is not None else None,
             checks=tuple(norm_checks),
             seed=seed,
-            out=str(raw.get("out", ".")),
+            out=out,
         )
         cfg.resolve_model()  # validate eagerly so bad configs exit with code 2
         cfg.resolve_transform()
@@ -152,8 +146,10 @@ class ExperimentConfig:
                     k=np.asarray(spec["k"], dtype=float) if "k" in spec else None,
                 )
             if kind == "jump_diffusion":
+                if type(spec["d"]) is not int:
+                    raise ConfigError(f"model 'd' must be an integer, got {spec['d']!r}")
                 return JumpDiffusionModel(
-                    d=int(spec["d"]), alpha=float(spec["alpha"]), c=float(spec.get("c", 1.0))
+                    d=spec["d"], alpha=float(spec["alpha"]), c=float(spec.get("c", 1.0))
                 )
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"malformed model spec: {exc}") from exc
@@ -215,9 +211,9 @@ def _phi_table(entries, n: int, symmetric: bool = True) -> np.ndarray:
     for row in entries:
         if len(row) != 3:
             raise ConfigError(f"phi entries must be [x, y, value], got {row!r}")
-        x, y, v = int(row[0]), int(row[1]), float(row[2])
-        if not (0 <= x < n and 0 <= y < n) or x == y:
-            raise ConfigError(f"phi entry ({x}, {y}) is not an off-diagonal pair")
+        x, y, v = row[0], row[1], float(row[2])
+        if not (type(x) is int and type(y) is int and 0 <= x < n and 0 <= y < n) or x == y:
+            raise ConfigError(f"phi entry ({x!r}, {y!r}) is not an off-diagonal pair")
         for key in ((x, y),) if not symmetric else ((x, y), (y, x)):
             if key in seen and seen[key] != v:
                 raise ConfigError(
@@ -235,10 +231,10 @@ def _phi_table(entries, n: int, symmetric: bool = True) -> np.ndarray:
 # checks
 
 
-# A check returns its plan: the chain requests it samples, and a function
-# from their estimates, in order, to its output.  ``run`` samples the
-# requests of every check in one call, then runs the functions in config
-# order.
+# A check's plan maker returns its plan: the chain requests it samples, and
+# a function from their estimates, in order, to its output.  ``run`` plans
+# every check before it writes anything, samples the requests of every check
+# in one call, then runs the functions in config order.
 
 
 @dataclass
@@ -248,113 +244,26 @@ class _CheckOutput:
     forms: list = field(default_factory=list)       # forms.csv rows
 
 
-_ANY_TRANSFORM = (RhoTransform, PureJumpPhi, GeneralMF)
-
-# check id -> (transform types it accepts, or None when it needs no
-# transform; config fields it cannot run without; the other fields it reads)
-_REQUIREMENTS = {
-    "symmetry": (None, (), ()),
-    "conservativeness": ((RhoTransform,), (), ()),
-    "form_identity": ((RhoTransform, PureJumpPhi), (), ("f", "draws")),
-    "mass": (_ANY_TRANSFORM, (), ("x", "t", "paths")),
-    "semigroup": (_ANY_TRANSFORM, ("f",), ("x", "t", "paths")),
-    "symmetry_gap": (_ANY_TRANSFORM, ("f", "g"), ("t", "paths")),
-    "quadratic_form": (_ANY_TRANSFORM, ("f",), ("ts", "paths")),
-    "jump_rate": (_ANY_TRANSFORM, ("pair",), ("horizon", "paths")),
-}
-
-
-def _validate_check(model, transform, check) -> None:
-    """Raise ``ConfigError`` unless ``check`` can run on this model and transform.
-
-    Run for every check before any of them starts, so a bad check costs no
-    sampling and no finished results are thrown away.
-    """
-    cid = check["id"]
-    if not isinstance(model, FiniteSymmetricModel):
-        raise ConfigError(f"check {cid!r} needs a finite model")
-    kinds, fields, optional = _REQUIREMENTS[cid]
-    unknown = sorted(set(check) - {"id", *fields, *optional})
-    if unknown:
-        raise ConfigError(f"check {cid!r} has unknown fields {unknown}; it reads "
-                          f"{sorted({*fields, *optional}) or 'none'}")
-    if kinds is not None:
-        if transform is None:
-            raise ConfigError(f"check {cid!r} needs a transform in the config")
-        if not isinstance(transform, kinds):
-            raise ConfigError(f"check {cid!r} does not apply to a {type(transform).__name__} transform")
-    missing = [key for key in fields if key not in check]
-    if missing:
-        raise ConfigError(f"check {cid!r} needs {', '.join(map(repr, missing))}")
-    n = model.n
-    try:
-        for key in ("f", "g"):
-            if key in check and np.shape(check[key]) != (n,):
-                raise ConfigError(f"check {cid!r}: {key!r} needs one value per state ({n})")
-        if "x" in check and not (type(check["x"]) is int and 0 <= check["x"] < n):
-            raise ConfigError(f"check {cid!r}: x = {check['x']!r} is not a state")
-        if "pair" in check:
-            pair = list(check["pair"])
-            if (len(pair) != 2 or not all(type(s) is int and 0 <= s < n for s in pair)
-                    or pair[0] == pair[1]):
-                raise ConfigError(f"check {cid!r}: 'pair' must name two distinct states")
-        times = [check[key] for key in ("t", "horizon") if key in check]
-        if "ts" in check:
-            if not check["ts"]:
-                raise ConfigError(f"check {cid!r}: 'ts' needs at least one time")
-            times.extend(check["ts"])
-        for t in times:
-            if not (math.isfinite(float(t)) and float(t) > 0.0):
-                raise ConfigError(f"check {cid!r}: times must be finite and > 0, got {t!r}")
-        if "paths" in check and (type(check["paths"]) is not int or check["paths"] < 2):
-            raise ConfigError(f"check {cid!r}: 'paths' must be an integer >= 2, got {check['paths']!r}")
-        if "draws" in check and (type(check["draws"]) is not int or check["draws"] < 1):
-            raise ConfigError(f"check {cid!r}: 'draws' must be an integer >= 1, got {check['draws']!r}")
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"check {cid!r} is malformed: {exc}") from exc
-
-
-def _oracle_semigroup(model, transform, f, x, t) -> float:
-    """Matrix-exponential value of the transformed semigroup at a state."""
-    p = expm(t * dirichlet.cemetery_generator(model, transform))
-    return float(p[int(x), : model.n] @ np.asarray(f, dtype=float))
-
-
-def _oracle_symmetry_gap(model, transform, f, g, t) -> float:
-    """Exact ``sum_x mu_x (g P_t f - f P_t g)(x)`` from the start measure the
-    estimator uses; 0 when the tilted jumps are in detailed balance with it."""
-    pt = expm(t * dirichlet.cemetery_generator(model, transform))[: model.n, : model.n]
-    mu = lower(model, transform).mu
-    return float(np.sum(mu * (g * (pt @ f) - f * (pt @ g))))
-
-
-def _exact(check_fn):
-    """Plan maker of a check that samples nothing: ``check_fn`` does all its
-    work, when ``run`` reaches the check."""
-    def plan(model, transform, check, rng, paths):
-        return [], lambda _results: check_fn(model, transform, check, rng, paths)
+def _exact(row_fn):
+    """Plan maker of a check that samples nothing: ``row_fn(model,
+    transform)`` gives its report row when ``run`` reaches the check."""
+    def plan(model, transform, check, rng):
+        return [], lambda _results: _CheckOutput(rows=[row_fn(model, transform)])
     return plan
 
 
-def _statistical_row(cid: str, res, oracle: float) -> _CheckOutput:
-    out = _CheckOutput()
-    out.rows.append((cid, res.mean, res.stderr, oracle, res.covers(oracle)))
-    return out
-
-
-def _check_symmetry(model, transform, check, rng, paths):
+def _symmetry_row(model, transform):
     report = validate_symmetry(model)
-    out = _CheckOutput()
-    out.rows.append(("symmetry", report.max_residual, None, 0.0, report.ok))
-    return out
+    return ("symmetry", report.max_residual, None, 0.0, report.ok)
 
 
-def _check_conservativeness(model, transform, check, rng, paths):
+def _conservativeness_row(model, transform):
     rep = dirichlet.conservativeness_check(model, transform.rho)
-    worst = max(rep.row_sum_residual, abs(rep.unit_form_value))
-    out = _CheckOutput()
-    out.rows.append(("conservativeness", worst, None, 0.0, rep.ok))
-    return out
+    return ("conservativeness", max(rep.row_sum_residual, abs(rep.unit_form_value)), None, 0.0, rep.ok)
+
+
+def _statistical_row(cid: str, res, oracle: float) -> _CheckOutput:
+    return _CheckOutput(rows=[(cid, res.mean, res.stderr, oracle, res.covers(oracle))])
 
 
 def _form_pieces(model, transform):
@@ -374,66 +283,64 @@ def _form_for(pieces, f):
     return fv, cross
 
 
-def _check_form_identity(model, transform, check, rng, paths):
-    n = model.n
-    pieces = _form_pieces(model, transform)
-    gen_rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(rng.seed)))
-    worst = 0.0
-    for _ in range(int(check.get("draws", 200))):
-        f = gen_rng.uniform(-1.0, 1.0, size=n)
-        fv, cross = _form_for(pieces, f)
-        worst = max(worst, abs(fv.total - cross) / max(1.0, abs(fv.total)))
-    out = _CheckOutput()
-    out.rows.append(("form_identity", worst, None, 0.0, worst <= _EXACT_TOL))
-    if "f" in check:
-        f = np.asarray(check["f"], dtype=float)
-        fv, cross = _form_for(pieces, f)
-        out.forms.append(("continuous", fv.continuous_part, None, None))
-        out.forms.append(("jump", fv.jump_part, None, None))
-        out.forms.append(("killing", fv.killing_part, None, None))
-        out.forms.append(("total", fv.total, cross, abs(fv.total - cross)))
-    return out
+def _check_form_identity(model, transform, check, rng):
+    draws = check["draws"]
+    if type(draws) is not int or draws < 1:
+        raise ConfigError(f"'draws' must be an integer >= 1, got {draws!r}")
+    f = None if check["f"] is None else montecarlo._check_chain_inputs(model, check["f"])
+
+    def finish(_results):
+        pieces = _form_pieces(model, transform)
+        gen_rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(rng.seed)))
+        worst = 0.0
+        for _ in range(draws):
+            fv, cross = _form_for(pieces, gen_rng.uniform(-1.0, 1.0, size=model.n))
+            worst = max(worst, abs(fv.total - cross) / max(1.0, abs(fv.total)))
+        out = _CheckOutput(rows=[("form_identity", worst, None, 0.0, worst <= _EXACT_TOL)])
+        if f is not None:
+            fv, cross = _form_for(pieces, f)
+            out.forms = [("continuous", fv.continuous_part, None, None), ("jump", fv.jump_part, None, None),
+                         ("killing", fv.killing_part, None, None),
+                         ("total", fv.total, cross, abs(fv.total - cross))]
+        return out
+
+    return [], finish
 
 
-def _semigroup_plan(cid, model, transform, f, check, rng, paths):
-    x = int(check.get("x", 0))
-    t = float(check.get("t", 1.0))
-    n = paths or int(check.get("paths", 100_000))
-
-    def finish(results):
-        return _statistical_row(cid, results[0], _oracle_semigroup(model, transform, f, x, t))
-
-    return [montecarlo.semigroup_request(model, transform, f, x, t, n, rng)], finish
-
-
-def _check_mass(model, transform, check, rng, paths):
-    return _semigroup_plan("mass", model, transform, np.ones(model.n), check, rng, paths)
-
-
-def _check_semigroup(model, transform, check, rng, paths):
-    f = np.asarray(check["f"], dtype=float)
-    return _semigroup_plan("semigroup", model, transform, f, check, rng, paths)
-
-
-def _check_symmetry_gap(model, transform, check, rng, paths):
-    f = np.asarray(check["f"], dtype=float)
-    g = np.asarray(check["g"], dtype=float)
-    t = float(check.get("t", 0.7))
-    n = paths or int(check.get("paths", 100_000))
+def _check_semigroup(model, transform, check, rng):
+    """The transformed semigroup of ``f`` at ``x``; ``mass`` is that of f = 1."""
+    f = np.ones(model.n) if check["id"] == "mass" else montecarlo._check_chain_inputs(model, check["f"])
+    req = montecarlo.semigroup_request(model, transform, f, check["x"], check["t"], check["paths"], rng)
 
     def finish(results):
-        return _statistical_row("symmetry_gap", results[0], _oracle_symmetry_gap(model, transform, f, g, t))
+        # matrix-exponential value of the transformed semigroup at x
+        p = expm(req.horizon * dirichlet.cemetery_generator(model, transform))
+        return _statistical_row(check["id"], results[0], float(p[req.x0, : model.n] @ f))
 
-    return [montecarlo.symmetry_gap_request(model, transform, f, g, t, n, rng)], finish
+    return [req], finish
 
 
-def _check_quadratic_form(model, transform, check, rng, paths):
-    f = np.asarray(check["f"], dtype=float)
-    ts = [float(t) for t in check.get("ts", (0.2, 0.1, 0.05))]
-    n = paths or int(check.get("paths", 100_000))
+def _check_symmetry_gap(model, transform, check, rng):
+    f = montecarlo._check_chain_inputs(model, check["f"])
+    g = montecarlo._check_chain_inputs(model, check["g"], "g")
+    req = montecarlo.symmetry_gap_request(model, transform, f, g, check["t"], check["paths"], rng)
 
     def finish(results):
-        trend = list(zip(ts, results))
+        # exact sum_x mu_x (g P_t f - f P_t g)(x) from the start measure the
+        # estimator uses; 0 when the tilted jumps are in detailed balance with it
+        pt = expm(req.horizon * dirichlet.cemetery_generator(model, transform))[: model.n, : model.n]
+        mu = lower(model, transform).mu
+        oracle = float(np.sum(mu * (g * (pt @ f) - f * (pt @ g))))
+        return _statistical_row("symmetry_gap", results[0], oracle)
+
+    return [req], finish
+
+
+def _check_quadratic_form(model, transform, check, rng):
+    f = montecarlo._check_chain_inputs(model, check["f"])
+    reqs = montecarlo.quadratic_form_requests(model, transform, f, check["ts"], check["paths"], rng)
+
+    def finish(results):
         gen = dirichlet.cemetery_generator(model, transform)
         mu = lower(model, transform).mu
         # (f(y) - f(x))^2 for every end state y, the cemetery (f = 0) last
@@ -444,43 +351,74 @@ def _check_quadratic_form(model, transform, check, rng, paths):
             pt = expm(t * gen)[: model.n]
             return float(np.sum(mu * np.sum(pt * sq, axis=1)) / (2.0 * t))
 
-        exact = {t: exact_at(t) for t, _res in trend}
-        t_min, res_min = min(trend, key=lambda pair: pair[0])
-        out = _statistical_row("quadratic_form", res_min, exact[t_min])
-        for t, res in trend:
-            out.series.append(("quadratic_form", t, res.mean, res.stderr, exact[t]))
+        trend = [(req.horizon, res, exact_at(req.horizon)) for req, res in zip(reqs, results)]
+        _t, res_min, exact_min = min(trend, key=lambda row: row[0])
+        out = _statistical_row("quadratic_form", res_min, exact_min)
+        out.series = [("quadratic_form", t, res.mean, res.stderr, exact) for t, res, exact in trend]
         return out
 
-    return montecarlo.quadratic_form_requests(model, transform, f, ts, n, rng), finish
+    return reqs, finish
 
 
-def _check_jump_rate(model, transform, check, rng, paths):
-    x, y = (int(s) for s in check["pair"])
-    horizon = float(check.get("horizon", 2.0))
-    n = paths or int(check.get("paths", 20_000))
+def _check_jump_rate(model, transform, check, rng):
+    req = montecarlo.jump_rate_request(model, transform, check["pair"], check["horizon"], check["paths"], rng)
 
     def finish(results):
         res = results[0]
-        oracle = float(transformed_levy_kernel(model, transform)[x, y])
+        oracle = float(transformed_levy_kernel(model, transform)[req.pair])
         passed = res.covers(oracle) if oracle > 0.0 else res.mean == 0.0
-        out = _CheckOutput()
-        out.rows.append(("jump_rate", res.mean, res.stderr, oracle, passed))
-        out.series.append(("jump_rate", horizon, res.mean, res.stderr, oracle))
-        return out
+        return _CheckOutput(rows=[("jump_rate", res.mean, res.stderr, oracle, passed)],
+                            series=[("jump_rate", req.horizon, res.mean, res.stderr, oracle)])
 
-    return [montecarlo.jump_rate_request(model, transform, (x, y), horizon, n, rng)], finish
+    return [req], finish
 
 
-_CHECK_FNS = {
-    "symmetry": _exact(_check_symmetry),
-    "conservativeness": _exact(_check_conservativeness),
-    "form_identity": _exact(_check_form_identity),
-    "mass": _check_mass,
-    "semigroup": _check_semigroup,
-    "symmetry_gap": _check_symmetry_gap,
-    "quadratic_form": _check_quadratic_form,
-    "jump_rate": _check_jump_rate,
+_ANY_TRANSFORM = (RhoTransform, PureJumpPhi, GeneralMF)
+
+# check id -> (transform types it accepts, or None when it needs no
+# transform; fields it cannot run without; {other field it reads: default};
+# plan maker)
+_CHECKS = {
+    "symmetry": (None, (), {}, _exact(_symmetry_row)),
+    "conservativeness": ((RhoTransform,), (), {}, _exact(_conservativeness_row)),
+    "form_identity": ((RhoTransform, PureJumpPhi), (), {"f": None, "draws": 200}, _check_form_identity),
+    "mass": (_ANY_TRANSFORM, (), {"x": 0, "t": 1.0, "paths": 100_000}, _check_semigroup),
+    "semigroup": (_ANY_TRANSFORM, ("f",), {"x": 0, "t": 1.0, "paths": 100_000}, _check_semigroup),
+    "symmetry_gap": (_ANY_TRANSFORM, ("f", "g"), {"t": 0.7, "paths": 100_000}, _check_symmetry_gap),
+    "quadratic_form": (_ANY_TRANSFORM, ("f",), {"ts": (0.2, 0.1, 0.05), "paths": 100_000},
+                       _check_quadratic_form),
+    "jump_rate": (_ANY_TRANSFORM, ("pair",), {"horizon": 2.0, "paths": 20_000}, _check_jump_rate),
 }
+
+
+def _plan(model, transform, check, rng, paths):
+    """The plan of ``check``, or ``ConfigError`` if it cannot run.
+
+    Checks only what the library cannot know: a finite model, the transform
+    kind, no missing and no unread field.  The requests the plan builds
+    check every value.  ``paths``, unless None, replaces the path count.
+    """
+    cid = check["id"]
+    if not isinstance(model, FiniteSymmetricModel):
+        raise ConfigError(f"check {cid!r} needs a finite model")
+    kinds, needed, defaults, plan = _CHECKS[cid]
+    unknown = sorted(set(check) - {"id", *needed, *defaults})
+    if unknown:
+        raise ConfigError(f"check {cid!r} has unknown fields {unknown}; it reads "
+                          f"{sorted({*needed, *defaults}) or 'none'}")
+    if kinds is not None and not isinstance(transform, kinds):
+        raise ConfigError(f"check {cid!r} needs a {' or '.join(k.__name__ for k in kinds)} transform, "
+                          f"not {type(transform).__name__ if transform is not None else 'none'}")
+    missing = [key for key in needed if key not in check]
+    if missing:
+        raise ConfigError(f"check {cid!r} needs {', '.join(map(repr, missing))}")
+    fields = {**defaults, **check}
+    if paths is not None and "paths" in defaults:
+        fields["paths"] = paths
+    try:
+        return plan(model, transform, fields, rng)
+    except GirsanovError as exc:
+        raise ConfigError(f"check {cid!r}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -498,11 +436,9 @@ def run(config: ExperimentConfig, out_dir: Optional[str] = None,
     try:
         model = config.resolve_model()
         transform = config.resolve_transform()
-        if paths is not None and paths < 2:
-            raise ConfigError("--paths must be at least 2")
-        for check in config.checks:
-            _validate_check(model, transform, check)
         rng = RngSpec(seed=seed if seed is not None else config.seed)
+        # every check planned, so every value checked, before any sampling or file
+        plans = [_plan(model, transform, check, rng, paths) for check in config.checks]
     except GirsanovError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -512,7 +448,6 @@ def run(config: ExperimentConfig, out_dir: Optional[str] = None,
     series = []
     forms = []
     try:
-        plans = [_CHECK_FNS[check["id"]](model, transform, check, rng, paths) for check in config.checks]
         # every statistical check's paths in one call, so checks that read
         # the same stream block share one batch
         requests = [req for reqs, _finish in plans for req in reqs]
@@ -576,27 +511,31 @@ def emit_plot_data(report: dict, out_path: str) -> None:
 
 def _simulate(config: ExperimentConfig, out_dir: str, seed: Optional[int],
               n_paths: int, horizon: float, dt: float, eps: float) -> int:
+    blocks = []
+    header = None
     try:
         model = config.resolve_model()
         rng = RngSpec(seed=seed if seed is not None else config.seed)
+        if n_paths < 1:
+            raise ConfigError(f"--paths must be at least 1, got {n_paths}")
+        # every path sampled, so the samplers have checked --horizon, --dt
+        # and --eps, before the output directory exists
+        for i in range(n_paths):
+            if isinstance(model, FiniteSymmetricModel):
+                path = montecarlo.sample_finite_path(model, 0, horizon, rng.stream(i))
+            else:
+                x0 = 0.0 if model.d == 1 else np.zeros(model.d)
+                path = montecarlo.sample_jump_diffusion_path(model, x0, horizon, dt, eps, rng.stream(i))
+            lines = path_to_csv(path).strip("\n").split("\n")
+            if header is None:
+                header = "path," + lines[0]
+            blocks.extend(f"{i},{line}" for line in lines[1:])
     except GirsanovError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     os.makedirs(out_dir, exist_ok=True)
-    blocks = []
-    header = None
-    for i in range(n_paths):
-        if isinstance(model, FiniteSymmetricModel):
-            path = montecarlo.sample_finite_path(model, 0, horizon, rng.stream(i))
-        else:
-            x0 = 0.0 if model.d == 1 else np.zeros(model.d)
-            path = montecarlo.sample_jump_diffusion_path(model, x0, horizon, dt, eps, rng.stream(i))
-        lines = path_to_csv(path).strip("\n").split("\n")
-        if header is None:
-            header = "path," + lines[0]
-        blocks.extend(f"{i},{line}" for line in lines[1:])
     with open(os.path.join(out_dir, "paths.csv"), "w", encoding="utf-8", newline="") as fh:
-        fh.write((header or "path") + "\n" + "\n".join(blocks) + ("\n" if blocks else ""))
+        fh.write("\n".join([header, *blocks]) + "\n")
     return 0
 
 

@@ -148,29 +148,28 @@ def validate_symmetry(model: FiniteSymmetricModel, tol: float = 1e-12) -> Symmet
     return SymmetryReport(violations=tuple(violations), tol=tol)
 
 
-def jump_measure(model: FiniteSymmetricModel, tol: float = 1e-12) -> np.ndarray:
+def jump_measure(model: FiniteSymmetricModel) -> np.ndarray:
     """Jump measure on ordered pairs, ``J[x, y] = 0.5 * m[x] * q[x, y]``.
 
     The one-half weight makes the sum of ``J`` over *ordered* pairs equal the
     usual unordered-pair energy; every quadratic form in this package sums
-    over ordered pairs against this ``J``.  Asymmetric input is rejected.
-    The result at the default tolerance is cached on the (immutable) model,
-    so repeated calls in estimator loops pay nothing.
+    over ordered pairs against this ``J``.  Input out of detailed balance
+    beyond :func:`validate_symmetry`'s default tolerance is rejected.  The
+    result is cached on the (immutable) model, so repeated calls in
+    estimator loops pay nothing.
     """
-    if tol == 1e-12:
-        cached = getattr(model, "_jump_measure_cache", None)
-        if cached is not None:
-            return cached
-    report = validate_symmetry(model, tol=tol)
+    cached = getattr(model, "_jump_measure_cache", None)
+    if cached is not None:
+        return cached
+    report = validate_symmetry(model)
     if not report.ok:
         x, y, r = report.worst
         raise ModelError(
             f"detailed balance violated at pair ({x}, {y}): residual {r:.3e}"
         )
     J = 0.5 * model.m[:, None] * model.q
-    if tol == 1e-12:
-        J.setflags(write=False)
-        object.__setattr__(model, "_jump_measure_cache", J)
+    J.setflags(write=False)
+    object.__setattr__(model, "_jump_measure_cache", J)
     return J
 
 

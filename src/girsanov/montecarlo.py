@@ -57,6 +57,7 @@ cemetery convention ``f(dead) = 0`` applies throughout.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 import warnings
 from dataclasses import dataclass, replace
@@ -112,6 +113,30 @@ def _index(value) -> Optional[int]:
         return operator.index(value)
     except TypeError:
         return None
+
+
+def _state(model: FiniteSymmetricModel, value) -> int:
+    """``value`` as a state of ``model``: an exact integer in ``[0, n)``."""
+    x = _index(value)
+    if x is None or not 0 <= x < model.n:
+        raise DomainError(f"{value!r} is not a state of the model")
+    return x
+
+
+def _path_count(value) -> int:
+    """``value`` as a count of paths: an exact integer >= 2."""
+    n = _index(value)
+    if n is None or n < 2:
+        raise DomainError(f"estimators need an integer count of at least two paths, got {value!r}")
+    return n
+
+
+def _time(value, name: str = "time") -> float:
+    """``value`` as a float time: a real number, finite and > 0, not a bool."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if not (real and math.isfinite(value) and value > 0.0):
+        raise DomainError(f"{name} must be a finite number > 0, got {value!r}")
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -347,16 +372,13 @@ def sample_finite_path(model: FiniteSymmetricModel, x0: int, horizon: float,
     """One chain path: exponential holding at the total exit rate of the
     current state, next state proportional to its jump rates, death
     proportional to its killing rate."""
-    if not (0 <= int(x0) < model.n):
-        raise DomainError(f"x0 = {x0} is not a state of the model")
-    return _FiniteSampler(model).sample(int(x0), float(horizon), rng)
+    return _FiniteSampler(model).sample(_state(model, x0), _time(horizon, "horizon"), rng)
 
 
 def _grid_and_jump_mean(model: JumpDiffusionModel, horizon: float, dt: float, eps: float):
     """Grid steps up to ``horizon`` and the mean count of jumps longer than
     ``eps`` before it, for a truncated grid path."""
-    if dt <= 0.0 or eps <= 0.0:
-        raise DomainError("dt and eps must be positive")
+    horizon, dt, eps = _time(horizon, "horizon"), _time(dt, "dt"), _time(eps, "eps")
     n_steps = int(round(horizon / dt))
     if n_steps < 1 or abs(n_steps * dt - horizon) > 1e-9 * max(1.0, horizon):
         raise DomainError("horizon must be a positive multiple of dt")
@@ -814,11 +836,16 @@ class _ContinuumEngine:
 # estimators
 
 
-def _check_chain_inputs(model, f):
-    f = np.asarray(f, dtype=float)
-    if f.shape != (model.n,):
-        raise DomainError("f has the wrong length for this model")
-    return f
+def _check_chain_inputs(model, f, name: str = "f"):
+    """``f`` as a float vector of one finite number per state of ``model``;
+    strings, None and other objects are no numbers."""
+    try:
+        vec = np.asarray(f)
+    except ValueError:  # a ragged list
+        vec = None
+    if vec is None or vec.shape != (model.n,) or vec.dtype.kind not in "iuf" or not np.all(np.isfinite(vec)):
+        raise DomainError(f"{name} must be one finite number per state ({model.n}), got {f!r}")
+    return np.asarray(vec, dtype=float)
 
 
 def _initial_cumulative(mu: np.ndarray):
@@ -864,6 +891,11 @@ class ChainRequest:
     :class:`_BatchRecord` at the horizon to a tuple of per-path sample
     arrays, and ``summarize`` maps the full arrays to the estimate.  A
     request with no ``reduce`` is exactly zero and samples nothing.
+
+    The request is the one place that checks the values a chain estimate
+    runs on: it raises :class:`DomainError` unless ``n`` is an integer >= 2,
+    ``x0`` None or an integer state and ``horizon`` a finite real number
+    > 0 (a bool is neither), and stores them as int, int and float.
     """
 
     model: FiniteSymmetricModel
@@ -875,6 +907,12 @@ class ChainRequest:
     reduce: Optional[Callable[[_BatchRecord], tuple]]
     summarize: Callable[..., EstimatorResult] = EstimatorResult.from_samples
     pair: Optional[tuple] = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "n", _path_count(self.n))
+        if self.x0 is not None:
+            object.__setattr__(self, "x0", _state(self.model, self.x0))
+        object.__setattr__(self, "horizon", _time(self.horizon))
 
 
 def estimate_chain(model: FiniteSymmetricModel, transform, requests) -> list:
@@ -900,10 +938,6 @@ def estimate_chain(model: FiniteSymmetricModel, transform, requests) -> list:
         if req.reduce is None:
             results[idx] = EstimatorResult(0.0, 0.0, req.n)
             continue
-        if req.n < 2:
-            raise DomainError("estimators need at least two samples")
-        if req.x0 is not None and not (0 <= req.x0 < model.n):
-            raise DomainError(f"x0 = {req.x0} is not a state of the model")
         groups.setdefault((req.x0, req.rng, req.n), []).append(idx)
     if not groups:
         return results
@@ -944,7 +978,7 @@ def semigroup_request(model: FiniteSymmetricModel, transform, f, x: int, t: floa
         out[alive] = _exp(rec.log_w[alive]) * f[rec.x_t[alive]]
         return (out,)
 
-    return ChainRequest(model, transform, x0=int(x), horizon=float(t), n=int(n), rng=rng, reduce=reduce)
+    return ChainRequest(model, transform, x0=x, horizon=t, n=n, rng=rng, reduce=reduce)
 
 
 def symmetry_gap_request(model: FiniteSymmetricModel, transform, f, g, t: float,
@@ -952,9 +986,9 @@ def symmetry_gap_request(model: FiniteSymmetricModel, transform, f, g, t: float,
     """Request of the antisymmetrised pairing gap; when ``f = g`` the gap is
     exactly zero, and the request has no reducer and samples nothing."""
     f = _check_chain_inputs(model, f)
-    g = _check_chain_inputs(model, g)
+    g = _check_chain_inputs(model, g, "g")
     if np.array_equal(f, g):
-        return ChainRequest(model, transform, x0=None, horizon=float(t), n=int(n), rng=rng, reduce=None)
+        return ChainRequest(model, transform, x0=None, horizon=t, n=n, rng=rng, reduce=None)
     _cdf, total = _initial_cumulative(lower(model, transform).mu)
 
     def reduce(rec):
@@ -965,13 +999,14 @@ def symmetry_gap_request(model: FiniteSymmetricModel, transform, f, g, t: float,
         out[alive] = w * (g[x0] * f[xt] - f[x0] * g[xt])
         return (out,)
 
-    return ChainRequest(model, transform, x0=None, horizon=float(t), n=int(n), rng=rng, reduce=reduce)
+    return ChainRequest(model, transform, x0=None, horizon=t, n=n, rng=rng, reduce=reduce)
 
 
 def _trend_blocks(ts, n: int, rng: RngSpec) -> list:
     """``(t, streams)`` for each time of an energy trend: the time of index
     ``idx`` reads streams ``rng.offset + idx n`` onward."""
-    return [(float(t), replace(rng, offset=rng.offset + idx * n)) for idx, t in enumerate(ts)]
+    n = _path_count(n)  # before it scales an offset
+    return [(t, replace(rng, offset=rng.offset + idx * n)) for idx, t in enumerate(ts)]
 
 
 def quadratic_form_requests(model: FiniteSymmetricModel, transform, f, ts, n: int,
@@ -979,17 +1014,19 @@ def quadratic_form_requests(model: FiniteSymmetricModel, transform, f, ts, n: in
     """Requests of the energy statistic at each time of ``ts``, each time on
     its own block of streams."""
     f = _check_chain_inputs(model, f)
+    if not isinstance(ts, (list, tuple, np.ndarray)) or len(ts) == 0:
+        raise DomainError(f"ts must be a nonempty list of times, got {ts!r}")
     _cdf, total = _initial_cumulative(lower(model, transform).mu)
 
     def request(t, block):
-        inv_2t = 1.0 / (2.0 * t)
-
         def reduce(rec):
             w = total * _exp(rec.log_w)
             diff = np.where(rec.alive, f[rec.x_t], 0.0) - f[rec.x0]
             return (w * diff * diff * inv_2t,)
 
-        return ChainRequest(model, transform, x0=None, horizon=t, n=int(n), rng=block, reduce=reduce)
+        req = ChainRequest(model, transform, x0=None, horizon=t, n=n, rng=block, reduce=reduce)
+        inv_2t = 1.0 / (2.0 * req.horizon)  # once the request has checked t
+        return req
 
     return [request(t, block) for t, block in _trend_blocks(ts, n, rng)]
 
@@ -998,15 +1035,18 @@ def jump_rate_request(model: FiniteSymmetricModel, transform, pair, horizon: flo
                       n: int, rng: RngSpec) -> ChainRequest:
     """Request of the tilted jump rate of ``pair``: weighted jump counts over
     weighted occupation times, from the pair's first state."""
-    x, y = int(pair[0]), int(pair[1])
-    if not (0 <= x < model.n and 0 <= y < model.n and x != y):
+    try:
+        x, y = (_state(model, s) for s in pair)
+    except (TypeError, ValueError):
+        raise DomainError(f"pair must name two states, got {pair!r}") from None
+    if x == y:
         raise DomainError("pair must name two distinct states")
 
     def reduce(rec):
         w = _exp(rec.log_w)
         return (w * rec.count[(x, y)], w * rec.occupation[(x, y)])
 
-    return ChainRequest(model, transform, x0=x, horizon=float(horizon), n=int(n), rng=rng,
+    return ChainRequest(model, transform, x0=x, horizon=horizon, n=n, rng=rng,
                         reduce=reduce, summarize=_ratio_estimate, pair=(x, y))
 
 

@@ -354,6 +354,8 @@ def _finite_diff_grad(fn, h: float = 1e-6) -> Callable:
     return grad
 
 
+# interpolation nodes of the rate table over [lo, hi]
+_RATE_TABLE_NODES = 241
 # composite Gauss-Legendre rule of the rate table, in u = log r
 _RATE_PANELS = 192
 _RATE_NODES = 16
@@ -384,13 +386,12 @@ def _gauss_legendre(n: int):
     return x, 2.0 / ((1.0 - x * x) * dp * dp)
 
 
-def stable_rate_table(model: JumpDiffusionModel, tilt, eps: float, lo: float, hi: float,
-                      n_nodes: int = 241) -> Callable:
+def stable_rate_table(model: JumpDiffusionModel, tilt, eps: float, lo: float, hi: float) -> Callable:
     """Interpolated ``x -> int_{|z| > eps} tilt(x, x + z) c |z|^{-1-alpha} dz``.
 
-    One-dimensional models only; the table spans ``[lo, hi]`` and is clamped
-    to its edge values outside.  Used to compensate explicit (truncated)
-    jumps of diffusion-path weights.
+    One-dimensional models only; the table has 241 evenly spaced nodes on
+    ``[lo, hi]`` and is clamped to its edge values outside.  Used to
+    compensate explicit (truncated) jumps of diffusion-path weights.
 
     ``tilt(x, y)`` is called with a float ``x`` (a table node) and a float
     array ``y`` of jump targets, and must return an array of ``y``'s shape.
@@ -402,7 +403,7 @@ def stable_rate_table(model: JumpDiffusionModel, tilt, eps: float, lo: float, hi
     """
     if model.d != 1:
         raise DomainError("rate tables are implemented for one-dimensional models")
-    xs = np.linspace(lo, hi, n_nodes)
+    xs = np.linspace(lo, hi, _RATE_TABLE_NODES)
     a = model.alpha
     cut = max(10.0, 4.0 * (hi - lo))
     u_hi = math.log(cut) + min(40.0 / a, _RATE_U_SPAN)
@@ -414,7 +415,7 @@ def stable_rate_table(model: JumpDiffusionModel, tilt, eps: float, lo: float, hi
     # c r^{-1-alpha} dr = c e^{-alpha u} du; the last node is the tail past e^{u_hi}
     kernel = np.append((half * weights).ravel() * model.c * np.exp(-a * u),
                        model.c * math.exp(-a * u_hi) / a)
-    out = np.empty(n_nodes)
+    out = np.empty(_RATE_TABLE_NODES)
     for i, x in enumerate(xs.tolist()):
         # the two sides are integrated together: their first-order parts
         # cancel, which removes the near-edge spike a rule would otherwise fight

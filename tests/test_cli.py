@@ -67,11 +67,12 @@ def test_config_phi_conflict_rejected():
             "model": CHAIN3_MODEL,
             "transform": {"type": "phi", "phi": [[0, 1, 1.0], [1, 0, 0.25]]},
         }))
-    with pytest.raises(ConfigError, match="off-diagonal"):
-        ExperimentConfig.from_json(json.dumps({
-            "model": CHAIN3_MODEL,
-            "transform": {"type": "phi", "phi": [[1, 1, 1.0]]},
-        }))
+    for entry in ([1, 1, 1.0], [0.9, 1, 1.0], [0, True, 1.0]):  # [0.9, 1] would run as pair (0, 1)
+        with pytest.raises(ConfigError, match="off-diagonal"):
+            ExperimentConfig.from_json(json.dumps({
+                "model": CHAIN3_MODEL,
+                "transform": {"type": "phi", "phi": [entry]},
+            }))
 
 
 def test_config_rejections():
@@ -89,6 +90,15 @@ def test_config_rejections():
         }))
     with pytest.raises(ConfigError, match="unknown model type"):
         ExperimentConfig.from_json(json.dumps({"model": {"type": "ising"}}))
+    with pytest.raises(ConfigError, match="'model'"):
+        ExperimentConfig.from_json(json.dumps({"model": [1, 2]}))
+    with pytest.raises(ConfigError, match="'transform'"):
+        ExperimentConfig.from_json(json.dumps({"model": CHAIN3_MODEL, "transform": "rho"}))
+    for out in (None, 7):  # would write into ./None and ./7
+        with pytest.raises(ConfigError, match="'out'"):
+            ExperimentConfig.from_json(json.dumps({"model": CHAIN3_MODEL, "out": out}))
+    with pytest.raises(ConfigError, match="'d'"):  # would run as d = 1
+        ExperimentConfig.from_json(json.dumps({"model": {"type": "jump_diffusion", "d": 1.5, "alpha": 1.0}}))
 
 
 # -- verify ------------------------------------------------------------------
@@ -339,11 +349,23 @@ def test_checks_are_validated_before_any_sampling(tmp_path, monkeypatch, capsys)
     {"id": "mass", "x": 3},
     {"id": "jump_rate", "pair": [1, 1]},
     {"id": "symmetry_gap", "f": [0, 1, 0]},
+    {"id": "semigroup", "f": [0, "a", 0], "t": 0.5},  # a traceback once
+    {"id": "semigroup", "f": [0, None, 0], "t": 0.5},  # a NaN report once
+    {"id": "mass", "t": "0.5"},
+    {"id": "mass", "t": True},
+    {"id": "quadratic_form", "f": [0, 1, 0], "ts": 0.2},
+    {"id": "jump_rate", "pair": 1},
+    {"id": "form_identity", "f": [0, float("nan"), 0]},
 ])
-def test_malformed_check_fields_exit_two(tmp_path, check, capsys):
-    cfg = write_config(tmp_path, {"model": CHAIN3_MODEL, "transform": RHO121, "checks": [check]})
-    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
-    assert "error:" in capsys.readouterr().err
+def test_malformed_check_fields_exit_two(tmp_path, monkeypatch, check, capsys):
+    calls = []
+    monkeypatch.setattr(montecarlo, "estimate_chain", lambda *a, **k: calls.append(a))
+    cfg = write_config(tmp_path, {"model": CHAIN3_MODEL, "transform": RHO121, "checks": ["symmetry", check]})
+    out = tmp_path / "out"
+    assert main(["verify", "--config", cfg, "--out", str(out)]) == 2
+    assert f"check {check['id']!r}" in capsys.readouterr().err
+    assert calls == []
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("check, paths", [
@@ -546,10 +568,11 @@ def test_simulate_finite_model(tmp_path):
     assert indices == {"0", "1", "2", "3", "4"}
 
 
+JD_MODEL = {"type": "jump_diffusion", "d": 1, "alpha": 1.0, "c": 1.0}
+
+
 def test_simulate_jump_diffusion_model(tmp_path):
-    cfg = write_config(tmp_path, {
-        "model": {"type": "jump_diffusion", "d": 1, "alpha": 1.0, "c": 1.0},
-    })
+    cfg = write_config(tmp_path, {"model": JD_MODEL})
     out = str(tmp_path / "out")
     assert main(["simulate", "--config", cfg, "--out", out, "--paths", "2",
                  "--horizon", "0.1", "--dt", "0.01", "--eps", "0.05"]) == 0
@@ -557,6 +580,25 @@ def test_simulate_jump_diffusion_model(tmp_path):
     assert lines[0] == "path,time,x0,event_flag"
     # 2 paths x (11 grid rows + any jump rows)
     assert len(lines) >= 23
+
+
+@pytest.mark.parametrize("model, argv", [
+    (CHAIN3_MODEL, ["--horizon", "nan"]),  # the event loop never ended
+    (CHAIN3_MODEL, ["--horizon", "inf"]),
+    (CHAIN3_MODEL, ["--horizon", "0"]),
+    (CHAIN3_MODEL, ["--horizon", "-1"]),
+    (CHAIN3_MODEL, ["--paths", "-2"]),  # a header-only file once
+    (CHAIN3_MODEL, ["--paths", "0"]),
+    (JD_MODEL, ["--horizon", "nan"]),
+    (JD_MODEL, ["--dt", "0"]),
+    (JD_MODEL, ["--eps", "0"]),
+])
+def test_simulate_rejects_bad_options_before_any_file(tmp_path, capsys, model, argv):
+    cfg = write_config(tmp_path, {"model": model})
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--out", str(out)] + argv) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_simulate_deterministic(tmp_path):

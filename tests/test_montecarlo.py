@@ -177,6 +177,12 @@ def test_overwhelming_killing_rate():
 def test_sampler_rejects_bad_start(chain3):
     with pytest.raises(DomainError):
         sample_finite_path(chain3, 5, 1.0, RngSpec(seed=0).stream(0))
+    with pytest.raises(DomainError):
+        sample_finite_path(chain3, 1.5, 1.0, RngSpec(seed=0).stream(0))
+    # with a NaN or infinite horizon the event loop would never end
+    for horizon in (float("nan"), float("inf"), 0.0, -1.0, True):
+        with pytest.raises(DomainError):
+            sample_finite_path(chain3, 0, horizon, RngSpec(seed=0).stream(0))
 
 
 def test_absorbing_state_path():
@@ -830,6 +836,43 @@ def test_zero_uniform_is_redrawn_like_the_scalar_sampler(chain3_killed, phi3):
             assert rec.x_t[i] == path.state_at(horizon)
         assert rec.log_w[i] == log_w(path, horizon)
         assert (rec.count[(1, 2)][i], rec.occupation[(1, 2)][i]) == reference_counts(path, (1, 2), horizon)
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("estimate", [
+    pytest.param(lambda m, tr, rng: estimate_mass(m, tr, 0, -1.0, 100, rng), id="t=-1"),
+    pytest.param(lambda m, tr, rng: estimate_mass(m, tr, 0, NAN, 100, rng), id="t=nan"),
+    pytest.param(lambda m, tr, rng: estimate_mass(m, tr, 0, float("inf"), 100, rng), id="t=inf"),
+    pytest.param(lambda m, tr, rng: estimate_mass(m, tr, 0, "0.5", 100, rng), id="t=str"),
+    pytest.param(lambda m, tr, rng: estimate_mass(m, tr, 1.7, 0.5, 100, rng), id="x=1.7"),
+    pytest.param(lambda m, tr, rng: estimate_mass(m, tr, True, 0.5, 100, rng), id="x=True"),
+    pytest.param(lambda m, tr, rng: estimate_mass(m, tr, 0, 0.5, 2.9, rng), id="n=2.9"),
+    pytest.param(lambda m, tr, rng: estimate_mass(m, tr, 0, 0.5, True, rng), id="n=True"),
+    pytest.param(lambda m, tr, rng: estimate_transformed_semigroup(m, tr, [0, NAN, 0], 0, 0.5, 100, rng),
+                 id="f-nan"),
+    pytest.param(lambda m, tr, rng: estimate_transformed_semigroup(m, tr, [0, "a", 0], 0, 0.5, 100, rng),
+                 id="f-str"),
+    pytest.param(lambda m, tr, rng: estimate_symmetry_gap(m, tr, F010, [0, None, 0], 0.5, 100, rng),
+                 id="g-none"),
+    pytest.param(lambda m, tr, rng: estimate_symmetry_gap(m, tr, F010, F010, -1.0, 100, rng),
+                 id="gap-exact-zero-t=-1"),
+    pytest.param(lambda m, tr, rng: estimate_jump_intensity_ratio(m, tr, (0.9, 1.2), 2.0, 100, rng),
+                 id="pair-floats"),
+    pytest.param(lambda m, tr, rng: estimate_jump_intensity_ratio(m, tr, (0, 1, 2), 2.0, 100, rng),
+                 id="pair-of-three"),
+    pytest.param(lambda m, tr, rng: montecarlo.quadratic_form_requests(m, tr, F010, [], 100, rng),
+                 id="ts-empty"),
+    pytest.param(lambda m, tr, rng: montecarlo.quadratic_form_requests(m, tr, F010, [0.0], 100, rng),
+                 id="ts-zero"),
+    pytest.param(lambda m, tr, rng: montecarlo.quadratic_form_requests(m, tr, F010, [0.2], "5", rng),
+                 id="trend-n-str"),
+])
+def test_chain_estimators_reject_bad_values_before_sampling(chain3, rho121, monkeypatch, estimate):
+    monkeypatch.setattr(_ChainEngine, "_chunk", lambda *a, **k: pytest.fail("sampled"))
+    with pytest.raises(DomainError):
+        estimate(chain3, RhoTransform(rho=rho121), RngSpec(seed=1))
 
 
 def test_engine_rejects_bad_start(chain3, rho121):
