@@ -11,9 +11,11 @@ import numpy as np
 
 from girsanov import (
     FiniteSymmetricModel,
+    GeneralMF,
     Path,
     RhoTransform,
     conservativeness_check,
+    general_mf,
     reversal_identity_residual,
     rho_transform_mf,
     sample_finite_path,
@@ -57,7 +59,7 @@ def main():
     trace = rho_transform_mf(hop, rho, chain, 1.0)
     print("\nweight of the single-hop path at time 1:", trace.end_value)
     print("by hand: 2 * exp(1/4) =", 2.0 * np.exp(0.25))
-    incremental = rho_transform_mf(hop, rho, chain, 1.0, method="incremental")
+    incremental = general_mf(hop, GeneralMF.from_rho(rho), chain, 1.0)
     print("product-of-increments route agrees:",
           abs(trace.end_value - incremental.end_value))
 

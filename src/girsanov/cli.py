@@ -96,6 +96,11 @@ class ExperimentConfig:
         transform = raw.get("transform")
         if transform is not None and not isinstance(transform, dict):
             raise ConfigError("'transform' must be a JSON object")
+        for part, fields in _NUMERIC_FIELDS.items():
+            spec = raw.get(part) or {}
+            for name in fields:
+                if spec.get(name) is not None and not _all_numbers(spec[name]):
+                    raise ConfigError(f"{part} {name!r} must hold numbers only, got {spec[name]!r}")
         out = raw.get("out", ".")
         if not isinstance(out, str):
             raise ConfigError(f"'out' must be a string, got {out!r}")
@@ -183,6 +188,18 @@ class ExperimentConfig:
         raise ConfigError(f"unknown transform type {kind!r}")
 
 
+# the fields read through float() or np.asarray(..., dtype=float), which
+# would take "1" and true; phi values are checked row by row in _phi_table
+_NUMERIC_FIELDS = {"model": ("m", "q", "k", "alpha", "c"), "transform": ("rho", "a_rate", "phi_delta")}
+
+
+def _all_numbers(value) -> bool:
+    """Whether ``value`` is a number or a nested list of numbers (no bools)."""
+    if isinstance(value, list):
+        return all(_all_numbers(v) for v in value)
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _model_size(model) -> int:
     if not isinstance(model, FiniteSymmetricModel):
         raise ConfigError("tabular transforms need a finite model")
@@ -211,7 +228,10 @@ def _phi_table(entries, n: int, symmetric: bool = True) -> np.ndarray:
     for row in entries:
         if len(row) != 3:
             raise ConfigError(f"phi entries must be [x, y, value], got {row!r}")
-        x, y, v = row[0], row[1], float(row[2])
+        x, y, v = row
+        if isinstance(v, bool) or not isinstance(v, (int, float)):
+            raise ConfigError(f"phi value of ({x!r}, {y!r}) must be a number, got {v!r}")
+        v = float(v)
         if not (type(x) is int and type(y) is int and 0 <= x < n and 0 <= y < n) or x == y:
             raise ConfigError(f"phi entry ({x!r}, {y!r}) is not an off-diagonal pair")
         for key in ((x, y),) if not symmetric else ((x, y), (y, x)):

@@ -1003,8 +1003,10 @@ def symmetry_gap_request(model: FiniteSymmetricModel, transform, f, g, t: float,
 
 
 def _trend_blocks(ts, n: int, rng: RngSpec) -> list:
-    """``(t, streams)`` for each time of an energy trend: the time of index
-    ``idx`` reads streams ``rng.offset + idx n`` onward."""
+    """``(t, streams)`` for each time of an energy trend, a nonempty list:
+    the time of index ``idx`` reads streams ``rng.offset + idx n`` onward."""
+    if not isinstance(ts, (list, tuple, np.ndarray)) or len(ts) == 0:
+        raise DomainError(f"ts must be a nonempty list of times, got {ts!r}")
     n = _path_count(n)  # before it scales an offset
     return [(t, replace(rng, offset=rng.offset + idx * n)) for idx, t in enumerate(ts)]
 
@@ -1014,8 +1016,6 @@ def quadratic_form_requests(model: FiniteSymmetricModel, transform, f, ts, n: in
     """Requests of the energy statistic at each time of ``ts``, each time on
     its own block of streams."""
     f = _check_chain_inputs(model, f)
-    if not isinstance(ts, (list, tuple, np.ndarray)) or len(ts) == 0:
-        raise DomainError(f"ts must be a nonempty list of times, got {ts!r}")
     _cdf, total = _initial_cumulative(lower(model, transform).mu)
 
     def request(t, block):
@@ -1112,6 +1112,7 @@ def estimate_quadratic_form(model, transform, f, t: float, n: int, rng: RngSpec,
             raise DomainError("continuum estimators need a region")
         if not isinstance(transform, RhoTransform) or not callable(transform.rho):
             raise TransformError("continuum estimators need a callable rho tilt")
+        n = _path_count(n)
         engine = _ContinuumEngine(model, transform.rho, region, t, dt, eps,
                                   rho_grad=rho_grad, compensator=compensator)
         samples = np.empty(n)

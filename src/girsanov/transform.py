@@ -461,46 +461,46 @@ def _grid_trace(path: Path, t: float, *, log_jump, comp_rate, mc=None, var_rate=
 # the main weight constructors
 
 
-def rho_transform_mf(path: Path, rho, model, t: float, method: str = "closed",
-                     rho_grad=None, compensator=None) -> MFTrace:
+def _grid_rates(path: Path, model, tilt, compensator):
+    """The compensator rate and the Gaussian driver's variance rate of a
+    grid path's weight, after the checks every grid route shares: the model
+    is the jump diffusion and the path carries its truncation radius.  The
+    compensator is built from ``tilt`` on the fly when not supplied."""
+    if not isinstance(model, JumpDiffusionModel):
+        raise TransformError("grid paths require the jump-diffusion model")
+    if path.eps is None:
+        raise TransformError("grid path carries no truncation radius")
+    if compensator is None:
+        span = float(np.max(np.abs(path.grid))) + 2.0
+        compensator = stable_rate_table(model, tilt, path.eps, -span, span)
+    return compensator, 1.0 + stable_small_jump_variance(model, path.eps)
+
+
+def rho_transform_mf(path: Path, rho, model, t: float, *, rho_grad=None, compensator=None) -> MFTrace:
     """Weight process of the rho tilt along a path.
 
-    On chains two routes are available and agree to rounding: the telescoped
-    closed form (``method="closed"``, canonical) and the incremental
-    stochastic-exponential accumulation (``method="incremental"``).  On
-    diffusion grids the weight combines a continuous exponential with
-    integrand ``rho'/rho``, explicit-jump factors ``rho(post)/rho(pre)`` and
-    their quadrature compensator (built on the fly when not supplied).
+    On chains the weight is the telescoped closed form; ``general_mf`` with
+    :meth:`GeneralMF.from_rho` gives the product-of-increments route to the
+    same weight.  On diffusion grids the weight combines a continuous
+    exponential with integrand ``rho'/rho``, explicit-jump factors
+    ``rho(post)/rho(pre)`` and their quadrature compensator (built on the
+    fly when not supplied).
     """
     rho = _unwrap(rho, RhoTransform)
-    if path.is_grid:
-        if not callable(rho):
-            raise TransformError("diffusion paths need rho as a callable")
-        if not isinstance(model, JumpDiffusionModel):
-            raise TransformError("grid paths require the jump-diffusion model")
-        if path.eps is None:
-            raise TransformError("grid path carries no truncation radius")
-        grad = rho_grad if rho_grad is not None else _finite_diff_grad(rho)
-        if compensator is None:
-            span = float(np.max(np.abs(path.grid))) + 2.0
-            compensator = stable_rate_table(
-                model, lambda x, y: rho(y) / rho(x) - 1.0, path.eps, -span, span
-            )
-        vr = 1.0 + stable_small_jump_variance(model, path.eps)
-        return _grid_trace(
-            path,
-            t,
-            log_jump=lambda pre, post: math.log(float(rho(post)) / float(rho(pre))),
-            comp_rate=compensator,
-            mc=lambda x: grad(x) / rho(x),
-            var_rate=vr,
-        )
-    if method == "closed":
+    if not path.is_grid:
         return _rho_closed_trace(path, t, model, rho)
-    if method == "incremental":
-        low = lower(model, RhoTransform(rho))
-        return _chain_trace(path, t, replace(low, log_jump=np.log1p(low.phi)))
-    raise ValueError(f"unknown method {method!r}")
+    if not callable(rho):
+        raise TransformError("diffusion paths need rho as a callable")
+    comp, vr = _grid_rates(path, model, lambda x, y: rho(y) / rho(x) - 1.0, compensator)
+    grad = rho_grad if rho_grad is not None else _finite_diff_grad(rho)
+    return _grid_trace(
+        path,
+        t,
+        log_jump=lambda pre, post: math.log(float(rho(post)) / float(rho(pre))),
+        comp_rate=comp,
+        mc=lambda x: grad(x) / rho(x),
+        var_rate=vr,
+    )
 
 
 def pure_jump_mf(path: Path, phi, model, t: float, compensator=None) -> MFTrace:
@@ -519,27 +519,23 @@ def general_mf(path: Path, spec: GeneralMF, model, t: float, compensator=None) -
     rho tilt and with :func:`pure_jump_mf` when only a symmetric jump tilt is
     present.
     """
-    if path.is_grid:
-        phi = spec.phi
-        if not callable(phi):
-            raise TransformError("diffusion paths need phi as a callable")
-        comp = compensator
-        if comp is None:
-            span = float(np.max(np.abs(path.grid))) + 2.0
-            comp = stable_rate_table(model, phi, path.eps, -span, span)
-        a_rate = spec.a_rate
-        if a_rate is not None:
-            base_comp = comp
-            comp = lambda x: base_comp(x) + a_rate(x)
-        vr = 1.0 + stable_small_jump_variance(model, path.eps)
-        return _grid_trace(
-            path, t,
-            log_jump=lambda pre, post: math.log1p(float(phi(pre, post))),
-            comp_rate=comp,
-            mc=spec.mc_integrand,
-            var_rate=vr,
-        )
-    return _chain_trace(path, t, lower(model, spec))
+    if not path.is_grid:
+        return _chain_trace(path, t, lower(model, spec))
+    phi = spec.phi
+    if not callable(phi):
+        raise TransformError("diffusion paths need phi as a callable")
+    comp, vr = _grid_rates(path, model, phi, compensator)
+    a_rate = spec.a_rate
+    if a_rate is not None:
+        base_comp = comp
+        comp = lambda x: base_comp(x) + a_rate(x)
+    return _grid_trace(
+        path, t,
+        log_jump=lambda pre, post: math.log1p(float(phi(pre, post))),
+        comp_rate=comp,
+        mc=spec.mc_integrand,
+        var_rate=vr,
+    )
 
 
 def split_mf(path: Path, phi, model, t: float):

@@ -101,6 +101,19 @@ def test_config_rejections():
         ExperimentConfig.from_json(json.dumps({"model": {"type": "jump_diffusion", "d": 1.5, "alpha": 1.0}}))
 
 
+@pytest.mark.parametrize("part, spec", [
+    pytest.param("model", {"type": "jump_diffusion", "d": 1, "alpha": True}, id="alpha-true"),
+    pytest.param("model", {"type": "finite", "m": ["1", "1"], "q": [[0, 1], [1, 0]]}, id="m-strings"),
+    pytest.param("transform", {"type": "rho", "rho": ["1", "2", "1"]}, id="rho-strings"),
+    pytest.param("transform", {"type": "general", "phi": [], "a_rate": [True, 0, 0]}, id="a_rate-bool"),
+    pytest.param("transform", {"type": "phi", "phi": [[0, 1, "0.5"]]}, id="phi-value-string"),
+])
+def test_config_numbers_refuse_strings_and_bools(part, spec):
+    config = {"model": CHAIN3_MODEL, part: spec}
+    with pytest.raises(ConfigError, match="number"):
+        ExperimentConfig.from_json(json.dumps(config))
+
+
 # -- verify ------------------------------------------------------------------
 
 
@@ -648,12 +661,15 @@ def scipy_loaded():
 
 import girsanov
 assert scipy_loaded() == [], scipy_loaded()
+model = girsanov.JumpDiffusionModel(d=1, alpha=1.0, c=1.0)
+rho = lambda x: 1.0 + 0.5 * np.exp(-np.asarray(x) ** 2)
+quad = girsanov.continuum_form_quadrature(rho, lambda x: np.exp(-np.asarray(x) ** 2), model, (-8.0, 8.0), 64)
+assert np.isfinite(quad.total) and quad.total > 0.0
+assert scipy_loaded() == [], scipy_loaded()
 import girsanov.cli
 for name in ("scipy.integrate", "scipy.special", "scipy.fft"):
     assert name not in sys.modules, name
 assert "scipy.linalg" in sys.modules
-model = girsanov.JumpDiffusionModel(d=1, alpha=1.0, c=1.0)
-rho = lambda x: 1.0 + 0.5 * np.exp(-np.asarray(x) ** 2)
 report = girsanov.integrability_check(model, lambda x, y: rho(y) / rho(x) - 1.0, (-1.0, 1.0), 0.1, levels=3)
 assert report.status in ("finite", "divergent", "inconclusive"), report.status
 est = girsanov.estimate_quadratic_form(model, girsanov.RhoTransform(rho=rho), lambda x: np.exp(-np.asarray(x) ** 2),

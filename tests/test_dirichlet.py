@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 
 from conftest import make_reversible, make_symmetric_phi
 from girsanov import (
@@ -23,7 +23,7 @@ from girsanov import (
     transformed_generator,
     transformed_levy_kernel,
 )
-from girsanov.dirichlet import _fast_len, _quad_level
+from girsanov.dirichlet import _fast_len, _quad_level, _zeta
 
 F010 = np.array([0.0, 1.0, 0.0])
 
@@ -193,26 +193,25 @@ def test_continuum_quadrature_constant_function():
 
 
 def dense_quad_level(rho, f, model, lo, hi, n):
-    """Reference: the mesh-level form value as a dense n x n pair sum,
-    with the near-diagonal pairs dropped by the float test ``dist < 2h``."""
+    """Reference: the mesh-level form value as a dense n x n pair sum over
+    every ``i != j``, plus the diagonal term ``-zeta(alpha - 1) c h^{3-alpha}
+    sum_i r_i^2 f'(x_i)^2`` with SciPy's zeta."""
     h = (hi - lo) / n
     x = lo + (np.arange(n) + 0.5) * h
     fx = np.asarray(f(x), dtype=float)
     rx = np.asarray(rho(x), dtype=float)
     df = (np.asarray(f(x + h), dtype=float) - np.asarray(f(x - h), dtype=float)) / (2.0 * h)
-    cont = 0.5 * float(np.sum(rx * rx * df * df)) * h
-    delta = 2.0 * h
+    energy = float(np.sum(rx * rx * df * df))
     alpha = model.alpha
     dist = np.abs(x[:, None] - x[None, :])
     fbar = fx[:, None] - fx[None, :]
     weight = rx[:, None] * rx[None, :]
-    with np.errstate(divide="ignore"):
-        kern = (model.c / 2.0) * dist ** (-1.0 - alpha)
-    kern[dist < delta] = 0.0
-    far = float(np.sum(fbar * fbar * weight * kern)) * h * h
-    near_factor = model.c * delta ** (2.0 - alpha) / (2.0 - alpha)
-    near = float(np.sum(rx * rx * df * df)) * near_factor * h
-    return cont, far + near
+    np.fill_diagonal(dist, 1.0)
+    kern = (model.c / 2.0) * dist ** (-1.0 - alpha)
+    np.fill_diagonal(kern, 0.0)
+    pairs = float(np.sum(fbar * fbar * weight * kern)) * h * h
+    diagonal = -special.zeta(alpha - 1.0) * model.c * h ** (3.0 - alpha) * energy
+    return 0.5 * energy * h, pairs + diagonal
 
 
 QUAD_RHO = lambda x: 1.0 + 0.5 * np.exp(-np.asarray(x, dtype=float) ** 2)
@@ -248,21 +247,21 @@ def test_fast_len_is_the_least_five_smooth_length():
         assert _fast_len(m) == want, m
 
 
-def test_quad_level_keeps_the_float_cutoff_at_offset_two():
-    # on 320 cells over [-8, 8] rounding drops some pairs two cells apart
-    # and keeps others; dropping all or keeping all moves the value
-    n, lo, hi = 320, -8.0, 8.0
-    h = (hi - lo) / n
-    x = lo + (np.arange(n) + 0.5) * h
-    keep = np.abs(x[2:] - x[:-2]) >= 2.0 * h
-    assert keep.any() and not keep.all()
-    f = QUAD_F["narrow"]
-    _cont, jump = _quad_level(QUAD_RHO, f, STABLE1, lo, hi, n)
-    _cont, want = dense_quad_level(QUAD_RHO, f, STABLE1, lo, hi, n)
-    # each offset-2 pair's share of the jump part, both orders, alpha = c = 1
-    fx, rx = f(x), QUAD_RHO(x)
-    pair = 2.0 * (fx[2:] - fx[:-2]) ** 2 * rx[2:] * rx[:-2] * 0.5 * (2.0 * h) ** -2.0 * h * h
-    assert abs(jump - want) < 1e-3 * min(np.sum(pair[keep]), np.sum(pair[~keep]))
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
+def test_quad_level_is_second_order(alpha):
+    # successive level differences shrink by about 4 per mesh doubling
+    model = JumpDiffusionModel(d=1, alpha=alpha, c=1.0)
+    for name in ("wide", "narrow"):
+        levels = [sum(_quad_level(QUAD_RHO, QUAD_F[name], model, -8.0, 8.0, n))
+                  for n in (160, 320, 640, 1280, 2560)]
+        steps = np.diff(levels)
+        ratios = steps[:-1] / steps[1:]
+        assert np.all((3.5 <= ratios) & (ratios <= 5.0)), (name, ratios)
+
+
+def test_zeta_matches_scipy_on_the_quadratures_range():
+    for s in np.linspace(-0.999, 0.999, 999):
+        assert _zeta(s) == pytest.approx(special.zeta(s), rel=1e-12, abs=0.0), s
 
 
 def test_continuum_quadrature_fine_mesh_in_linear_memory():

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -873,6 +874,25 @@ def test_chain_estimators_reject_bad_values_before_sampling(chain3, rho121, monk
     monkeypatch.setattr(_ChainEngine, "_chunk", lambda *a, **k: pytest.fail("sampled"))
     with pytest.raises(DomainError):
         estimate(chain3, RhoTransform(rho=rho121), RngSpec(seed=1))
+
+
+@pytest.mark.parametrize("estimate", [
+    pytest.param(lambda tr, rng: estimate_quadratic_form(STABLE_C, tr, F_C, 0.05, 2.5, rng, **CONT), id="n=2.5"),
+    pytest.param(lambda tr, rng: estimate_quadratic_form(STABLE_C, tr, F_C, 0.05, 1, rng, **CONT), id="n=1"),
+    pytest.param(lambda tr, rng: estimate_quadratic_form(STABLE_C, tr, F_C, 0.05, True, rng, **CONT),
+                 id="n=True"),
+    pytest.param(lambda tr, rng: estimate_quadratic_form(STABLE_C, tr, F_C, -0.05, 100, rng, **CONT),
+                 id="t=-0.05"),
+    pytest.param(lambda tr, rng: quadratic_form_trend(STABLE_C, tr, F_C, [], 100, rng, **CONT), id="ts-empty"),
+    pytest.param(lambda tr, rng: quadratic_form_trend(STABLE_C, tr, F_C, 0.05, 100, rng, **CONT),
+                 id="ts-scalar"),
+])
+def test_continuum_estimator_rejects_bad_values_before_sampling(monkeypatch, estimate):
+    monkeypatch.setattr(montecarlo._ContinuumEngine, "_chunk", lambda *a, **k: pytest.fail("sampled"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError):
+            estimate(RhoTransform(rho=RHO_C), RngSpec(seed=1))
 
 
 def test_engine_rejects_bad_start(chain3, rho121):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -97,17 +98,17 @@ def test_rho_closed_vs_incremental(chain3_killed):
     for i in range(300):
         rho = rng.uniform(0.3, 3.0, size=3)
         p = sample_finite_path(chain3_killed, int(rng.integers(3)), 2.0, spec.stream(i))
-        a = rho_transform_mf(p, rho, chain3_killed, 2.0, method="closed")
-        b = rho_transform_mf(p, rho, chain3_killed, 2.0, method="incremental")
+        # the telescoped closed form against the product of increments
+        a = rho_transform_mf(p, rho, chain3_killed, 2.0)
+        b = general_mf(p, GeneralMF.from_rho(rho), chain3_killed, 2.0)
         np.testing.assert_allclose(a.times, b.times, atol=0.0)
         np.testing.assert_allclose(a.log_z, b.log_z, atol=1e-12)
         np.testing.assert_allclose(a.log_z_pre, b.log_z_pre, atol=1e-12)
+        assert a.zero_time == b.zero_time
         if p.killed_at is not None:
             saw_killed += 1
             assert a.end_value == 0.0 and a.zero_time == p.killed_at
     assert saw_killed > 20
-    with pytest.raises(ValueError):
-        rho_transform_mf(HOP_01, np.ones(3), chain3_killed, 1.0, method="magic")
 
 
 def test_general_form_reproduces_rho_route(chain3_killed):
@@ -575,6 +576,28 @@ def test_grid_weight_requires_callable_data(chain3):
         rho_transform_mf(p, np.ones(3), model, 1.0)
     with pytest.raises(TransformError):
         pure_jump_mf(p, np.zeros((3, 3)), model, 1.0)
+
+
+HALF_TILT = lambda x, y: 0.5 + 0.0 * np.asarray(y, dtype=float)
+GRID_ROUTES = {
+    "rho": lambda p, model, comp: rho_transform_mf(p, lambda x: 1.0 + 0.0 * x, model, 1.0, compensator=comp),
+    "phi": lambda p, model, comp: pure_jump_mf(p, HALF_TILT, model, 1.0, compensator=comp),
+    "general": lambda p, model, comp: general_mf(p, GeneralMF(phi=HALF_TILT), model, 1.0, compensator=comp),
+}
+
+
+@pytest.mark.parametrize("route", sorted(GRID_ROUTES))
+@pytest.mark.parametrize("supplied", [False, True])
+def test_grid_routes_check_the_path_and_model_alike(route, supplied, chain3):
+    weigh = GRID_ROUTES[route]
+    comp = (lambda x: np.zeros(np.shape(x))) if supplied else None
+    model = JumpDiffusionModel(d=1, alpha=1.0, c=1.0)
+    p = Path(x0=0.0, events=(), horizon=1.0, grid=np.zeros(3), dt=0.5, jump_pre=(), eps=0.1)
+    assert weigh(p, model, comp).end_value > 0.0
+    with pytest.raises(TransformError, match="truncation radius"):
+        weigh(replace(p, eps=None), model, comp)
+    with pytest.raises(TransformError, match="jump-diffusion model"):
+        weigh(p, chain3, comp)
 
 
 def test_reversal_identity_grid_is_small():
