@@ -25,7 +25,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from . import dirichlet, montecarlo
-from .errors import ConfigError, GirsanovError
+from .errors import ConfigError, GirsanovError, ModelError, TransformError
 from .model import FiniteSymmetricModel, JumpDiffusionModel, validate_symmetry
 from .montecarlo import RngSpec
 from .paths import path_to_csv
@@ -96,11 +96,6 @@ class ExperimentConfig:
         transform = raw.get("transform")
         if transform is not None and not isinstance(transform, dict):
             raise ConfigError("'transform' must be a JSON object")
-        for part, fields in _NUMERIC_FIELDS.items():
-            spec = raw.get(part) or {}
-            for name in fields:
-                if spec.get(name) is not None and not _all_numbers(spec[name]):
-                    raise ConfigError(f"{part} {name!r} must hold numbers only, got {spec[name]!r}")
         out = raw.get("out", ".")
         if not isinstance(out, str):
             raise ConfigError(f"'out' must be a string, got {out!r}")
@@ -126,8 +121,7 @@ class ExperimentConfig:
             seed=seed,
             out=out,
         )
-        cfg.resolve_model()  # validate eagerly so bad configs exit with code 2
-        cfg.resolve_transform()
+        cfg.resolve_transform()  # resolves the model too: bad configs exit with code 2 here
         return cfg
 
     def to_json(self) -> str:
@@ -141,110 +135,115 @@ class ExperimentConfig:
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
     def resolve_model(self):
-        spec = self.model
-        kind = spec.get("type")
-        try:
-            if kind == "finite":
-                return FiniteSymmetricModel(
-                    m=np.asarray(spec["m"], dtype=float),
-                    q=np.asarray(spec["q"], dtype=float),
-                    k=np.asarray(spec["k"], dtype=float) if "k" in spec else None,
-                )
-            if kind == "jump_diffusion":
-                if type(spec["d"]) is not int:
-                    raise ConfigError(f"model 'd' must be an integer, got {spec['d']!r}")
-                return JumpDiffusionModel(
-                    d=spec["d"], alpha=float(spec["alpha"]), c=float(spec.get("c", 1.0))
-                )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"malformed model spec: {exc}") from exc
-        except GirsanovError as exc:
-            raise ConfigError(f"invalid model: {exc}") from exc
-        raise ConfigError(f"unknown model type {kind!r}")
+        return _resolve("model", _MODELS, self.model)
 
     def resolve_transform(self):
-        if self.transform is None:
-            return None
         model = self.resolve_model()
-        spec = self.transform
-        kind = spec.get("type")
-        try:
-            if kind == "rho":
-                n = model.n if isinstance(model, FiniteSymmetricModel) else None
-                return RhoTransform(rho=_state_vector(spec["rho"], "rho", n))
-            if kind == "phi":
-                return PureJumpPhi(phi=_phi_table(spec["phi"], _model_size(model)))
-            if kind == "general":
-                n = _model_size(model)
-                return GeneralMF(
-                    phi=_phi_table(spec["phi"], n, symmetric=False),
-                    a_rate=_state_vector(spec.get("a_rate"), "a_rate", n),
-                    phi_delta=_state_vector(spec.get("phi_delta"), "phi_delta", n),
-                )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"malformed transform spec: {exc}") from exc
-        except GirsanovError as exc:
-            raise ConfigError(f"invalid transform: {exc}") from exc
-        raise ConfigError(f"unknown transform type {kind!r}")
+        return None if self.transform is None else _resolve("transform", _TRANSFORMS, self.transform, model)
 
 
-# the fields read through float() or np.asarray(..., dtype=float), which
-# would take "1" and true; phi values are checked row by row in _phi_table
-_NUMERIC_FIELDS = {"model": ("m", "q", "k", "alpha", "c"), "transform": ("rho", "a_rate", "phi_delta")}
+def _fields(part: str, spec: dict, tag: str, needed, defaults) -> dict:
+    """``spec`` with ``defaults`` filled in, or ``ConfigError`` naming a
+    field it lacks or one its type does not read.  ``spec[tag]`` is the
+    type: a check's ``id``, a model's or a transform's ``type``."""
+    unknown = sorted(set(spec) - {tag, *needed, *defaults})
+    if unknown:
+        raise ConfigError(f"{part} {spec[tag]!r} has unknown fields {unknown}; it reads "
+                          f"{sorted({*needed, *defaults}) or 'none'}")
+    missing = [key for key in needed if key not in spec]
+    if missing:
+        raise ConfigError(f"{part} {spec[tag]!r} needs {', '.join(map(repr, missing))}")
+    return {**defaults, **spec}
+
+
+def _resolve(part: str, table: dict, spec: dict, *context):
+    """The model or transform ``spec`` describes, built by the entry of its
+    type in ``table`` from its fields and ``context`` (a transform's model)."""
+    kind = spec.get("type")
+    if not isinstance(kind, str) or kind not in table:
+        raise ConfigError(f"unknown {part} type {kind!r}")
+    needed, defaults, build = table[kind]
+    try:
+        return build(_fields(part, spec, "type", needed, defaults), *context)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed {part} spec: {exc}") from exc
+    except (ModelError, TransformError) as exc:
+        raise ConfigError(f"invalid {part}: {exc}") from exc
+
+
+def _is_number(value) -> bool:
+    return type(value) in (int, float)  # JSON's numbers; a bool is neither
 
 
 def _all_numbers(value) -> bool:
-    """Whether ``value`` is a number or a nested list of numbers (no bools)."""
-    if isinstance(value, list):
-        return all(_all_numbers(v) for v in value)
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """Whether ``value`` is a number or a nested list of numbers (no bools);
+    a list of numbers costs one set of its element types, not a call each."""
+    kinds = set(map(type, value)) if isinstance(value, list) else {type(value)}
+    return kinds <= {int, float} or (kinds <= {int, float, list} and all(map(_all_numbers, value)))
 
 
-def _model_size(model) -> int:
+def _numbers(part: str, spec: dict, name: str, shape=None):
+    """Field ``name`` of ``spec`` as a float array of ``shape`` (any shape
+    when None); refuses bools, strings and all else but numbers and nested
+    lists of them.  None, an optional field's default, stays None."""
+    value = spec[name]
+    if value is None:
+        return None
+    if not _all_numbers(value):
+        raise ConfigError(f"{part} {name!r} must hold numbers only, got {value!r}")
+    arr = np.asarray(value, dtype=float)
+    if shape is not None and arr.shape != shape:
+        raise ConfigError(f"{part} {name!r} must have shape {shape}, got {arr.shape}")
+    return arr
+
+
+def _jump_diffusion(spec) -> JumpDiffusionModel:
+    if type(spec["d"]) is not int:
+        raise ConfigError(f"model 'd' must be an integer, got {spec['d']!r}")
+    return JumpDiffusionModel(d=spec["d"], alpha=float(_numbers("model", spec, "alpha", ())),
+                              c=float(_numbers("model", spec, "c", ())))
+
+
+def _phi_table(entries, model, symmetric: bool = True) -> np.ndarray:
+    """Dense phi matrix on the states of ``model`` from sparse ``[x, y,
+    value]`` rows.  With ``symmetric`` the mirror entry is filled in
+    automatically; giving both orders with different values is a conflict."""
     if not isinstance(model, FiniteSymmetricModel):
         raise ConfigError("tabular transforms need a finite model")
-    return model.n
-
-
-def _state_vector(values, name: str, n: Optional[int]):
-    """``values`` as a float vector of ``n`` entries (any length when ``n``
-    is None); None stays None."""
-    if values is None:
-        return None
-    vec = np.asarray(values, dtype=float)
-    if n is not None and vec.shape != (n,):
-        raise ConfigError(f"transform {name!r} needs one value per state ({n})")
-    return vec
-
-
-def _phi_table(entries, n: int, symmetric: bool = True) -> np.ndarray:
-    """Dense phi matrix from sparse ``[x, y, value]`` rows.
-
-    With ``symmetric`` the mirror entry is filled in automatically; giving
-    both orders with different values is a conflict.
-    """
+    n = model.n
     phi = np.zeros((n, n))
     seen = {}
     for row in entries:
         if len(row) != 3:
             raise ConfigError(f"phi entries must be [x, y, value], got {row!r}")
         x, y, v = row
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
+        if not _is_number(v):
             raise ConfigError(f"phi value of ({x!r}, {y!r}) must be a number, got {v!r}")
-        v = float(v)
         if not (type(x) is int and type(y) is int and 0 <= x < n and 0 <= y < n) or x == y:
             raise ConfigError(f"phi entry ({x!r}, {y!r}) is not an off-diagonal pair")
-        for key in ((x, y),) if not symmetric else ((x, y), (y, x)):
-            if key in seen and seen[key] != v:
-                raise ConfigError(
-                    f"conflicting phi values for pair {key}: {seen[key]} vs {v}"
-                )
-        seen[(x, y)] = v
-        phi[x, y] = v
-        if symmetric:
-            seen[(y, x)] = v
-            phi[y, x] = v
+        for key in ((x, y), (y, x))[: 2 if symmetric else 1]:
+            if seen.setdefault(key, float(v)) != v:
+                raise ConfigError(f"conflicting phi values for pair {key}: {seen[key]} vs {float(v)}")
+            phi[key] = v
     return phi
+
+
+# model or transform type -> (fields it cannot be built without; {other
+# field it reads: default}; builder from its fields, and a transform's model)
+_MODELS = {
+    "finite": (("m", "q"), {"k": None}, lambda s: FiniteSymmetricModel(
+        m=_numbers("model", s, "m"), q=_numbers("model", s, "q"), k=_numbers("model", s, "k"))),
+    "jump_diffusion": (("d", "alpha"), {"c": 1.0}, _jump_diffusion),
+}
+_TRANSFORMS = {
+    "rho": (("rho",), {}, lambda s, model: RhoTransform(rho=_numbers(
+        "transform", s, "rho", (model.n,) if isinstance(model, FiniteSymmetricModel) else None))),
+    "phi": (("phi",), {}, lambda s, model: PureJumpPhi(phi=_phi_table(s["phi"], model))),
+    "general": (("phi",), {"a_rate": None, "phi_delta": None}, lambda s, model: GeneralMF(
+        phi=_phi_table(s["phi"], model, symmetric=False),  # checks for a finite model before model.n
+        a_rate=_numbers("transform", s, "a_rate", (model.n,)),
+        phi_delta=_numbers("transform", s, "phi_delta", (model.n,)))),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -422,17 +421,10 @@ def _plan(model, transform, check, rng, paths):
     if not isinstance(model, FiniteSymmetricModel):
         raise ConfigError(f"check {cid!r} needs a finite model")
     kinds, needed, defaults, plan = _CHECKS[cid]
-    unknown = sorted(set(check) - {"id", *needed, *defaults})
-    if unknown:
-        raise ConfigError(f"check {cid!r} has unknown fields {unknown}; it reads "
-                          f"{sorted({*needed, *defaults}) or 'none'}")
+    fields = _fields("check", check, "id", needed, defaults)
     if kinds is not None and not isinstance(transform, kinds):
         raise ConfigError(f"check {cid!r} needs a {' or '.join(k.__name__ for k in kinds)} transform, "
                           f"not {type(transform).__name__ if transform is not None else 'none'}")
-    missing = [key for key in needed if key not in check]
-    if missing:
-        raise ConfigError(f"check {cid!r} needs {', '.join(map(repr, missing))}")
-    fields = {**defaults, **check}
     if paths is not None and "paths" in defaults:
         fields["paths"] = paths
     try:
@@ -514,19 +506,29 @@ def run(config: ExperimentConfig, out_dir: Optional[str] = None,
     return 0 if all_ok else 1
 
 
+_PLOT_HEADER = ("check_id", "t", "estimate", "stderr", "oracle")
+
+
+def _plot_rows(report) -> list:
+    """The series rows of ``report`` sorted stably by check id then t, or
+    ``ConfigError`` if a row lacks a field or holds a value of another kind."""
+    try:
+        rows = [[row[key] for key in _PLOT_HEADER] for row in report.get("series", [])]
+    except (AttributeError, KeyError, TypeError) as exc:
+        raise ConfigError(f"a report is a JSON object whose 'series' rows hold {_PLOT_HEADER}: {exc!r}") from exc
+    for row in rows:
+        if not (isinstance(row[0], str) and _is_number(row[1]) and all(v is None or _is_number(v) for v in row[2:])):
+            raise ConfigError(f"series row {row} needs a check id string, a number t and numbers or nulls")
+    return sorted(rows, key=lambda r: (r[0], r[1]))
+
+
 def emit_plot_data(report: dict, out_path: str) -> None:
     """Long-format CSV of every time-indexed series in a report.
 
     One row per (check, t), columns exactly ``check_id, t, estimate,
     stderr, oracle``, stably sorted by check id then t.
     """
-    series = report.get("series", [])
-    ordered = sorted(series, key=lambda r: (r["check_id"], float(r["t"])))
-    _write_csv(
-        out_path,
-        ("check_id", "t", "estimate", "stderr", "oracle"),
-        [(r["check_id"], r["t"], r["estimate"], r["stderr"], r["oracle"]) for r in ordered],
-    )
+    _write_csv(out_path, _PLOT_HEADER, _plot_rows(report))
 
 
 def _simulate(config: ExperimentConfig, out_dir: str, seed: Optional[int],
@@ -599,12 +601,12 @@ def main(argv=None) -> int:
         report_path = args.report or os.path.join(args.out, "report.json")
         try:
             with open(report_path, encoding="utf-8") as fh:
-                report = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+                rows = _plot_rows(json.load(fh))
+        except (OSError, json.JSONDecodeError, ConfigError) as exc:
             print(f"error: cannot read report: {exc}", file=sys.stderr)
             return 2
         os.makedirs(args.out, exist_ok=True)
-        emit_plot_data(report, os.path.join(args.out, "plot.csv"))
+        _write_csv(os.path.join(args.out, "plot.csv"), _PLOT_HEADER, rows)
         return 0
 
     try:
@@ -620,7 +622,4 @@ def main(argv=None) -> int:
     out_dir = args.out if args.out is not None else config.out
     if args.command == "verify":
         return run(config, out_dir=out_dir, seed=args.seed, paths=args.paths)
-    if args.command == "simulate":
-        return _simulate(config, out_dir, args.seed, args.paths,
-                         args.horizon, args.dt, args.eps)
-    return 2
+    return _simulate(config, out_dir, args.seed, args.paths, args.horizon, args.dt, args.eps)

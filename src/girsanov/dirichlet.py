@@ -16,6 +16,7 @@ generator built by an independent route.
 from __future__ import annotations
 
 import functools
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -321,6 +322,13 @@ def _quad_level(rho, f, model: JumpDiffusionModel, lo: float, hi: float, n: int)
     return cont, pairs + diagonal
 
 
+def _mesh(value) -> int:
+    """``value`` as a cell count: an exact integer >= 8, numpy's included."""
+    if not isinstance(value, numbers.Integral) or value < 8:
+        raise DomainError(f"mesh must be an integer of at least 8 cells, got {value!r}")
+    return int(value)
+
+
 def continuum_form_quadrature(rho, f, model: JumpDiffusionModel, region, mesh: int) -> QuadratureForm:
     """Quadrature value of the tilted continuum energy over a box.
 
@@ -335,8 +343,7 @@ def continuum_form_quadrature(rho, f, model: JumpDiffusionModel, region, mesh: i
     lo, hi = float(region[0]), float(region[1])
     if not hi > lo:
         raise DomainError("region must be a nonempty interval")
-    if mesh < 8:
-        raise DomainError("mesh too coarse")
+    mesh = _mesh(mesh)
     c_lo, j_lo = _quad_level(rho, f, model, lo, hi, mesh)
     c_hi, j_hi = _quad_level(rho, f, model, lo, hi, 2 * mesh)
     err = abs((c_hi + j_hi) - (c_lo + j_lo))
@@ -387,6 +394,7 @@ def domain_membership(model, transform, f, region=None, mesh: int = 256) -> Doma
     if not isinstance(transform, RhoTransform) or not callable(transform.rho):
         raise TransformError("continuum membership checks need a callable rho tilt")
     rho = transform.rho
+    mesh = _mesh(mesh)  # a bad argument is an error, not an inconclusive quadrature
     try:
         qf = continuum_form_quadrature(rho, f, model, region, mesh)
         lo, hi = float(region[0]), float(region[1])

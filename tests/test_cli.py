@@ -114,6 +114,37 @@ def test_config_numbers_refuse_strings_and_bools(part, spec):
         ExperimentConfig.from_json(json.dumps(config))
 
 
+@pytest.mark.parametrize("part, spec", [
+    pytest.param("model", {"type": "jump_diffusion", "d": 1, "alpha": [1.0]}, id="alpha-list"),
+    pytest.param("transform", {"type": "rho", "rho": [1.0, 2.0]}, id="rho-short"),
+    pytest.param("transform", {"type": "general", "phi": [], "phi_delta": [0.0, 0.0, 0.0, 0.0]}, id="phi_delta-long"),
+])
+def test_config_values_need_their_shape(part, spec):
+    with pytest.raises(ConfigError, match=f"{part} '.*' must have shape"):
+        ExperimentConfig.from_json(json.dumps({"model": CHAIN3_MODEL, part: spec}))
+
+
+@pytest.mark.parametrize("part, spec, message", [
+    # a dropped field would change the run silently: no killing, no jump tilt, no discount
+    pytest.param("model", {**CHAIN3_MODEL, "kill": [0, 1, 0]},
+                 "model 'finite' has unknown fields ['kill']; it reads ['k', 'm', 'q']", id="kill"),
+    pytest.param("model", {**CHAIN3_MODEL, "alpha": 1.0},
+                 "model 'finite' has unknown fields ['alpha']", id="alpha-on-finite"),
+    pytest.param("transform", {**RHO121, "phi": [[0, 1, 1.0]]},
+                 "transform 'rho' has unknown fields ['phi']; it reads ['rho']", id="phi-on-rho"),
+    pytest.param("transform", {"type": "general", "phi": [], "a-rate": [1.0, 0.0, 0.0]},
+                 "transform 'general' has unknown fields ['a-rate']; it reads ['a_rate', 'phi', 'phi_delta']",
+                 id="a-rate"),
+    pytest.param("model", {"type": "finite", "m": [1, 1, 1]}, "model 'finite' needs 'q'", id="finite-without-q"),
+])
+def test_unknown_and_missing_model_and_transform_fields_exit_two(tmp_path, capsys, part, spec, message):
+    cfg = write_config(tmp_path, {"model": CHAIN3_MODEL, "transform": RHO121, "checks": ["symmetry"], part: spec})
+    out = tmp_path / "out"
+    assert main(["verify", "--config", cfg, "--out", str(out)]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # -- verify ------------------------------------------------------------------
 
 
@@ -551,6 +582,21 @@ def test_plotdata_missing_report(tmp_path, capsys):
     assert main(["plotdata", "--report", str(tmp_path / "nope.json"),
                  "--out", str(tmp_path)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("report", [
+    pytest.param([], id="json-list"),
+    pytest.param({"series": [{"t": 0.2, "estimate": 1.0, "stderr": 0.1, "oracle": 1.0}]}, id="no-check_id"),
+    pytest.param({"series": [{"check_id": "jump_rate", "t": "late", "estimate": 1.0, "stderr": 0.1,
+                              "oracle": 1.0}]}, id="t-not-a-number"),
+])
+def test_plotdata_malformed_report_exits_two(tmp_path, capsys, report):
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(report))
+    out = tmp_path / "plots"
+    assert main(["plotdata", "--report", str(path), "--out", str(out)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_plotdata_sorted_stably(tmp_path):

@@ -285,6 +285,22 @@ def test_continuum_quadrature_validation():
         continuum_form_quadrature(one, f, JumpDiffusionModel(d=2, alpha=1.0), (-2.0, 2.0), 64)
 
 
+def test_continuum_quadrature_takes_numpy_integer_meshes():
+    rho = lambda x: 1.0 + 0.5 * np.exp(-np.asarray(x, dtype=float) ** 2)
+    f = lambda x: np.exp(-np.asarray(x, dtype=float) ** 2)
+    region = (-8.0, 8.0)
+    qf = continuum_form_quadrature(rho, f, STABLE1, region, np.int64(16))
+    assert qf == continuum_form_quadrature(rho, f, STABLE1, region, 16)
+    assert type(qf.mesh) is int
+    rep = domain_membership(STABLE1, RhoTransform(rho=rho), f, region=region, mesh=np.int32(64))
+    assert rep == domain_membership(STABLE1, RhoTransform(rho=rho), f, region=region, mesh=64)
+    for mesh in (100.0, True, np.float64(16.0)):  # a float or a bool is no cell count
+        with pytest.raises(DomainError, match="mesh must be an integer"):
+            continuum_form_quadrature(rho, f, STABLE1, region, mesh)
+        with pytest.raises(DomainError, match="mesh must be an integer"):
+            domain_membership(STABLE1, RhoTransform(rho=rho), f, region=region, mesh=mesh)
+
+
 def test_continuum_jump_part_against_independent_route():
     # oracle: outer trapezoid over x of an adaptive inner integral in y —
     # a different discretisation than the mesh pair sum
