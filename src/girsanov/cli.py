@@ -16,13 +16,13 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import expm
 
 from . import dirichlet, montecarlo
 from .errors import ConfigError, GirsanovError, ModelError, TransformError
@@ -44,6 +44,42 @@ __all__ = ["ExperimentConfig", "run", "emit_plot_data", "main"]
 log = logging.getLogger("girsanov")
 
 _EXACT_TOL = 1e-12
+
+
+# Padé [13/13] coefficients b_0 ... b_13 of exp, divided by b_0 so that
+# expm(0) is the identity to the bit, and the largest 1-norm at which that
+# approximant is accurate to double precision (Higham, SIAM J. Matrix Anal.
+# Appl. 26, 2005, table 2.3)
+_PADE13 = tuple(b / 64764752532480000.0 for b in (
+    64764752532480000.0, 32382376266240000.0, 7771770303897600.0, 1187353796428800.0, 129060195264000.0,
+    10559470521600.0, 670442572800.0, 33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0))
+_THETA13 = 5.371920351148152
+
+
+def expm(a) -> np.ndarray:
+    """Matrix exponential of the real square matrix ``a`` by scaling and
+    squaring: the [13/13] Padé approximant of ``exp(a / 2**s)``, squared ``s``
+    times, with ``s`` the least that brings the 1-norm to ``_THETA13``.
+
+    Assumes nothing of the structure: the oracles pass cemetery generators,
+    which need not be symmetrisable.  The exact oracles call it through this
+    module attribute, so a tracer that replaces it sees every call.
+    """
+    a = np.asarray(a, dtype=float)
+    norm = np.linalg.norm(a, 1)
+    s = max(0, math.ceil(math.log2(norm / _THETA13))) if norm > 0.0 else 0
+    a = a / 2.0 ** s
+    b = _PADE13
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    ident = np.eye(a.shape[0])
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2) + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident)
+    v = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2) + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident
+    r = np.linalg.solve(v - u, v + u)
+    for _ in range(s):
+        r = r @ r
+    return r
 
 
 def _fmt(x) -> str:
@@ -121,7 +157,7 @@ class ExperimentConfig:
             seed=seed,
             out=out,
         )
-        cfg.resolve_transform()  # resolves the model too: bad configs exit with code 2 here
+        cfg.resolve()  # bad configs exit with code 2 here
         return cfg
 
     def to_json(self) -> str:
@@ -134,12 +170,17 @@ class ExperimentConfig:
         }
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
+    def resolve(self):
+        """``(model, transform)``, the transform None when there is none;
+        the model is built once and the transform is built on it."""
+        model = self.resolve_model()
+        return model, None if self.transform is None else _resolve("transform", _TRANSFORMS, self.transform, model)
+
     def resolve_model(self):
         return _resolve("model", _MODELS, self.model)
 
     def resolve_transform(self):
-        model = self.resolve_model()
-        return None if self.transform is None else _resolve("transform", _TRANSFORMS, self.transform, model)
+        return self.resolve()[1]
 
 
 def _fields(part: str, spec: dict, tag: str, needed, defaults) -> dict:
@@ -446,8 +487,7 @@ def run(config: ExperimentConfig, out_dir: Optional[str] = None,
     row and series data.  Returns the process exit code.
     """
     try:
-        model = config.resolve_model()
-        transform = config.resolve_transform()
+        model, transform = config.resolve()
         rng = RngSpec(seed=seed if seed is not None else config.seed)
         # every check planned, so every value checked, before any sampling or file
         plans = [_plan(model, transform, check, rng, paths) for check in config.checks]

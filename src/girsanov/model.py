@@ -193,6 +193,10 @@ class JumpDiffusionModel:
     c: float = 1.0
 
     def __post_init__(self):
+        # a bool compares as 0 or 1, so every test below would let it through
+        for name in ("d", "alpha", "c"):
+            if isinstance(getattr(self, name), (bool, np.bool_)):
+                raise ModelError(f"{name} must be a number, not the bool {getattr(self, name)!r}")
         if int(self.d) != self.d or self.d < 1:
             raise ModelError("dimension d must be a positive integer")
         object.__setattr__(self, "d", int(self.d))

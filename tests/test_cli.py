@@ -11,7 +11,7 @@ import pytest
 from scipy.linalg import expm
 
 import girsanov
-from girsanov import ConfigError, montecarlo
+from girsanov import ConfigError, cli, dirichlet, montecarlo
 from girsanov.cli import ExperimentConfig, emit_plot_data, main, run
 
 CHAIN3_MODEL = {
@@ -372,6 +372,86 @@ def test_symmetry_gap_oracle_of_general_transform(tmp_path, phi_entries, value):
     assert code == 0 and row["pass"]
 
 
+# -- the oracles' matrix exponential ----------------------------------------
+
+GENERAL_FROM_RHO = {  # GeneralMF.from_rho((1, 2, 1)): not in detailed balance with m
+    "type": "general",
+    "phi": [[0, 1, 1.0], [1, 0, -0.5], [1, 2, -0.5], [2, 1, 1.0]],
+    "phi_delta": [-1.0, -1.0, -1.0],
+}
+
+
+@pytest.mark.parametrize("model, transform", [
+    pytest.param(CHAIN3_MODEL, RHO121, id="rho"),
+    pytest.param(KILLED_MODEL, RHO121, id="rho-killed"),
+    pytest.param(KILLED_MODEL, PHI_TILT, id="phi-killed"),
+    pytest.param(KILLED_MODEL, GENERAL_TILT, id="general-killed-a_rate"),
+    pytest.param(CHAIN3_MODEL, {"type": "general", "phi": [], "a_rate": [0.5, 0.5, 0.5]}, id="a_rate"),
+    pytest.param(CHAIN3_MODEL, GENERAL_FROM_RHO, id="general-from-rho"),
+    pytest.param(CHAIN3_MODEL, {"type": "general", "phi": [[0, 1, 1.0], [1, 0, -0.5]]}, id="general-one-way"),
+])
+def test_expm_matches_scipy_on_the_oracle_generators(model, transform):
+    cfg = ExperimentConfig.from_json(json.dumps({"model": model, "transform": transform}))
+    gen = dirichlet.cemetery_generator(*cfg.resolve())
+    for t in (0.05, 0.1, 0.2, 0.4, 0.5, 0.7, 0.8, 1.0, 2.0, 3.0):  # every horizon the checks above read
+        np.testing.assert_allclose(cli.expm(t * gen), expm(t * gen), rtol=0.0, atol=1e-14)
+
+
+def _frobenius_error(approx, exact):
+    scale = np.abs(exact).max()  # so that the squares of a large exponential do not overflow
+    return np.linalg.norm((approx - exact) / scale) / np.linalg.norm(exact / scale)
+
+
+def test_expm_of_dense_nonsymmetric_matrices():
+    # against 40 digits: at norm 1e3 SciPy's own error reaches about 1e-12
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(13)
+    for norm in 10.0 ** np.arange(-3, 4):
+        for _ in range(3):
+            a = rng.standard_normal((6, 6))
+            a *= norm / np.linalg.norm(a, 1)
+            with mpmath.workdps(40):
+                exact = np.array(mpmath.expm(mpmath.matrix(a.tolist())).tolist(), dtype=float)
+            assert _frobenius_error(cli.expm(a), exact) <= 1e-12, norm
+            # expm(2 b) = expm(b)^2 with b = a / 2: a check of the unscaled Pade
+            # step while the 1-norm is below theta_13, exact by construction above
+            half = cli.expm(0.5 * a)
+            assert _frobenius_error(half @ half, cli.expm(a)) <= 1e-12, norm
+
+
+def test_expm_of_zero_is_the_identity():
+    assert np.array_equal(cli.expm(np.zeros((5, 5))), np.eye(5))
+
+
+@pytest.mark.parametrize("check, calls", [
+    ({"id": "mass", "t": 0.5}, 1),
+    ({"id": "semigroup", "f": [0, 1, 0], "t": 0.5}, 1),
+    ({"id": "symmetry_gap", "f": [0, 1, 0], "g": [1, 0, 0]}, 1),
+    ({"id": "quadratic_form", "f": [0, 1, 0], "ts": [0.2, 0.1]}, 2),
+])
+def test_oracles_exponentiate_through_the_module_attribute(tmp_path, monkeypatch, check, calls):
+    # a tracer replaces cli.expm to time the oracles
+    shapes = []
+    exponential = cli.expm
+    monkeypatch.setattr(cli, "expm", lambda a: shapes.append(a.shape) or exponential(a))
+    cfg = ExperimentConfig.from_json(json.dumps({"model": KILLED_MODEL, "transform": PHI_TILT, "checks": [check]}))
+    assert run(cfg, out_dir=str(tmp_path), paths=200) in (0, 1)
+    assert shapes == [(4, 4)] * calls  # three states and the cemetery
+
+
+def test_run_resolves_the_model_once(tmp_path, monkeypatch):
+    cfg = ExperimentConfig.from_json(json.dumps({"model": KILLED_MODEL, "transform": PHI_TILT,
+                                                 "checks": ["symmetry"]}))
+    parts = []
+    resolve = cli._resolve
+    monkeypatch.setattr(cli, "_resolve", lambda part, *args: parts.append(part) or resolve(part, *args))
+    assert run(cfg, out_dir=str(tmp_path)) == 0
+    assert parts == ["model", "transform"]
+    model, transform = cfg.resolve()
+    assert np.array_equal(transform.phi, cfg.resolve_transform().phi)
+    assert np.array_equal(model.k, cfg.resolve_model().k)
+
+
 def test_checks_are_validated_before_any_sampling(tmp_path, monkeypatch, capsys):
     calls = []
     for name in ("estimate_chain", "estimate_transformed_semigroup", "estimate_mass", "quadratic_form_trend"):
@@ -713,9 +793,26 @@ quad = girsanov.continuum_form_quadrature(rho, lambda x: np.exp(-np.asarray(x) *
 assert np.isfinite(quad.total) and quad.total > 0.0
 assert scipy_loaded() == [], scipy_loaded()
 import girsanov.cli
-for name in ("scipy.integrate", "scipy.special", "scipy.fft"):
-    assert name not in sys.modules, name
-assert "scipy.linalg" in sys.modules
+assert scipy_loaded() == [], scipy_loaded()
+# a chain verify takes its exact oracles from numpy alone
+import json
+readme = {"model": {"type": "finite", "m": [1, 1, 1], "q": [[0, 1, 0], [1, 0, 2], [0, 2, 0]]},
+          "transform": {"type": "rho", "rho": [1, 2, 1]},
+          "checks": ["symmetry", "conservativeness", "form_identity",
+                     {"id": "semigroup", "f": [0, 1, 0], "t": 0.5},
+                     {"id": "quadratic_form", "f": [0, 1, 0], "ts": [0.2, 0.1, 0.05]}]}
+killed_ring = {"model": {"type": "finite", "m": [1, 1, 1, 1], "k": [0, 0, 1, 0],
+                         "q": [[0, 1, 0, 1], [1, 0, 1, 0], [0, 1, 0, 1], [1, 0, 1, 0]]},
+               "transform": {"type": "phi", "phi": [[0, 1, 0.5], [1, 2, -0.25], [2, 3, 0.5], [0, 3, -0.25]]},
+               "checks": ["symmetry", {"id": "form_identity", "f": [1, 0, -1, 0]}, "mass",
+                          {"id": "semigroup", "f": [1, 0, -1, 0], "t": 2.0},
+                          {"id": "symmetry_gap", "f": [1, 0, -1, 0], "g": [0, 1, 0, -1], "t": 2.0},
+                          {"id": "quadratic_form", "f": [1, 0, -1, 0], "ts": [3.0, 2.0]},
+                          {"id": "jump_rate", "pair": [0, 1]}]}
+for name, payload in (("readme", readme), ("killed_ring", killed_ring)):
+    config = girsanov.cli.ExperimentConfig.from_json(json.dumps(payload))
+    assert girsanov.cli.run(config, out_dir=sys.argv[1] + "/" + name, paths=200) in (0, 1)
+    assert scipy_loaded() == [], (name, scipy_loaded())
 report = girsanov.integrability_check(model, lambda x, y: rho(y) / rho(x) - 1.0, (-1.0, 1.0), 0.1, levels=3)
 assert report.status in ("finite", "divergent", "inconclusive"), report.status
 est = girsanov.estimate_quadratic_form(model, girsanov.RhoTransform(rho=rho), lambda x: np.exp(-np.asarray(x) ** 2),
@@ -724,9 +821,9 @@ assert np.isfinite(est.mean)
 """
 
 
-def test_import_loads_only_the_scipy_a_run_calls():
-    proc = subprocess.run([sys.executable, "-c", _IMPORT_FOOTPRINT], capture_output=True, text=True,
-                          env=_src_env())
+def test_import_loads_only_the_scipy_a_run_calls(tmp_path):
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_FOOTPRINT, str(tmp_path)], capture_output=True,
+                          text=True, env=_src_env())
     assert proc.returncode == 0, proc.stderr
 
 

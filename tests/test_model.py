@@ -128,6 +128,18 @@ def test_jump_diffusion_validation():
         JumpDiffusionModel(d=1, alpha=1.0, c=0.0)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("d", True),  # was a model with d = 1
+    ("alpha", True),  # was kept as the bool
+    ("c", True),
+    ("alpha", np.True_),
+])
+def test_jump_diffusion_refuses_bools(field, value):
+    kwargs = {"d": 1, "alpha": 1.0, "c": 1.0, field: value}
+    with pytest.raises(ModelError, match=f"{field} must be a number"):
+        JumpDiffusionModel(**kwargs)
+
+
 def test_sphere_surface():
     assert JumpDiffusionModel(d=1, alpha=1.0).sphere_surface == pytest.approx(2.0)
     assert JumpDiffusionModel(d=2, alpha=1.0).sphere_surface == pytest.approx(2.0 * math.pi)
