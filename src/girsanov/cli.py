@@ -20,6 +20,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -292,9 +293,28 @@ _TRANSFORMS = {
 
 
 # A check's plan maker returns its plan: the chain requests it samples, and
-# a function from their estimates, in order, to its output.  ``run`` plans
-# every check before it writes anything, samples the requests of every check
-# in one call, then runs the functions in config order.
+# a function from their estimates, in order, and the run's :class:`_Oracle`
+# to its output.  ``run`` plans every check before it writes anything,
+# samples the requests of every check in one call, then runs the functions
+# in config order.
+
+
+class _Oracle:
+    """The pieces of the exact oracles that every check of a run shares,
+    each built on first use and then kept: the cemetery generator of the
+    transform (:func:`dirichlet.cemetery_generator`) and the reference
+    measure ``mu`` of its lowering."""
+
+    def __init__(self, model, transform):
+        self.model, self.transform = model, transform
+
+    @cached_property
+    def gen(self) -> np.ndarray:
+        return dirichlet.cemetery_generator(self.model, self.transform)
+
+    @cached_property
+    def mu(self) -> np.ndarray:
+        return lower(self.model, self.transform).mu
 
 
 @dataclass
@@ -308,7 +328,7 @@ def _exact(row_fn):
     """Plan maker of a check that samples nothing: ``row_fn(model,
     transform)`` gives its report row when ``run`` reaches the check."""
     def plan(model, transform, check, rng):
-        return [], lambda _results: _CheckOutput(rows=[row_fn(model, transform)])
+        return [], lambda _results, _oracle: _CheckOutput(rows=[row_fn(model, transform)])
     return plan
 
 
@@ -326,13 +346,12 @@ def _statistical_row(cid: str, res, oracle: float) -> _CheckOutput:
     return _CheckOutput(rows=[(cid, res.mean, res.stderr, oracle, res.covers(oracle))])
 
 
-def _form_pieces(model, transform):
+def _form_pieces(model, transform, oracle: _Oracle):
     """The parts of the form identity that do not depend on ``f``: the
     tilted jump measure and killing, the generator of the lowered kernel on
     the states, and mu."""
-    gen = dirichlet.cemetery_generator(model, transform)[: model.n, : model.n]
-    return (transformed_jump_measure(model, transform), transformed_killing(model, transform), gen,
-            lower(model, transform).mu)
+    return (transformed_jump_measure(model, transform), transformed_killing(model, transform),
+            oracle.gen[: model.n, : model.n], oracle.mu)
 
 
 def _form_for(pieces, f):
@@ -343,19 +362,39 @@ def _form_for(pieces, f):
     return fv, cross
 
 
+# entries of the (draws, n, n) differences the form identity builds at once
+_FORM_BLOCK = 1 << 15
+
+
+def _form_residuals(pieces, fs: np.ndarray) -> np.ndarray:
+    """``|total - cross| / max(1, |total|)`` of :func:`_form_for` for each
+    row ``f`` of ``fs``, equal to it bit for bit: the same operations in the
+    same order over the rows, and ``gen @ f`` one product per row, since a
+    matrix product over all rows would round differently."""
+    jump, kappa, gen, mu = pieces
+    rows, n = fs.shape
+    diff = fs[:, :, None] - fs[:, None, :]
+    total = (0.0 + (jump * diff * diff).reshape(rows, n * n).sum(axis=1)) + (kappa * fs * fs).sum(axis=1)
+    cross = -((np.array([gen @ f for f in fs]) * fs * mu).sum(axis=1))
+    return np.abs(total - cross) / np.maximum(1.0, np.abs(total))
+
+
 def _check_form_identity(model, transform, check, rng):
     draws = check["draws"]
     if type(draws) is not int or draws < 1:
         raise ConfigError(f"'draws' must be an integer >= 1, got {draws!r}")
     f = None if check["f"] is None else montecarlo._check_chain_inputs(model, check["f"])
 
-    def finish(_results):
-        pieces = _form_pieces(model, transform)
+    def finish(_results, oracle):
+        pieces = _form_pieces(model, transform, oracle)
         gen_rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(rng.seed)))
+        # a block of draws at a time, so the differences stay near
+        # _FORM_BLOCK entries; blocks read the one stream in order
+        block = max(1, _FORM_BLOCK // model.n ** 2)
         worst = 0.0
-        for _ in range(draws):
-            fv, cross = _form_for(pieces, gen_rng.uniform(-1.0, 1.0, size=model.n))
-            worst = max(worst, abs(fv.total - cross) / max(1.0, abs(fv.total)))
+        for lo in range(0, draws, block):
+            fs = gen_rng.uniform(-1.0, 1.0, size=(min(block, draws - lo), model.n))
+            worst = max(worst, float(np.max(_form_residuals(pieces, fs))))
         out = _CheckOutput(rows=[("form_identity", worst, None, 0.0, worst <= _EXACT_TOL)])
         if f is not None:
             fv, cross = _form_for(pieces, f)
@@ -372,9 +411,9 @@ def _check_semigroup(model, transform, check, rng):
     f = np.ones(model.n) if check["id"] == "mass" else montecarlo._check_chain_inputs(model, check["f"])
     req = montecarlo.semigroup_request(model, transform, f, check["x"], check["t"], check["paths"], rng)
 
-    def finish(results):
+    def finish(results, oracle):
         # matrix-exponential value of the transformed semigroup at x
-        p = expm(req.horizon * dirichlet.cemetery_generator(model, transform))
+        p = expm(req.horizon * oracle.gen)
         return _statistical_row(check["id"], results[0], float(p[req.x0, : model.n] @ f))
 
     return [req], finish
@@ -385,13 +424,12 @@ def _check_symmetry_gap(model, transform, check, rng):
     g = montecarlo._check_chain_inputs(model, check["g"], "g")
     req = montecarlo.symmetry_gap_request(model, transform, f, g, check["t"], check["paths"], rng)
 
-    def finish(results):
+    def finish(results, oracle):
         # exact sum_x mu_x (g P_t f - f P_t g)(x) from the start measure the
         # estimator uses; 0 when the tilted jumps are in detailed balance with it
-        pt = expm(req.horizon * dirichlet.cemetery_generator(model, transform))[: model.n, : model.n]
-        mu = lower(model, transform).mu
-        oracle = float(np.sum(mu * (g * (pt @ f) - f * (pt @ g))))
-        return _statistical_row("symmetry_gap", results[0], oracle)
+        pt = expm(req.horizon * oracle.gen)[: model.n, : model.n]
+        exact = float(np.sum(oracle.mu * (g * (pt @ f) - f * (pt @ g))))
+        return _statistical_row("symmetry_gap", results[0], exact)
 
     return [req], finish
 
@@ -400,9 +438,8 @@ def _check_quadratic_form(model, transform, check, rng):
     f = montecarlo._check_chain_inputs(model, check["f"])
     reqs = montecarlo.quadratic_form_requests(model, transform, f, check["ts"], check["paths"], rng)
 
-    def finish(results):
-        gen = dirichlet.cemetery_generator(model, transform)
-        mu = lower(model, transform).mu
+    def finish(results, oracle):
+        gen, mu = oracle.gen, oracle.mu
         # (f(y) - f(x))^2 for every end state y, the cemetery (f = 0) last
         sq = (np.append(f, 0.0)[None, :] - f[:, None]) ** 2
 
@@ -423,7 +460,7 @@ def _check_quadratic_form(model, transform, check, rng):
 def _check_jump_rate(model, transform, check, rng):
     req = montecarlo.jump_rate_request(model, transform, check["pair"], check["horizon"], check["paths"], rng)
 
-    def finish(results):
+    def finish(results, _oracle):
         res = results[0]
         oracle = float(transformed_levy_kernel(model, transform)[req.pair])
         passed = res.covers(oracle) if oracle > 0.0 else res.mean == 0.0
@@ -505,9 +542,10 @@ def run(config: ExperimentConfig, out_dir: Optional[str] = None,
         requests = [req for reqs, _finish in plans for req in reqs]
         log.info("sampling %d chain requests", len(requests))
         results = montecarlo.estimate_chain(model, transform, requests)
+        oracle = _Oracle(model, transform)
         for check, (reqs, finish) in zip(config.checks, plans):
             log.info("running check %s", check["id"])
-            res = finish(results[: len(reqs)])
+            res = finish(results[: len(reqs)], oracle)
             results = results[len(reqs):]
             rows.extend(res.rows)
             series.extend(res.series)

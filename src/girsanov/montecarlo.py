@@ -10,14 +10,22 @@ The chain estimators run on a batched engine: a numpy Philox4x64-10 (Salmon
 et al., "Parallel random numbers: as easy as 1, 2, 3", SC'11) produces every
 path's stream at once, and one struct-of-arrays event step advances all
 live paths of a fixed-size chunk together.  Each chunk fills one record
-(start state, end state, alive flag, log weight) per horizon asked, which
-the estimators reduce.  The step performs the scalar sampler's
-floating-point operations in the same order, and takes ``log`` and ``exp``
-from the C library through ``math`` (numpy's vectorised kernels differ from
-it in the last bit on some inputs), so every estimate equals, bit for bit,
-the one a per-path loop over :func:`sample_finite_path` and
+(start state, end state, alive flag, log weight, weight) per horizon asked,
+which the estimators reduce.  The step performs the scalar sampler's
+floating-point operations in the same order, so every estimate equals, bit
+for bit, the one a per-path loop over :func:`sample_finite_path` and
 :func:`log_weight_fn` gives.  That scalar route stays as the public sampler
 and as the tests' reference.
+
+Every ``log`` and ``exp`` whose bits reach a result comes from the C
+library through ``math``, as in the scalar route: numpy's vectorised
+kernels differ from it in the last bit on some inputs.  numpy's ``log``
+serves only where its bits are not kept: a holding time that it puts past
+the last horizon by a relative margin of 2**-40, some thousand times its
+possible error, is only compared with the horizons, and those comparisons
+come out the same either way.  A path with no event before a horizon has
+the log weight ``-rate[x0] * horizon`` exactly, so such paths take their
+weight from one C-library ``exp`` per state.
 
 Every chain estimator is a :class:`ChainRequest` (start law, stream block,
 path count, horizon, an optional tracked pair) plus a reducer from a chunk
@@ -461,9 +469,13 @@ def sample_jump_diffusion_path(model: JumpDiffusionModel, x0, horizon: float,
 
 
 # paths advanced together; bounds the engine's working memory, which peaks at
-# about 200 bytes a path inside the Philox block.  Larger chunks gain little
-# speed (under 10% at 16384) for the memory they take.
-_CHUNK = 1 << 12
+# about 200 bytes a path inside the Philox block.  Each chunk pays the event
+# loop's passes and small Philox refills once.  On the README verify plus its
+# energy trend (20k-path groups), rounds interleaved in one process ran at
+# 0.82, 0.74 and 0.67 of their time at 4096 with chunks of 8192, 16384 and
+# 32768 (median of 40), for a process peak RSS of 42.3, 43.6 and 43.0 MB
+# against 41.2 MB; 8192 takes most of the gain for the least memory.
+_CHUNK = 1 << 13
 
 
 def _libm(fn):
@@ -491,10 +503,11 @@ class _BatchRecord:
     """Outcome of one chunk of chain paths at one horizon, one entry per path.
 
     ``x_t`` is the state at the horizon (the state at death where ``alive``
-    is false) and ``log_w`` the log weight ``log Z_t``.  For each tracked
-    pair ``(x, y)``, ``count[(x, y)]`` holds the number of ``x -> y`` jumps
-    and ``occupation[(x, y)]`` the time spent in ``x`` before the horizon or
-    death.
+    is false), ``log_w`` the log weight ``log Z_t`` and ``w`` the weight
+    ``exp(log_w)`` from the C library (unset on the engine's running
+    record).  For each tracked pair ``(x, y)``, ``count[(x, y)]`` holds the
+    number of ``x -> y`` jumps and ``occupation[(x, y)]`` the time spent in
+    ``x`` before the horizon or death.
     """
 
     x0: np.ndarray
@@ -503,6 +516,7 @@ class _BatchRecord:
     log_w: np.ndarray
     count: dict
     occupation: dict
+    w: Optional[np.ndarray] = None
 
 
 class _ChainEngine:
@@ -572,6 +586,7 @@ class _ChainEngine:
                               occupation={p: np.empty(m) for p in pairs})
                  for _ in horizons]
         t = np.zeros(m)
+        surely_over = horizons[-1] * (1.0 + 2.0 ** -40)
         live = rows
         while live.size:
             total = self.total[x[live]]
@@ -588,7 +603,17 @@ class _ChainEngine:
                 u[zero] = draws.draw(live[zero])
                 zero = u == 0.0
             t_live = t[live]
-            t_next = t_live - _log(1.0 - u) / total
+            # numpy's log differs from the C library's by a few ulps, which
+            # moves t_next by at most about 2**-50 relative after the
+            # division and the sum.  A path that numpy's log puts past the
+            # last horizon by the margin 2**-40 is past it on the C library's
+            # too, and past every checkpoint, so each comparison below sees
+            # the same booleans; its t_next is only compared, never kept
+            # (_close reads t).  Only the other paths, whose t_next may be
+            # stored, take it from the C library.
+            t_next = t_live - np.log(1.0 - u) / total
+            near = np.flatnonzero(t_next <= surely_over)
+            t_next[near] = t_live[near] - _log(1.0 - u[near]) / total[near]
             # a checkpoint closes where a holding time first runs past it; a
             # live path has not passed the last horizon
             for horizon, mark in zip(horizons[:-1], marks):
@@ -634,7 +659,25 @@ class _ChainEngine:
             for pair in pairs:
                 mark.count[pair][dead] = run.count[pair][dead]
                 mark.occupation[pair][dead] = run.occupation[pair][dead]
+        for horizon, mark in zip(horizons, marks):
+            mark.w = self._weights(mark, horizon)
         return tuple(marks)
+
+    def _weights(self, mark: _BatchRecord, horizon: float) -> np.ndarray:
+        """``exp(log_w)`` of every path of ``mark``, from the C library.
+
+        A path with no event before the horizon has ``log_w`` exactly
+        ``0.0 - rate[x0] * horizon`` (:meth:`_close` on a zero log weight
+        and time), so those take one ``exp`` per state.  Equal inputs give
+        equal outputs, so a path that reaches the same value another way
+        gets the same weight either way.
+        """
+        key = 0.0 - self.low.rate * horizon
+        same = mark.log_w == key[mark.x0]
+        w = np.empty(mark.log_w.size)
+        w[same] = _exp(key)[mark.x0[same]]
+        w[~same] = _exp(mark.log_w[~same])
+        return w
 
     def _close(self, mark: _BatchRecord, run: _BatchRecord, t: np.ndarray, done: np.ndarray,
                horizon: float) -> None:
@@ -787,7 +830,12 @@ class _ContinuumEngine:
         sizes = self.eps * u[slot] ** (-1.0 / self.alpha)
         slot += count[jpath]
         sizes *= np.where(u[slot] < 0.5, -1.0, 1.0)
-        times = times[np.lexsort((times, jpath))]
+        # sorted by path, then by time: a complex key orders by its real part,
+        # then its imaginary part, and holds both exactly
+        key = np.empty(times.size, dtype=complex)
+        key.real = jpath
+        key.imag = times
+        times = np.sort(key).imag
         # the step holding each jump; a time within 1e-9 dt of 0 is in the first
         step = np.clip(np.ceil(times / dt - 1e-9).astype(np.intp) - 1, 0, K - 1)
         brown = u[(start + 3 * count)[:, None] + np.arange(K)]
@@ -975,7 +1023,7 @@ def semigroup_request(model: FiniteSymmetricModel, transform, f, x: int, t: floa
     def reduce(rec):
         out = np.zeros(rec.alive.size)
         alive = np.flatnonzero(rec.alive)
-        out[alive] = _exp(rec.log_w[alive]) * f[rec.x_t[alive]]
+        out[alive] = rec.w[alive] * f[rec.x_t[alive]]
         return (out,)
 
     return ChainRequest(model, transform, x0=x, horizon=t, n=n, rng=rng, reduce=reduce)
@@ -995,7 +1043,7 @@ def symmetry_gap_request(model: FiniteSymmetricModel, transform, f, g, t: float,
         out = np.zeros(rec.alive.size)
         alive = np.flatnonzero(rec.alive)
         x0, xt = rec.x0[alive], rec.x_t[alive]
-        w = total * _exp(rec.log_w[alive])
+        w = total * rec.w[alive]
         out[alive] = w * (g[x0] * f[xt] - f[x0] * g[xt])
         return (out,)
 
@@ -1020,7 +1068,7 @@ def quadratic_form_requests(model: FiniteSymmetricModel, transform, f, ts, n: in
 
     def request(t, block):
         def reduce(rec):
-            w = total * _exp(rec.log_w)
+            w = total * rec.w
             diff = np.where(rec.alive, f[rec.x_t], 0.0) - f[rec.x0]
             return (w * diff * diff * inv_2t,)
 
@@ -1043,8 +1091,7 @@ def jump_rate_request(model: FiniteSymmetricModel, transform, pair, horizon: flo
         raise DomainError("pair must name two distinct states")
 
     def reduce(rec):
-        w = _exp(rec.log_w)
-        return (w * rec.count[(x, y)], w * rec.occupation[(x, y)])
+        return (rec.w * rec.count[(x, y)], rec.w * rec.occupation[(x, y)])
 
     return ChainRequest(model, transform, x0=x, horizon=horizon, n=n, rng=rng,
                         reduce=reduce, summarize=_ratio_estimate, pair=(x, y))

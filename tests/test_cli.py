@@ -452,6 +452,76 @@ def test_run_resolves_the_model_once(tmp_path, monkeypatch):
     assert np.array_equal(model.k, cfg.resolve_model().k)
 
 
+def test_run_builds_the_cemetery_generator_once(tmp_path, monkeypatch):
+    # five checks read it (mass, semigroup, symmetry_gap, quadratic_form and
+    # the form identity); one build serves them all
+    builds = []
+    build = dirichlet.cemetery_generator
+    monkeypatch.setattr(dirichlet, "cemetery_generator", lambda *args: builds.append(1) or build(*args))
+    checks = ["symmetry", {"id": "form_identity", "f": [1, 0, -1]}, {"id": "mass", "t": 0.5},
+              {"id": "semigroup", "f": [0, 1, 0], "t": 0.5}, {"id": "symmetry_gap", "f": [0, 1, 0], "g": [1, 0, 0]},
+              {"id": "quadratic_form", "f": [0, 1, 0], "ts": [0.2, 0.1]}, {"id": "jump_rate", "pair": [0, 1]}]
+    cfg = ExperimentConfig.from_json(json.dumps({"model": KILLED_MODEL, "transform": PHI_TILT, "checks": checks}))
+    assert run(cfg, out_dir=str(tmp_path), paths=200) in (0, 1)
+    assert len(builds) == 1
+
+
+# -- the form identity, batched over its draws ------------------------------
+
+
+def _killed_ring(n=24):
+    """A ring with moves to the nearest and next-nearest states, killing at
+    every sixth state and a symmetric jump tilt, as a config."""
+    x = np.arange(n)
+    m = 1.0 + 0.5 * np.sin(2.0 * np.pi * x / n)
+    q = np.zeros((n, n))
+    phi = []
+    for i in range(n):
+        for d, rate, tilt in ((1, 1.6, 0.3), (2, 0.6, -0.25)):
+            j = (i + d) % n
+            q[i, j] = q[j, i] = rate * (1.0 + 0.3 * np.cos(2.0 * np.pi * (i + 0.5 * d) / n))
+            phi.append([i, j, tilt * math.cos(6.0 * math.pi * i / n)])
+    q /= m[:, None]
+    k = np.where(x % 6 == 3, 1.0, 0.0)
+    return {"model": {"type": "finite", "m": m.tolist(), "q": q.tolist(), "k": k.tolist()},
+            "transform": {"type": "phi", "phi": phi}}
+
+
+FORM_CONFIGS = {"readme": {"model": CHAIN3_MODEL, "transform": RHO121}, "killed-ring-24": _killed_ring()}
+
+
+def _form_residual_by_draws(model, transform, draws, seed):
+    """The form-identity residual of every draw, one :func:`cli._form_for`
+    each on a freshly drawn vector, from pieces built here."""
+    n = model.n
+    pieces = (girsanov.transformed_jump_measure(model, transform), girsanov.transformed_killing(model, transform),
+              dirichlet.cemetery_generator(model, transform)[:n, :n], girsanov.transform.lower(model, transform).mu)
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    out = []
+    for _ in range(draws):
+        fv, cross = cli._form_for(pieces, rng.uniform(-1.0, 1.0, size=n))
+        out.append(abs(fv.total - cross) / max(1.0, abs(fv.total)))
+    return pieces, np.array(out)
+
+
+@pytest.mark.parametrize("name", sorted(FORM_CONFIGS))
+def test_batched_form_identity_equals_the_loop_over_draws(tmp_path, name):
+    model, transform = ExperimentConfig.from_json(json.dumps(FORM_CONFIGS[name])).resolve()
+    block = cli._FORM_BLOCK // model.n ** 2  # 3640 draws on the README chain, 56 on the ring
+    for draws in (1, 200, 2 * block + 5):
+        seed = 3 + draws
+        pieces, by_draw = _form_residual_by_draws(model, transform, draws, seed)
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+        batched = cli._form_residuals(pieces, rng.uniform(-1.0, 1.0, size=(draws, model.n)))
+        assert np.array_equal(batched, by_draw), draws
+        cfg = ExperimentConfig.from_json(json.dumps({**FORM_CONFIGS[name], "seed": seed,
+                                                     "checks": [{"id": "form_identity", "draws": draws}]}))
+        assert run(cfg, out_dir=str(tmp_path / f"{draws}")) == 0
+        with open(tmp_path / f"{draws}" / "report.json", encoding="utf-8") as fh:
+            [row] = json.load(fh)["checks"]
+        assert row["estimate"] == max(0.0, by_draw.max()), draws
+
+
 def test_checks_are_validated_before_any_sampling(tmp_path, monkeypatch, capsys):
     calls = []
     for name in ("estimate_chain", "estimate_transformed_semigroup", "estimate_mass", "quadratic_form_trend"):

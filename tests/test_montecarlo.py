@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 import warnings
@@ -34,7 +35,7 @@ from girsanov import (
     transformed_generator,
     transformed_model,
 )
-from girsanov import montecarlo
+from girsanov import cli, montecarlo
 from girsanov.montecarlo import _ChainEngine, _PhiloxUniforms
 from girsanov.paths import _brownian_increments
 from girsanov.transform import lower
@@ -738,7 +739,7 @@ def test_batched_estimators_equal_scalar_reference_across_chunks(chain3_killed, 
 
 
 def records_equal(a, b):
-    fields = ("x0", "x_t", "alive", "log_w")
+    fields = ("x0", "x_t", "alive", "log_w", "w")
     return (all(np.array_equal(getattr(a, k), getattr(b, k)) for k in fields)
             and a.count.keys() == b.count.keys() == a.occupation.keys() == b.occupation.keys()
             and all(np.array_equal(a.count[p], b.count[p]) and np.array_equal(a.occupation[p], b.occupation[p])
@@ -837,6 +838,127 @@ def test_zero_uniform_is_redrawn_like_the_scalar_sampler(chain3_killed, phi3):
             assert rec.x_t[i] == path.state_at(horizon)
         assert rec.log_w[i] == log_w(path, horizon)
         assert (rec.count[(1, 2)][i], rec.occupation[(1, 2)][i]) == reference_counts(path, (1, 2), horizon)
+
+
+def scripts_near(total, time, rng):
+    """Scripts whose first uniform puts the first holding time (at exit
+    rate ``total``) on ``time`` and on each side of it: ``u = 1 - exp(-total
+    time)`` and its neighbours up to 4 ulps away; random draws follow."""
+    centre = 1.0 - math.exp(-total * time)
+    firsts = [centre]
+    for toward in (0.0, 1.0):
+        u = centre
+        for _ in range(4):
+            u = np.nextafter(u, toward)
+            firsts.append(u)
+    return [np.concatenate([[u], rng.uniform(0.0, 1.0, size=200)]) for u in firsts]
+
+
+def assert_records_match_scalar(model, transform, x0, horizons, scripts):
+    """The engine's records at each horizon on ``scripts`` equal the scalar
+    sampler's paths and weights bit for bit."""
+    engine = _ChainEngine(model, transform)
+    log_w = log_weight_fn(model, transform)
+    [(_lo, _hi, recs)] = engine.run(horizons, len(scripts), RngSpec(seed=0), x0=x0,
+                                    uniforms=lambda _rng, first, count: ScriptedDraws(scripts[first:first + count]))
+    for horizon, rec in zip(horizons, recs):
+        for i, script in enumerate(scripts):
+            path = sample_finite_path(model, x0, horizon, ScriptedStream(script))
+            assert rec.alive[i] == path.alive_at(horizon)
+            if path.alive_at(horizon):
+                assert rec.x_t[i] == path.state_at(horizon)
+            assert rec.log_w[i] == log_w(path, horizon)
+            assert rec.w[i] == math.exp(rec.log_w[i])
+
+
+JUMP_AND_RHO = [PureJumpPhi(phi=np.array([[0.0, 1.0, 0.0], [1.0, 0.0, -0.5], [0.0, -0.5, 0.0]])),
+                RhoTransform(rho=np.array([1.0, 2.0, 1.0]))]
+
+
+@pytest.mark.parametrize("transform", JUMP_AND_RHO, ids=["phi", "rho"])
+def test_holding_time_at_a_horizon_matches_the_scalar_route(chain3_killed, transform):
+    # the first holding time lands on, just before and just after the last
+    # horizon, a checkpoint, and the last horizon's margin h (1 + 2**-40)
+    # within which the engine takes it from the C library's log
+    rng = np.random.default_rng(19)
+    totals = chain3_killed.q.sum(axis=1) + chain3_killed.k
+    sides = set()
+    for x0 in range(chain3_killed.n):
+        total = float(totals[x0])
+        for h in (0.5, 0.7, 2.0):
+            for at in (h, h * (1.0 + 2.0 ** -40)):
+                scripts = scripts_near(total, at, rng)
+                for horizons in ((h,), (h, h + 1.0), (0.5 * h, h)):
+                    assert_records_match_scalar(chain3_killed, transform, x0, horizons, scripts)
+                if at == h:
+                    first = [0.0 - math.log(1.0 - script[0]) / total for script in scripts]
+                    sides.update(np.sign(np.array(first) - h))
+    assert sides == {-1.0, 0.0, 1.0}  # some land exactly on the horizon
+
+
+@pytest.mark.parametrize("transform", JUMP_AND_RHO, ids=["phi", "rho"])
+def test_holding_time_on_the_horizon_where_numpy_log_differs(chain3_killed, transform):
+    # a horizon equal to the first holding time by the C library's log, on
+    # uniforms where numpy's log moves that time off it: only the C
+    # library's value may decide (where the two logs agree on every
+    # uniform, there is no such case and the test checks nothing)
+    rng = np.random.default_rng(29)
+    totals = chain3_killed.q.sum(axis=1) + chain3_killed.k
+    u = rng.uniform(0.0, 1.0, size=20_000)
+    for x0 in range(chain3_killed.n):
+        total = float(totals[x0])
+        exact = np.array([0.0 - math.log(1.0 - v) / total for v in u])
+        numpy = 0.0 - np.log(1.0 - u) / total
+        for off in (exact < numpy, exact > numpy):
+            for i in np.flatnonzero(off)[:4]:
+                h = float(exact[i])
+                scripts = [np.concatenate([[u[i]], rng.uniform(0.0, 1.0, size=200)])]
+                for horizons in ((h,), (h, h + 1.0), (0.5 * h, h)):
+                    assert_records_match_scalar(chain3_killed, transform, x0, horizons, scripts)
+
+
+@pytest.mark.parametrize("name,model,transform", CHECKPOINTS, ids=[c[0] for c in CHECKPOINTS])
+def test_record_weight_is_the_c_library_exp_of_its_log_weight(name, model, transform):
+    engine = _ChainEngine(model, transform)
+    low = lower(model, transform)
+    cdf, _total = montecarlo._initial_cumulative(low.mu)
+    kinds = set()
+    for start in ({"x0": 1}, {"start_cdf": cdf}):
+        horizons = (0.05, 0.4, 2.0)
+        for _lo, _hi, recs in engine.run(horizons, 300, RngSpec(seed=23), **start):
+            for horizon, rec in zip(horizons, recs):
+                assert np.array_equal(rec.w, np.array([math.exp(v) for v in rec.log_w]))
+                kinds.update(rec.log_w == 0.0 - low.rate[rec.x0] * horizon)
+    assert kinds == {True, False}  # both the per-state weights and the others
+
+
+README_TREND = {
+    "model": {"type": "finite", "m": [1.0, 1.0, 1.0], "q": [[0.0, 1.0, 0.0], [1.0, 0.0, 2.0], [0.0, 2.0, 0.0]]},
+    "transform": {"type": "rho", "rho": [1.0, 2.0, 1.0]},
+    "checks": ["symmetry", "conservativeness", "form_identity",
+               {"id": "semigroup", "f": [0.0, 1.0, 0.0], "t": 0.5, "paths": 20_000},
+               {"id": "quadratic_form", "f": [0.0, 1.0, 0.0], "ts": [0.2, 0.1, 0.05], "paths": 20_000}],
+}
+
+
+def test_readme_verify_takes_few_c_library_values(tmp_path, monkeypatch):
+    # the C library's log and exp run only where their bits are kept: about
+    # 0.66 values a path here, against 2.38 when every holding time and
+    # weight took one
+    taken = []
+
+    def counted(fn):
+        def apply(a):
+            taken.append(np.asarray(a).size)
+            return fn(a)
+        return apply
+
+    monkeypatch.setattr(montecarlo, "_log", counted(montecarlo._log))
+    monkeypatch.setattr(montecarlo, "_exp", counted(montecarlo._exp))
+    config = cli.ExperimentConfig.from_json(json.dumps(README_TREND))
+    assert cli.run(config, out_dir=str(tmp_path), seed=0) == 0
+    paths = 4 * 20_000
+    assert 0 < sum(taken) <= 0.8 * paths
 
 
 NAN = float("nan")
