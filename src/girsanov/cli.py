@@ -383,7 +383,7 @@ def _check_form_identity(model, transform, check, rng):
     draws = check["draws"]
     if type(draws) is not int or draws < 1:
         raise ConfigError(f"'draws' must be an integer >= 1, got {draws!r}")
-    f = None if check["f"] is None else montecarlo._check_chain_inputs(model, check["f"])
+    f = None if check["f"] is None else model.state_vector(check["f"])
 
     def finish(_results, oracle):
         pieces = _form_pieces(model, transform, oracle)
@@ -408,7 +408,7 @@ def _check_form_identity(model, transform, check, rng):
 
 def _check_semigroup(model, transform, check, rng):
     """The transformed semigroup of ``f`` at ``x``; ``mass`` is that of f = 1."""
-    f = np.ones(model.n) if check["id"] == "mass" else montecarlo._check_chain_inputs(model, check["f"])
+    f = np.ones(model.n) if check["id"] == "mass" else model.state_vector(check["f"])
     req = montecarlo.semigroup_request(model, transform, f, check["x"], check["t"], check["paths"], rng)
 
     def finish(results, oracle):
@@ -420,8 +420,8 @@ def _check_semigroup(model, transform, check, rng):
 
 
 def _check_symmetry_gap(model, transform, check, rng):
-    f = montecarlo._check_chain_inputs(model, check["f"])
-    g = montecarlo._check_chain_inputs(model, check["g"], "g")
+    f = model.state_vector(check["f"])
+    g = model.state_vector(check["g"], "g")
     req = montecarlo.symmetry_gap_request(model, transform, f, g, check["t"], check["paths"], rng)
 
     def finish(results, oracle):
@@ -435,7 +435,7 @@ def _check_symmetry_gap(model, transform, check, rng):
 
 
 def _check_quadratic_form(model, transform, check, rng):
-    f = montecarlo._check_chain_inputs(model, check["f"])
+    f = model.state_vector(check["f"])
     reqs = montecarlo.quadratic_form_requests(model, transform, f, check["ts"], check["paths"], rng)
 
     def finish(results, oracle):

@@ -80,9 +80,7 @@ def base_form(model: FiniteSymmetricModel, f) -> FormValue:
     The jump sum runs over ordered pairs against the half-weighted measure.
     Equals ``-(Qf, f)_m`` for every ``f``.
     """
-    f = np.asarray(f, dtype=float)
-    if f.shape != (model.n,):
-        raise DomainError("f has the wrong length for this model")
+    f = model.state_vector(f)
     jump = _pair_energy(jump_measure(model), f)
     kill = float(np.sum(killing_measure(model) * f * f))
     return FormValue(0.0, jump, kill)
@@ -96,9 +94,7 @@ def transformed_generator(model: FiniteSymmetricModel, rho) -> np.ndarray:
     rather than from the tilted kernel, so the two routes can be compared.
     Row sums vanish identically (killing is absorbed by the tilt).
     """
-    rho = RhoTransform(_unwrap(rho, RhoTransform)).rho  # finite and strictly positive
-    if rho.shape != (model.n,):
-        raise DomainError("rho has the wrong length for this model")
+    rho = model.state_vector(RhoTransform(_unwrap(rho, RhoTransform)).rho, "rho")  # finite, > 0, one per state
     Q = model.generator()
     Qrho = Q @ rho
     n = model.n
@@ -145,9 +141,7 @@ def transformed_form_rho(model: FiniteSymmetricModel, rho, f) -> FormValue:
     stays an independent reference for :func:`transformed_jump_measure`.
     """
     rho = RhoTransform(_unwrap(rho, RhoTransform)).rho
-    f = np.asarray(f, dtype=float)
-    if f.shape != (model.n,):
-        raise DomainError("f has the wrong length for this model")
+    f = model.state_vector(f)
     J_hat = rho[:, None] * rho[None, :] * jump_measure(model)
     return FormValue(0.0, _pair_energy(J_hat, f), 0.0)
 
@@ -155,9 +149,7 @@ def transformed_form_rho(model: FiniteSymmetricModel, rho, f) -> FormValue:
 def transformed_form_phi(model: FiniteSymmetricModel, phi, f) -> FormValue:
     """Energy of the jump-tilted process: measure ``(1 + phi)J``, killing kept."""
     phi = PureJumpPhi(_unwrap(phi, PureJumpPhi))
-    f = np.asarray(f, dtype=float)
-    if f.shape != (model.n,):
-        raise DomainError("f has the wrong length for this model")
+    f = model.state_vector(f)
     J_y = transformed_jump_measure(model, phi)
     kappa_y = transformed_killing(model, phi)
     return FormValue(0.0, _pair_energy(J_y, f), float(np.sum(kappa_y * f * f)))
@@ -375,13 +367,13 @@ class DomainReport:
 def domain_membership(model, transform, f, region=None, mesh: int = 256) -> DomainReport:
     """Check the three finiteness witnesses of form-domain membership.
 
-    On finite models every function qualifies and the witnesses are exact
-    sums.  On the continuum model the witnesses are quadrature values over
-    ``region`` and membership means all three are finite and the form
-    quadrature converged.
+    On finite models every vector of one finite number per state qualifies
+    and the witnesses are exact sums.  On the continuum model the witnesses
+    are quadrature values over ``region`` and membership means all three are
+    finite and the form quadrature converged.
     """
     if isinstance(model, FiniteSymmetricModel):
-        f_arr = np.asarray(f, dtype=float)
+        f_arr = model.state_vector(f)
         low = lower(model, transform)
         J_y = _lowered_jump_measure(model, low)
         # the symmetric part of the jump measure carries the form

@@ -17,7 +17,7 @@ one-half weight convention, and the killing measure ``kappa = k * m``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -94,6 +94,17 @@ class FiniteSymmetricModel:
     @property
     def n(self) -> int:
         return self.m.shape[0]
+
+    def state_vector(self, f, name: str = "f") -> np.ndarray:
+        """``f`` as a float vector of one finite number per state; strings,
+        None and other objects are no numbers, and raise :class:`DomainError`."""
+        try:
+            vec = np.asarray(f)
+        except ValueError:  # a ragged list
+            vec = None
+        if vec is None or vec.shape != (self.n,) or vec.dtype.kind not in "iuf" or not np.all(np.isfinite(vec)):
+            raise DomainError(f"{name} must be one finite number per state ({self.n}), got {f!r}")
+        return np.asarray(vec, dtype=float)
 
     def total_rates(self) -> np.ndarray:
         """Per-state total event rate: jumps plus killing."""

@@ -3,6 +3,7 @@
 Sampling is deterministic per path: path ``i`` draws its uniforms from the
 counter-based Philox4x64-10 stream keyed by ``(seed, offset + i)`` (see
 :class:`RngSpec`), so results do not depend on batching or execution order.
+Every sampler, scalar or batched, takes its keys from :meth:`RngSpec.keys`.
 Estimator aggregation uses ``np.sum`` (pairwise summation), which pins means
 to the last bit across runs.
 
@@ -35,7 +36,9 @@ and path count read one batch: the engine runs it once, to the largest
 horizon asked, and records every path at each smaller horizon on the way
 (a checkpoint), since a path's stream does not depend on its horizon.  This
 makes those requests use common random numbers, as their identical streams
-already did, and changes no value.
+already did, and changes no value.  The functions ``f`` and ``g`` a request
+reduces are checked by :meth:`FiniteSymmetricModel.state_vector`, the rule
+the CLI and the forms of ``dirichlet`` use too.
 
 The continuum energy estimator runs on a second batched engine,
 :class:`_ContinuumEngine`, over chunks of paths.  Path ``i`` reads its draws
@@ -44,7 +47,9 @@ mapped into the open unit interval as ``((w >> 11) + 0.5) * 2**-53``: the
 start, the count of jumps longer than ``eps`` (Poisson, by inversion of a
 pinned CDF table), that many jump times, radii and signs, then one normal
 (``ndtri``) per grid step.  Jumps shorter than ``eps`` are folded into the
-Gaussian step, as in :func:`sample_jump_diffusion_path`.  One pass over the
+Gaussian step, as in :func:`sample_jump_diffusion_path`; both count the
+grid's steps by :func:`~girsanov.paths.steps` and place each jump in its
+step by :func:`~girsanov.paths.jump_steps`.  One pass over the
 (paths, steps) grid then gives every path's end state and rho-tilt weight;
 on the same draws these agree with :func:`sample_jump_diffusion_path` and
 :func:`rho_transform_mf` to rounding (the sums run in another order).
@@ -80,7 +85,7 @@ from .model import (
     stable_small_jump_variance,
     stable_tail_intensity,
 )
-from .paths import Path
+from .paths import Path, jump_steps, steps
 from .transform import (
     RhoTransform,
     _finite_diff_grad,
@@ -169,9 +174,15 @@ class RngSpec:
         object.__setattr__(self, "seed", seed)  # numpy integers become ints, so key arithmetic is exact
         object.__setattr__(self, "offset", offset)
 
+    def keys(self, first: int, count: int):
+        """Philox keys of streams ``first .. first + count - 1``: the word
+        ``seed`` they share and one word ``offset + index`` each, both
+        modulo 2**64 (uint64 array arithmetic wraps, as the keys do)."""
+        return self.seed & _MASK64, np.arange(count, dtype=np.uint64) + np.uint64((self.offset + first) & _MASK64)
+
     def stream(self, index: int) -> np.random.Generator:
-        key = np.array([self.seed & _MASK64, (self.offset + index) & _MASK64], dtype=np.uint64)
-        return np.random.Generator(np.random.Philox(key=key))
+        key0, key1 = self.keys(index, 1)
+        return np.random.Generator(np.random.Philox(key=np.array([key0, key1[0]], dtype=np.uint64)))
 
 
 # ---------------------------------------------------------------------------
@@ -262,9 +273,7 @@ class _PhiloxUniforms:
 
     def __init__(self, rng: RngSpec, first: int, count: int, ws: Optional[np.ndarray] = None):
         self._ws = _philox_workspace(count, ws)
-        self._key0 = rng.seed & _MASK64
-        # uint64 array arithmetic wraps modulo 2**64, as the stream keys do
-        self._key1 = np.arange(count, dtype=np.uint64) + np.uint64((rng.offset + first) & _MASK64)
+        self._key0, self._key1 = rng.keys(first, count)
         self._drawn = np.zeros(count, dtype=np.int64)
         self._buf = np.empty((count, 4))
         self._fill(np.arange(count), np.ones(count, dtype=np.uint64))
@@ -387,9 +396,7 @@ def _grid_and_jump_mean(model: JumpDiffusionModel, horizon: float, dt: float, ep
     """Grid steps up to ``horizon`` and the mean count of jumps longer than
     ``eps`` before it, for a truncated grid path."""
     horizon, dt, eps = _time(horizon, "horizon"), _time(dt, "dt"), _time(eps, "eps")
-    n_steps = int(round(horizon / dt))
-    if n_steps < 1 or abs(n_steps * dt - horizon) > 1e-9 * max(1.0, horizon):
-        raise DomainError("horizon must be a positive multiple of dt")
+    n_steps = steps(horizon, dt)
     mean = stable_tail_intensity(model, eps) * horizon
     if mean < 1e-6:
         warnings.warn(
@@ -435,9 +442,7 @@ def sample_jump_diffusion_path(model: JumpDiffusionModel, x0, horizon: float,
         grid = np.empty((n_steps + 1, d))
     x0_arr = float(x0) if d == 1 else np.asarray(x0, dtype=float)
     grid[0] = x0_arr
-    steps = gauss.copy()
-    # a time within 1e-9 dt of 0 belongs to the first step
-    step_of_jump = np.clip(np.ceil(jump_times / dt - 1e-9).astype(int) - 1, 0, n_steps - 1)
+    step_of_jump = jump_steps(jump_times, dt, n_steps)
     events = []
     pres = []
     cur = grid[0]
@@ -768,7 +773,7 @@ class _ContinuumEngine:
 
     def __init__(self, model: JumpDiffusionModel, rho, region, t: float, dt: float,
                  eps: float, rho_grad=None, compensator=None):
-        steps, mean = _grid_and_jump_mean(model, t, dt, eps)
+        K, mean = _grid_and_jump_mean(model, t, dt, eps)
         if compensator is None:
             lo, hi = float(region[0]), float(region[1])
             compensator = stable_rate_table(
@@ -782,7 +787,7 @@ class _ContinuumEngine:
         self.var_rate = 1.0 + stable_small_jump_variance(model, eps)
         self.std = np.sqrt(self.var_rate * dt)
         self.alpha = model.alpha
-        self.t, self.dt, self.eps, self.steps = float(t), float(dt), float(eps), steps
+        self.t, self.dt, self.eps, self.steps = float(t), float(dt), float(eps), K
         self._ws = _philox_workspace(0)
 
     def run(self, n: int, rng: RngSpec):
@@ -798,8 +803,7 @@ class _ContinuumEngine:
         the index of its first jump-time draw (draw 2).
         """
         paths = np.arange(m)
-        key0 = rng.seed & _MASK64
-        key1 = paths.astype(np.uint64) + np.uint64((rng.offset + first) & _MASK64)
+        key0, key1 = rng.keys(first, m)
         # the first block (counter 1) holds the start and the jump count,
         # which fix how many blocks each path reads; the full pass computes
         # it again, so that each path's words are one contiguous run
@@ -836,8 +840,7 @@ class _ContinuumEngine:
         key.real = jpath
         key.imag = times
         times = np.sort(key).imag
-        # the step holding each jump; a time within 1e-9 dt of 0 is in the first
-        step = np.clip(np.ceil(times / dt - 1e-9).astype(np.intp) - 1, 0, K - 1)
+        step = jump_steps(times, dt, K)
         brown = u[(start + 3 * count)[:, None] + np.arange(K)]
         del u
         from scipy.special import ndtri  # here, so that importing the package does not load it
@@ -882,18 +885,6 @@ class _ContinuumEngine:
 
 # ---------------------------------------------------------------------------
 # estimators
-
-
-def _check_chain_inputs(model, f, name: str = "f"):
-    """``f`` as a float vector of one finite number per state of ``model``;
-    strings, None and other objects are no numbers."""
-    try:
-        vec = np.asarray(f)
-    except ValueError:  # a ragged list
-        vec = None
-    if vec is None or vec.shape != (model.n,) or vec.dtype.kind not in "iuf" or not np.all(np.isfinite(vec)):
-        raise DomainError(f"{name} must be one finite number per state ({model.n}), got {f!r}")
-    return np.asarray(vec, dtype=float)
 
 
 def _initial_cumulative(mu: np.ndarray):
@@ -1018,7 +1009,7 @@ def _sample_group(engine: _ChainEngine, requests: list, x0, rng: RngSpec, n: int
 def semigroup_request(model: FiniteSymmetricModel, transform, f, x: int, t: float,
                       n: int, rng: RngSpec) -> ChainRequest:
     """Request of ``E_x[Z_t f(X_t)]``: samples ``Z_t f(X_t)``, zero after death."""
-    f = _check_chain_inputs(model, f)
+    f = model.state_vector(f)
 
     def reduce(rec):
         out = np.zeros(rec.alive.size)
@@ -1033,8 +1024,8 @@ def symmetry_gap_request(model: FiniteSymmetricModel, transform, f, g, t: float,
                          n: int, rng: RngSpec) -> ChainRequest:
     """Request of the antisymmetrised pairing gap; when ``f = g`` the gap is
     exactly zero, and the request has no reducer and samples nothing."""
-    f = _check_chain_inputs(model, f)
-    g = _check_chain_inputs(model, g, "g")
+    f = model.state_vector(f)
+    g = model.state_vector(g, "g")
     if np.array_equal(f, g):
         return ChainRequest(model, transform, x0=None, horizon=t, n=n, rng=rng, reduce=None)
     _cdf, total = _initial_cumulative(lower(model, transform).mu)
@@ -1063,7 +1054,7 @@ def quadratic_form_requests(model: FiniteSymmetricModel, transform, f, ts, n: in
                             rng: RngSpec) -> list:
     """Requests of the energy statistic at each time of ``ts``, each time on
     its own block of streams."""
-    f = _check_chain_inputs(model, f)
+    f = model.state_vector(f)
     _cdf, total = _initial_cumulative(lower(model, transform).mu)
 
     def request(t, block):

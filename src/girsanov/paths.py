@@ -12,13 +12,20 @@ Occupation-time integrals are exact on chains (piecewise-constant quadrature)
 and trapezoidal on grids; jump sums run over recorded events only.  Every
 function on the state space evaluates to zero at the cemetery, so killed
 paths contribute nothing after their death time.
+
+Each functional of a path, here and in ``transform`` and ``montecarlo``,
+admits a time by :meth:`Path.time`, counts grid steps by :func:`steps` and
+finds the step that holds a jump by :func:`jump_steps`.
 """
 
 from __future__ import annotations
 
-import bisect
 import io
-from dataclasses import dataclass, field
+import math
+import numbers
+from bisect import bisect_right
+from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, Optional
 
 import numpy as np
@@ -30,6 +37,8 @@ __all__ = [
     "CafSpec",
     "reverse",
     "shift",
+    "steps",
+    "jump_steps",
     "integrate_along",
     "jump_sum",
     "evenness_residual",
@@ -103,8 +112,7 @@ class Path:
             object.__setattr__(self, "grid", grid)
             if self.dt is None or not (self.dt > 0.0):
                 raise PathError("grid paths need a positive step dt")
-            n_steps = grid.shape[0] - 1
-            if n_steps < 1 or abs(n_steps * self.dt - self.horizon) > 1e-9 * max(1.0, self.horizon):
+            if steps(self.horizon, self.dt, PathError) != grid.shape[0] - 1:
                 raise PathError("grid length inconsistent with horizon and dt")
             pre = tuple(self.jump_pre) if self.jump_pre is not None else ()
             if len(pre) != len(self.events):
@@ -124,18 +132,26 @@ class Path:
     def alive_at(self, t: float) -> bool:
         return self.killed_at is None or t < self.killed_at
 
+    def time(self, t) -> float:
+        """``t`` as a float time of this path: a real number, not a bool,
+        in ``[0, horizon]`` up to a slack of ``1e-12 max(1, horizon)`` for
+        rounding; anything else raises :class:`DomainError`."""
+        if isinstance(t, float) or (isinstance(t, numbers.Real) and not isinstance(t, bool)):
+            x, h = float(t), self.horizon  # compared as a float: numpy scalars compare slowly
+            if 0.0 <= x <= h + 1e-12 * max(1.0, h):
+                return x
+        raise DomainError(f"t must be a number in [0, horizon = {self.horizon!r}], got {t!r}")
+
     def state_at(self, t: float):
         """Cadlag evaluation; returns ``None`` for the cemetery."""
-        if t < 0.0 or t > self.horizon:
-            raise DomainError("time outside [0, horizon]")
+        t = self.time(t)
         if not self.alive_at(t):
             return None
         if self.is_grid:
             j = int(round(t / self.dt))
             j = min(max(j, 0), self.grid.shape[0] - 1)
             return self.grid[j]
-        times = self.event_times
-        i = bisect.bisect_right(times, t)
+        i = bisect_right(self.events, t, key=itemgetter(0))
         return self.x0 if i == 0 else self.events[i - 1][1]
 
     def states_before(self, t: float):
@@ -150,11 +166,29 @@ class Path:
         return out
 
 
-def _check_window(path: Path, t: float):
-    if t > path.horizon:
-        raise DomainError("t exceeds the path horizon")
+def steps(t: float, dt: float, error: type = DomainError) -> int:
+    """The number of grid steps ``K = round(t / dt)`` up to the time ``t``;
+    raises ``error`` unless ``K >= 1`` and ``|K dt - t| <= 1e-9 max(1, t)``,
+    so that ``t`` is a grid time."""
+    K = int(round(t / dt)) if math.isfinite(t / dt) else 0
+    if K < 1 or abs(K * dt - t) > 1e-9 * max(1.0, t):
+        raise error(f"{t!r} is not a positive multiple of the grid step {dt!r}")
+    return K
+
+
+def jump_steps(times, dt: float, K: int) -> np.ndarray:
+    """The grid step ``j`` in ``[0, K)`` that holds each jump time: step
+    ``j`` covers ``(j dt, (j + 1) dt]``, a time within 1e-9 dt of 0 falls in
+    the first step and one past ``K dt`` in the last."""
+    # clipped as floats and cast once: np.clip costs more than the rest on a path's few jumps
+    return np.minimum(np.maximum(np.ceil(np.divide(times, dt) - 1e-9), 1.0), K).astype(np.intp) - 1
+
+
+def _check_window(path: Path, t: float) -> float:
+    t = path.time(t)
     if path.killed_at is not None and path.killed_at <= t:
         raise PathError("path is killed before t; reversal undefined")
+    return t
 
 
 def reverse(path: Path, t: float) -> Path:
@@ -165,13 +199,11 @@ def reverse(path: Path, t: float) -> Path:
     and the jump count is preserved.  Applying the operation twice recovers
     the original restricted to ``[0, t]``.
     """
+    t = _check_window(path, t)
     if not (t > 0.0):
         raise DomainError("reversal time must be positive")
-    _check_window(path, t)
     if path.is_grid:
-        K = int(round(t / path.dt))
-        if abs(K * path.dt - t) > 1e-9 * max(1.0, t):
-            raise DomainError("grid paths can only be reversed at grid times")
+        K = steps(t, path.dt)
         rev_grid = path.grid[K::-1].copy()
         rev_events = []
         rev_pre = []
@@ -191,28 +223,19 @@ def reverse(path: Path, t: float) -> Path:
             jump_pre=tuple(rev_pre),
             eps=path.eps,
         )
-    rev_events = []
-    prev = path.x0
-    pres = []
-    kept = []
-    for s, x in path.events:
-        if s < t:
-            pres.append(prev)
-            kept.append((s, x))
-        prev = x
-    for (s, _), pre in zip(reversed(kept), reversed(pres)):
-        rev_events.append((t - s, pre))
-    # the reversed path starts at the left limit of the original at t, which
-    # is the state reached by the last event strictly before t
-    start = kept[-1][1] if kept else path.x0
-    return Path(x0=start, events=tuple(rev_events), horizon=t)
+    kept = [ev for ev in path.events if ev[0] < t]
+    # the state before each kept event, then the left limit at t, where the
+    # reversed path starts: the state reached by the last event before t
+    states = [path.x0] + [x for _, x in kept]
+    rev_events = tuple((t - s, pre) for (s, _), pre in zip(reversed(kept), reversed(states[:-1])))
+    return Path(x0=states[-1], events=rev_events, horizon=t)
 
 
 def shift(path: Path, s: float) -> Path:
     """Restart the chain path at time ``s`` (time origin moves to ``s``)."""
     if path.is_grid:
         raise DomainError("shift is provided for chain paths only")
-    if not (0.0 <= s < path.horizon):
+    if not path.time(s) < path.horizon:
         raise DomainError("shift time must lie in [0, horizon)")
     if path.killed_at is not None and path.killed_at <= s:
         raise PathError("cannot shift past the death time")
@@ -246,8 +269,7 @@ def integrate_along(path: Path, f, t: float) -> float:
     Integration stops at the death time (the cemetery contributes zero) and
     ``t = 0`` gives zero.
     """
-    if t < 0.0 or t > path.horizon + 1e-12 * max(1.0, path.horizon):
-        raise DomainError("t must lie in [0, horizon]")
+    t = path.time(t)
     if t == 0.0:
         return 0.0
     if path.is_grid:
@@ -282,23 +304,13 @@ def jump_sum(path: Path, F, t: float) -> float:
     Only genuine jumps enter (no diagonal terms, no grid increments); the
     death jump is not part of the event list.
     """
-    if t < 0.0:
-        raise DomainError("t must be nonnegative")
-    if path.is_grid:
-        total = 0.0
-        for (s, post), pre in zip(path.events, path.jump_pre):
-            if s > t:
-                break
-            total += float(F(pre, post))
-        return total
-    fn = _pair_integrand(F)
+    t = path.time(t)
+    fn, pres = (F, path.jump_pre) if path.is_grid else (_pair_integrand(F), path.states_before(t))
     total = 0.0
-    prev = path.x0
-    for s, x in path.events:
+    for (s, post), pre in zip(path.events, pres):
         if s > t:
             break
-        total += fn(prev, x)
-        prev = x
+        total += float(fn(pre, post))
     return total
 
 
@@ -332,10 +344,11 @@ def _num_laplacian(u, h: float = 1e-4) -> Callable:
 def _brownian_increments(path: Path, k_steps: int):
     """Per-step continuous increments: grid differences minus jump sizes."""
     inc = np.diff(path.grid[: k_steps + 1], axis=0).astype(float)
-    for (s, post), pre in zip(path.events, path.jump_pre):
-        j = max(int(np.ceil(s / path.dt - 1e-9)) - 1, 0)
-        if j < k_steps:
-            inc[j] = inc[j] - (np.asarray(post, dtype=float) - np.asarray(pre, dtype=float))
+    if path.events:
+        held = jump_steps([s for s, _ in path.events], path.dt, path.grid.shape[0] - 1)
+        sizes = np.array([post for _, post in path.events], dtype=float) - np.array(path.jump_pre, dtype=float)
+        # unbuffered, in event order, as a loop over the events subtracts
+        np.subtract.at(inc, held[held < k_steps], sizes[held < k_steps])
     return inc
 
 
@@ -357,15 +370,12 @@ def lyons_zheng_residual(path: Path, u, model, t: float, lap_u=None) -> float:
     identity telescopes to machine precision; on diffusion grids the residual
     carries the discretisation noise of the grid.
     """
-    _check_window(path, t)
+    t = _check_window(path, t)
     if not path.is_grid:
-        vec = None if callable(u) else np.asarray(u, dtype=float)
-        fn = (lambda x: float(u(x))) if callable(u) else (lambda x: float(vec[x]))
+        fn = _state_integrand(u)
         jumps = jump_sum(path, lambda x, y: fn(y) - fn(x), t)
         return abs(fn(path.state_at(t)) - fn(path.x0) - jumps)
-    K = int(round(t / path.dt))
-    if abs(K * path.dt - t) > 1e-9 * max(1.0, t):
-        raise DomainError("grid paths support the split at grid times only")
+    K = steps(t, path.dt)
     lap = lap_u if lap_u is not None else _num_laplacian(u)
     m_fwd = _continuous_martingale(path, u, lap, K)
     rev = reverse(path, t)

@@ -36,7 +36,7 @@ from .model import (
     jump_measure,
     stable_small_jump_variance,
 )
-from .paths import Path, _brownian_increments, reverse
+from .paths import Path, _brownian_increments, _state_integrand, jump_steps, reverse, steps
 
 __all__ = [
     "RhoTransform",
@@ -288,8 +288,7 @@ def _chain_trace(path: Path, t: float, w: LoweredTransform) -> MFTrace:
     sum, as the batched engine does, so the end value equals the engine's
     bit for bit; the left limit at an event is ``log_z - rate * held``.
     """
-    if t < 0.0 or t > path.horizon + 1e-12 * max(1.0, path.horizon):
-        raise DomainError("t must lie in [0, horizon]")
+    t = path.time(t)
     times = [0.0]
     log_z = [0.0]
     log_pre = [0.0]
@@ -316,6 +315,7 @@ def _chain_trace(path: Path, t: float, w: LoweredTransform) -> MFTrace:
 
 def _rho_closed_trace(path: Path, t: float, model, rho) -> MFTrace:
     """Telescoped form: log z = log rho(X_s) - log rho(X_0) - cumulative rate."""
+    t = path.time(t)
     rho = np.asarray(rho, dtype=float)
     rate = lower(model, RhoTransform(rho)).rate
     lr = np.log(rho)
@@ -433,9 +433,8 @@ def _grid_trace(path: Path, t: float, *, log_jump, comp_rate, mc=None, var_rate=
     rate per coordinate of the Gaussian driver (1 plus the small-jump
     correction), entering the bracket term.
     """
-    K = int(round(t / path.dt))
-    if abs(K * path.dt - t) > 1e-9 * max(1.0, t):
-        raise DomainError("grid-path weights are evaluated at grid times")
+    t = path.time(t)
+    K = steps(t, path.dt)
     base = path.grid[:K]
     inc = _brownian_increments(path, K)
     dt = path.dt
@@ -448,11 +447,11 @@ def _grid_trace(path: Path, t: float, *, log_jump, comp_rate, mc=None, var_rate=
             step_log = step_log + np.sum(g * inc, axis=-1) - 0.5 * np.sum(g * g, axis=-1) * var_rate * dt
     log_z = np.zeros(K + 1)
     log_z[1:] = np.cumsum(step_log)
-    for (s, post), pre in zip(path.events, path.jump_pre):
+    held = jump_steps([s for s, _ in path.events], dt, K)
+    for j, (s, post), pre in zip(held, path.events, path.jump_pre):
         if s > t:
             break
-        j = max(int(np.ceil(s / dt - 1e-9)), 1)
-        log_z[j:] += float(log_jump(pre, post))
+        log_z[j + 1:] += float(log_jump(pre, post))
     times = np.arange(K + 1) * dt
     return MFTrace(times, log_z, log_z.copy())
 
@@ -688,13 +687,8 @@ def reversal_identity_residual(path: Path, rho, model, t: float, **grid_kw) -> f
     fwd = rho_transform_mf(path, rho, model, t, **grid_kw)
     rev_path = reverse(path, t)
     bwd = rho_transform_mf(rev_path, rho, model, t, **grid_kw)
-    if path.is_grid:
-        r0 = float(rho(path.grid[0]))
-        rt = float(rho(path.state_at(t)))
-    else:
-        rho_arr = np.asarray(rho, dtype=float)
-        r0 = float(rho_arr[path.x0])
-        rt = float(rho_arr[path.state_at(t)])
+    value = _state_integrand(rho)
+    r0, rt = value(path.grid[0] if path.is_grid else path.x0), value(path.state_at(t))
     return abs(bwd.end_value - fwd.end_value * (r0 * r0) / (rt * rt))
 
 

@@ -355,6 +355,16 @@ def test_domain_membership_finite_models(chain3_killed, rho121, phi3):
         domain_membership(chain3_killed, object(), f)
 
 
+@pytest.mark.parametrize("f", [["a", "b", "c"], ["1", "0", "0"], None, [math.nan, 0.0, 0.0],
+                               [1.0, math.inf, 0.0], [1.0, 2.0], np.ones(4)])
+def test_finite_forms_refuse_anything_but_one_finite_number_per_state(chain3, rho121, f):
+    for form in (lambda: base_form(chain3, f), lambda: transformed_form_rho(chain3, rho121, f),
+                 lambda: transformed_form_phi(chain3, np.zeros((3, 3)), f),
+                 lambda: domain_membership(chain3, RhoTransform(rho=rho121), f)):
+        with pytest.raises(DomainError):
+            form()
+
+
 def test_domain_membership_continuum():
     rho = lambda x: 1.0 + 0.5 * np.exp(-np.asarray(x, dtype=float) ** 2)
     f = lambda x: np.exp(-np.asarray(x, dtype=float) ** 2)

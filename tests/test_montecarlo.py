@@ -37,7 +37,7 @@ from girsanov import (
 )
 from girsanov import cli, montecarlo
 from girsanov.montecarlo import _ChainEngine, _PhiloxUniforms
-from girsanov.paths import _brownian_increments
+from girsanov.paths import _brownian_increments, jump_steps
 from girsanov.transform import lower
 
 F010 = np.array([0.0, 1.0, 0.0])
@@ -417,6 +417,19 @@ def test_jump_at_time_near_zero_lands_in_the_first_step():
     assert len(p.events) == 1 and p.jump_pre == (0.0,)
     np.testing.assert_array_equal(p.grid[1:], size)
     np.testing.assert_array_equal(_brownian_increments(p, 10), 0.0)
+    # the shared rule gives the step of each of the four expressions it
+    # replaced: the sampler's, the continuum engine's, the increments' and
+    # the grid weight's (which gives the step plus one)
+    dt, K = 0.01, 10
+    grid_times = np.arange(1, K + 1) * dt
+    times = np.concatenate([grid_times, np.nextafter(grid_times, 0.0), np.nextafter(grid_times, 1.0),
+                            [1e-10 * dt, K * dt]])
+    shared = jump_steps(times, dt, K)
+    np.testing.assert_array_equal(shared, np.clip(np.ceil(times / dt - 1e-9).astype(int) - 1, 0, K - 1))
+    np.testing.assert_array_equal(shared, np.clip(np.ceil(times / dt - 1e-9).astype(np.intp) - 1, 0, K - 1))
+    assert shared.tolist() == [max(int(np.ceil(s / dt - 1e-9)) - 1, 0) for s in times]
+    assert (shared + 1).tolist() == [max(int(np.ceil(s / dt - 1e-9)), 1) for s in times]
+    assert shared[-2:].tolist() == [0, K - 1]
 
 
 # -- continuum engine vs. the scalar reference -------------------------------

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from girsanov import (
     sample_jump_diffusion_path,
     shift,
 )
+from girsanov.paths import steps
 
 CHAIN_PATH = Path(x0=0, events=((0.5, 1), (1.5, 2)), horizon=2.0)
 
@@ -75,6 +78,18 @@ def test_state_at_is_cadlag():
         p.state_at(-0.1)
     with pytest.raises(DomainError):
         p.state_at(2.1)
+    # rounding past the horizon, within 1e-12 of it, is still the horizon
+    assert p.state_at(2.0 + 1e-12) == 2
+    with pytest.raises(DomainError):
+        p.state_at(2.0 + 1e-11)
+
+
+def test_steps_counts_the_grid_steps_of_grid_times_only():
+    assert steps(0.5, 1e-3) == 500
+    assert steps(0.3, 0.1) == 3  # 0.3 / 0.1 is 2.9999999999999996
+    for t, dt in ((0.0, 1e-3), (0.25, 0.1), (0.5004, 1e-3), (math.nan, 1e-3), (math.inf, 1e-3)):
+        with pytest.raises(DomainError):
+            steps(t, dt)
 
 
 def test_state_at_after_death():

@@ -7,6 +7,7 @@ from scipy import integrate
 
 from conftest import make_consistent_pair, make_reversible, make_symmetric_phi
 from girsanov import dirichlet
+from girsanov.paths import integrate_along, jump_sum, lyons_zheng_residual, reverse
 from girsanov.transform import _chain_trace, lower
 from girsanov import (
     DomainError,
@@ -657,3 +658,56 @@ def test_integrability_raising_tilt_is_inconclusive():
     report = integrability_check(STABLE1, phi, (-1.0, 1.0), t=1.0)
     assert report.status == "inconclusive"
     assert not bool(report)
+
+
+# -- the time rule of the path functionals -----------------------------------
+
+_CHAIN3 = FiniteSymmetricModel(m=np.ones(3), q=np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 2.0], [0.0, 2.0, 0.0]]))
+_RHO3 = np.array([1.0, 2.0, 1.0])
+_RHO_FN = lambda x: 1.0 + 0.5 * np.exp(-np.asarray(x, dtype=float) ** 2)  # noqa: E731
+_COMP = lambda x: np.full(np.shape(x), 0.7)  # noqa: E731
+# horizon 2 with two jumps; horizon 1 on the grid 0, 0.5, 1 with one jump
+_TIME_PATHS = {
+    "chain": Path(x0=0, events=((0.5, 1), (1.5, 2)), horizon=2.0),
+    "grid": Path(x0=0.0, events=((0.3, 1.2),), horizon=1.0, grid=np.array([0.0, 1.5, 2.0]),
+                 dt=0.5, jump_pre=(0.2,), eps=0.1),
+}
+_TIME_CALLS = {
+    "chain": {
+        "state_at": lambda p, t: p.state_at(t),
+        "integrate_along": lambda p, t: integrate_along(p, np.ones(3), t),
+        "jump_sum": lambda p, t: jump_sum(p, np.ones((3, 3)), t),
+        "rho_transform_mf": lambda p, t: rho_transform_mf(p, _RHO3, _CHAIN3, t),
+        "pure_jump_mf": lambda p, t: pure_jump_mf(p, np.zeros((3, 3)), _CHAIN3, t),
+        "general_mf": lambda p, t: general_mf(p, GeneralMF(phi=np.zeros((3, 3))), _CHAIN3, t),
+        "log_weight_fn": lambda p, t: log_weight_fn(_CHAIN3, RhoTransform(_RHO3))(p, t),
+        "reverse": lambda p, t: reverse(p, t),
+        "lyons_zheng_residual": lambda p, t: lyons_zheng_residual(p, _RHO3, _CHAIN3, t),
+        "reversal_identity_residual": lambda p, t: reversal_identity_residual(p, _RHO3, _CHAIN3, t),
+    },
+    "grid": {
+        "state_at": lambda p, t: p.state_at(t),
+        "integrate_along": lambda p, t: integrate_along(p, np.sin, t),
+        "jump_sum": lambda p, t: jump_sum(p, lambda x, y: y - x, t),
+        "rho_transform_mf": lambda p, t: rho_transform_mf(p, _RHO_FN, STABLE1, t, compensator=_COMP),
+        "pure_jump_mf": lambda p, t: pure_jump_mf(p, lambda x, y: 0.5, STABLE1, t, compensator=_COMP),
+        "general_mf": lambda p, t: general_mf(p, GeneralMF(phi=lambda x, y: 0.5), STABLE1, t,
+                                              compensator=_COMP),
+        "reverse": lambda p, t: reverse(p, t),
+        "lyons_zheng_residual": lambda p, t: lyons_zheng_residual(p, np.sin, STABLE1, t,
+                                                                  lap_u=lambda x: -np.sin(x)),
+        "reversal_identity_residual": lambda p, t: reversal_identity_residual(p, _RHO_FN, STABLE1, t,
+                                                                              compensator=_COMP),
+    },
+}
+
+
+@pytest.mark.parametrize("kind, name", [(k, n) for k, calls in _TIME_CALLS.items() for n in calls])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -0.1, "twice the horizon", "1", True])
+def test_path_functionals_refuse_times_outside_the_path(kind, name, bad):
+    # log_weight_fn evaluates chain paths only, so it has no grid case
+    path, call = _TIME_PATHS[kind], _TIME_CALLS[kind][name]
+    t = 2.0 * path.horizon if bad == "twice the horizon" else bad
+    call(path, path.horizon)  # the horizon itself is a time of the path
+    with pytest.raises(DomainError):
+        call(path, t)
