@@ -35,6 +35,7 @@ from .transform import (
     _lowered_jump_measure,
     _unwrap,
     lower,
+    lower_continuum,
     transformed_jump_measure,
     transformed_killing,
 )
@@ -328,13 +329,9 @@ def continuum_form_quadrature(rho, f, model: JumpDiffusionModel, region, mesh: i
     integral; ``f`` and ``rho`` should be smooth with ``f`` effectively
     supported inside the region.  The value is computed on ``mesh`` and
     ``2 * mesh`` cells and the fine value is returned together with the
-    inter-level change as the error estimate.  One-dimensional models only.
+    inter-level change as the error estimate; ``region`` is an interval of the model.
     """
-    if model.d != 1:
-        raise DomainError("form quadrature is implemented for one-dimensional models")
-    lo, hi = float(region[0]), float(region[1])
-    if not hi > lo:
-        raise DomainError("region must be a nonempty interval")
+    lo, hi = model.interval(region)
     mesh = _mesh(mesh)
     c_lo, j_lo = _quad_level(rho, f, model, lo, hi, mesh)
     c_hi, j_hi = _quad_level(rho, f, model, lo, hi, 2 * mesh)
@@ -369,8 +366,8 @@ def domain_membership(model, transform, f, region=None, mesh: int = 256) -> Doma
 
     On finite models every vector of one finite number per state qualifies
     and the witnesses are exact sums.  On the continuum model the witnesses
-    are quadrature values over ``region`` and membership means all three are
-    finite and the form quadrature converged.
+    are quadrature values of a rho tilt over ``region``, an interval of the
+    model, and membership means all three are finite and it converged.
     """
     if isinstance(model, FiniteSymmetricModel):
         f_arr = model.state_vector(f)
@@ -381,15 +378,14 @@ def domain_membership(model, transform, f, region=None, mesh: int = 256) -> Doma
         return DomainReport(all(np.isfinite(w) for w in wits), *wits)
     if not isinstance(model, JumpDiffusionModel):
         raise DomainError(f"unsupported model type: {type(model).__name__}")
-    if region is None:
-        raise DomainError("continuum membership checks need a region")
-    if not isinstance(transform, RhoTransform) or not callable(transform.rho):
-        raise TransformError("continuum membership checks need a callable rho tilt")
-    rho = transform.rho
-    mesh = _mesh(mesh)  # a bad argument is an error, not an inconclusive quadrature
+    # a bad argument is an error, not an inconclusive quadrature
+    lo, hi = model.interval(region)
+    rho = lower_continuum(model, transform).rho
+    if rho is None:
+        raise TransformError("continuum membership checks need a rho tilt: the quadrature weighs by rho")
+    mesh = _mesh(mesh)
     try:
-        qf = continuum_form_quadrature(rho, f, model, region, mesh)
-        lo, hi = float(region[0]), float(region[1])
+        qf = continuum_form_quadrature(rho, f, model, (lo, hi), mesh)
         h = (hi - lo) / (2 * mesh)
         xs = lo + (np.arange(2 * mesh) + 0.5) * h
         fx = np.asarray(f(xs), dtype=float)

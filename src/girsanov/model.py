@@ -17,6 +17,7 @@ one-half weight convention, and the killing measure ``kappa = k * m``.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -220,6 +221,17 @@ class JumpDiffusionModel:
     def sphere_surface(self) -> float:
         """Surface area of the unit sphere in R^d."""
         return 2.0 * math.pi ** (self.d / 2.0) / math.gamma(self.d / 2.0)
+
+    def interval(self, region) -> tuple:
+        """``region`` as the floats ``(lo, hi)``: two finite real numbers, not
+        bools, with ``lo < hi``, of a one-dimensional model; else :class:`DomainError`."""
+        if self.d != 1:
+            raise DomainError(f"regions are intervals of one-dimensional models; this model has d = {self.d}")
+        pair = tuple(region) if isinstance(region, (tuple, list, np.ndarray)) else ()
+        if len(pair) == 2 and all(isinstance(v, numbers.Real) and not isinstance(v, (bool, np.bool_)) for v in pair):
+            if -math.inf < float(pair[0]) < float(pair[1]) < math.inf:
+                return float(pair[0]), float(pair[1])
+        raise DomainError(f"region must be a pair of finite numbers lo < hi, got {region!r}")
 
 
 def stable_kernel_density(x, y, model: JumpDiffusionModel):

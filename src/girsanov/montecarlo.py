@@ -49,10 +49,10 @@ pinned CDF table), that many jump times, radii and signs, then one normal
 (``ndtri``) per grid step.  Jumps shorter than ``eps`` are folded into the
 Gaussian step, as in :func:`sample_jump_diffusion_path`; both count the
 grid's steps by :func:`~girsanov.paths.steps` and place each jump in its
-step by :func:`~girsanov.paths.jump_steps`.  One pass over the
-(paths, steps) grid then gives every path's end state and rho-tilt weight;
-on the same draws these agree with :func:`sample_jump_diffusion_path` and
-:func:`rho_transform_mf` to rounding (the sums run in another order).
+step by :func:`~girsanov.paths.jump_steps`.  One pass over the (paths,
+steps) grid then gives every path's end state and the weight of the rho
+tilt's :func:`~girsanov.transform.lower_continuum`, as :func:`rho_transform_mf`
+does on a sampled path; on the same draws the two agree to rounding.
 
 Both engines run the Philox kernel on a workspace of their own: one uint64
 array of ``(12, capacity)`` (two banks of four counter words, the running
@@ -87,11 +87,11 @@ from .model import (
 )
 from .paths import Path, jump_steps, steps
 from .transform import (
-    RhoTransform,
-    _finite_diff_grad,
+    ContinuumLowering,
     log_weight_fn,  # noqa: F401  (the scalar route's weight, kept in this namespace)
     rho_transform_mf,  # noqa: F401  (likewise)
     lower,
+    lower_continuum,
     stable_rate_table,
 )
 
@@ -768,21 +768,26 @@ class _ContinuumEngine:
     ``std ndtri(u)`` per grid step.  Jump sizes pair with the times sorted,
     in draw order.  This is the law and the pairing of
     :func:`sample_jump_diffusion_path`, and the weight is the one
-    :func:`rho_transform_mf` accumulates along its grid.
+    :func:`rho_transform_mf` accumulates along its grid, from the same
+    lowering ``low`` (:func:`~girsanov.transform.lower_continuum`).
     """
 
-    def __init__(self, model: JumpDiffusionModel, rho, region, t: float, dt: float,
-                 eps: float, rho_grad=None, compensator=None):
+    def __init__(self, model: JumpDiffusionModel, low: ContinuumLowering, region, t: float, dt: float,
+                 eps: float, compensator=None):
+        lo, hi = model.interval(region)
+        if low.rho is None:
+            raise TransformError("the continuum energy statistic needs a rho tilt: its start law is rho^2")
         K, mean = _grid_and_jump_mean(model, t, dt, eps)
         if compensator is None:
-            lo, hi = float(region[0]), float(region[1])
-            compensator = stable_rate_table(
-                model, lambda a, b: rho(b) / rho(a) - 1.0, eps, lo - 2.0, hi + 2.0
-            )
-        self.rho = rho
-        self.rho_grad = rho_grad if rho_grad is not None else _finite_diff_grad(rho)
+            compensator = stable_rate_table(model, low.tilt, eps, lo - 2.0, hi + 2.0)
+        self.low = low
         self.compensator = compensator
-        self.xs, self.start_cdf, self.scale = _continuum_initial_table(rho, region)
+        # the start law: rho^2 on the region by the trapezoid rule, and its mass
+        self.xs = np.linspace(lo, hi, 4097)
+        w = np.asarray(low.rho(self.xs), dtype=float) ** 2
+        cum = np.concatenate([[0.0], np.cumsum(0.5 * (w[1:] + w[:-1]) * (self.xs[1] - self.xs[0]))])
+        self.scale = float(cum[-1])
+        self.start_cdf = cum / self.scale
         self.count_cdf = _poisson_cdf(mean)
         self.var_rate = 1.0 + stable_small_jump_variance(model, eps)
         self.std = np.sqrt(self.var_rate * dt)
@@ -865,14 +870,12 @@ class _ContinuumEngine:
         for r in range(1, int(rank.max(initial=0)) + 1):
             at = np.flatnonzero(rank == r)
             pre[at] = pre[at - 1] + sizes[at - 1]
-        post = pre + sizes
-        jump_log = np.log(np.asarray(self.rho(post), dtype=float)
-                          / np.asarray(self.rho(pre), dtype=float))
+        jump_log = self.low.log_jump(pre, pre + sizes)
 
         # log Z_t: compensator, continuous exponential g dB - g^2 var_rate dt / 2
         # with g = rho'/rho, and the explicit-jump factors
         base = grid[:, :K]
-        g = np.asarray(self.rho_grad(base), dtype=float) / np.asarray(self.rho(base), dtype=float)
+        g = self.low.mc(base)
         step_log = np.asarray(self.compensator(base), dtype=float) * -dt
         brown *= g
         g *= g
@@ -1117,16 +1120,6 @@ def estimate_symmetry_gap(model: FiniteSymmetricModel, transform, f, g,
     return estimate_chain(model, transform, [symmetry_gap_request(model, transform, f, g, t, n, rng)])[0]
 
 
-def _continuum_initial_table(rho, region, nodes: int = 4097):
-    lo, hi = float(region[0]), float(region[1])
-    xs = np.linspace(lo, hi, nodes)
-    w = np.asarray(rho(xs), dtype=float) ** 2
-    dx = xs[1] - xs[0]
-    cum = np.concatenate([[0.0], np.cumsum(0.5 * (w[1:] + w[:-1]) * dx)])
-    total = float(cum[-1])
-    return xs, cum / total, total
-
-
 def estimate_quadratic_form(model, transform, f, t: float, n: int, rng: RngSpec,
                             *, region=None, dt: float = 1e-3, eps: float = 0.01,
                             rho_grad=None, compensator=None) -> EstimatorResult:
@@ -1137,22 +1130,16 @@ def estimate_quadratic_form(model, transform, f, t: float, n: int, rng: RngSpec,
     dead at ``t`` enter through the ``f = 0`` cemetery convention, so with a
     transformed killing present the limit is the form total minus half its
     killing part; the transforms exercised here have none or are
-    conservative.  On the continuum model (``region`` required, d = 1) the
-    start is drawn from ``rho^2`` restricted to the region and the weight is
-    the truncated-sampler functional, all on the batched continuum engine
-    (see the module docstring for its draws); there ``f``, ``rho``,
-    ``rho_grad`` and ``compensator`` are called on float arrays.
+    conservative.  On the continuum model (a rho tilt, ``region`` an interval
+    of the model) the start is drawn from ``rho^2`` on the region and the
+    weight is the truncated-sampler functional of ``lower_continuum``, all on
+    the batched continuum engine (see the module docstring for its draws);
+    there ``f``, ``rho``, ``rho_grad`` and ``compensator`` take float arrays.
     """
     if isinstance(model, JumpDiffusionModel):
-        if model.d != 1:
-            raise DomainError("continuum estimators are one-dimensional")
-        if region is None:
-            raise DomainError("continuum estimators need a region")
-        if not isinstance(transform, RhoTransform) or not callable(transform.rho):
-            raise TransformError("continuum estimators need a callable rho tilt")
+        low = lower_continuum(model, transform, rho_grad)
         n = _path_count(n)
-        engine = _ContinuumEngine(model, transform.rho, region, t, dt, eps,
-                                  rho_grad=rho_grad, compensator=compensator)
+        engine = _ContinuumEngine(model, low, region, t, dt, eps, compensator)
         samples = np.empty(n)
         for lo, hi, x0, x_t, log_w in engine.run(n, rng):
             diff = np.asarray(f(x_t), dtype=float) - np.asarray(f(x0), dtype=float)

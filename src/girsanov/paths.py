@@ -143,14 +143,13 @@ class Path:
         raise DomainError(f"t must be a number in [0, horizon = {self.horizon!r}], got {t!r}")
 
     def state_at(self, t: float):
-        """Cadlag evaluation; returns ``None`` for the cemetery."""
+        """Cadlag evaluation; returns ``None`` for the cemetery.  A grid path
+        is read at 0 and at grid times only (:func:`steps`)."""
         t = self.time(t)
         if not self.alive_at(t):
             return None
         if self.is_grid:
-            j = int(round(t / self.dt))
-            j = min(max(j, 0), self.grid.shape[0] - 1)
-            return self.grid[j]
+            return self.grid[steps(t, self.dt) if t else 0]
         i = bisect_right(self.events, t, key=itemgetter(0))
         return self.x0 if i == 0 else self.events[i - 1][1]
 

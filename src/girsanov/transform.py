@@ -15,7 +15,9 @@ On a chain every transform has one lowering, :func:`lower` (the only chain
 code that branches on its type), which the chain traces and weights, the
 batched engine and start law, the transformed structure below, the cemetery
 generator and the CLI oracles all read; the telescoped rho trace and
-``dirichlet.transformed_generator`` stay independent, as references.
+``dirichlet.transformed_generator`` stay independent, as references.  On the
+jump diffusion :func:`lower_continuum` is its counterpart: the callables that
+the grid weights, the batched continuum engine and the tilted kernel read.
 
 All weight accumulation happens in log space; a jump tilt of exactly -1
 drives the weight to zero and the trace records the first time this happens.
@@ -29,11 +31,12 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .errors import DomainError, TransformError
+from .errors import TransformError
 from .model import (
     FiniteSymmetricModel,
     JumpDiffusionModel,
     jump_measure,
+    stable_kernel_density,
     stable_small_jump_variance,
 )
 from .paths import Path, _brownian_increments, _state_integrand, jump_steps, reverse, steps
@@ -56,6 +59,8 @@ __all__ = [
     "transformed_model",
     "LoweredTransform",
     "lower",
+    "ContinuumLowering",
+    "lower_continuum",
     "reversal_identity_residual",
     "inverse_transform",
     "integrability_check",
@@ -354,6 +359,48 @@ def _finite_diff_grad(fn, h: float = 1e-6) -> Callable:
     return grad
 
 
+@dataclass(frozen=True)
+class ContinuumLowering:
+    """A jump-diffusion transform as callables on points: the jump ``tilt``
+    that the rate table compensates, the ``log_jump`` factor of one explicit
+    jump (elementwise on arrays), the continuous integrand ``mc`` and the
+    ``a_rate`` (None when absent), and the ``rho`` of a rho tilt (else None)."""
+
+    tilt: Callable
+    log_jump: Callable
+    mc: Optional[Callable] = None
+    a_rate: Optional[Callable] = None
+    rho: Optional[Callable] = None
+
+
+def lower_continuum(model, transform: TransformSpec, rho_grad=None) -> ContinuumLowering:
+    """The one lowering of a jump-diffusion transform, and the only continuum
+    code that branches on its type or asks for callable data.
+
+    A rho tilt is the tilt ``rho(y)/rho(x) - 1``, the jump factor
+    ``rho(post)/rho(pre)`` and the integrand ``rho'/rho``, with ``rho'`` from
+    ``rho_grad`` or a central difference.  A jump tilt is ``phi`` with the
+    factor ``1 + phi``, plus the general form's ``mc_integrand`` and ``a_rate``.
+    """
+    if not isinstance(model, JumpDiffusionModel):
+        raise TransformError("continuum transforms require the jump-diffusion model")
+    if not isinstance(transform, (RhoTransform, PureJumpPhi, GeneralMF)):
+        raise TransformError(f"unsupported transform: {type(transform).__name__}")
+    data = {name: getattr(transform, name, None) for name in ("rho", "phi", "mc_integrand", "a_rate")}
+    for name, value in data.items():
+        if value is not None and not callable(value):
+            raise TransformError(f"continuum transforms need {name} as a callable, got {type(value).__name__}")
+    rho, phi = data["rho"], data["phi"]
+    if rho is None:
+        return ContinuumLowering(tilt=phi, log_jump=lambda x, y: np.log1p(np.asarray(phi(x, y), dtype=float)),
+                                 mc=data["mc_integrand"], a_rate=data["a_rate"])
+    grad = rho_grad if rho_grad is not None else _finite_diff_grad(rho)
+    return ContinuumLowering(
+        tilt=lambda x, y: rho(y) / rho(x) - 1.0,
+        log_jump=lambda pre, post: np.log(np.asarray(rho(post), dtype=float) / np.asarray(rho(pre), dtype=float)),
+        mc=lambda x: np.asarray(grad(x), dtype=float) / np.asarray(rho(x), dtype=float), rho=rho)
+
+
 # interpolation nodes of the rate table over [lo, hi]
 _RATE_TABLE_NODES = 241
 # composite Gauss-Legendre rule of the rate table, in u = log r
@@ -389,8 +436,9 @@ def _gauss_legendre(n: int):
 def stable_rate_table(model: JumpDiffusionModel, tilt, eps: float, lo: float, hi: float) -> Callable:
     """Interpolated ``x -> int_{|z| > eps} tilt(x, x + z) c |z|^{-1-alpha} dz``.
 
-    One-dimensional models only; the table has 241 evenly spaced nodes on
-    ``[lo, hi]`` and is clamped to its edge values outside.  Used to
+    ``(lo, hi)`` must be an interval of the model
+    (:meth:`~girsanov.model.JumpDiffusionModel.interval`); the table has 241
+    evenly spaced nodes on it and is clamped to its edge values outside.  Used to
     compensate explicit (truncated) jumps of diffusion-path weights.
 
     ``tilt(x, y)`` is called with a float ``x`` (a table node) and a float
@@ -401,8 +449,7 @@ def stable_rate_table(model: JumpDiffusionModel, tilt, eps: float, lo: float, hi
     where the kernel becomes the smooth weight ``c e^{-alpha u} du``, plus
     one node at the end of the span carrying the kernel's mass beyond it.
     """
-    if model.d != 1:
-        raise DomainError("rate tables are implemented for one-dimensional models")
+    lo, hi = model.interval((lo, hi))
     xs = np.linspace(lo, hi, _RATE_TABLE_NODES)
     a = model.alpha
     cut = max(10.0, 4.0 * (hi - lo))
@@ -424,23 +471,30 @@ def stable_rate_table(model: JumpDiffusionModel, tilt, eps: float, lo: float, hi
     return lambda x: np.interp(x, xs, out)
 
 
-def _grid_trace(path: Path, t: float, *, log_jump, comp_rate, mc=None, var_rate=1.0) -> MFTrace:
-    """Accumulate a weight along a grid path.
-
-    ``log_jump(pre, post)`` gives the log factor of an explicit jump,
-    ``comp_rate(x)`` the compensator rate (including any nonincreasing
-    part), ``mc(x)`` the continuous integrand, and ``var_rate`` the variance
-    rate per coordinate of the Gaussian driver (1 plus the small-jump
-    correction), entering the bracket term.
-    """
+def _grid_trace(path: Path, t: float, model: JumpDiffusionModel, low: ContinuumLowering,
+                compensator) -> MFTrace:
+    """The weight of ``low`` along a grid path: per step ``-(compensator +
+    a_rate) dt`` and ``g dB - g^2 v dt / 2`` with ``g = mc`` and ``v`` the
+    Gaussian driver's variance rate (1 plus the small-jump part), and
+    ``log_jump`` at each explicit jump.  The compensator, the rate table of
+    ``low.tilt`` unless supplied, is built after ``t`` and ``eps`` pass."""
+    if path.eps is None:
+        raise TransformError("grid path carries no truncation radius")
     t = path.time(t)
     K = steps(t, path.dt)
+    var_rate = 1.0 + stable_small_jump_variance(model, path.eps)
+    if compensator is None:
+        span = float(np.max(np.abs(path.grid))) + 2.0
+        compensator = stable_rate_table(model, low.tilt, path.eps, -span, span)
     base = path.grid[:K]
     inc = _brownian_increments(path, K)
     dt = path.dt
-    step_log = -np.asarray(comp_rate(base), dtype=float) * dt
-    if mc is not None:
-        g = np.asarray(mc(base), dtype=float)
+    rate = np.asarray(compensator(base), dtype=float)
+    if low.a_rate is not None:
+        rate = rate + low.a_rate(base)
+    step_log = -rate * dt
+    if low.mc is not None:
+        g = np.asarray(low.mc(base), dtype=float)
         if g.ndim == 1:
             step_log = step_log + g * inc - 0.5 * g * g * var_rate * dt
         else:
@@ -451,28 +505,13 @@ def _grid_trace(path: Path, t: float, *, log_jump, comp_rate, mc=None, var_rate=
     for j, (s, post), pre in zip(held, path.events, path.jump_pre):
         if s > t:
             break
-        log_z[j + 1:] += float(log_jump(pre, post))
+        log_z[j + 1:] += float(low.log_jump(pre, post))
     times = np.arange(K + 1) * dt
     return MFTrace(times, log_z, log_z.copy())
 
 
 # ---------------------------------------------------------------------------
 # the main weight constructors
-
-
-def _grid_rates(path: Path, model, tilt, compensator):
-    """The compensator rate and the Gaussian driver's variance rate of a
-    grid path's weight, after the checks every grid route shares: the model
-    is the jump diffusion and the path carries its truncation radius.  The
-    compensator is built from ``tilt`` on the fly when not supplied."""
-    if not isinstance(model, JumpDiffusionModel):
-        raise TransformError("grid paths require the jump-diffusion model")
-    if path.eps is None:
-        raise TransformError("grid path carries no truncation radius")
-    if compensator is None:
-        span = float(np.max(np.abs(path.grid))) + 2.0
-        compensator = stable_rate_table(model, tilt, path.eps, -span, span)
-    return compensator, 1.0 + stable_small_jump_variance(model, path.eps)
 
 
 def rho_transform_mf(path: Path, rho, model, t: float, *, rho_grad=None, compensator=None) -> MFTrace:
@@ -483,58 +522,31 @@ def rho_transform_mf(path: Path, rho, model, t: float, *, rho_grad=None, compens
     same weight.  On diffusion grids the weight combines a continuous
     exponential with integrand ``rho'/rho``, explicit-jump factors
     ``rho(post)/rho(pre)`` and their quadrature compensator (built on the
-    fly when not supplied).
+    fly when not supplied), all from :func:`lower_continuum`.
     """
     rho = _unwrap(rho, RhoTransform)
     if not path.is_grid:
         return _rho_closed_trace(path, t, model, rho)
-    if not callable(rho):
-        raise TransformError("diffusion paths need rho as a callable")
-    comp, vr = _grid_rates(path, model, lambda x, y: rho(y) / rho(x) - 1.0, compensator)
-    grad = rho_grad if rho_grad is not None else _finite_diff_grad(rho)
-    return _grid_trace(
-        path,
-        t,
-        log_jump=lambda pre, post: math.log(float(rho(post)) / float(rho(pre))),
-        comp_rate=comp,
-        mc=lambda x: grad(x) / rho(x),
-        var_rate=vr,
-    )
+    return _grid_trace(path, t, model, lower_continuum(model, RhoTransform(rho), rho_grad), compensator)
 
 
 def pure_jump_mf(path: Path, phi, model, t: float, compensator=None) -> MFTrace:
     """Weight ``prod (1 + phi) * exp(- int N phi)`` of a symmetric jump tilt:
     the general form with a jump tilt only."""
-    phi = _unwrap(phi, PureJumpPhi)
-    if path.is_grid:
-        return general_mf(path, GeneralMF(phi=phi), model, t, compensator=compensator)
-    return _chain_trace(path, t, lower(model, PureJumpPhi(phi)))
+    return general_mf(path, PureJumpPhi(_unwrap(phi, PureJumpPhi)), model, t, compensator)
 
 
-def general_mf(path: Path, spec: GeneralMF, model, t: float, compensator=None) -> MFTrace:
-    """Weight of the general supermartingale form along a path.
+def general_mf(path: Path, spec: TransformSpec, model, t: float, compensator=None) -> MFTrace:
+    """Weight of the general supermartingale form along a path, the walk of
+    ``spec``'s lowering on a chain and its grid weight on a diffusion.
 
     Coincides with :func:`rho_transform_mf` when ``spec`` is derived from a
     rho tilt and with :func:`pure_jump_mf` when only a symmetric jump tilt is
     present.
     """
-    if not path.is_grid:
-        return _chain_trace(path, t, lower(model, spec))
-    phi = spec.phi
-    if not callable(phi):
-        raise TransformError("diffusion paths need phi as a callable")
-    comp, vr = _grid_rates(path, model, phi, compensator)
-    a_rate = spec.a_rate
-    if a_rate is not None:
-        base_comp = comp
-        comp = lambda x: base_comp(x) + a_rate(x)
-    return _grid_trace(
-        path, t,
-        log_jump=lambda pre, post: math.log1p(float(phi(pre, post))),
-        comp_rate=comp,
-        mc=spec.mc_integrand,
-        var_rate=vr,
-    )
+    if path.is_grid:
+        return _grid_trace(path, t, model, lower_continuum(model, spec), compensator)
+    return _chain_trace(path, t, lower(model, spec))
 
 
 def split_mf(path: Path, phi, model, t: float):
@@ -591,26 +603,19 @@ def jump_measure_density(model: FiniteSymmetricModel, rho, phi, tol: float = 1e-
 
 
 def transformed_levy_kernel(model, transform: TransformSpec):
-    """Jump kernel of the transformed process.
+    """Jump kernel of the transformed process: ``(1 + phi) q`` from the
+    lowering.
 
     For a rho tilt the rate ``x -> y`` becomes ``rho(y)/rho(x) q(x, y)``
     (detailed balance then holds w.r.t. ``rho^2 m``); for a jump tilt it
     becomes ``(1 + phi) q`` (still ``m``-symmetric).  For the continuum model
-    a callable density is returned.
+    the callable density ``(1 + tilt(x, y))`` times the stable kernel is
+    returned, with the tilt of :func:`lower_continuum`.
     """
-    if isinstance(model, JumpDiffusionModel):
-        from .model import stable_kernel_density
-
-        if isinstance(transform, RhoTransform):
-            rho = transform.rho
-            if not callable(rho):
-                raise TransformError("continuum transforms need callable data")
-            return lambda x, y: rho(y) / rho(x) * stable_kernel_density(x, y, model)
-        if isinstance(transform, PureJumpPhi):
-            phi = transform.phi
-            return lambda x, y: (1.0 + phi(x, y)) * stable_kernel_density(x, y, model)
-        raise TransformError("unsupported continuum transform")
-    return (1.0 + lower(model, transform).phi) * model.q
+    if isinstance(model, FiniteSymmetricModel):
+        return (1.0 + lower(model, transform).phi) * model.q
+    tilt = lower_continuum(model, transform).tilt
+    return lambda x, y: (1.0 + tilt(x, y)) * stable_kernel_density(x, y, model)
 
 
 def _lowered_jump_measure(model: FiniteSymmetricModel, low: LoweredTransform) -> np.ndarray:

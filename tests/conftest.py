@@ -5,6 +5,10 @@ import pytest
 
 from girsanov import FiniteSymmetricModel
 
+# regions that no continuum entry accepts: reversed, empty, NaN, unbounded,
+# three numbers and none
+BAD_REGIONS = [(8.0, -8.0), (1.0, 1.0), (float("nan"), 1.0), (-8.0, float("inf")), (1.0, 2.0, 3.0), None]
+
 CHAIN3_Q = np.array([
     [0.0, 1.0, 0.0],
     [1.0, 0.0, 2.0],

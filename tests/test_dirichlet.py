@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate, special
 
-from conftest import make_reversible, make_symmetric_phi
+from conftest import BAD_REGIONS, make_reversible, make_symmetric_phi
 from girsanov import (
     DomainError,
     FiniteSymmetricModel,
@@ -374,6 +374,26 @@ def test_domain_membership_continuum():
     assert rep.squared_norm > 0.0
     with pytest.raises(DomainError):
         domain_membership(STABLE1, RhoTransform(rho=rho), f)
+
+
+@pytest.mark.parametrize("region", BAD_REGIONS)
+def test_continuum_forms_refuse_a_bad_region(region):
+    # domain_membership reported an inconclusive quadrature on the reversed,
+    # empty and NaN regions
+    rho = lambda x: 1.0 + 0.5 * np.exp(-np.asarray(x, dtype=float) ** 2)
+    f = lambda x: np.exp(-np.asarray(x, dtype=float) ** 2)
+    with pytest.raises(DomainError, match="region must be"):
+        continuum_form_quadrature(rho, f, STABLE1, region, 64)
+    with pytest.raises(DomainError, match="region must be"):
+        domain_membership(STABLE1, RhoTransform(rho=rho), f, region=region, mesh=64)
+
+
+def test_continuum_membership_needs_a_callable_rho_tilt():
+    f = lambda x: np.exp(-np.asarray(x, dtype=float) ** 2)
+    for transform in (RhoTransform(rho=np.ones(3)), PureJumpPhi(phi=lambda x, y: 0.0 * y),
+                      GeneralMF(phi=lambda x, y: 0.0 * y)):
+        with pytest.raises(TransformError):
+            domain_membership(STABLE1, transform, f, region=(-2.0, 2.0))
 
 
 def test_domain_membership_inconclusive_on_failure():

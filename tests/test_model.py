@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from conftest import make_reversible
+from conftest import BAD_REGIONS, make_reversible
 from girsanov import (
     DomainError,
     FiniteSymmetricModel,
@@ -138,6 +138,21 @@ def test_jump_diffusion_refuses_bools(field, value):
     kwargs = {"d": 1, "alpha": 1.0, "c": 1.0, field: value}
     with pytest.raises(ModelError, match=f"{field} must be a number"):
         JumpDiffusionModel(**kwargs)
+
+
+@pytest.mark.parametrize("region", BAD_REGIONS + [("-1", "1"), (False, True), np.array([[-1.0, 1.0]]), -1.0])
+def test_interval_refuses_anything_but_two_finite_numbers_in_order(region):
+    with pytest.raises(DomainError, match="region must be"):
+        JumpDiffusionModel(d=1, alpha=1.0).interval(region)
+
+
+def test_interval_is_a_float_pair_of_one_dimensional_models():
+    model = JumpDiffusionModel(d=1, alpha=1.0)
+    for region in ((-8, 8), [-8.0, 8.0], np.array([-8.0, 8.0]), (np.int64(-8), np.float32(8.0))):
+        lo, hi = model.interval(region)
+        assert (lo, hi) == (-8.0, 8.0) and type(lo) is float and type(hi) is float
+    with pytest.raises(DomainError, match="one-dimensional"):
+        JumpDiffusionModel(d=2, alpha=1.0).interval((-8.0, 8.0))
 
 
 def test_sphere_surface():

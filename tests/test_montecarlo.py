@@ -9,7 +9,7 @@ from scipy import stats as scipy_stats
 from scipy.linalg import expm
 from scipy.special import ndtri
 
-from conftest import make_reversible, make_symmetric_phi
+from conftest import BAD_REGIONS, make_reversible, make_symmetric_phi
 from girsanov import (
     DomainError,
     EstimatorResult,
@@ -19,6 +19,7 @@ from girsanov import (
     PureJumpPhi,
     RhoTransform,
     RngSpec,
+    TransformError,
     estimate_jump_intensity_ratio,
     estimate_mass,
     estimate_quadratic_form,
@@ -38,7 +39,7 @@ from girsanov import (
 from girsanov import cli, montecarlo
 from girsanov.montecarlo import _ChainEngine, _PhiloxUniforms
 from girsanov.paths import _brownian_increments, jump_steps
-from girsanov.transform import lower
+from girsanov.transform import lower, lower_continuum
 
 F010 = np.array([0.0, 1.0, 0.0])
 
@@ -489,7 +490,8 @@ def test_continuum_engine_matches_scalar_reference(monkeypatch, seed, offset):
     # times and the engine keeps them.
     t, n = 0.05, 150
     monkeypatch.setattr(montecarlo, "_CONTINUUM_CHUNK", 64)  # three chunks
-    engine = montecarlo._ContinuumEngine(STABLE_C, RHO_C, t=t, rho_grad=RHO_C_GRAD, **CONT)
+    engine = montecarlo._ContinuumEngine(
+        STABLE_C, lower_continuum(STABLE_C, RhoTransform(rho=RHO_C), RHO_C_GRAD), t=t, **CONT)
     rng = RngSpec(seed=seed, offset=offset)
     x0, x_t, log_w = _engine_paths(engine, n, rng)
     samples = []
@@ -543,7 +545,8 @@ def test_continuum_engine_stays_finite_on_extreme_words(monkeypatch, words):
         return tuple(np.full(counter.shape, w, dtype=np.uint64) for w in words)
 
     monkeypatch.setattr(montecarlo, "_philox_block", block)
-    engine = montecarlo._ContinuumEngine(STABLE_C, RHO_C, t=0.05, rho_grad=RHO_C_GRAD, **CONT)
+    engine = montecarlo._ContinuumEngine(
+        STABLE_C, lower_continuum(STABLE_C, RhoTransform(rho=RHO_C), RHO_C_GRAD), t=0.05, **CONT)
     x0, x_t, log_w = _engine_paths(engine, 3, RngSpec(seed=0))
     assert np.all(np.isfinite(x0)) and np.all(np.isfinite(x_t)) and np.all(np.isfinite(log_w))
 
@@ -554,7 +557,8 @@ def test_continuum_estimate_matches_the_scalar_route_in_law():
     t, n = 0.05, 4000
     est = estimate_quadratic_form(STABLE_C, RhoTransform(rho=RHO_C), F_C, t, n, RngSpec(seed=71),
                                   rho_grad=RHO_C_GRAD, **CONT)
-    engine = montecarlo._ContinuumEngine(STABLE_C, RHO_C, t=t, rho_grad=RHO_C_GRAD, **CONT)
+    engine = montecarlo._ContinuumEngine(
+        STABLE_C, lower_continuum(STABLE_C, RhoTransform(rho=RHO_C), RHO_C_GRAD), t=t, **CONT)
     spec = RngSpec(seed=72)
     samples = []
     for i in range(n):
@@ -1021,6 +1025,10 @@ def test_chain_estimators_reject_bad_values_before_sampling(chain3, rho121, monk
     pytest.param(lambda tr, rng: quadratic_form_trend(STABLE_C, tr, F_C, [], 100, rng, **CONT), id="ts-empty"),
     pytest.param(lambda tr, rng: quadratic_form_trend(STABLE_C, tr, F_C, 0.05, 100, rng, **CONT),
                  id="ts-scalar"),
+    # the first four gave -5.24, an exact 0.0 +- 0.0, NaN and NaN
+    *(pytest.param(lambda tr, rng, region=region: estimate_quadratic_form(
+        STABLE_C, tr, F_C, 0.05, 100, rng, **{**CONT, "region": region}), id=f"region={region}")
+      for region in BAD_REGIONS),
 ])
 def test_continuum_estimator_rejects_bad_values_before_sampling(monkeypatch, estimate):
     monkeypatch.setattr(montecarlo._ContinuumEngine, "_chunk", lambda *a, **k: pytest.fail("sampled"))
@@ -1028,6 +1036,13 @@ def test_continuum_estimator_rejects_bad_values_before_sampling(monkeypatch, est
         warnings.simplefilter("error")
         with pytest.raises(DomainError):
             estimate(RhoTransform(rho=RHO_C), RngSpec(seed=1))
+
+
+@pytest.mark.parametrize("transform", [RhoTransform(rho=np.ones(3)), PureJumpPhi(phi=lambda x, y: 0.0 * y)])
+def test_continuum_estimator_needs_a_callable_rho_tilt(monkeypatch, transform):
+    monkeypatch.setattr(montecarlo._ContinuumEngine, "_chunk", lambda *a, **k: pytest.fail("sampled"))
+    with pytest.raises(TransformError):
+        estimate_quadratic_form(STABLE_C, transform, F_C, 0.05, 100, RngSpec(seed=1), **CONT)
 
 
 def test_engine_rejects_bad_start(chain3, rho121):

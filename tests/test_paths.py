@@ -84,6 +84,18 @@ def test_state_at_is_cadlag():
         p.state_at(2.0 + 1e-11)
 
 
+def test_grid_state_at_reads_grid_times_only():
+    # the jump at 0.3 lands in the grid value at 0.5; state_at rounded t to
+    # the nearest grid time, so 0.26 and 0.74 gave 1.5
+    p = Path(x0=0.0, events=((0.3, 1.2),), horizon=1.0, grid=np.array([0.0, 1.5, 2.0]),
+             dt=0.5, jump_pre=(0.2,), eps=0.1)
+    assert [p.state_at(t) for t in (0.0, 0.5, 1.0)] == [0.0, 1.5, 2.0]
+    assert p.state_at(0.5 + 1e-10) == 1.5  # within the grid-time rounding of paths.steps
+    for t in (0.26, 0.24, 0.3, 0.74, 1e-10, 0.5 + 1e-8):
+        with pytest.raises(DomainError, match="grid step"):
+            p.state_at(t)
+
+
 def test_steps_counts_the_grid_steps_of_grid_times_only():
     assert steps(0.5, 1e-3) == 500
     assert steps(0.3, 0.1) == 3  # 0.3 / 0.1 is 2.9999999999999996

@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from conftest import make_consistent_pair, make_reversible, make_symmetric_phi
+from conftest import BAD_REGIONS, make_consistent_pair, make_reversible, make_symmetric_phi
 from girsanov import dirichlet
 from girsanov.paths import integrate_along, jump_sum, lyons_zheng_residual, reverse
-from girsanov.transform import _chain_trace, lower
+from girsanov import transform as transform_module
+from girsanov.transform import _chain_trace, lower, lower_continuum
 from girsanov import (
     DomainError,
     FiniteSymmetricModel,
@@ -265,6 +266,12 @@ def test_transformed_kernel_continuum():
     phi = lambda x, y: 0.5 * (y - x) ** 2 / (1.0 + (y - x) ** 2)
     kern2 = transformed_levy_kernel(model, PureJumpPhi(phi=phi))
     assert kern2(0.0, 2.0) == pytest.approx((1.0 + phi(0.0, 2.0)) * 0.25)
+    # the general form is read through the same lowering (it was refused)
+    kern3 = transformed_levy_kernel(model, GeneralMF(phi=phi))
+    for x, y in ((0.0, 2.0), (-1.5, 0.25), (3.0, -4.0)):
+        assert kern3(x, y) == kern2(x, y)
+    with pytest.raises(TransformError, match="rho as a callable"):
+        transformed_levy_kernel(model, RhoTransform(rho=np.ones(3)))
 
 
 def test_transformed_jump_measure_values(chain3, rho121, phi3):
@@ -492,6 +499,28 @@ def test_reversibility_not_type_decides_the_transformed_structure(chain3_killed,
 # -- diffusion-path weights --------------------------------------------------
 
 
+@pytest.mark.parametrize("region", [r for r in BAD_REGIONS if r is not None and len(r) == 2])
+def test_stable_rate_table_refuses_a_bad_interval(region):
+    # a reversed interval gave a table, though np.interp needs increasing nodes
+    with pytest.raises(DomainError, match="region must be"):
+        stable_rate_table(STABLE1, lambda x, y: 0.0 * y, 0.1, *region)
+
+
+def test_lower_continuum_needs_the_jump_diffusion_and_callable_data(chain3):
+    fn, pair = (lambda x: 1.0 + 0.0 * x), (lambda x, y: 0.0 * y)
+    low = lower_continuum(STABLE1, GeneralMF(phi=pair, a_rate=fn, mc_integrand=fn))
+    assert low.a_rate is fn and low.mc is fn and low.tilt is pair and low.rho is None
+    assert lower_continuum(STABLE1, RhoTransform(rho=fn)).rho is fn
+    with pytest.raises(TransformError, match="jump-diffusion model"):
+        lower_continuum(chain3, RhoTransform(rho=fn))
+    for transform, field in ((RhoTransform(rho=np.ones(3)), "rho"), (PureJumpPhi(phi=np.zeros((3, 3))), "phi"),
+                             (GeneralMF(phi=np.zeros((3, 3))), "phi"),
+                             (GeneralMF(phi=pair, a_rate=np.ones(3)), "a_rate"),  # was a TypeError on a path
+                             (GeneralMF(phi=pair, mc_integrand=1.0), "mc_integrand")):
+        with pytest.raises(TransformError, match=f"need {field} as a callable"):
+            lower_continuum(STABLE1, transform)
+
+
 def test_stable_rate_table_matches_direct_quadrature():
     model = JumpDiffusionModel(d=1, alpha=1.0, c=1.0)
     tilt = lambda x, y: (y - x) ** 2 / (1.0 + (y - x) ** 2)
@@ -711,3 +740,15 @@ def test_path_functionals_refuse_times_outside_the_path(kind, name, bad):
     call(path, path.horizon)  # the horizon itself is a time of the path
     with pytest.raises(DomainError):
         call(path, t)
+
+
+@pytest.mark.parametrize("weigh", [
+    lambda p, t: rho_transform_mf(p, _RHO_FN, STABLE1, t),
+    lambda p, t: pure_jump_mf(p, HALF_TILT, STABLE1, t),
+    lambda p, t: general_mf(p, GeneralMF(phi=HALF_TILT), STABLE1, t),
+], ids=["rho", "phi", "general"])
+def test_grid_routes_refuse_a_time_before_building_a_compensator(monkeypatch, weigh):
+    # each route built its compensator table (5 to 20 ms) before it refused t
+    monkeypatch.setattr(transform_module, "stable_rate_table", lambda *a, **k: pytest.fail("table built"))
+    with pytest.raises(DomainError):
+        weigh(_TIME_PATHS["grid"], 7.0)
