@@ -46,6 +46,13 @@ def _readonly(a, dtype=float):
     return arr
 
 
+def _cached(model, name: str, build):
+    """``build()``, computed once and kept on the (immutable) ``model`` as ``name``."""
+    if getattr(model, name, None) is None:
+        object.__setattr__(model, name, build())
+    return getattr(model, name)
+
+
 @dataclass(frozen=True)
 class FiniteSymmetricModel:
     """Finite-state reversible chain with killing.
@@ -106,6 +113,26 @@ class FiniteSymmetricModel:
         if vec is None or vec.shape != (self.n,) or vec.dtype.kind not in "iuf" or not np.all(np.isfinite(vec)):
             raise DomainError(f"{name} must be one finite number per state ({self.n}), got {f!r}")
         return np.asarray(vec, dtype=float)
+
+    def jump_table(self) -> tuple:
+        """The sampling table ``(cum, target, jump, total)``, built once, of read-only arrays: row ``x``
+        of ``cum`` holds the running sums of ``x``'s positive rates over its targets in increasing order,
+        then ``inf`` up to one column more than the most targets of any state; ``target`` holds the
+        targets (0 in the padding), ``jump`` the last sum (0.0 without jumps), ``total = jump + k``."""
+        return _cached(self, "_jump_table_cache", self._build_jump_table)
+
+    def _build_jump_table(self) -> tuple:
+        src, dst = np.nonzero(self.q)  # row-major: each row's targets in increasing order
+        count = np.bincount(src, minlength=self.n)
+        col = np.arange(src.size) - (np.cumsum(count) - count)[src]
+        cum = np.zeros((self.n, int(count.max()) + 1))
+        cum[src, col] = self.q[src, dst]
+        np.cumsum(cum, axis=1, out=cum)  # a running sum, as a loop's acc += r
+        jump = _readonly(cum[:, -1])  # a copy; the zeros past the last rate add nothing
+        cum[np.arange(cum.shape[1]) >= count[:, None]] = np.inf
+        target = np.zeros(cum.shape, dtype=np.intp)
+        target[src, col] = dst
+        return _readonly(cum), _readonly(target, np.intp), jump, _readonly(jump + self.k)
 
     def total_rates(self) -> np.ndarray:
         """Per-state total event rate: jumps plus killing."""
@@ -170,19 +197,16 @@ def jump_measure(model: FiniteSymmetricModel) -> np.ndarray:
     result is cached on the (immutable) model, so repeated calls in
     estimator loops pay nothing.
     """
-    cached = getattr(model, "_jump_measure_cache", None)
-    if cached is not None:
-        return cached
-    report = validate_symmetry(model)
-    if not report.ok:
-        x, y, r = report.worst
-        raise ModelError(
-            f"detailed balance violated at pair ({x}, {y}): residual {r:.3e}"
-        )
-    J = 0.5 * model.m[:, None] * model.q
-    J.setflags(write=False)
-    object.__setattr__(model, "_jump_measure_cache", J)
-    return J
+    def build():
+        report = validate_symmetry(model)
+        if not report.ok:
+            x, y, r = report.worst
+            raise ModelError(f"detailed balance violated at pair ({x}, {y}): residual {r:.3e}")
+        J = 0.5 * model.m[:, None] * model.q
+        J.setflags(write=False)
+        return J
+
+    return _cached(model, "_jump_measure_cache", build)
 
 
 def killing_measure(model: FiniteSymmetricModel) -> np.ndarray:

@@ -11,12 +11,12 @@ The chain estimators run on a batched engine: a numpy Philox4x64-10 (Salmon
 et al., "Parallel random numbers: as easy as 1, 2, 3", SC'11) produces every
 path's stream at once, and one struct-of-arrays event step advances all
 live paths of a fixed-size chunk together.  Each chunk fills one record
-(start state, end state, alive flag, log weight, weight) per horizon asked,
-which the estimators reduce.  The step performs the scalar sampler's
-floating-point operations in the same order, so every estimate equals, bit
-for bit, the one a per-path loop over :func:`sample_finite_path` and
-:func:`log_weight_fn` gives.  That scalar route stays as the public sampler
-and as the tests' reference.
+(start state, end state, alive flag, log weight, weight) per horizon asked.
+The step bisects the padded rows of the model's one ``jump_table()``, whose
+rows the scalar :func:`sample_finite_path` scans as lists (made once per
+model), in the same floating-point order, so every estimate equals, bit for
+bit, the one a per-path loop over it and :func:`log_weight_fn` gives; that
+scalar route stays as the public sampler and as the tests' reference.
 
 Every ``log`` and ``exp`` whose bits reach a result comes from the C
 library through ``math``, as in the scalar route: numpy's vectorised
@@ -82,6 +82,7 @@ from .errors import DomainError, ModelError, TransformError
 from .model import (
     FiniteSymmetricModel,
     JumpDiffusionModel,
+    _cached,
     stable_small_jump_variance,
     stable_tail_intensity,
 )
@@ -128,6 +129,14 @@ def _index(value) -> Optional[int]:
         return None
 
 
+def _nonnegative(value, name: str) -> int:
+    """``value`` as an exact integer >= 0, not a bool; else :class:`DomainError`."""
+    i = _index(value)
+    if i is None or i < 0:
+        raise DomainError(f"{name} must be a nonnegative integer, got {value!r}")
+    return i
+
+
 def _state(model: FiniteSymmetricModel, value) -> int:
     """``value`` as a state of ``model``: an exact integer in ``[0, n)``."""
     x = _index(value)
@@ -166,13 +175,11 @@ class RngSpec:
     offset: int = 0
 
     def __post_init__(self):
-        seed, offset = _index(self.seed), _index(self.offset)
+        seed = _index(self.seed)
         if seed is None or not 0 <= seed <= _MASK64:  # a larger seed would alias seed & _MASK64
             raise DomainError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
-        if offset is None or offset < 0:
-            raise DomainError(f"offset must be a nonnegative integer, got {self.offset!r}")
         object.__setattr__(self, "seed", seed)  # numpy integers become ints, so key arithmetic is exact
-        object.__setattr__(self, "offset", offset)
+        object.__setattr__(self, "offset", _nonnegative(self.offset, "offset"))
 
     def keys(self, first: int, count: int):
         """Philox keys of streams ``first .. first + count - 1``: the word
@@ -181,7 +188,8 @@ class RngSpec:
         return self.seed & _MASK64, np.arange(count, dtype=np.uint64) + np.uint64((self.offset + first) & _MASK64)
 
     def stream(self, index: int) -> np.random.Generator:
-        key0, key1 = self.keys(index, 1)
+        """Generator of stream ``index``, an integer >= 0 as ``offset`` is: a negative one aliases another block."""
+        key0, key1 = self.keys(_nonnegative(index, "stream index"), 1)
         return np.random.Generator(np.random.Philox(key=np.array([key0, key1[0]], dtype=np.uint64)))
 
 
@@ -329,67 +337,35 @@ class EstimatorResult:
 # samplers
 
 
-class _FiniteSampler:
-    """Event-driven chain sampler with per-row cumulative tables prebuilt.
-
-    The inner loop runs on plain Python floats: holding times come from the
-    inverse exponential CDF of one uniform draw, the move from a second
-    uniform scanned against the row's cumulative rates (jump targets first,
-    death last).
-    """
-
-    def __init__(self, model: FiniteSymmetricModel):
-        self.model = model
-        rows = []
-        for x in range(model.n):
-            cum = []
-            targets = []
-            acc = 0.0
-            for y in range(model.n):
-                r = float(model.q[x, y])
-                if r > 0.0:
-                    acc += r
-                    cum.append(acc)
-                    targets.append(y)
-            total = acc + float(model.k[x])
-            rows.append((tuple(cum), tuple(targets), acc, total))
-        self.rows = rows
-
-    def sample(self, x0: int, horizon: float, rng: np.random.Generator) -> Path:
-        rows = self.rows
-        rnd = rng.random
-        t = 0.0
-        x = x0
-        events = []
-        killed = None
-        while True:
-            cum, targets, jump_total, total = rows[x]
-            if total <= 0.0:
-                break
-            u = rnd()
-            while u == 0.0:
-                u = rnd()
-            t -= math.log(1.0 - u) / total
-            if t > horizon:
-                break
-            v = rnd() * total
-            if v >= jump_total:
-                killed = t
-                break
-            for idx, edge in enumerate(cum):
-                if v < edge:
-                    x = targets[idx]
-                    break
-            events.append((t, x))
-        return Path(x0=x0, events=tuple(events), horizon=horizon, killed_at=killed)
-
-
 def sample_finite_path(model: FiniteSymmetricModel, x0: int, horizon: float,
                        rng: np.random.Generator) -> Path:
     """One chain path: exponential holding at the total exit rate of the
     current state, next state proportional to its jump rates, death
-    proportional to its killing rate."""
-    return _FiniteSampler(model).sample(_state(model, x0), _time(horizon, "horizon"), rng)
+    proportional to its killing rate; on Python floats, over ``model.jump_table()``."""
+    x0, horizon = _state(model, x0), _time(horizon, "horizon")
+    rows = _cached(model, "_jump_rows_cache", lambda: list(zip(*(a.tolist() for a in model.jump_table()))))
+    rnd = rng.random
+    t, x, events, killed = 0.0, x0, [], None
+    while True:
+        cum, targets, jump_total, total = rows[x]
+        if total <= 0.0:
+            break
+        u = rnd()
+        while u == 0.0:
+            u = rnd()
+        t -= math.log(1.0 - u) / total
+        if t > horizon:
+            break
+        v = rnd() * total
+        if v >= jump_total:
+            killed = t
+            break
+        for idx, edge in enumerate(cum):
+            if v < edge:
+                x = targets[idx]
+                break
+        events.append((t, x))
+    return Path(x0=x0, events=tuple(events), horizon=horizon, killed_at=killed)
 
 
 def _grid_and_jump_mean(model: JumpDiffusionModel, horizon: float, dt: float, eps: float):
@@ -527,26 +503,18 @@ class _BatchRecord:
 class _ChainEngine:
     """Chain paths and their weights, a chunk of paths at a time.
 
-    Runs the algorithm of :class:`_FiniteSampler` and the walk of
-    :func:`log_weight_fn` over arrays: each pass of the event loop draws a
-    holding time for every live path, closes the checkpoints that holding
-    time passes, ends the paths that pass the last horizon, and kills or
-    moves the rest, adding each path's log-weight increment in the scalar
-    walk's order.  The rows of cumulative rates are padded with ``inf`` and
-    searched by vectorised bisection.
+    Runs the algorithm of :func:`sample_finite_path`, on the same jump
+    table, and the walk of :func:`log_weight_fn` over arrays: each pass of
+    the event loop draws a holding time for every live path, closes the
+    checkpoints that holding time passes, ends the paths that pass the last
+    horizon, and kills or moves the rest, adding each path's log-weight
+    increment in the scalar walk's order.  The table's rows of cumulative
+    rates, padded with ``inf``, are searched by vectorised bisection.
     """
 
     def __init__(self, model: FiniteSymmetricModel, transform):
-        rows = _FiniteSampler(model).rows
-        width = max(len(cum) for cum, *_ in rows)
-        self.cum = np.full((model.n, width + 1), np.inf)
-        self.target = np.zeros((model.n, width + 1), dtype=np.intp)
-        for x, (cum, targets, _jump, _total) in enumerate(rows):
-            self.cum[x, : len(cum)] = cum
-            self.target[x, : len(targets)] = targets
-        self.bisections = width.bit_length()
-        self.jump_total = np.array([row[2] for row in rows])
-        self.total = np.array([row[3] for row in rows])
+        self.cum, self.target, self.jump_total, self.total = model.jump_table()
+        self.bisections = (self.cum.shape[1] - 1).bit_length()
         self.low = lower(model, transform)
         self._ws = _philox_workspace(0)
 
@@ -887,7 +855,7 @@ class _ContinuumEngine:
 
 
 # ---------------------------------------------------------------------------
-# estimators
+# the chain batch sampler
 
 
 def _initial_cumulative(mu: np.ndarray):
@@ -899,10 +867,6 @@ def _initial_cumulative(mu: np.ndarray):
     # below 1; a uniform in that gap would draw the nonexistent state n
     cdf[-1] = 1.0
     return cdf, total
-
-
-# ---------------------------------------------------------------------------
-# the chain batch sampler
 
 
 def _ratio_estimate(num: np.ndarray, den: np.ndarray) -> EstimatorResult:

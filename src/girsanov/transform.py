@@ -31,7 +31,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .errors import TransformError
+from .errors import DomainError, TransformError
 from .model import (
     FiniteSymmetricModel,
     JumpDiffusionModel,
@@ -750,25 +750,37 @@ def _radial_annulus(model, tilt, x, r_lo, r_hi, dirs):
     return total * model.sphere_surface / len(dirs)
 
 
+def _box(model: JumpDiffusionModel, region) -> tuple:
+    """``region`` as the float vectors ``(lo, hi)`` of a box of ``d >= 2`` dimensions: ``d`` finite
+    numbers each, not strings or bools, with ``lo < hi`` in each coordinate; else :class:`DomainError`."""
+    try:
+        box = np.asarray(region)
+    except ValueError:  # a ragged region
+        box = np.empty(0)
+    if box.shape == (2, model.d) and box.dtype.kind in "iuf" and np.all(np.isfinite(box)) and np.all(box[0] < box[1]):
+        return tuple(box.astype(float))
+    raise DomainError(f"region must be two vectors lo < hi of {model.d} finite numbers, got {region!r}")
+
+
 def integrability_check(model: JumpDiffusionModel, phi, region, t: float,
                         levels: int = 10) -> IntegrabilityReport:
     """Probe whether ``x -> int |phi(x, y)| c/|x-y|^{d+alpha} dy`` is finite.
 
-    Sample points are spread over ``region`` (a ``(lo, hi)`` box); around
+    Sample points are spread over ``region``: the model's interval when
+    ``d = 1``, else a ``(lo, hi)`` box (:func:`_box`), checked first; around
     each the kernel integral is accumulated over shrinking annuli and the
     observed decay exponent decides between finite, divergent and
     inconclusive.  ``t`` scales nothing here — finiteness at the sampled
     points is what the pathwise integrability requirement needs on a bounded
     time window.
     """
-    lo = np.atleast_1d(np.asarray(region[0], dtype=float))
-    hi = np.atleast_1d(np.asarray(region[1], dtype=float))
     if model.d == 1:
+        lo, hi = (np.array([v]) for v in model.interval(region))
         sample = [np.array([v]) for v in np.linspace(lo[0], hi[0], 7)]
         dirs = [np.array([1.0]), np.array([-1.0])]
     else:
-        mid = 0.5 * (lo + hi)
-        sample = [lo.copy(), hi.copy(), mid]
+        lo, hi = _box(model, region)
+        sample = [lo.copy(), hi.copy(), 0.5 * (lo + hi)]
         rng = np.random.default_rng(7)
         dirs = []
         for i in range(model.d):

@@ -10,9 +10,11 @@ from girsanov import (
     FiniteSymmetricModel,
     JumpDiffusionModel,
     ModelError,
+    RngSpec,
     jump_measure,
     killing_measure,
     levy_system,
+    sample_finite_path,
     stable_kernel_density,
     stable_small_jump_variance,
     stable_tail_intensity,
@@ -89,6 +91,117 @@ def test_model_arrays_are_readonly(chain3):
         chain3.q[0, 1] = 5.0
     with pytest.raises(ValueError):
         chain3.m[0] = 2.0
+
+
+# -- the jump table ------------------------------------------------------------
+
+
+def reference_rows(model):
+    """The table as a loop over all state pairs builds it: per row the
+    running sums, the targets, the jump rate and the exit rate."""
+    rows = []
+    for x in range(model.n):
+        cum = []
+        targets = []
+        acc = 0.0
+        for y in range(model.n):
+            r = float(model.q[x, y])
+            if r > 0.0:
+                acc += r
+                cum.append(acc)
+                targets.append(y)
+        rows.append((cum, targets, acc, acc + float(model.k[x])))
+    return rows
+
+
+def reference_sample(rows, x0, horizon, rng):
+    """``(events, killed_at)`` of one path by the event loop on the reference rows."""
+    rnd = rng.random
+    t = 0.0
+    x = x0
+    events = []
+    killed = None
+    while True:
+        cum, targets, jump_total, total = rows[x]
+        if total <= 0.0:
+            break
+        u = rnd()
+        while u == 0.0:
+            u = rnd()
+        t -= math.log(1.0 - u) / total
+        if t > horizon:
+            break
+        v = rnd() * total
+        if v >= jump_total:
+            killed = t
+            break
+        for idx, edge in enumerate(cum):
+            if v < edge:
+                x = targets[idx]
+                break
+        events.append((t, x))
+    return tuple(events), killed
+
+
+def random_sparse_model(rng, n):
+    """A reversible chain with uneven weights, rates over several scales,
+    a random share of absent edges, some isolated states and some killing."""
+    m = np.exp(rng.uniform(-3.0, 3.0, size=n))
+    flux = np.triu(np.exp(rng.uniform(-8.0, 4.0, size=(n, n))), 1)
+    flux[rng.uniform(size=(n, n)) < rng.uniform(0.0, 1.0)] = 0.0
+    isolated = rng.uniform(size=n) < 0.15
+    flux[isolated, :] = 0.0
+    flux[:, isolated] = 0.0
+    flux = flux + flux.T
+    k = np.where(rng.uniform(size=n) < 0.4, rng.uniform(0.0, 2.0, size=n), 0.0)
+    return FiniteSymmetricModel(m=m, q=flux / m[:, None], k=k)
+
+
+def test_jump_table_equals_the_pair_loop_bit_for_bit():
+    rng = np.random.default_rng(17)
+    seen = {"no jumps": 0, "only killing": 0, "stuck": 0}
+    for trial in range(240):
+        model = random_sparse_model(rng, 1 + trial % 40)
+        cum, target, jump, total = model.jump_table()
+        rows = reference_rows(model)
+        width = max(len(row[0]) for row in rows)
+        assert cum.shape == target.shape == (model.n, width + 1)
+        for x, (ref_cum, ref_targets, ref_jump, ref_total) in enumerate(rows):
+            k = len(ref_cum)
+            assert cum[x, :k].tolist() == ref_cum
+            assert target[x, :k].tolist() == ref_targets
+            assert np.all(cum[x, k:] == np.inf)
+            assert jump[x] == ref_jump and total[x] == ref_total
+            seen["no jumps"] += k == 0
+            seen["only killing"] += k == 0 and ref_total > 0.0
+            seen["stuck"] += ref_total == 0.0
+    assert all(count > 0 for count in seen.values()), seen
+
+
+def test_jump_table_is_cached_and_readonly(chain3_killed):
+    table = chain3_killed.jump_table()
+    assert chain3_killed.jump_table() is table
+    cum, target, jump, total = table
+    np.testing.assert_array_equal(cum, [[1.0, np.inf, np.inf], [1.0, 3.0, np.inf], [2.0, np.inf, np.inf]])
+    np.testing.assert_array_equal(target[:, :2], [[1, 0], [0, 2], [1, 0]])
+    np.testing.assert_array_equal(jump, [1.0, 3.0, 2.0])
+    np.testing.assert_array_equal(total, [1.0, 4.0, 2.0])
+    for arr in table:
+        with pytest.raises(ValueError):
+            arr[0] = 0
+
+
+def test_sample_finite_path_follows_the_reference_loop(chain3_killed):
+    rows = reference_rows(chain3_killed)
+    spec = RngSpec(seed=71)
+    kinds = set()
+    for i in range(200):
+        path = sample_finite_path(chain3_killed, i % 3, 3.0, spec.stream(i))
+        events, killed = reference_sample(rows, i % 3, 3.0, spec.stream(i))
+        assert path.events == events and path.killed_at == killed
+        assert path.x0 == i % 3 and path.horizon == 3.0
+        kinds.add(killed is None)
+    assert kinds == {True, False}
 
 
 def test_generator_structure(chain3_killed):

@@ -78,6 +78,19 @@ def test_rng_spec_rejects_non_integer_seeds_and_offsets(kwargs):
         RngSpec(**kwargs)
 
 
+@pytest.mark.parametrize("index", [-1, np.int64(-2), True, np.True_, 1.5, "1", None])
+def test_stream_refuses_negative_bool_and_non_integer_indices(index):
+    # stream(-1) of offset 5 would be stream 0 of offset 4, a block meant to be disjoint
+    with pytest.raises(DomainError):
+        RngSpec(seed=3, offset=5).stream(index)
+
+
+def test_stream_index_wraps_modulo_two_to_the_64():
+    spec = RngSpec(seed=3, offset=5)
+    np.testing.assert_array_equal(spec.stream(np.int64(2)).random(3), RngSpec(seed=3, offset=7).stream(0).random(3))
+    np.testing.assert_array_equal(spec.stream(2**64 - 5).random(3), RngSpec(seed=3).stream(0).random(3))
+
+
 def test_rng_spec_takes_numpy_integers_as_ints():
     spec = RngSpec(seed=np.uint64(2**64 - 1), offset=np.int64(3))
     assert type(spec.seed) is int and type(spec.offset) is int
@@ -1048,6 +1061,18 @@ def test_continuum_estimator_needs_a_callable_rho_tilt(monkeypatch, transform):
 def test_engine_rejects_bad_start(chain3, rho121):
     with pytest.raises(DomainError):
         estimate_transformed_semigroup(chain3, RhoTransform(rho=rho121), F010, 3, 0.5, 10, RngSpec(seed=0))
+
+
+def test_mass_of_a_rho_tilt_on_a_wide_sparse_ring():
+    # 500 states with two targets each: the jump table's rows stay 3 wide
+    n = 500
+    x = np.arange(n)
+    ring = np.roll(np.eye(n), 1, axis=1) + np.roll(np.eye(n), -1, axis=1)
+    model = FiniteSymmetricModel(m=np.ones(n), q=ring, k=np.where(x % 6 == 3, 1.0, 0.0))
+    assert model.jump_table()[0].shape == (n, 3)
+    rho = 1.0 + 0.5 * np.sin(2.0 * np.pi * x / n)
+    est = estimate_mass(model, RhoTransform(rho=rho), 3, 0.5, 4000, RngSpec(seed=500))
+    assert abs(est.mean - 1.0) <= 4.0 * est.stderr
 
 
 def test_start_uniform_above_rounded_cdf_draws_the_last_state():

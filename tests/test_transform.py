@@ -689,6 +689,29 @@ def test_integrability_raising_tilt_is_inconclusive():
     assert not bool(report)
 
 
+def _quad_tilt(x, y):
+    r2 = np.sum((np.asarray(y, dtype=float) - np.asarray(x, dtype=float)) ** 2)
+    return r2 / (1.0 + r2)
+
+
+@pytest.mark.parametrize("d, region", [(1, r) for r in BAD_REGIONS + [(1.0, -1.0), (True, 2.0)]] + [
+    (2, ((1.0, 1.0), (-1.0, -1.0))), (2, ((-1.0,), (1.0, 1.0, 1.0))), (2, ((-1.0, np.nan), (1.0, 1.0))),
+    (2, ((-1.0, -1.0), (1.0, np.inf))), (2, ((-1.0, 1.0), (1.0, 1.0))), (2, ((False, False), (True, True))),
+    (2, (-1.0, 1.0)), (2, ((-1.0, -1.0), (1.0, 1.0), (2.0, 2.0))), (2, ((-1.0, (0.0, 1.0)), (1.0, 1.0))),
+    (2, (("a", "b"), ("c", "d"))), (2, None)])
+def test_integrability_refuses_a_bad_box_before_any_quadrature(monkeypatch, d, region):
+    monkeypatch.setattr(transform_module, "_radial_annulus", lambda *a, **k: pytest.fail("integrated"))
+    with pytest.raises(DomainError):
+        integrability_check(JumpDiffusionModel(d=d, alpha=1.0), _quad_tilt, region, t=1.0)
+
+
+def test_integrability_keeps_its_value_on_a_good_box():
+    report = integrability_check(STABLE1, _quad_tilt, (-1, 1), t=1.0)
+    assert report.status == "finite" and report.worst_estimate == 3.110345196348844
+    report = integrability_check(JumpDiffusionModel(d=2, alpha=1.0), _quad_tilt, ((-1, -1), (1, 1)), t=1.0, levels=3)
+    assert report.status == "finite"
+
+
 # -- the time rule of the path functionals -----------------------------------
 
 _CHAIN3 = FiniteSymmetricModel(m=np.ones(3), q=np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 2.0], [0.0, 2.0, 0.0]]))
