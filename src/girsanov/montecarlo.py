@@ -18,15 +18,28 @@ model), in the same floating-point order, so every estimate equals, bit for
 bit, the one a per-path loop over it and :func:`log_weight_fn` gives; that
 scalar route stays as the public sampler and as the tests' reference.
 
-Every ``log`` and ``exp`` whose bits reach a result comes from the C
-library through ``math``, as in the scalar route: numpy's vectorised
-kernels differ from it in the last bit on some inputs.  numpy's ``log``
-serves only where its bits are not kept: a holding time that it puts past
-the last horizon by a relative margin of 2**-40, some thousand times its
-possible error, is only compared with the horizons, and those comparisons
-come out the same either way.  A path with no event before a horizon has
-the log weight ``-rate[x0] * horizon`` exactly, so such paths take their
-weight from one C-library ``exp`` per state.
+Every holding time takes ``log(1 - u)`` and every weight ``exp(log_w)``
+from the C library, as the scalar route does through ``math``: numpy's own
+vectorised ``log`` and ``exp`` differ from it in the last bit on some
+inputs.  The engine calls them as numpy ufuncs, :data:`_log` and
+:data:`_exp`, built once from numpy's ufunc C-API over the process's own C
+``log`` and ``exp`` (:func:`_libm_ufunc`): one C loop per array and no
+Python call per value.  ``math`` calls the same C function for a finite
+argument (a positive one, for ``log``), so the bits are the same by
+construction; each ufunc is still checked against ``math`` bit for bit on a
+fixed probe (``_PROBES``) before it is taken.  Where a ufunc cannot be
+built (numpy 1.x, a platform without ``ctypes.CDLL(None)``) or fails its
+probe, the engine maps ``math`` over the array instead, with the same bits
+at some 20 times the cost.
+
+The ufuncs differ from ``math`` only where ``math`` raises: ``_log`` gives
+``-inf`` at 0 and NaN below it, and ``_exp`` gives ``inf`` above
+``log(DBL_MAX)``, about 709.78, each with numpy's floating-point warning.
+The engine's holding times never go there: ``u`` lies in ``(0, 1)`` (a zero
+is drawn again), so ``1 - u`` lies in ``[2**-53, 1)``.  Its log weights are
+finite or ``-inf`` (a tilt to zero), and ``_exp`` gives ``math.exp``'s bits
+on every one up to 709.78; above it the weight exceeds every double, and
+where ``math.exp`` would raise ``OverflowError`` the weight is ``inf``.
 
 Every chain estimator is a :class:`ChainRequest` (start law, stream block,
 path count, horizon, an optional tracked pair) plus a reducer from a chunk
@@ -69,6 +82,7 @@ cemetery convention ``f(dead) = 0`` applies throughout.
 
 from __future__ import annotations
 
+import ctypes
 import math
 import numbers
 import operator
@@ -460,12 +474,8 @@ _CHUNK = 1 << 13
 
 
 def _libm(fn):
-    """Elementwise ``fn`` of the ``math`` module over a float array.
-
-    ``math.log`` and ``math.exp`` are the C library's; numpy's vectorised
-    ``log`` and ``exp`` differ from them in the last bit on some inputs, and
-    the scalar sampler and weight use the C library's.
-    """
+    """Elementwise ``fn`` of the ``math`` module over a float array, one
+    Python call a value: the route where :func:`_libm_ufunc` cannot serve."""
 
     def apply(a: np.ndarray) -> np.ndarray:
         # a memoryview iterates as Python floats without building a list
@@ -475,8 +485,85 @@ def _libm(fn):
     return apply
 
 
-_log = _libm(math.log)
-_exp = _libm(math.exp)
+_NPY_DOUBLE = 12
+# the ctypes arrays and strings a built ufunc points into, referenced for the
+# life of the process, since the ufunc reads them on every call
+_UFUNC_KEEPALIVE = []
+
+
+def _libm_ufunc(name: str) -> np.ufunc:
+    """A numpy ufunc, float64 to float64, over the process's C function ``name``.
+
+    It comes from numpy's ufunc C-API, whose function table the
+    ``_UFUNC_API`` capsule of ``numpy._core._multiarray_umath`` holds: entry
+    1 is ``PyUFunc_FromFuncAndData`` and entry 5 the generic loop
+    ``PyUFunc_d_d``, which calls the ``double (*)(double)`` in its data
+    pointer once a value.  That pointer is the address of ``name`` in the
+    process (``ctypes.CDLL(None)``), the C library's function that ``math``
+    calls too.  Raises ImportError on numpy 1.x, which keeps the capsule in
+    ``numpy.core``, and AttributeError, OSError, TypeError or ValueError
+    where the capsule or the symbol cannot be had.
+    """
+    from numpy._core import _multiarray_umath
+
+    get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", ctypes.pythonapi))
+    table = ctypes.cast(get_pointer(_multiarray_umath._UFUNC_API, None), ctypes.POINTER(ctypes.c_void_p))
+    # PyUFunc_FromFuncAndData(func, data, types, ntypes, nin, nout, identity, name, doc, unused)
+    make = ctypes.PYFUNCTYPE(ctypes.py_object, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
+                             ctypes.c_int, ctypes.c_int, ctypes.c_int, ctypes.c_int,
+                             ctypes.c_char_p, ctypes.c_char_p, ctypes.c_int)(table[1])
+    loops = (ctypes.c_void_p * 1)(table[5])
+    data = (ctypes.c_void_p * 1)(ctypes.cast(getattr(ctypes.CDLL(None), name), ctypes.c_void_p).value)
+    types = (ctypes.c_char * 2)(_NPY_DOUBLE, _NPY_DOUBLE)
+    label, doc = name.encode(), f"The C library's {name}, elementwise.".encode()
+    _UFUNC_KEEPALIVE.append((loops, data, types, label, doc))
+    no_identity = -1  # PyUFunc_None
+    return make(ctypes.addressof(loops), ctypes.addressof(data), ctypes.addressof(types),
+                1, 1, 1, no_identity, label, doc, 0)
+
+
+# Inputs on which a ufunc must give ``math``'s bits before the engine takes
+# it: the values the engine passes (``1 - u`` from 1 down to 2**-53, log
+# weights over the range where ``exp`` is a normal or subnormal double),
+# subnormals, and values where numpy 2.4's own log and exp, on x86-64, differ
+# from the C library's in the last bit.
+_PROBES = {
+    "log": [2.0 ** -k for k in range(54)] + [1.0 - 2.0 ** -k for k in range(1, 54)]
+    + [2.0 ** -53 + (1.0 - 2.0 ** -53) * i / 1024 for i in range(1025)]
+    + [5e-324, 2.0 ** -1060, 2.0 ** -1023]
+    + [float.fromhex(h) for h in ("0x1.f82e361cb63ecp-1", "0x1.f33d36ad49123p-1",
+                                  "0x1.92a85b98cfea4p-1", "0x1.fbfa2af534060p-1")],
+    "exp": [-745.0 + 1454.0 * i / 1024 for i in range(1025)] + [0.0, -0.0, 2.0 ** -60, -(2.0 ** -60)]
+    + [float.fromhex(h) for h in ("-0x1.8b9ec00916a00p+1", "-0x1.7f7aad6153457p+8",
+                                  "0x1.246a673a95214p+9", "0x1.28e99051e903cp+7")],
+}
+
+
+def _agrees(candidate, fn, probe: list) -> bool:
+    """Whether ``candidate`` over the floats ``probe``, as an array, gives,
+    bit for bit, ``fn`` of each value."""
+    x = np.array(probe)
+    expected = np.fromiter(map(fn, probe), dtype=float, count=len(probe))
+    with np.errstate(all="ignore"):  # exp underflows on the probe, whatever numpy settings the importer chose
+        got = np.asarray(candidate(x), dtype=float)
+    return got.shape == x.shape and bool((got.view(np.uint64) == expected.view(np.uint64)).all())
+
+
+def _c_library(name: str):
+    """``math.<name>`` over float arrays: a :func:`_libm_ufunc` where it can
+    be built and gives ``math``'s bits on every value of its probe, else the
+    :func:`_libm` route, which gives them by construction."""
+    fn = getattr(math, name)
+    try:
+        ufunc = _libm_ufunc(name)
+    except (ImportError, AttributeError, OSError, TypeError, ValueError):
+        return _libm(fn)
+    return ufunc if _agrees(ufunc, fn, _PROBES[name]) else _libm(fn)
+
+
+_log = _c_library("log")
+_exp = _c_library("exp")
 
 
 @dataclass
@@ -485,10 +572,12 @@ class _BatchRecord:
 
     ``x_t`` is the state at the horizon (the state at death where ``alive``
     is false), ``log_w`` the log weight ``log Z_t`` and ``w`` the weight
-    ``exp(log_w)`` from the C library (unset on the engine's running
+    ``_exp(log_w)``, the C library's ``exp`` (unset on the engine's running
     record).  For each tracked pair ``(x, y)``, ``count[(x, y)]`` holds the
     number of ``x -> y`` jumps and ``occupation[(x, y)]`` the time spent in
-    ``x`` before the horizon or death.
+    ``x`` before the horizon or death.  ``mass`` is the mass of the law the
+    paths started from: ``|mu|`` where they were drawn from the normalised
+    ``mu``, 1.0 where they started at one state.
     """
 
     x0: np.ndarray
@@ -497,6 +586,7 @@ class _BatchRecord:
     log_w: np.ndarray
     count: dict
     occupation: dict
+    mass: float
     w: Optional[np.ndarray] = None
 
 
@@ -509,28 +599,34 @@ class _ChainEngine:
     checkpoints that holding time passes, ends the paths that pass the last
     horizon, and kills or moves the rest, adding each path's log-weight
     increment in the scalar walk's order.  The table's rows of cumulative
-    rates, padded with ``inf``, are searched by vectorised bisection.
+    rates, padded with ``inf``, are searched by vectorised bisection.  Every
+    holding time takes :data:`_log` of ``1 - u`` and every weight is
+    :data:`_exp` of its log weight, one C loop per array, with the C
+    library's bits (see the module docstring).  The engine holds the one
+    lowering of its transform, ``low``, and the start law drawn from it.
     """
 
     def __init__(self, model: FiniteSymmetricModel, transform):
         self.cum, self.target, self.jump_total, self.total = model.jump_table()
         self.bisections = (self.cum.shape[1] - 1).bit_length()
         self.low = lower(model, transform)
+        self.start_cdf, self.mass = _initial_cumulative(self.low.mu)
         self._ws = _philox_workspace(0)
 
     def run(self, horizons: tuple, n: int, rng: RngSpec, *, x0: Optional[int] = None,
-            start_cdf: Optional[np.ndarray] = None, pairs: tuple = (), uniforms=None):
+            pairs: tuple = (), uniforms=None):
         """Yield ``(lo, hi, records)`` for paths ``lo .. hi - 1`` of ``n``.
 
         ``horizons`` is a sorted tuple; ``records`` holds one
         :class:`_BatchRecord` per horizon.  A path's stream does not depend
         on the horizon, so the record at ``h`` equals, bit for bit, the one a
-        run to ``h`` alone gives.  Paths start at state ``x0``, or at a state
-        drawn from the path's first uniform against ``start_cdf``.  Each
-        pair ``(x, y)`` of ``pairs`` gets the jump count and occupation time
-        of the jump-rate estimator.  ``uniforms(rng, first, count)``
-        supplies the draws; by default the paths' Philox streams, on the
-        engine's workspace.
+        run to ``h`` alone gives.  Paths start at state ``x0``, or, when it
+        is None, at a state drawn from the path's first uniform against
+        ``start_cdf``, the normalised ``mu`` of the lowering.  Each pair
+        ``(x, y)`` of ``pairs`` gets the jump count and occupation time of
+        the jump-rate estimator.  ``uniforms(rng, first, count)`` supplies
+        the draws; by default the paths' Philox streams, on the engine's
+        workspace.
         """
         horizons = tuple(float(h) for h in horizons)
         for lo in range(0, n, _CHUNK):
@@ -540,26 +636,25 @@ class _ChainEngine:
                 draws = _PhiloxUniforms(rng, lo, hi - lo, self._ws)
             else:
                 draws = uniforms(rng, lo, hi - lo)
-            yield lo, hi, self._chunk(draws, hi - lo, horizons, x0, start_cdf, pairs)
+            yield lo, hi, self._chunk(draws, hi - lo, horizons, x0, pairs)
 
-    def _chunk(self, draws, m: int, horizons: tuple, x0, start_cdf, pairs) -> tuple:
+    def _chunk(self, draws, m: int, horizons: tuple, x0, pairs) -> tuple:
         rows = np.arange(m)
-        if start_cdf is None:
-            x = np.full(m, int(x0), dtype=np.intp)
+        if x0 is None:
+            x, mass = np.searchsorted(self.start_cdf, draws.draw(rows), side="right"), self.mass
         else:
-            x = np.searchsorted(start_cdf, draws.draw(rows), side="right")
+            x, mass = np.full(m, int(x0), dtype=np.intp), 1.0
         # the running state of every path (its alive flag unused), kept as it
         # was at death by a dead one; a checkpoint's alive flag marks the
         # paths it has closed
         run = _BatchRecord(x0=x.copy(), x_t=x, alive=np.ones(m, dtype=bool), log_w=np.zeros(m),
                            count={p: np.zeros(m, dtype=np.int64) for p in pairs},
-                           occupation={p: np.zeros(m) for p in pairs})
+                           occupation={p: np.zeros(m) for p in pairs}, mass=mass)
         marks = [_BatchRecord(x0=run.x0, x_t=np.empty(m, dtype=np.intp), alive=np.zeros(m, dtype=bool),
                               log_w=np.empty(m), count={p: np.empty(m, dtype=np.int64) for p in pairs},
-                              occupation={p: np.empty(m) for p in pairs})
+                              occupation={p: np.empty(m) for p in pairs}, mass=mass)
                  for _ in horizons]
         t = np.zeros(m)
-        surely_over = horizons[-1] * (1.0 + 2.0 ** -40)
         live = rows
         while live.size:
             total = self.total[x[live]]
@@ -576,17 +671,7 @@ class _ChainEngine:
                 u[zero] = draws.draw(live[zero])
                 zero = u == 0.0
             t_live = t[live]
-            # numpy's log differs from the C library's by a few ulps, which
-            # moves t_next by at most about 2**-50 relative after the
-            # division and the sum.  A path that numpy's log puts past the
-            # last horizon by the margin 2**-40 is past it on the C library's
-            # too, and past every checkpoint, so each comparison below sees
-            # the same booleans; its t_next is only compared, never kept
-            # (_close reads t).  Only the other paths, whose t_next may be
-            # stored, take it from the C library.
-            t_next = t_live - np.log(1.0 - u) / total
-            near = np.flatnonzero(t_next <= surely_over)
-            t_next[near] = t_live[near] - _log(1.0 - u[near]) / total[near]
+            t_next = t_live - _log(1.0 - u) / total
             # a checkpoint closes where a holding time first runs past it; a
             # live path has not passed the last horizon
             for horizon, mark in zip(horizons[:-1], marks):
@@ -632,25 +717,8 @@ class _ChainEngine:
             for pair in pairs:
                 mark.count[pair][dead] = run.count[pair][dead]
                 mark.occupation[pair][dead] = run.occupation[pair][dead]
-        for horizon, mark in zip(horizons, marks):
-            mark.w = self._weights(mark, horizon)
+            mark.w = _exp(mark.log_w)
         return tuple(marks)
-
-    def _weights(self, mark: _BatchRecord, horizon: float) -> np.ndarray:
-        """``exp(log_w)`` of every path of ``mark``, from the C library.
-
-        A path with no event before the horizon has ``log_w`` exactly
-        ``0.0 - rate[x0] * horizon`` (:meth:`_close` on a zero log weight
-        and time), so those take one ``exp`` per state.  Equal inputs give
-        equal outputs, so a path that reaches the same value another way
-        gets the same weight either way.
-        """
-        key = 0.0 - self.low.rate * horizon
-        same = mark.log_w == key[mark.x0]
-        w = np.empty(mark.log_w.size)
-        w[same] = _exp(key)[mark.x0[same]]
-        w[~same] = _exp(mark.log_w[~same])
-        return w
 
     def _close(self, mark: _BatchRecord, run: _BatchRecord, t: np.ndarray, done: np.ndarray,
                horizon: float) -> None:
@@ -930,7 +998,9 @@ def estimate_chain(model: FiniteSymmetricModel, transform, requests) -> list:
     requests that asked for it.  A path to an earlier horizon is the prefix
     of the same path to a later one, so each estimate equals, bit for bit,
     the one a run of its request alone gives; requests of one group use
-    common random numbers, as their identical streams already did.  Every
+    common random numbers, as their identical streams already did.  The
+    call lowers the transform once, in its engine, and every group reads
+    its start law and that law's mass from that one lowering.  Every
     request must have been built for this ``model`` and ``transform``, since
     its reducer holds their constants; a request without a reducer gives
     an exact zero.
@@ -948,22 +1018,20 @@ def estimate_chain(model: FiniteSymmetricModel, transform, requests) -> list:
     if not groups:
         return results
     engine = _ChainEngine(model, transform)
-    start_cdf, _total = _initial_cumulative(engine.low.mu)
     for (x0, rng, n), members in groups.items():
-        cdf = start_cdf if x0 is None else None
-        estimates = _sample_group(engine, [requests[i] for i in members], x0, rng, n, cdf)
+        estimates = _sample_group(engine, [requests[i] for i in members], x0, rng, n)
         for i, res in zip(members, estimates):
             results[i] = res
     return results
 
 
-def _sample_group(engine: _ChainEngine, requests: list, x0, rng: RngSpec, n: int, start_cdf) -> list:
+def _sample_group(engine: _ChainEngine, requests: list, x0, rng: RngSpec, n: int) -> list:
     """Estimates of requests that read the same paths, from one engine run."""
     horizons = tuple(sorted({req.horizon for req in requests}))
     pairs = tuple(sorted({req.pair for req in requests} - {None}))
     at = [horizons.index(req.horizon) for req in requests]
     samples = [None] * len(requests)
-    for lo, hi, records in engine.run(horizons, n, rng, x0=x0, start_cdf=start_cdf, pairs=pairs):
+    for lo, hi, records in engine.run(horizons, n, rng, x0=x0, pairs=pairs):
         for k, req in enumerate(requests):
             parts = req.reduce(records[at[k]])
             if samples[k] is None:
@@ -995,13 +1063,12 @@ def symmetry_gap_request(model: FiniteSymmetricModel, transform, f, g, t: float,
     g = model.state_vector(g, "g")
     if np.array_equal(f, g):
         return ChainRequest(model, transform, x0=None, horizon=t, n=n, rng=rng, reduce=None)
-    _cdf, total = _initial_cumulative(lower(model, transform).mu)
 
     def reduce(rec):
         out = np.zeros(rec.alive.size)
         alive = np.flatnonzero(rec.alive)
         x0, xt = rec.x0[alive], rec.x_t[alive]
-        w = total * rec.w[alive]
+        w = rec.mass * rec.w[alive]
         out[alive] = w * (g[x0] * f[xt] - f[x0] * g[xt])
         return (out,)
 
@@ -1022,11 +1089,10 @@ def quadratic_form_requests(model: FiniteSymmetricModel, transform, f, ts, n: in
     """Requests of the energy statistic at each time of ``ts``, each time on
     its own block of streams."""
     f = model.state_vector(f)
-    _cdf, total = _initial_cumulative(lower(model, transform).mu)
 
     def request(t, block):
         def reduce(rec):
-            w = total * rec.w
+            w = rec.mass * rec.w
             diff = np.where(rec.alive, f[rec.x_t], 0.0) - f[rec.x0]
             return (w * diff * diff * inv_2t,)
 

@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 import tracemalloc
 import warnings
 
@@ -794,8 +795,7 @@ def test_checkpoints_equal_separate_runs(name, model, transform, monkeypatch):
     monkeypatch.setattr(montecarlo, "_CHUNK", 100)
     engine = _ChainEngine(model, transform)
     rng = RngSpec(seed=17, offset=1234)
-    cdf, _total = montecarlo._initial_cumulative(lower(model, transform).mu)
-    starts = ({"x0": 1, "pairs": ((1, 2), (0, 1))}, {"start_cdf": cdf}, {"x0": 0, "pairs": ((0, 1),)})
+    starts = ({"x0": 1, "pairs": ((1, 2), (0, 1))}, {"x0": None}, {"x0": 0, "pairs": ((0, 1),)})
     for start in starts:
         both = list(engine.run((2.0, 3.0), 250, rng, **start))
         early = list(engine.run((2.0,), 250, rng, **start))
@@ -908,8 +908,8 @@ JUMP_AND_RHO = [PureJumpPhi(phi=np.array([[0.0, 1.0, 0.0], [1.0, 0.0, -0.5], [0.
 @pytest.mark.parametrize("transform", JUMP_AND_RHO, ids=["phi", "rho"])
 def test_holding_time_at_a_horizon_matches_the_scalar_route(chain3_killed, transform):
     # the first holding time lands on, just before and just after the last
-    # horizon, a checkpoint, and the last horizon's margin h (1 + 2**-40)
-    # within which the engine takes it from the C library's log
+    # horizon, a checkpoint, and a time a relative 2**-40 past the last
+    # horizon, which such a holding time is only compared with
     rng = np.random.default_rng(19)
     totals = chain3_killed.q.sum(axis=1) + chain3_killed.k
     sides = set()
@@ -929,9 +929,10 @@ def test_holding_time_at_a_horizon_matches_the_scalar_route(chain3_killed, trans
 @pytest.mark.parametrize("transform", JUMP_AND_RHO, ids=["phi", "rho"])
 def test_holding_time_on_the_horizon_where_numpy_log_differs(chain3_killed, transform):
     # a horizon equal to the first holding time by the C library's log, on
-    # uniforms where numpy's log moves that time off it: only the C
-    # library's value may decide (where the two logs agree on every
-    # uniform, there is no such case and the test checks nothing)
+    # uniforms where numpy's own log moves that time off it: only the C
+    # library's value, which the engine's _log gives, may decide (where the
+    # two logs agree on every uniform, there is no such case and the test
+    # checks nothing)
     rng = np.random.default_rng(29)
     totals = chain3_killed.q.sum(axis=1) + chain3_killed.k
     u = rng.uniform(0.0, 1.0, size=20_000)
@@ -951,15 +952,14 @@ def test_holding_time_on_the_horizon_where_numpy_log_differs(chain3_killed, tran
 def test_record_weight_is_the_c_library_exp_of_its_log_weight(name, model, transform):
     engine = _ChainEngine(model, transform)
     low = lower(model, transform)
-    cdf, _total = montecarlo._initial_cumulative(low.mu)
     kinds = set()
-    for start in ({"x0": 1}, {"start_cdf": cdf}):
+    for start in ({"x0": 1}, {"x0": None}):
         horizons = (0.05, 0.4, 2.0)
         for _lo, _hi, recs in engine.run(horizons, 300, RngSpec(seed=23), **start):
             for horizon, rec in zip(horizons, recs):
                 assert np.array_equal(rec.w, np.array([math.exp(v) for v in rec.log_w]))
                 kinds.update(rec.log_w == 0.0 - low.rate[rec.x0] * horizon)
-    assert kinds == {True, False}  # both the per-state weights and the others
+    assert kinds == {True, False}  # paths with no event before the horizon, and the others
 
 
 README_TREND = {
@@ -971,24 +971,110 @@ README_TREND = {
 }
 
 
-def test_readme_verify_takes_few_c_library_values(tmp_path, monkeypatch):
-    # the C library's log and exp run only where their bits are kept: about
-    # 0.66 values a path here, against 2.38 when every holding time and
-    # weight took one
-    taken = []
+def bits(a):
+    return np.asarray(a, dtype=float).view(np.uint64)
 
-    def counted(fn):
-        def apply(a):
-            taken.append(np.asarray(a).size)
-            return fn(a)
-        return apply
 
-    monkeypatch.setattr(montecarlo, "_log", counted(montecarlo._log))
-    monkeypatch.setattr(montecarlo, "_exp", counted(montecarlo._exp))
+def c_library_inputs(name):
+    """Inputs of ``_log`` (``1 - u``) or ``_exp`` (log weights), including
+    those where numpy's own function differs from the C library's."""
+    rng = np.random.default_rng(41)
+    if name == "log":
+        one_minus_u = 1.0 - rng.integers(1, 2**53, size=200_000) * 2.0 ** -53
+        return np.concatenate([
+            one_minus_u, np.arange(1.0, 5000.0) * 2.0 ** -53, 2.0 ** -np.arange(54.0), [1.0],
+            np.arange(1.0, 100.0) * 5e-324, 2.0 ** -np.arange(1023.0, 1075.0),
+        ])
+    return np.concatenate([rng.uniform(-745.0, 709.0, size=200_000), np.linspace(-745.0, 709.0, 10_001),
+                           [-745.0, -0.0, 0.0, 709.0], -(2.0 ** -np.arange(1.0, 80.0))])
+
+
+@pytest.mark.parametrize("name", ["log", "exp"])
+def test_c_library_ufuncs_give_the_bits_of_math(name):
+    x = c_library_inputs(name)
+    expected = np.array([getattr(math, name)(v) for v in x.tolist()])
+    assert np.array_equal(bits(getattr(montecarlo, f"_{name}")(x)), bits(expected))
+
+
+@pytest.mark.skipif(not (sys.platform == "linux" and np.lib.NumpyVersion(np.__version__) >= "2.0.0"),
+                    reason="the ufuncs are built from numpy 2's C-API over the C library of a Linux process")
+def test_engine_takes_the_c_library_ufuncs_here():
+    assert isinstance(montecarlo._log, np.ufunc) and isinstance(montecarlo._exp, np.ufunc)
+
+
+@pytest.mark.parametrize("name", ["log", "exp"])
+def test_unbuildable_ufunc_falls_back_to_mapping_math(name, monkeypatch):
+    def unbuildable(_name):
+        raise ImportError("no numpy._core")
+
+    monkeypatch.setattr(montecarlo, "_libm_ufunc", unbuildable)
+    chosen = montecarlo._c_library(name)
+    assert not isinstance(chosen, np.ufunc)
+    x = c_library_inputs(name)[:20_000]
+    assert np.array_equal(bits(chosen(x)), bits([getattr(math, name)(v) for v in x.tolist()]))
+
+
+@pytest.mark.parametrize("name,wrong", [("log", np.log1p), ("exp", np.expm1), ("log", np.exp)])
+def test_probe_rejects_a_wrong_binding(name, wrong, monkeypatch):
+    monkeypatch.setattr(montecarlo, "_libm_ufunc", lambda _name: wrong)
+    assert montecarlo._c_library(name) is not wrong
+
+
+@pytest.mark.parametrize("name", ["log", "exp"])
+def test_probe_rejects_numpys_own_function_where_it_differs(name, monkeypatch):
+    x = c_library_inputs(name)
+    with np.errstate(under="ignore"):
+        if np.array_equal(bits(getattr(np, name)(x)), bits([getattr(math, name)(v) for v in x.tolist()])):
+            pytest.skip(f"numpy's {name} gives the C library's bits here")
+    monkeypatch.setattr(montecarlo, "_libm_ufunc", lambda _name: getattr(np, name))
+    assert montecarlo._c_library(name) is not getattr(np, name)
+
+
+@pytest.mark.parametrize("name,model,transform", CHECKPOINTS, ids=[c[0] for c in CHECKPOINTS])
+def test_mapping_math_gives_the_records_of_the_ufuncs(name, model, transform, monkeypatch):
+    horizons = (0.05, 0.4, 2.0)
+    starts = ({"x0": 1, "pairs": ((1, 2), (0, 1))}, {"x0": None})
+    engine = _ChainEngine(model, transform)
+    taken = [list(engine.run(horizons, 300, RngSpec(seed=31), **start)) for start in starts]
+    monkeypatch.setattr(montecarlo, "_log", montecarlo._libm(math.log))
+    monkeypatch.setattr(montecarlo, "_exp", montecarlo._libm(math.exp))
+    mapped = [list(engine.run(horizons, 300, RngSpec(seed=31), **start)) for start in starts]
+    for run_taken, run_mapped in zip(taken, mapped):
+        for (_lo, _hi, recs), (_lo2, _hi2, recs2) in zip(run_taken, run_mapped):
+            assert all(records_equal(a, b) for a, b in zip(recs, recs2))
+
+
+def counted_lowerings(monkeypatch):
+    calls = []
+
+    def counted(model, transform):
+        calls.append(transform)
+        return lower(model, transform)
+
+    monkeypatch.setattr(montecarlo, "lower", counted)
+    return calls
+
+
+@pytest.mark.parametrize("name,model,transform", CHECKPOINTS[:3], ids=[c[0] for c in CHECKPOINTS[:3]])
+def test_each_chain_estimate_lowers_its_transform_once(name, model, transform, monkeypatch):
+    calls = counted_lowerings(monkeypatch)
+    rng = RngSpec(seed=2)
+    f = np.linspace(-1.0, 2.0, model.n)
+    estimate_quadratic_form(model, transform, f, 0.3, 50, rng)
+    estimate_symmetry_gap(model, transform, f, np.cos(np.arange(model.n)), 0.3, 50, rng)
+    estimate_mass(model, transform, 0, 0.3, 50, rng)
+    assert len(calls) == 3
+    requests = [*montecarlo.quadratic_form_requests(model, transform, f, (0.3, 0.1), 50, rng),
+                montecarlo.symmetry_gap_request(model, transform, f, np.cos(np.arange(model.n)), 0.3, 50, rng)]
+    montecarlo.estimate_chain(model, transform, requests)
+    assert len(calls) == 4 and all(tr is transform for tr in calls)
+
+
+def test_readme_verify_lowers_its_transform_once_in_sampling(tmp_path, monkeypatch):
+    calls = counted_lowerings(monkeypatch)
     config = cli.ExperimentConfig.from_json(json.dumps(README_TREND))
     assert cli.run(config, out_dir=str(tmp_path), seed=0) == 0
-    paths = 4 * 20_000
-    assert 0 < sum(taken) <= 0.8 * paths
+    assert len(calls) == 1
 
 
 NAN = float("nan")
@@ -1089,6 +1175,7 @@ def test_start_uniform_above_rounded_cdf_draws_the_last_state():
     assert cdf[-1] == 1.0 and total == pytest.approx(1.0)
     script = np.concatenate([[gap], np.random.default_rng(5).uniform(0.1, 1.0, size=200)])
     engine = _ChainEngine(model, transform)
-    [(_lo, _hi, (rec,))] = engine.run((0.01,), 1, RngSpec(seed=0), start_cdf=cdf,
+    assert np.array_equal(engine.start_cdf, cdf)
+    [(_lo, _hi, (rec,))] = engine.run((0.01,), 1, RngSpec(seed=0),
                                       uniforms=lambda _rng, first, count: ScriptedDraws([script]))
     assert rec.x0[0] == n - 1
