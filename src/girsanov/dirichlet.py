@@ -246,6 +246,49 @@ def _zeta(s: float) -> float:
     return total
 
 
+@functools.lru_cache(maxsize=32)
+def _stable_spectrum(alpha: float, c: float, lo: float, hi: float, n: int) -> np.ndarray:
+    """Real FFT of the circulant that carries the stable kernel's Toeplitz
+    matrix on ``n`` cells of ``(lo, hi)``: length :func:`_fast_len` ``(2n)``,
+    entries ``k`` and ``size - k`` both ``(c/2)|kh|^{-1-alpha}`` for every
+    offset ``1 <= k < n``, zeros elsewhere.
+
+    Read-only, as every caller shares it.  It depends on nothing but its
+    key, so it is kept for the 32 keys used last.  One spectrum holds
+    ``_fast_len(2n)/2 + 1`` complex values, at most ``32 n`` bytes, so the
+    cache holds at most about 1 MB per 1000 cells of the largest mesh kept
+    (0.16 MB over meshes 160 to 5120).
+    """
+    h = (hi - lo) / n
+    size = _fast_len(2 * n)
+    col = np.zeros(size)
+    col[1:n] = 0.5 * c * (np.arange(1, n) * h) ** (-1.0 - alpha)
+    col[size - n + 1 :] = col[n - 1 : 0 : -1]
+    spectrum = fft.rfft(col)
+    spectrum.setflags(write=False)
+    return spectrum
+
+
+def _stable_toeplitz(model: JumpDiffusionModel, lo: float, hi: float, rows: np.ndarray,
+                     spectra: np.ndarray, conv: np.ndarray) -> np.ndarray:
+    """``K`` applied to each row of ``rows`` (shape ``(m, n)``), where
+    ``K_ij = (c/2)|x_i - x_j|^{-1-alpha}`` for ``i != j`` (0 on the
+    diagonal) on ``n`` cells of ``(lo, hi)``.
+
+    One batched real FFT of the rows, zero-padded to ``size =``
+    :func:`_fast_len` ``(2n)``, one product with the cached
+    :func:`_stable_spectrum` and one batched inverse.  ``spectra``
+    (``(m, size // 2 + 1)`` complex) and ``conv`` (``(m, size)``) are the
+    caller's work arrays; the result is the view ``conv[:, :n]``.
+    """
+    n = rows.shape[-1]
+    size = conv.shape[-1]
+    fft.rfft(rows, size, out=spectra)
+    spectra *= _stable_spectrum(model.alpha, model.c, lo, hi, n)
+    fft.irfft(spectra, size, out=conv)
+    return conv[:, :n]
+
+
 def _quad_level(rho, f, model: JumpDiffusionModel, lo: float, hi: float, n: int):
     """Midpoint-rule form value on one mesh level, second order in ``h``, in
     O(n log n) time and O(n) memory.
@@ -266,48 +309,45 @@ def _quad_level(rho, f, model: JumpDiffusionModel, lo: float, hi: float, n: int)
 
     The last form, which cancels entry by entry, is the one summed; for
     constant ``f`` the two convolved vectors are equal and it is exactly 0.
-    Both products come from one real FFT of the kernel (numpy's), embedded
-    as a circulant of length :func:`_fast_len` ``(2n)`` (``2n`` itself when
-    ``n`` has no prime factor above 5) that carries every offset ``k >= 1``.
+    Both products come from :func:`_stable_toeplitz`, one batched real FFT
+    (numpy's) of ``r`` and ``r f`` against the kernel's circulant of length
+    :func:`_fast_len` ``(2n)``, which carries every offset ``k >= 1``.  That
+    circulant's spectrum depends only on ``(alpha, c, lo, hi, n)`` and is
+    cached per key (:func:`_stable_spectrum`: the 32 keys used last, at most
+    about 1 MB per 1000 cells of the largest mesh kept); nothing that
+    depends on ``rho`` or ``f`` is kept.
     """
     h = (hi - lo) / n
     size = _fast_len(2 * n)
     half = size // 2 + 1  # length of a real transform's spectrum
     # Every array the level computes is a view of one block, written in place
-    # (the callables' results stay their own arrays).  As some twenty arrays,
+    # (f's results stay their own arrays; rho's is copied in next to r f, so
+    # that one FFT call transforms both).  As some twenty arrays,
     # the level's memory went back to the system after each call and was
     # faulted in again on the next (2-3.5 MB a pass over meshes 160-2560):
     # glibc sets its trim threshold to twice the largest block it has
     # unmapped, and this block is larger than all else a level allocates.
-    block = np.empty(4 * n + 3 * size + 6 * half)
-    x, df, rf, tmp = block[: 4 * n].reshape(4, n)
-    col = block[4 * n : 4 * n + size]
-    spectra = block[4 * n + size : 4 * n + size + 6 * half].view(complex).reshape(3, half)
-    conv = block[4 * n + size + 6 * half :].reshape(2, size)
+    block = np.empty(5 * n + 2 * size + 4 * half)
+    x, df, tmp = block[: 3 * n].reshape(3, n)
+    r_rf = block[3 * n : 5 * n].reshape(2, n)  # r and r f, transformed together
+    spectra = block[5 * n : 5 * n + 4 * half].view(complex).reshape(2, half)
+    conv = block[5 * n + 4 * half :].reshape(2, size)
+    rx, rf = r_rf
     np.add(np.arange(n), 0.5, out=x)
     x *= h
     x += lo
     np.subtract(np.asarray(f(x + h), dtype=float), np.asarray(f(x - h), dtype=float), out=df)
     df /= 2.0 * h
     fx = np.asarray(f(x), dtype=float)
-    rx = np.asarray(rho(x), dtype=float)
+    rx[:] = np.asarray(rho(x), dtype=float)
     np.multiply(rx, rx, out=tmp)
     tmp *= df
     tmp *= df
     energy = float(np.sum(tmp))
     cont = 0.5 * energy * h
     alpha = model.alpha
-    # every offset k >= 1: Toeplitz products by circulant convolution
-    col[:] = 0.0
-    col[1:n] = 0.5 * model.c * (np.arange(1, n) * h) ** (-1.0 - alpha)
-    col[size - n + 1 :] = col[n - 1 : 0 : -1]
     np.multiply(rx, fx, out=rf)
-    fft.rfft(rx, size, out=spectra[0])
-    fft.rfft(rf, size, out=spectra[1])
-    fft.rfft(col, out=spectra[2])
-    np.multiply(spectra[:2], spectra[2], out=spectra[:2])
-    fft.irfft(spectra[:2], size, out=conv)
-    k_r, k_rf = conv[:, :n]
+    k_r, k_rf = _stable_toeplitz(model, lo, hi, r_rf, spectra, conv)
     np.multiply(fx, k_r, out=tmp)
     tmp -= k_rf
     pairs = 2.0 * float(np.dot(rf, tmp)) * h * h

@@ -25,6 +25,7 @@ drives the weight to zero and the trace records the first time this happens.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Union
@@ -35,6 +36,7 @@ from .errors import DomainError, TransformError
 from .model import (
     FiniteSymmetricModel,
     JumpDiffusionModel,
+    _readonly,
     jump_measure,
     stable_kernel_density,
     stable_small_jump_variance,
@@ -87,7 +89,7 @@ class RhoTransform:
 
     def __post_init__(self):
         if not callable(self.rho):
-            arr = np.asarray(self.rho, dtype=float)
+            arr = _readonly(self.rho)
             if arr.ndim != 1:
                 raise TransformError("rho must be a vector of state values")
             if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
@@ -104,7 +106,7 @@ class PureJumpPhi:
     def __post_init__(self):
         if callable(self.phi):
             return
-        arr = np.asarray(self.phi, dtype=float)
+        arr = _readonly(self.phi)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise TransformError("phi must be a square matrix of pair values")
         if not np.all(np.isfinite(arr)):
@@ -136,19 +138,19 @@ class GeneralMF:
 
     def __post_init__(self):
         if not callable(self.phi):
-            arr = np.asarray(self.phi, dtype=float)
+            arr = _readonly(self.phi)
             if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
                 raise TransformError("phi must be a square matrix of pair values")
             if not np.all(np.isfinite(arr)) or np.any(arr < -1.0):
                 raise TransformError("phi must be finite and >= -1")
             object.__setattr__(self, "phi", arr)
         if self.a_rate is not None and not callable(self.a_rate):
-            a = np.asarray(self.a_rate, dtype=float)
+            a = _readonly(self.a_rate)
             if np.any(a < 0.0) or not np.all(np.isfinite(a)):
                 raise TransformError("a_rate must be nonnegative and finite")
             object.__setattr__(self, "a_rate", a)
         if self.phi_delta is not None and not callable(self.phi_delta):
-            pd = np.asarray(self.phi_delta, dtype=float)
+            pd = _readonly(self.phi_delta)
             if np.any(pd < -1.0) or not np.all(np.isfinite(pd)):
                 raise TransformError("phi_delta must be finite and >= -1")
             object.__setattr__(self, "phi_delta", pd)
@@ -243,6 +245,12 @@ def lower(model: FiniteSymmetricModel, transform: TransformSpec) -> LoweredTrans
     """The one lowering of a chain transform, and the only chain code that
     branches on its type; every table must match the model's size.
 
+    The lowering is built once and kept on ``transform`` for the model it was
+    lowered against (both immutable: their tables are read-only copies), so
+    the engine, the oracles and the transformed structure of one run share
+    it; its own tables are read-only too.  Lowered against another model,
+    the transform is lowered again and keeps the new result.
+
     A rho tilt is the jump tilt ``rho(y)/rho(x) - 1`` with death tilt -1 and
     mu = ``rho^2 m``, and keeps its telescoped walk: rate ``Q rho / rho``,
     jumps ``log rho(y) - log rho(x)``, death to zero weight.  A symmetric
@@ -250,6 +258,17 @@ def lower(model: FiniteSymmetricModel, transform: TransformSpec) -> LoweredTrans
     walk with rate ``N phi + k phi_delta + a_rate``, factors ``log(1 + phi)``
     and ``log(1 + phi_delta)``, and mu = ``m``.
     """
+    kept = getattr(transform, "_lowering", None)
+    if kept is None or kept[0] is not model:
+        low = _build_lowering(model, transform)
+        for table in vars(low).values():
+            table.setflags(write=False)
+        kept = (model, low)
+        object.__setattr__(transform, "_lowering", kept)
+    return kept[1]
+
+
+def _build_lowering(model: FiniteSymmetricModel, transform: TransformSpec) -> LoweredTransform:
     n = model.n
     zero = np.zeros(n)
     if isinstance(transform, RhoTransform):
@@ -362,9 +381,10 @@ def _finite_diff_grad(fn, h: float = 1e-6) -> Callable:
 @dataclass(frozen=True)
 class ContinuumLowering:
     """A jump-diffusion transform as callables on points: the jump ``tilt``
-    that the rate table compensates, the ``log_jump`` factor of one explicit
-    jump (elementwise on arrays), the continuous integrand ``mc`` and the
-    ``a_rate`` (None when absent), and the ``rho`` of a rho tilt (else None)."""
+    that the rate table compensates, the ``log_jump`` factors of explicit
+    jumps (one per pair of an array of pre-jump points and one of post-jump
+    points), the continuous integrand ``mc`` and the ``a_rate`` (None when
+    absent), and the ``rho`` of a rho tilt (else None)."""
 
     tilt: Callable
     log_jump: Callable
@@ -380,7 +400,9 @@ def lower_continuum(model, transform: TransformSpec, rho_grad=None) -> Continuum
     A rho tilt is the tilt ``rho(y)/rho(x) - 1``, the jump factor
     ``rho(post)/rho(pre)`` and the integrand ``rho'/rho``, with ``rho'`` from
     ``rho_grad`` or a central difference.  A jump tilt is ``phi`` with the
-    factor ``1 + phi``, plus the general form's ``mc_integrand`` and ``a_rate``.
+    factor ``1 + phi``, plus the general form's ``mc_integrand`` and ``a_rate``;
+    its factors call ``phi`` on one pair of points at a time, while ``rho``
+    takes the arrays whole.
     """
     if not isinstance(model, JumpDiffusionModel):
         raise TransformError("continuum transforms require the jump-diffusion model")
@@ -392,8 +414,9 @@ def lower_continuum(model, transform: TransformSpec, rho_grad=None) -> Continuum
             raise TransformError(f"continuum transforms need {name} as a callable, got {type(value).__name__}")
     rho, phi = data["rho"], data["phi"]
     if rho is None:
-        return ContinuumLowering(tilt=phi, log_jump=lambda x, y: np.log1p(np.asarray(phi(x, y), dtype=float)),
-                                 mc=data["mc_integrand"], a_rate=data["a_rate"])
+        return ContinuumLowering(
+            tilt=phi, log_jump=lambda x, y: np.log1p(np.array([phi(a, b) for a, b in zip(x, y)], dtype=float)),
+            mc=data["mc_integrand"], a_rate=data["a_rate"])
     grad = rho_grad if rho_grad is not None else _finite_diff_grad(rho)
     return ContinuumLowering(
         tilt=lambda x, y: rho(y) / rho(x) - 1.0,
@@ -501,11 +524,14 @@ def _grid_trace(path: Path, t: float, model: JumpDiffusionModel, low: ContinuumL
             step_log = step_log + np.sum(g * inc, axis=-1) - 0.5 * np.sum(g * g, axis=-1) * var_rate * dt
     log_z = np.zeros(K + 1)
     log_z[1:] = np.cumsum(step_log)
-    held = jump_steps([s for s, _ in path.events], dt, K)
-    for j, (s, post), pre in zip(held, path.events, path.jump_pre):
-        if s > t:
-            break
-        log_z[j + 1:] += float(low.log_jump(pre, post))
+    jump_times = [s for s, _ in path.events]
+    live = bisect.bisect_right(jump_times, t)  # event times strictly increase
+    if live:
+        factors = np.asarray(low.log_jump(np.array(path.jump_pre[:live]),
+                                          np.array([post for _, post in path.events[:live]])), dtype=float)
+        # added one jump at a time, in time order, as the weight's bits depend on it
+        for j, v in zip(jump_steps(jump_times[:live], dt, K).tolist(), factors.reshape(live).tolist()):
+            log_z[j + 1:] += v
     times = np.arange(K + 1) * dt
     return MFTrace(times, log_z, log_z.copy())
 

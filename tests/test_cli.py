@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import logging
 import math
@@ -463,6 +464,28 @@ def test_run_builds_the_cemetery_generator_once(tmp_path, monkeypatch):
               {"id": "quadratic_form", "f": [0, 1, 0], "ts": [0.2, 0.1]}, {"id": "jump_rate", "pair": [0, 1]}]
     cfg = ExperimentConfig.from_json(json.dumps({"model": KILLED_MODEL, "transform": PHI_TILT, "checks": checks}))
     assert run(cfg, out_dir=str(tmp_path), paths=200) in (0, 1)
+    assert len(builds) == 1
+
+
+def bench_workloads():
+    """``bench/workloads.py``, which holds the benchmark's chain configs."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    spec = importlib.util.spec_from_file_location("bench_workloads", os.path.join(root, "bench", "workloads.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("workload", ["chain-readme", "chain-killed"])
+def test_run_builds_one_lowering(tmp_path, monkeypatch, workload):
+    # the engine, the oracles' mu and cemetery generator, and the transformed
+    # jump measure, killing and kernel all read one lowering
+    builds = []
+    build = girsanov.transform._build_lowering
+    monkeypatch.setattr(girsanov.transform, "_build_lowering",
+                        lambda *args: builds.append(1) or build(*args))
+    cfg = ExperimentConfig.from_json(bench_workloads().config_text(workload))
+    assert run(cfg, out_dir=str(tmp_path), seed=0) == 0
     assert len(builds) == 1
 
 

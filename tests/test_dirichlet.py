@@ -1,7 +1,9 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from numpy import fft
 from scipy import integrate, special
 
 from conftest import BAD_REGIONS, make_reversible, make_symmetric_phi
@@ -23,7 +25,8 @@ from girsanov import (
     transformed_generator,
     transformed_levy_kernel,
 )
-from girsanov.dirichlet import _fast_len, _quad_level, _zeta
+from girsanov import dirichlet
+from girsanov.dirichlet import _fast_len, _quad_level, _stable_spectrum, _stable_toeplitz, _zeta
 
 F010 = np.array([0.0, 1.0, 0.0])
 
@@ -233,6 +236,103 @@ def test_quad_level_matches_dense_pair_sum(alpha, name):
             want_cont, want_jump = dense_quad_level(QUAD_RHO, f, model, -8.0, 8.0, n)
             assert cont == pytest.approx(want_cont, rel=1e-11, abs=0.0)
             assert jump == pytest.approx(want_jump, rel=1e-11, abs=0.0)
+
+
+def reference_quad_level(rho, f, model, lo, hi, n):
+    """Reference: the mesh level with the kernel's circulant built and
+    transformed on every call and ``r``, ``r f`` transformed one at a time;
+    the cached spectrum and the batched transform must give its bits."""
+    h = (hi - lo) / n
+    size = _fast_len(2 * n)
+    half = size // 2 + 1
+    block = np.empty(4 * n + 3 * size + 6 * half)
+    x, df, rf, tmp = block[: 4 * n].reshape(4, n)
+    col = block[4 * n : 4 * n + size]
+    spectra = block[4 * n + size : 4 * n + size + 6 * half].view(complex).reshape(3, half)
+    conv = block[4 * n + size + 6 * half :].reshape(2, size)
+    np.add(np.arange(n), 0.5, out=x)
+    x *= h
+    x += lo
+    np.subtract(np.asarray(f(x + h), dtype=float), np.asarray(f(x - h), dtype=float), out=df)
+    df /= 2.0 * h
+    fx = np.asarray(f(x), dtype=float)
+    rx = np.asarray(rho(x), dtype=float)
+    np.multiply(rx, rx, out=tmp)
+    tmp *= df
+    tmp *= df
+    energy = float(np.sum(tmp))
+    cont = 0.5 * energy * h
+    alpha = model.alpha
+    col[:] = 0.0
+    col[1:n] = 0.5 * model.c * (np.arange(1, n) * h) ** (-1.0 - alpha)
+    col[size - n + 1 :] = col[n - 1 : 0 : -1]
+    np.multiply(rx, fx, out=rf)
+    fft.rfft(rx, size, out=spectra[0])
+    fft.rfft(rf, size, out=spectra[1])
+    fft.rfft(col, out=spectra[2])
+    np.multiply(spectra[:2], spectra[2], out=spectra[:2])
+    fft.irfft(spectra[:2], size, out=conv)
+    k_r, k_rf = conv[:, :n]
+    np.multiply(fx, k_r, out=tmp)
+    tmp -= k_rf
+    pairs = 2.0 * float(np.dot(rf, tmp)) * h * h
+    diagonal = -_zeta(alpha - 1.0) * model.c * h ** (3.0 - alpha) * energy
+    return cont, pairs + diagonal
+
+
+def quadrature_bits(qf):
+    """Every field of a ``QuadratureForm``, floats as their bit patterns."""
+    return tuple(np.float64(v).view(np.uint64) if isinstance(v, float) else v for v in dataclasses.astuple(qf))
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
+def test_cached_spectrum_gives_the_reference_bits(alpha, monkeypatch):
+    model = JumpDiffusionModel(d=1, alpha=alpha, c=1.3)
+    region = (-8.0, 7.5)
+    for mesh in (8, 9, 15, 160, 1000, 2560):
+        for name in sorted(QUAD_F):
+            f = QUAD_F[name]
+            with monkeypatch.context() as patch:
+                patch.setattr(dirichlet, "_quad_level", reference_quad_level)
+                want = quadrature_bits(continuum_form_quadrature(QUAD_RHO, f, model, region, mesh))
+            _stable_spectrum.cache_clear()
+            cold = quadrature_bits(continuum_form_quadrature(QUAD_RHO, f, model, region, mesh))
+            warm = quadrature_bits(continuum_form_quadrature(QUAD_RHO, f, model, region, mesh))
+            assert cold == want and warm == want, (mesh, name)
+
+
+def test_stable_toeplitz_is_the_dense_kernel_product():
+    model = JumpDiffusionModel(d=1, alpha=0.7, c=1.3)
+    rows = np.random.default_rng(5).normal(size=(3, 45))
+    n = rows.shape[1]
+    size = _fast_len(2 * n)
+    x = -8.0 + (np.arange(n) + 0.5) * (15.5 / n)
+    dist = np.abs(x[:, None] - x[None, :])
+    np.fill_diagonal(dist, np.inf)
+    dense = 0.5 * model.c * dist ** (-1.0 - model.alpha)
+    got = _stable_toeplitz(model, -8.0, 7.5, rows, np.empty((3, size // 2 + 1), complex), np.empty((3, size)))
+    np.testing.assert_allclose(got, rows @ dense, rtol=1e-12, atol=1e-12 * np.abs(rows @ dense).max())
+
+
+def test_ladder_builds_each_spectrum_once():
+    # meshes 160-2560 and their doubles: six sizes, shared by both functions
+    _stable_spectrum.cache_clear()
+    for _ in range(2):
+        for mesh in (160, 320, 640, 1280, 2560):
+            for name in ("wide", "narrow"):
+                continuum_form_quadrature(QUAD_RHO, QUAD_F[name], STABLE1, (-8.0, 8.0), mesh)
+        assert _stable_spectrum.cache_info().misses == 6
+
+
+def test_cached_spectrum_is_read_only_and_bounded():
+    _stable_spectrum.cache_clear()
+    spectrum = _stable_spectrum(1.0, 1.0, -8.0, 8.0, 16)
+    with pytest.raises(ValueError):
+        spectrum[0] = 0.0
+    maxsize = _stable_spectrum.cache_info().maxsize
+    for n in range(8, 8 + maxsize + 10):
+        _stable_spectrum(1.0, 1.0, -8.0, 8.0, n)
+    assert _stable_spectrum.cache_info().currsize == maxsize
 
 
 def test_fast_len_is_the_least_five_smooth_length():

@@ -9,7 +9,8 @@ from conftest import BAD_REGIONS, make_consistent_pair, make_reversible, make_sy
 from girsanov import dirichlet
 from girsanov.paths import integrate_along, jump_sum, lyons_zheng_residual, reverse
 from girsanov import transform as transform_module
-from girsanov.transform import _chain_trace, lower, lower_continuum
+from girsanov.paths import jump_steps
+from girsanov.transform import _chain_trace, _grid_trace, lower, lower_continuum
 from girsanov import (
     DomainError,
     FiniteSymmetricModel,
@@ -435,6 +436,29 @@ def test_lowering_equals_each_familys_own_tables():
         lower(model, np.ones(model.n))
 
 
+def test_lowering_is_kept_on_the_transform_for_its_model(chain3, chain3_killed, rho121, phi3):
+    for data, make in ((rho121, RhoTransform), (phi3, PureJumpPhi),
+                       (phi3, lambda phi: GeneralMF(phi=phi, a_rate=np.ones(3), phi_delta=np.zeros(3)))):
+        data, original = data.copy(), data.copy()
+        transform = make(data)
+        low = lower(chain3, transform)
+        assert lower(chain3, transform) is low
+        data **= 2  # the transform holds its own copy, so the kept lowering stays right
+        assert lower(chain3, transform) is low
+        for name, table in vars(low).items():
+            np.testing.assert_array_equal(table, getattr(lower(chain3, make(original)), name))
+        assert not np.array_equal(lower(chain3, make(data)).log_jump, low.log_jump)
+        other = lower(chain3_killed, transform)
+        assert other is not low and lower(chain3_killed, transform) is other
+        for name, table in vars(other).items():
+            np.testing.assert_array_equal(table, getattr(lower(chain3_killed, make(original)), name))
+        for table in (*vars(low).values(), *vars(other).values()):
+            assert not table.flags.writeable
+        for name in ("rho", "phi", "a_rate", "phi_delta"):
+            table = getattr(transform, name, None)
+            assert table is None or not table.flags.writeable
+
+
 def test_chain_trace_ends_where_the_engine_order_walk_ends():
     rng = np.random.default_rng(62)
     spec = RngSpec(seed=63)
@@ -646,6 +670,52 @@ def test_reversal_identity_grid_is_small():
         )
     # discretisation-level only, far below the weight scale
     assert np.mean(resid) < 0.05
+
+
+# the continuum-energy settings: t, grid step and truncation radius
+GRID_T, GRID_DT, GRID_EPS = 0.05, 1e-3, 0.01
+GRID_RHO = lambda x: 1.0 + 0.5 * np.exp(-np.asarray(x) ** 2)
+GRID_PHI = lambda x, y: 0.4 * np.cos(x) * np.cos(y)
+ONE_JUMP = {  # the log factor of one jump, on the path's own values
+    "rho": lambda pre, post: np.log(np.asarray(GRID_RHO(post), dtype=float) / np.asarray(GRID_RHO(pre), dtype=float)),
+    "phi": lambda pre, post: np.log1p(np.asarray(GRID_PHI(pre, post), dtype=float)),
+}
+
+
+def per_jump_log_z(path, t, low, compensator, one_jump):
+    """Reference: the grid weight with one factor call per jump, each added
+    to the rest of the grid in time order."""
+    no_jumps = replace(low, log_jump=lambda pre, post: np.zeros(len(pre)))
+    log_z = _grid_trace(path, t, STABLE1, no_jumps, compensator).log_z.copy()
+    held = jump_steps([s for s, _ in path.events], path.dt, log_z.size - 1)
+    for j, (s, post), pre in zip(held, path.events, path.jump_pre):
+        if s > t:
+            break
+        log_z[j + 1:] += float(one_jump(pre, post))
+    return log_z
+
+
+@pytest.mark.parametrize("kind", sorted(ONE_JUMP))
+def test_grid_weight_takes_a_paths_jump_factors_in_one_call(kind):
+    transform = RhoTransform(rho=GRID_RHO) if kind == "rho" else PureJumpPhi(phi=GRID_PHI)
+    low = lower_continuum(STABLE1, transform)
+    calls = []
+    counted = replace(low, log_jump=lambda pre, post: calls.append(len(pre)) or low.log_jump(pre, post))
+    table = stable_rate_table(STABLE1, low.tilt, GRID_EPS, -12.0, 12.0)
+    spec = RngSpec(seed=67)
+    x0s = np.random.default_rng(68).uniform(-8.0, 8.0, 300)
+    jumps = 0
+    for i, x0 in enumerate(x0s):
+        p = sample_jump_diffusion_path(STABLE1, x0, GRID_T, GRID_DT, GRID_EPS, spec.stream(i))
+        for t in (GRID_T, 0.03):
+            live = sum(s <= t for s, _ in p.events)
+            jumps += live
+            del calls[:]
+            got = _grid_trace(p, t, STABLE1, counted, table).log_z
+            assert calls == ([live] if live else [])
+            want = per_jump_log_z(p, t, low, table, ONE_JUMP[kind])
+            np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert jumps > 3000
 
 
 # -- integrability probe -----------------------------------------------------
