@@ -30,15 +30,7 @@ from .errors import ConfigError, GirsanovError, ModelError, TransformError
 from .model import FiniteSymmetricModel, JumpDiffusionModel, validate_symmetry
 from .montecarlo import RngSpec
 from .paths import path_to_csv
-from .transform import (
-    GeneralMF,
-    PureJumpPhi,
-    RhoTransform,
-    lower,
-    transformed_jump_measure,
-    transformed_killing,
-    transformed_levy_kernel,
-)
+from .transform import GeneralMF, PureJumpPhi, RhoTransform, lower, transformed_levy_kernel
 
 __all__ = ["ExperimentConfig", "run", "emit_plot_data", "main"]
 
@@ -346,37 +338,8 @@ def _statistical_row(cid: str, res, oracle: float) -> _CheckOutput:
     return _CheckOutput(rows=[(cid, res.mean, res.stderr, oracle, res.covers(oracle))])
 
 
-def _form_pieces(model, transform, oracle: _Oracle):
-    """The parts of the form identity that do not depend on ``f``: the
-    tilted jump measure and killing, the generator of the lowered kernel on
-    the states, and mu."""
-    return (transformed_jump_measure(model, transform), transformed_killing(model, transform),
-            oracle.gen[: model.n, : model.n], oracle.mu)
-
-
-def _form_for(pieces, f):
-    """Form value of ``f`` and its cross-check ``-<Q f, f>_mu``."""
-    jump, kappa, gen, mu = pieces
-    fv = dirichlet.FormValue(0.0, dirichlet._pair_energy(jump, f), float(np.sum(kappa * f * f)))
-    cross = float(-np.sum((gen @ f) * f * mu))
-    return fv, cross
-
-
 # entries of the (draws, n, n) differences the form identity builds at once
 _FORM_BLOCK = 1 << 15
-
-
-def _form_residuals(pieces, fs: np.ndarray) -> np.ndarray:
-    """``|total - cross| / max(1, |total|)`` of :func:`_form_for` for each
-    row ``f`` of ``fs``, equal to it bit for bit: the same operations in the
-    same order over the rows, and ``gen @ f`` one product per row, since a
-    matrix product over all rows would round differently."""
-    jump, kappa, gen, mu = pieces
-    rows, n = fs.shape
-    diff = fs[:, :, None] - fs[:, None, :]
-    total = (0.0 + (jump * diff * diff).reshape(rows, n * n).sum(axis=1)) + (kappa * fs * fs).sum(axis=1)
-    cross = -((np.array([gen @ f for f in fs]) * fs * mu).sum(axis=1))
-    return np.abs(total - cross) / np.maximum(1.0, np.abs(total))
 
 
 def _check_form_identity(model, transform, check, rng):
@@ -386,7 +349,7 @@ def _check_form_identity(model, transform, check, rng):
     f = None if check["f"] is None else model.state_vector(check["f"])
 
     def finish(_results, oracle):
-        pieces = _form_pieces(model, transform, oracle)
+        duality = dirichlet._form_duality(model, transform, oracle.gen[: model.n, : model.n], oracle.mu)
         gen_rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(rng.seed)))
         # a block of draws at a time, so the differences stay near
         # _FORM_BLOCK entries; blocks read the one stream in order
@@ -394,13 +357,15 @@ def _check_form_identity(model, transform, check, rng):
         worst = 0.0
         for lo in range(0, draws, block):
             fs = gen_rng.uniform(-1.0, 1.0, size=(min(block, draws - lo), model.n))
-            worst = max(worst, float(np.max(_form_residuals(pieces, fs))))
+            *_parts, residual = duality(fs)
+            worst = max(worst, float(np.max(residual)))
         out = _CheckOutput(rows=[("form_identity", worst, None, 0.0, worst <= _EXACT_TOL)])
         if f is not None:
-            fv, cross = _form_for(pieces, f)
-            out.forms = [("continuous", fv.continuous_part, None, None), ("jump", fv.jump_part, None, None),
-                         ("killing", fv.killing_part, None, None),
-                         ("total", fv.total, cross, abs(fv.total - cross))]
+            # the witness is one more row through the same evaluator
+            jump, kill, cross, _residual = (float(v[0]) for v in duality(f[None, :]))
+            total = dirichlet.FormValue(0.0, jump, kill).total
+            out.forms = [("continuous", 0.0, None, None), ("jump", jump, None, None), ("killing", kill, None, None),
+                         ("total", total, cross, abs(total - cross))]
         return out
 
     return [], finish

@@ -10,7 +10,8 @@ ordered-pair convention.
 
 The module's master identity is form-generator duality: each form value
 must match ``-(Q f, f)`` in the matching weighted inner product, with the
-generator built by an independent route.
+generator built by an independent route.  Every chain form, and the batched
+identity that ``girsanov verify`` checks, is summed by :func:`_chain_form`.
 """
 
 from __future__ import annotations
@@ -70,9 +71,36 @@ class FormValue:
         return self.continuous_part + self.jump_part + self.killing_part
 
 
-def _pair_energy(J: np.ndarray, f: np.ndarray) -> float:
-    diff = f[:, None] - f[None, :]
-    return float(np.sum(J * diff * diff))
+def _chain_form(J: np.ndarray, kappa, fs: np.ndarray):
+    """Per row ``f`` of ``fs`` (shape ``(rows, n)``), the jump part
+    ``sum_{x,y} J(x,y) (f(x)-f(y))^2`` over ordered pairs and the killing
+    part ``sum_x kappa(x) f(x)^2``: the one place a chain form is summed.  A
+    row's sums are pairwise sums of its own products, whatever rows come with it."""
+    rows, n = fs.shape
+    diff = fs[:, :, None] - fs[:, None, :]
+    return (J * diff * diff).reshape(rows, n * n).sum(axis=1), (kappa * fs * fs).sum(axis=1)
+
+
+def _form_value(J: np.ndarray, kappa, f: np.ndarray) -> FormValue:
+    (jump,), (kill,) = _chain_form(J, kappa, f[None, :])
+    return FormValue(0.0, float(jump), float(kill))
+
+
+def _form_duality(model: FiniteSymmetricModel, transform, gen: np.ndarray, mu: np.ndarray):
+    """``fs -> (jump, killing, cross, residual)``, each per row ``f`` of ``fs``:
+    the parts of ``transform``'s form, ``cross = -sum_x (gen f)(x) f(x) mu(x)``
+    with ``gen`` its lowered kernel's generator on the states, and the duality
+    residual ``|total - cross| / max(1, |total|)``.  ``gen @ f`` is one
+    product per row, as one over all rows would round differently."""
+    J, kappa = transformed_jump_measure(model, transform), transformed_killing(model, transform)
+
+    def duality(fs: np.ndarray):
+        jump, kill = _chain_form(J, kappa, fs)
+        total = (0.0 + jump) + kill  # FormValue.total's order
+        cross = -((np.array([gen @ f for f in fs]) * fs * mu).sum(axis=1))
+        return jump, kill, cross, np.abs(total - cross) / np.maximum(1.0, np.abs(total))
+
+    return duality
 
 
 def base_form(model: FiniteSymmetricModel, f) -> FormValue:
@@ -81,10 +109,7 @@ def base_form(model: FiniteSymmetricModel, f) -> FormValue:
     The jump sum runs over ordered pairs against the half-weighted measure.
     Equals ``-(Qf, f)_m`` for every ``f``.
     """
-    f = model.state_vector(f)
-    jump = _pair_energy(jump_measure(model), f)
-    kill = float(np.sum(killing_measure(model) * f * f))
-    return FormValue(0.0, jump, kill)
+    return _form_value(jump_measure(model), killing_measure(model), model.state_vector(f))
 
 
 def transformed_generator(model: FiniteSymmetricModel, rho) -> np.ndarray:
@@ -142,18 +167,14 @@ def transformed_form_rho(model: FiniteSymmetricModel, rho, f) -> FormValue:
     stays an independent reference for :func:`transformed_jump_measure`.
     """
     rho = RhoTransform(_unwrap(rho, RhoTransform)).rho
-    f = model.state_vector(f)
-    J_hat = rho[:, None] * rho[None, :] * jump_measure(model)
-    return FormValue(0.0, _pair_energy(J_hat, f), 0.0)
+    return _form_value(rho[:, None] * rho[None, :] * jump_measure(model), 0.0, model.state_vector(f))
 
 
 def transformed_form_phi(model: FiniteSymmetricModel, phi, f) -> FormValue:
     """Energy of the jump-tilted process: measure ``(1 + phi)J``, killing kept."""
     phi = PureJumpPhi(_unwrap(phi, PureJumpPhi))
     f = model.state_vector(f)
-    J_y = transformed_jump_measure(model, phi)
-    kappa_y = transformed_killing(model, phi)
-    return FormValue(0.0, _pair_energy(J_y, f), float(np.sum(kappa_y * f * f)))
+    return _form_value(transformed_jump_measure(model, phi), transformed_killing(model, phi), f)
 
 
 @dataclass(frozen=True)
@@ -414,7 +435,7 @@ def domain_membership(model, transform, f, region=None, mesh: int = 256) -> Doma
         low = lower(model, transform)
         J_y = _lowered_jump_measure(model, low)
         # the symmetric part of the jump measure carries the form
-        wits = (0.0, _pair_energy(0.5 * (J_y + J_y.T), f_arr), float(np.sum(f_arr * f_arr * low.mu)))
+        wits = (0.0, _form_value(0.5 * (J_y + J_y.T), 0.0, f_arr).jump_part, float(np.sum(f_arr * f_arr * low.mu)))
         return DomainReport(all(np.isfinite(w) for w in wits), *wits)
     if not isinstance(model, JumpDiffusionModel):
         raise DomainError(f"unsupported model type: {type(model).__name__}")

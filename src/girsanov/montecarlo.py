@@ -12,9 +12,9 @@ et al., "Parallel random numbers: as easy as 1, 2, 3", SC'11) produces every
 path's stream at once, and one struct-of-arrays event step advances all
 live paths of a fixed-size chunk together.  Each chunk fills one record
 (start state, end state, alive flag, log weight, weight) per horizon asked.
-The step bisects the padded rows of the model's one ``jump_table()``, whose
-rows the scalar :func:`sample_finite_path` scans as lists (made once per
-model), in the same floating-point order, so every estimate equals, bit for
+The step bisects the padded rows of the model's one ``jump_table()``; the
+scalar :func:`sample_finite_path` scans them unpadded, as lists made once per
+model, in the same floating-point order, so every estimate equals, bit for
 bit, the one a per-path loop over it and :func:`log_weight_fn` gives; that
 scalar route stays as the public sampler and as the tests' reference.
 
@@ -357,7 +357,7 @@ def sample_finite_path(model: FiniteSymmetricModel, x0: int, horizon: float,
     current state, next state proportional to its jump rates, death
     proportional to its killing rate; on Python floats, over ``model.jump_table()``."""
     x0, horizon = _state(model, x0), _time(horizon, "horizon")
-    rows = _cached(model, "_jump_rows_cache", lambda: list(zip(*(a.tolist() for a in model.jump_table()))))
+    rows = _cached(model, "_jump_rows_cache", lambda: _jump_rows(model))
     rnd = rng.random
     t, x, events, killed = 0.0, x0, [], None
     while True:
@@ -380,6 +380,15 @@ def sample_finite_path(model: FiniteSymmetricModel, x0: int, horizon: float,
                 break
         events.append((t, x))
     return Path(x0=x0, events=tuple(events), horizon=horizon, killed_at=killed)
+
+
+def _jump_rows(model: FiniteSymmetricModel) -> list:
+    """The rows of ``model.jump_table()`` as Python values, without the ``inf``
+    padding, which a jump never reaches: its ``v`` is below the last running sum."""
+    cum, target, jump, total = model.jump_table()
+    count = np.isfinite(cum).sum(axis=1).tolist()
+    return [(c[:k].tolist(), y[:k].tolist(), j, tot)
+            for c, y, k, j, tot in zip(cum, target, count, jump.tolist(), total.tolist())]
 
 
 def _grid_and_jump_mean(model: JumpDiffusionModel, horizon: float, dt: float, eps: float):
@@ -938,10 +947,13 @@ def _initial_cumulative(mu: np.ndarray):
 
 
 def _ratio_estimate(num: np.ndarray, den: np.ndarray) -> EstimatorResult:
-    """Ratio of two sample means, its standard error by the delta method."""
+    """Ratio of two sample means, its standard error by the delta method;
+    :class:`DomainError` when the denominator's mean is 0: the ratio is undefined."""
     n = num.size
     num_mean = float(np.sum(num) / n)
     den_mean = float(np.sum(den) / n)
+    if den_mean == 0.0:
+        raise DomainError(f"the ratio {num_mean!r} / 0.0 of weighted means is undefined: every path's weight is 0")
     ratio = num_mean / den_mean
     dn = num - num_mean
     dd = den - den_mean

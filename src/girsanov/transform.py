@@ -338,10 +338,11 @@ def _chain_trace(path: Path, t: float, w: LoweredTransform) -> MFTrace:
 
 
 def _rho_closed_trace(path: Path, t: float, model, rho) -> MFTrace:
-    """Telescoped form: log z = log rho(X_s) - log rho(X_0) - cumulative rate."""
+    """Telescoped form: log z = log rho(X_s) - log rho(X_0) - cumulative rate,
+    with rate ``Q rho / rho`` from the generator, independent of :func:`lower`."""
     t = path.time(t)
-    rho = np.asarray(rho, dtype=float)
-    rate = lower(model, RhoTransform(rho)).rate
+    rho = _table(RhoTransform(np.asarray(rho, dtype=float)).rho, "rho", (model.n,))
+    rate = model.generator() @ rho / rho
     lr = np.log(rho)
     times = [0.0]
     log_z = [0.0]

@@ -241,6 +241,20 @@ def test_verify_exit_one_on_statistical_miss(tmp_path):
     assert line.startswith("semigroup") and line.endswith(",false")
 
 
+# every jump out of state 0 is tilted by -1, so on [0, 4] at exit rate 10
+# every path from 0 has weight 0 and the jump rate of (0, 1) is 0 / 0
+ZEROED_FROM_0 = {"model": {"type": "finite", "m": [1, 1, 1], "q": [[0, 5, 5], [5, 0, 1], [5, 1, 0]]},
+                 "transform": {"type": "general", "phi": [[0, 1, -1], [0, 2, -1]]}}
+
+
+def test_verify_exit_two_when_every_path_weight_is_zero(tmp_path, capsys):
+    cfg = write_config(tmp_path, {**ZEROED_FROM_0, "checks": [
+        "symmetry", {"id": "jump_rate", "pair": [0, 1], "horizon": 4, "paths": 2000}]})
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "undefined" in err and "Traceback" not in err
+
+
 def test_verify_seed_override(tmp_path):
     cfg = write_config(tmp_path, {
         "model": CHAIN3_MODEL,
@@ -514,17 +528,21 @@ FORM_CONFIGS = {"readme": {"model": CHAIN3_MODEL, "transform": RHO121}, "killed-
 
 
 def _form_residual_by_draws(model, transform, draws, seed):
-    """The form-identity residual of every draw, one :func:`cli._form_for`
-    each on a freshly drawn vector, from pieces built here."""
+    """The form-identity residual of every draw, summed from the definition
+    one freshly drawn vector at a time, and the generator block and mu it
+    was summed with."""
     n = model.n
-    pieces = (girsanov.transformed_jump_measure(model, transform), girsanov.transformed_killing(model, transform),
-              dirichlet.cemetery_generator(model, transform)[:n, :n], girsanov.transform.lower(model, transform).mu)
+    J, kappa = girsanov.transformed_jump_measure(model, transform), girsanov.transformed_killing(model, transform)
+    gen, mu = dirichlet.cemetery_generator(model, transform)[:n, :n], girsanov.transform.lower(model, transform).mu
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     out = []
     for _ in range(draws):
-        fv, cross = cli._form_for(pieces, rng.uniform(-1.0, 1.0, size=n))
-        out.append(abs(fv.total - cross) / max(1.0, abs(fv.total)))
-    return pieces, np.array(out)
+        f = rng.uniform(-1.0, 1.0, size=n)
+        d = f[:, None] - f[None, :]
+        total = 0.0 + float(np.sum(J * d * d)) + float(np.sum(kappa * f * f))
+        cross = float(-np.sum((gen @ f) * f * mu))
+        out.append(abs(total - cross) / max(1.0, abs(total)))
+    return (gen, mu), np.array(out)
 
 
 @pytest.mark.parametrize("name", sorted(FORM_CONFIGS))
@@ -533,9 +551,10 @@ def test_batched_form_identity_equals_the_loop_over_draws(tmp_path, name):
     block = cli._FORM_BLOCK // model.n ** 2  # 3640 draws on the README chain, 56 on the ring
     for draws in (1, 200, 2 * block + 5):
         seed = 3 + draws
-        pieces, by_draw = _form_residual_by_draws(model, transform, draws, seed)
+        (gen, mu), by_draw = _form_residual_by_draws(model, transform, draws, seed)
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-        batched = cli._form_residuals(pieces, rng.uniform(-1.0, 1.0, size=(draws, model.n)))
+        *_parts, batched = dirichlet._form_duality(model, transform, gen, mu)(
+            rng.uniform(-1.0, 1.0, size=(draws, model.n)))
         assert np.array_equal(batched, by_draw), draws
         cfg = ExperimentConfig.from_json(json.dumps({**FORM_CONFIGS[name], "seed": seed,
                                                      "checks": [{"id": "form_identity", "draws": draws}]}))

@@ -323,6 +323,16 @@ def test_jump_intensity_uncharged_pair(chain3, rho121):
         estimate_jump_intensity_ratio(chain3, RhoTransform(rho=rho121), (1, 1), 2.0, 100, RngSpec(seed=0))
 
 
+def test_jump_intensity_of_all_zero_weights_is_undefined():
+    # every jump out of state 0 is tilted by -1: at exit rate 10 over [0, 4]
+    # every path from 0 jumps, so every weight, and both means, are 0
+    model = FiniteSymmetricModel(m=np.ones(3), q=np.array([[0.0, 5.0, 5.0], [5.0, 0.0, 1.0], [5.0, 1.0, 0.0]]))
+    phi = np.zeros((3, 3))
+    phi[0, 1:] = -1.0
+    with pytest.raises(DomainError, match="0.0 / 0.0 of weighted means is undefined"):
+        estimate_jump_intensity_ratio(model, GeneralMF(phi=phi), (0, 1), 4.0, 2000, RngSpec(seed=0))
+
+
 def test_weighted_base_equals_direct_transformed_simulation(chain3, rho121):
     # the same quantity two ways: weight base paths, or simulate the
     # transformed chain outright and use no weight
@@ -731,6 +741,13 @@ def parity_cases():
     out.append(("killed-zeroing", killed, zeroing))
     out.append(("random7-rho", big, RhoTransform(rho=rng.uniform(0.5, 2.0, size=7))))
     out.append(("random7-phi", big, PureJumpPhi(phi=big_phi)))
+    # a star: the hub reaches every leaf, each leaf only the hub, and every
+    # third leaf kills, so the hub's row is far longer than any other
+    star_q = np.zeros((9, 9))
+    star_q[0, 1:] = rng.uniform(0.5, 2.0, size=8)
+    star_q[1:, 0] = star_q[0, 1:]
+    star = FiniteSymmetricModel(m=np.ones(9), q=star_q, k=np.where(np.arange(9) % 3 == 2, 0.7, 0.0))
+    out.append(("star-phi", star, PureJumpPhi(phi=np.where(star_q > 0.0, 0.4, 0.0))))
     return out
 
 
@@ -756,6 +773,10 @@ def test_batched_estimators_equal_scalar_reference(name, model, transform, seed)
         assert same(res, reference_quadratic_form(model, transform, f, t, n, block))
     assert same(estimate_jump_intensity_ratio(model, transform, (1, 2), 2.0, n, rng),
                 reference_jump_ratio(model, transform, (1, 2), 2.0, n, rng))
+    # the scalar sampler keeps each state's own targets only, no padding
+    count = np.count_nonzero(model.q, axis=1).tolist()
+    assert [len(cum) for cum, *_rest in model._jump_rows_cache] == count
+    assert [len(targets) for _cum, targets, *_rest in model._jump_rows_cache] == count
 
 
 def test_batched_estimators_equal_scalar_reference_across_chunks(chain3_killed, phi3):

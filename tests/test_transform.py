@@ -173,6 +173,39 @@ def test_trace_killed_epoch(chain3_killed, rho121):
     assert trace.log_z[-1] == -np.inf
 
 
+def test_rho_trace_reads_no_lowering(chain3_killed, monkeypatch):
+    # the telescoped trace takes Q rho / rho from the generator, so it stays
+    # an oracle independent of the lowering, with the values it always gave
+    def fail(*args):
+        raise AssertionError("the telescoped rho trace built a lowering")
+
+    monkeypatch.setattr(transform_module, "_build_lowering", fail)
+    rho = np.array([0.7, 1.9, 1.3])
+    hops = Path(x0=0, events=((0.3, 1), (0.9, 2), (1.4, 1)), horizon=2.0)
+    dies = Path(x0=1, events=((0.2, 0), (0.7, 1)), horizon=2.0, killed_at=1.1)
+    cases = [
+        (hops, 2.0, [0.0, 0.3, 0.9, 1.4, 2.0],
+         [0.0, 0.4842431158254128, 1.4626482309626145, 1.3805993911290568, 2.738494127971162],
+         [0.0, -0.5142857142857143, 1.842137852667518, 1.001109769424153, 2.738494127971162], None),
+        (hops, 1.0, [0.0, 0.3, 0.9, 1.0],
+         [0.0, 0.4842431158254128, 1.4626482309626145, 1.3703405386549221],
+         [0.0, -0.5142857142857143, 1.842137852667518, 1.3703405386549221], None),
+        (dies, 2.0, [0.0, 0.2, 0.7, 1.1, 2.0],
+         [0.0, -0.5458972511637588, -0.40451127819548877, -np.inf, -np.inf],
+         [0.0, 0.45263157894736833, -1.403040108306616, 0.5007518796992483, -np.inf], 1.1),
+    ]
+    for path, t, times, log_z, log_pre, zero_time in cases:
+        trace = rho_transform_mf(path, rho, chain3_killed, t)
+        assert trace.times.tolist() == times
+        assert trace.log_z.tolist() == log_z
+        assert trace.log_z_pre.tolist() == log_pre
+        assert trace.zero_time == zero_time
+    with pytest.raises(TransformError):
+        rho_transform_mf(hops, np.ones(4), chain3_killed, 1.0)
+    with pytest.raises(TransformError):
+        rho_transform_mf(hops, np.array([1.0, 0.0, 1.0]), chain3_killed, 1.0)
+
+
 def test_log_weight_fn_matches_traces(chain3_killed, rho121, phi3):
     spec = RngSpec(seed=53)
     transforms = [
