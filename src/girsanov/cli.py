@@ -589,8 +589,7 @@ def _simulate(config: ExperimentConfig, out_dir: str, seed: Optional[int],
             if isinstance(model, FiniteSymmetricModel):
                 path = montecarlo.sample_finite_path(model, 0, horizon, rng.stream(i))
             else:
-                x0 = 0.0 if model.d == 1 else np.zeros(model.d)
-                path = montecarlo.sample_jump_diffusion_path(model, x0, horizon, dt, eps, rng.stream(i))
+                path = montecarlo.sample_jump_diffusion_path(model, 0.0, horizon, dt, eps, rng.stream(i))
             lines = path_to_csv(path).strip("\n").split("\n")
             if header is None:
                 header = "path," + lines[0]

@@ -32,8 +32,8 @@ from .model import (
 )
 from .transform import (
     PureJumpPhi,
-    RhoTransform,
     _lowered_jump_measure,
+    _rho_table,
     _unwrap,
     lower,
     lower_continuum,
@@ -120,7 +120,7 @@ def transformed_generator(model: FiniteSymmetricModel, rho) -> np.ndarray:
     rather than from the tilted kernel, so the two routes can be compared.
     Row sums vanish identically (killing is absorbed by the tilt).
     """
-    rho = model.state_vector(RhoTransform(_unwrap(rho, RhoTransform)).rho, "rho")  # finite, > 0, one per state
+    rho = _rho_table(model, rho)
     Q = model.generator()
     Qrho = Q @ rho
     n = model.n
@@ -166,7 +166,7 @@ def transformed_form_rho(model: FiniteSymmetricModel, rho, f) -> FormValue:
     The measure is built from rho directly, not from the lowering, so it
     stays an independent reference for :func:`transformed_jump_measure`.
     """
-    rho = RhoTransform(_unwrap(rho, RhoTransform)).rho
+    rho = _rho_table(model, rho)
     return _form_value(rho[:, None] * rho[None, :] * jump_measure(model), 0.0, model.state_vector(f))
 
 

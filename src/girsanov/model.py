@@ -139,9 +139,13 @@ class FiniteSymmetricModel:
         return self.q.sum(axis=1) + self.k
 
     def generator(self) -> np.ndarray:
-        """Generator matrix: off-diagonal ``q``, diagonal ``-row sum - k``."""
+        """Generator matrix: off-diagonal ``q``, diagonal ``-row sum - k``; built once, read-only."""
+        return _cached(self, "_generator_cache", self._build_generator)
+
+    def _build_generator(self) -> np.ndarray:
         Q = np.array(self.q, dtype=float)
         np.fill_diagonal(Q, -self.q.sum(axis=1) - self.k)
+        Q.setflags(write=False)
         return Q
 
 

@@ -65,7 +65,8 @@ grid's steps by :func:`~girsanov.paths.steps` and place each jump in its
 step by :func:`~girsanov.paths.jump_steps`.  One pass over the (paths,
 steps) grid then gives every path's end state and the weight of the rho
 tilt's :func:`~girsanov.transform.lower_continuum`, as :func:`rho_transform_mf`
-does on a sampled path; on the same draws the two agree to rounding.
+does on a sampled path; on the same draws the two give the same paths bit
+for bit, and the same weights to rounding.
 
 Both engines run the Philox kernel on a workspace of their own: one uint64
 array of ``(12, capacity)`` (two banks of four counter words, the running
@@ -415,55 +416,43 @@ def sample_jump_diffusion_path(model: JumpDiffusionModel, x0, horizon: float,
     power-law radial law; shorter ones are folded into the Gaussian step,
     whose per-coordinate variance becomes ``(1 + sigma2(eps)) dt``.  Within
     a step the jumps land first and the Gaussian move follows, so recorded
-    pre/post jump states contain no partial Gaussian displacement.
+    pre/post jump states contain no partial Gaussian displacement.  The grid
+    is summed in :class:`_ContinuumEngine`'s order and equals its grid bit for bit.
     """
     n_steps, mean = _grid_and_jump_mean(model, horizon, dt, eps)
-    d = model.d
     n_jumps = int(rng.poisson(mean))
     while True:
         jump_times = np.sort(rng.uniform(0.0, horizon, size=n_jumps))
         if n_jumps == 0 or (jump_times[0] > 0.0 and np.all(np.diff(jump_times) > 0.0)):
             break
     radii = eps * rng.random(n_jumps) ** (-1.0 / model.alpha)
-    if d == 1:
-        signs = np.where(rng.random(n_jumps) < 0.5, -1.0, 1.0)
-        sizes = radii * signs
+    if model.d == 1:
+        sizes = radii * np.where(rng.random(n_jumps) < 0.5, -1.0, 1.0)
     else:
-        dirs = rng.normal(size=(n_jumps, d))
+        dirs = rng.normal(size=(n_jumps, model.d))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         sizes = radii[:, None] * dirs
     std = np.sqrt((1.0 + stable_small_jump_variance(model, eps)) * dt)
-    if d == 1:
-        gauss = rng.normal(0.0, std, size=n_steps)
-        grid = np.empty(n_steps + 1)
-    else:
-        gauss = rng.normal(0.0, std, size=(n_steps, d))
-        grid = np.empty((n_steps + 1, d))
-    x0_arr = float(x0) if d == 1 else np.asarray(x0, dtype=float)
-    grid[0] = x0_arr
     step_of_jump = jump_steps(jump_times, dt, n_steps)
-    events = []
-    pres = []
-    cur = grid[0]
-    j = 0
-    for step in range(n_steps):
-        base = cur
-        while j < n_jumps and step_of_jump[j] == step:
-            pre = base if d == 1 else base.copy()
-            post = pre + sizes[j]
-            events.append((float(jump_times[j]), post if d == 1 else post.copy()))
-            pres.append(pre)
-            base = post
-            j += 1
-        cur = base + gauss[step]
-        grid[step + 1] = cur
+    # grid[k + 1] = grid[k] + (gauss_k + (0 + s_1 + s_2 ...)): np.add.at sums
+    # in index order, as the engine's np.bincount does
+    grid = np.zeros((n_steps + 1,) + sizes.shape[1:])
+    np.add.at(grid, step_of_jump + 1, sizes)
+    grid[1:] += rng.normal(0.0, std, size=grid[1:].shape)
+    grid[0] = x0
+    grid.cumsum(axis=0, out=grid)
+    # a step's first jump starts from the step's grid state, a later one
+    # from the state the jump before it left
+    pre = grid[step_of_jump]
+    for j in (step_of_jump[1:] == step_of_jump[:-1]).nonzero()[0] + 1:
+        pre[j] = pre[j - 1] + sizes[j - 1]
     return Path(
-        x0=grid[0] if d == 1 else grid[0].copy(),
-        events=tuple(events),
+        x0=grid[0].copy(),
+        events=tuple(zip(jump_times.tolist(), pre + sizes)),
         horizon=float(horizon),
         grid=grid,
         dt=float(dt),
-        jump_pre=tuple(pres),
+        jump_pre=tuple(pre),
         eps=float(eps),
     )
 
@@ -811,8 +800,9 @@ class _ContinuumEngine:
     (:func:`_poisson_count`), N jump times ``t u``, N radii
     ``eps u^{-1/alpha}``, N signs (``u < 1/2`` is negative), then one normal
     ``std ndtri(u)`` per grid step.  Jump sizes pair with the times sorted,
-    in draw order.  This is the law and the pairing of
-    :func:`sample_jump_diffusion_path`, and the weight is the one
+    in draw order.  This is the law, the pairing and the grid arithmetic of
+    :func:`sample_jump_diffusion_path`, so on the same draws the two give the
+    same paths bit for bit; the weight is, to rounding, the one
     :func:`rho_transform_mf` accumulates along its grid, from the same
     lowering ``low`` (:func:`~girsanov.transform.lower_continuum`).
     """
@@ -1177,6 +1167,7 @@ def estimate_quadratic_form(model, transform, f, t: float, n: int, rng: RngSpec,
     weight is the truncated-sampler functional of ``lower_continuum``, all on
     the batched continuum engine (see the module docstring for its draws);
     there ``f``, ``rho``, ``rho_grad`` and ``compensator`` take float arrays.
+    On a finite model a keyword set to anything but its default raises :class:`DomainError`.
     """
     if isinstance(model, JumpDiffusionModel):
         low = lower_continuum(model, transform, rho_grad)
@@ -1187,6 +1178,10 @@ def estimate_quadratic_form(model, transform, f, t: float, n: int, rng: RngSpec,
             diff = np.asarray(f(x_t), dtype=float) - np.asarray(f(x0), dtype=float)
             samples[lo:hi] = engine.scale * np.exp(log_w) * diff * diff / (2.0 * t)
         return EstimatorResult.from_samples(samples)
+    given = dict(region=region, dt=dt, eps=eps, rho_grad=rho_grad, compensator=compensator)
+    for name, default in estimate_quadratic_form.__kwdefaults__.items():
+        if given[name] is not default and not (isinstance(given[name], numbers.Real) and given[name] == default):
+            raise DomainError(f"{name} is for the jump-diffusion model only, got {given[name]!r}")
     return estimate_chain(model, transform, quadratic_form_requests(model, transform, f, (t,), n, rng))[0]
 
 

@@ -393,8 +393,7 @@ def path_to_csv(path: Path) -> str:
     """
     out = io.StringIO()
     if path.is_grid:
-        dim = 1 if path.grid.ndim == 1 else path.grid.shape[1]
-        cols = ",".join(f"x{i}" for i in range(dim))
+        cols = ",".join(f"x{i}" for i in range(path.grid[0].size))
         out.write(f"time,{cols},event_flag\n")
         rows = []
         for j, pos in enumerate(path.grid):

@@ -91,7 +91,7 @@ class RhoTransform:
         if not callable(self.rho):
             arr = _readonly(self.rho)
             if arr.ndim != 1:
-                raise TransformError("rho must be a vector of state values")
+                raise TransformError(f"rho must be a vector of state values, got shape {arr.shape}")
             if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
                 raise TransformError("rho must be finite and strictly positive")
             object.__setattr__(self, "rho", arr)
@@ -108,7 +108,7 @@ class PureJumpPhi:
             return
         arr = _readonly(self.phi)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise TransformError("phi must be a square matrix of pair values")
+            raise TransformError(f"phi must be a square matrix of pair values, got shape {arr.shape}")
         if not np.all(np.isfinite(arr)):
             raise TransformError("phi must be finite")
         if np.any(arr <= -1.0):
@@ -140,7 +140,7 @@ class GeneralMF:
         if not callable(self.phi):
             arr = _readonly(self.phi)
             if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-                raise TransformError("phi must be a square matrix of pair values")
+                raise TransformError(f"phi must be a square matrix of pair values, got shape {arr.shape}")
             if not np.all(np.isfinite(arr)) or np.any(arr < -1.0):
                 raise TransformError("phi must be finite and >= -1")
             object.__setattr__(self, "phi", arr)
@@ -239,6 +239,11 @@ def _table(values, name: str, shape: tuple) -> np.ndarray:
     if arr.shape != shape:
         raise TransformError(f"{name} has shape {arr.shape}; this model needs {shape}")
     return arr
+
+
+def _rho_table(model: FiniteSymmetricModel, rho) -> np.ndarray:
+    """A chain's rho, raw or a ``RhoTransform``, as the lowering takes it: finite, > 0, one per state."""
+    return _table(RhoTransform(_unwrap(rho, RhoTransform)).rho, "rho", (model.n,))
 
 
 def lower(model: FiniteSymmetricModel, transform: TransformSpec) -> LoweredTransform:
@@ -341,7 +346,7 @@ def _rho_closed_trace(path: Path, t: float, model, rho) -> MFTrace:
     """Telescoped form: log z = log rho(X_s) - log rho(X_0) - cumulative rate,
     with rate ``Q rho / rho`` from the generator, independent of :func:`lower`."""
     t = path.time(t)
-    rho = _table(RhoTransform(np.asarray(rho, dtype=float)).rho, "rho", (model.n,))
+    rho = _rho_table(model, rho)
     rate = model.generator() @ rho / rho
     lr = np.log(rho)
     times = [0.0]
@@ -611,21 +616,17 @@ def jump_measure_density(model: FiniteSymmetricModel, rho, phi, tol: float = 1e-
     charged by the jump measure, which is exactly symmetry of ``g`` there;
     violation beyond ``tol`` (relative) rejects the pair.
     """
-    rho = np.asarray(rho, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    g = rho[:, None] ** 2 * (1.0 + phi)
-    J = jump_measure(model)
-    charged = J > 0.0
-    if np.any(charged):
-        asym = np.abs(g - g.T)
-        scale = np.maximum(1.0, np.maximum(np.abs(g), np.abs(g.T)))
-        rel = (asym / scale)[charged]
-        if np.max(rel) > tol:
-            x, y = np.argwhere(charged)[np.argmax(rel)]
-            raise TransformError(
-                "inconsistent (rho, phi) pair: jump-measure density asymmetric at "
-                f"({x}, {y}) with relative residual {np.max(rel):.3e}"
-            )
+    rho = _rho_table(model, rho)
+    phi = _table(GeneralMF(phi).phi, "phi", (model.n, model.n))
+    g = rho[:, None] ** 2 * (1.0 + phi)  # >= 0, as phi >= -1
+    charged = jump_measure(model) > 0.0
+    rel = (np.abs(g - g.T) / np.maximum(1.0, np.maximum(g, g.T)))[charged]
+    if rel.max(initial=0.0) > tol:
+        x, y = np.argwhere(charged)[np.argmax(rel)]
+        raise TransformError(
+            "inconsistent (rho, phi) pair: jump-measure density asymmetric at "
+            f"({x}, {y}) with relative residual {np.max(rel):.3e}"
+        )
     return g
 
 

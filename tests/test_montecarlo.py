@@ -300,6 +300,29 @@ def test_quadratic_form_trend_blocks(chain3, rho121):
     assert out[0][1].mean != out[1][1].mean
 
 
+@pytest.mark.parametrize("name, value", [
+    ("region", "nonsense"), ("region", (-8.0, 8.0)), ("dt", -5), ("dt", 1e-2), ("eps", "x"), ("eps", 0.02),
+    ("rho_grad", lambda x: x), ("compensator", lambda x: x),
+])
+def test_quadratic_form_refuses_continuum_arguments_on_a_chain(chain3, rho121, monkeypatch, name, value):
+    # they would be silently ignored; the error comes before any sampling
+    def fail(*args):
+        raise AssertionError("sampled before refusing the argument")
+
+    monkeypatch.setattr(montecarlo, "estimate_chain", fail)
+    transform, rng = RhoTransform(rho=rho121), RngSpec(seed=1)
+    with pytest.raises(DomainError, match=name):
+        estimate_quadratic_form(chain3, transform, F010, 0.1, 100, rng, **{name: value})
+    with pytest.raises(DomainError, match=name):
+        quadratic_form_trend(chain3, transform, F010, (0.1, 0.2), 100, rng, **{name: value})
+
+
+def test_quadratic_form_takes_the_continuum_defaults_on_a_chain(chain3, rho121):
+    args = (chain3, RhoTransform(rho=rho121), F010, 0.1, 200, RngSpec(seed=1))
+    given = dict(region=None, dt=1e-3, eps=np.float64(0.01), rho_grad=None, compensator=None)
+    assert estimate_quadratic_form(*args, **given) == estimate_quadratic_form(*args)
+
+
 def test_jump_intensity_ratios(chain3, rho121, phi3):
     est = estimate_jump_intensity_ratio(
         chain3, RhoTransform(rho=rho121), (0, 1), 2.0, 4000, RngSpec(seed=215)
@@ -457,6 +480,71 @@ def test_jump_at_time_near_zero_lands_in_the_first_step():
     assert shared[-2:].tolist() == [0, K - 1]
 
 
+def _per_step_loop_path(model, x0, horizon, dt, eps, rng):
+    """Reference grid path by a loop over steps, on the sampler's draws:
+    within a step the jumps land one by one in time order, then the Gaussian
+    move follows, so pre/post states carry no partial Gaussian displacement."""
+    n_steps = round(horizon / dt)
+    d = model.d
+    n_jumps = int(rng.poisson(stable_tail_intensity(model, eps) * horizon))
+    while True:
+        jump_times = np.sort(rng.uniform(0.0, horizon, size=n_jumps))
+        if n_jumps == 0 or (jump_times[0] > 0.0 and np.all(np.diff(jump_times) > 0.0)):
+            break
+    radii = eps * rng.random(n_jumps) ** (-1.0 / model.alpha)
+    if d == 1:
+        sizes = radii * np.where(rng.random(n_jumps) < 0.5, -1.0, 1.0)
+    else:
+        dirs = rng.normal(size=(n_jumps, d))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        sizes = radii[:, None] * dirs
+    std = np.sqrt((1.0 + stable_small_jump_variance(model, eps)) * dt)
+    shape = (n_steps,) if d == 1 else (n_steps, d)
+    gauss = rng.normal(0.0, std, size=shape)
+    grid = np.empty((n_steps + 1,) + shape[1:])
+    grid[0] = x0
+    step_of_jump = jump_steps(jump_times, dt, n_steps)
+    events, pres = [], []
+    j = 0
+    for step in range(n_steps):
+        base = grid[step].copy()
+        while j < n_jumps and step_of_jump[j] == step:
+            pres.append(base)
+            base = base + sizes[j]
+            events.append((float(jump_times[j]), base))
+            j += 1
+        grid[step + 1] = base + gauss[step]
+    return grid, events, pres
+
+
+@pytest.mark.parametrize("model, x0, eps", [
+    (STABLE_C, 0.3, 0.01),
+    (JumpDiffusionModel(d=2, alpha=1.2, c=1.0), np.array([0.3, -0.2]), 0.1),
+], ids=["d=1", "d=2"])
+def test_grid_path_matches_the_per_step_loop(model, x0, eps):
+    # on the same draws: the sampler sums a step's jumps from 0 and adds them
+    # with the Gaussian move in one running sum, the loop adds them one by one,
+    # so the two agree to rounding
+    t, dt = 0.5, 0.01
+    crowded = 0
+    for seed in (0, 1, 2):
+        path = sample_jump_diffusion_path(model, x0, t, dt, eps, RngSpec(seed=seed).stream(0))
+        grid, events, pres = _per_step_loop_path(model, x0, t, dt, eps, RngSpec(seed=seed).stream(0))
+        tol = 1e-12 * np.max(np.abs(path.grid))
+        np.testing.assert_allclose(path.grid, grid, rtol=0.0, atol=tol)
+        assert [s for s, _ in path.events] == [s for s, _ in events]
+        np.testing.assert_allclose([x for _, x in path.events], [x for _, x in events], rtol=0.0, atol=tol)
+        np.testing.assert_allclose(path.jump_pre, pres, rtol=0.0, atol=tol)
+        steps_held = jump_steps([s for s, _ in events], dt, grid.shape[0] - 1)
+        crowded += int(np.any(np.bincount(steps_held) > 1))
+    assert crowded == 3  # every seed has a step with several jumps
+    if model.d > 1:
+        pre, start = [p.copy() for p in path.jump_pre], path.x0.copy()
+        path.grid[...] = np.nan
+        np.testing.assert_array_equal(path.jump_pre, pre)
+        np.testing.assert_array_equal(path.x0, start)
+
+
 # -- continuum engine vs. the scalar reference -------------------------------
 
 RHO_C = lambda x: 1.0 + 0.5 * np.exp(-np.asarray(x) ** 2)  # noqa: E731
@@ -507,11 +595,11 @@ def _engine_paths(engine, n, rng):
 
 @pytest.mark.parametrize("seed, offset", [(5, 0), (61, 1000)])
 def test_continuum_engine_matches_scalar_reference(monkeypatch, seed, offset):
-    # equal draws, different summation order: start exact, weight to 1e-12
-    # relative, end state to 1e-12 of the path's largest state (an end state
-    # near 0 is the sum of terms far larger than itself).  The one known divergence is two equal jump times in
-    # one path (about 1e-15 a path), where the scalar sampler redraws the
-    # times and the engine keeps them.
+    # equal draws: start and end state exact (both build the grid in one
+    # order), weight to 1e-12 relative (the weights sum in different
+    # orders).  The one known divergence is two equal jump times in one path
+    # (about 1e-15 a path), where the scalar sampler redraws the times and
+    # the engine keeps them.
     t, n = 0.05, 150
     monkeypatch.setattr(montecarlo, "_CONTINUUM_CHUNK", 64)  # three chunks
     engine = montecarlo._ContinuumEngine(
@@ -526,7 +614,7 @@ def test_continuum_engine_matches_scalar_reference(monkeypatch, seed, offset):
         path = sample_jump_diffusion_path(STABLE_C, start, t, CONT["dt"], CONT["eps"], replay)
         z = rho_transform_mf(path, RHO_C, STABLE_C, t, rho_grad=RHO_C_GRAD,
                              compensator=engine.compensator).end_value
-        assert abs(x_t[i] - path.state_at(t)) <= 1e-12 * np.max(np.abs(path.grid))
+        assert x_t[i] == path.state_at(t)
         assert math.exp(log_w[i]) == pytest.approx(z, rel=1e-12)
         diff = float(F_C(path.state_at(t))) - float(F_C(start))
         samples.append(engine.scale * z * diff * diff / (2.0 * t))

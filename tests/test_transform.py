@@ -206,6 +206,46 @@ def test_rho_trace_reads_no_lowering(chain3_killed, monkeypatch):
         rho_transform_mf(hops, np.array([1.0, 0.0, 1.0]), chain3_killed, 1.0)
 
 
+def test_second_rho_trace_builds_no_generator(chain3_killed, monkeypatch):
+    # the generator is built once and kept read-only on the model, so a
+    # second trace pays one product and gives the same bits
+    model = FiniteSymmetricModel(m=chain3_killed.m, q=chain3_killed.q, k=chain3_killed.k)
+    rho = np.array([0.7, 1.9, 1.3])
+    hops = Path(x0=0, events=((0.3, 1), (0.9, 2), (1.4, 1)), horizon=2.0)
+    first = rho_transform_mf(hops, rho, model, 2.0)
+
+    def fail(self):
+        raise AssertionError("a second generator was built")
+
+    monkeypatch.setattr(FiniteSymmetricModel, "_build_generator", fail)
+    second = rho_transform_mf(hops, rho, model, 2.0)
+    assert second.log_z.tolist() == first.log_z.tolist()
+    assert second.log_z_pre.tolist() == first.log_z_pre.tolist()
+    assert model.generator() is model.generator()
+    assert not model.generator().flags.writeable
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda m: dirichlet.transformed_form_rho(m, [2.0], np.ones(3)), r"rho has shape \(1,\)"),
+    (lambda m: dirichlet.transformed_form_rho(m, np.ones(4), np.ones(3)), r"rho has shape \(4,\)"),
+    (lambda m: dirichlet.transformed_form_rho(m, np.ones((3, 1)), np.ones(3)), r"got shape \(3, 1\)"),
+    (lambda m: dirichlet.transformed_generator(m, RhoTransform(np.ones(4))), r"rho has shape \(4,\)"),
+    (lambda m: dirichlet.conservativeness_check(m, np.ones(2)), r"rho has shape \(2,\)"),
+    (lambda m: jump_measure_density(m, -np.ones(3), np.zeros((3, 3))), "strictly positive"),
+    (lambda m: jump_measure_density(m, np.ones(2), np.zeros((3, 3))), r"rho has shape \(2,\)"),
+    (lambda m: jump_measure_density(m, np.ones(3), np.zeros((2, 2))), r"phi has shape \(2, 2\)"),
+    (lambda m: jump_measure_density(m, np.ones(3), np.zeros(3)), r"got shape \(3,\)"),
+    (lambda m: jump_measure_density(m, np.ones(3), np.full((3, 3), -2.0)), ">= -1"),
+], ids=["form-rho-short", "form-rho-long", "form-rho-2d", "generator-long", "conservativeness-short",
+        "density-negative-rho", "density-short-rho", "density-small-phi", "density-flat-phi",
+        "density-phi-below-minus-one"])
+def test_chain_rho_and_phi_tables_follow_the_lowering_rule(chain3, call, match):
+    # one rule for a chain's tables: the transform's own checks, then the
+    # model's size, as lower applies them; a short rho used to broadcast
+    with pytest.raises(TransformError, match=match):
+        call(chain3)
+
+
 def test_log_weight_fn_matches_traces(chain3_killed, rho121, phi3):
     spec = RngSpec(seed=53)
     transforms = [
