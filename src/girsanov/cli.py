@@ -485,8 +485,8 @@ def run(config: ExperimentConfig, out_dir: Optional[str] = None,
     """Execute the configured checks and write report files.
 
     Writes ``report.csv`` (one row per check), ``forms.csv`` when a form
-    check supplies a witness function, and ``report.json`` with the full
-    row and series data.  Returns the process exit code.
+    check supplies a witness (else removes an earlier run's), and
+    ``report.json`` with the full row and series data; returns the exit code.
     """
     try:
         model, transform = config.resolve()
@@ -523,12 +523,11 @@ def run(config: ExperimentConfig, out_dir: Optional[str] = None,
         ("check_id", "estimate", "stderr", "oracle", "pass"),
         [(cid, est, se, orc, "true" if ok else "false") for cid, est, se, orc, ok in rows],
     )
+    forms_path = os.path.join(out_dir, "forms.csv")
     if forms:
-        _write_csv(
-            os.path.join(out_dir, "forms.csv"),
-            ("part", "value", "cross_check", "residual"),
-            forms,
-        )
+        _write_csv(forms_path, ("part", "value", "cross_check", "residual"), forms)
+    elif os.path.exists(forms_path):  # an earlier run's, which would read as this run's
+        os.remove(forms_path)
     payload = {
         "checks": [
             {"check_id": cid, "estimate": est, "stderr": se, "oracle": orc, "pass": bool(ok)}

@@ -28,9 +28,9 @@ Python call per value.  ``math`` calls the same C function for a finite
 argument (a positive one, for ``log``), so the bits are the same by
 construction; each ufunc is still checked against ``math`` bit for bit on a
 fixed probe (``_PROBES``) before it is taken.  Where a ufunc cannot be
-built (numpy 1.x, a platform without ``ctypes.CDLL(None)``) or fails its
-probe, the engine maps ``math`` over the array instead, with the same bits
-at some 20 times the cost.
+built (a platform without ``ctypes.CDLL(None)``) or fails its probe, the
+engine maps ``math`` over the array instead, with the same bits at some 20
+times the cost.
 
 The ufuncs differ from ``math`` only where ``math`` raises: ``_log`` gives
 ``-inf`` at 0 and NaN below it, and ``_exp`` gives ``inf`` above
@@ -61,12 +61,13 @@ start, the count of jumps longer than ``eps`` (Poisson, by inversion of a
 pinned CDF table), that many jump times, radii and signs, then one normal
 (``ndtri``) per grid step.  Jumps shorter than ``eps`` are folded into the
 Gaussian step, as in :func:`sample_jump_diffusion_path`; both count the
-grid's steps by :func:`~girsanov.paths.steps` and place each jump in its
-step by :func:`~girsanov.paths.jump_steps`.  One pass over the (paths,
-steps) grid then gives every path's end state and the weight of the rho
-tilt's :func:`~girsanov.transform.lower_continuum`, as :func:`rho_transform_mf`
-does on a sampled path; on the same draws the two give the same paths bit
-for bit, and the same weights to rounding.
+grid's steps by :func:`~girsanov.paths.steps`, place each jump in its step
+by :func:`~girsanov.paths.jump_steps` and build the grid by :func:`_grid`,
+so on the same draws the two give the same paths bit for bit.  The weight
+of the rho tilt's :func:`~girsanov.transform.lower_continuum` takes each
+step's log weight from :func:`~girsanov.transform._grid_log_steps`, as
+:func:`rho_transform_mf` does along a sampled path; the two add steps and
+jumps in different orders, so their weights agree to rounding.
 
 Both engines run the Philox kernel on a workspace of their own: one uint64
 array of ``(12, capacity)`` (two banks of four counter words, the running
@@ -104,6 +105,7 @@ from .model import (
 from .paths import Path, jump_steps, steps
 from .transform import (
     ContinuumLowering,
+    _grid_log_steps,
     log_weight_fn,  # noqa: F401  (the scalar route's weight, kept in this namespace)
     rho_transform_mf,  # noqa: F401  (likewise)
     lower,
@@ -407,6 +409,30 @@ def _grid_and_jump_mean(model: JumpDiffusionModel, horizon: float, dt: float, ep
     return n_steps, mean
 
 
+def _grid(x0, moves, cell, sizes):
+    """The ``(m, K + 1[, d])`` grids of ``m`` paths from ``x0`` and their Gaussian
+    moves ``(m, K[, d])``, and the states before their jumps: jump ``j``, of
+    ``sizes[j]``, lands in the flat cell ``cell[j] = path K + step``, a path's
+    jumps in time order.  ``grid[k + 1] = grid[k] + ((0 + s_1 + s_2 ...) +
+    move_k)``, a step's jumps summed in time order (``np.add.at`` adds in index
+    order); a step's first jump starts from the step's grid state, a later one
+    where the jump before it ended."""
+    m, K = moves.shape[:2]
+    grid = np.zeros((m, K + 1) + moves.shape[2:])
+    flat = grid.reshape((-1,) + moves.shape[2:])
+    at = cell // K + cell  # the row in flat of the state that starts the cell's step
+    np.add.at(flat, at + 1, sizes)
+    grid[:, 1:] += moves
+    grid[:, 0] = x0
+    grid.cumsum(axis=1, out=grid)
+    pre = flat[at]
+    later = (cell[1:] == cell[:-1]).nonzero()[0] + 1
+    while later.size:  # each pass settles one more jump of every crowded step
+        pre[later] = pre[later - 1] + sizes[later - 1]
+        later = later[1:][later[1:] - 1 == later[:-1]]
+    return grid, pre
+
+
 def sample_jump_diffusion_path(model: JumpDiffusionModel, x0, horizon: float,
                                dt: float, eps: float,
                                rng: np.random.Generator) -> Path:
@@ -417,7 +443,8 @@ def sample_jump_diffusion_path(model: JumpDiffusionModel, x0, horizon: float,
     whose per-coordinate variance becomes ``(1 + sigma2(eps)) dt``.  Within
     a step the jumps land first and the Gaussian move follows, so recorded
     pre/post jump states contain no partial Gaussian displacement.  The grid
-    is summed in :class:`_ContinuumEngine`'s order and equals its grid bit for bit.
+    is :class:`_ContinuumEngine`'s rule, :func:`_grid`, for one path, and
+    equals the engine's grid bit for bit.
     """
     n_steps, mean = _grid_and_jump_mean(model, horizon, dt, eps)
     n_jumps = int(rng.poisson(mean))
@@ -433,19 +460,9 @@ def sample_jump_diffusion_path(model: JumpDiffusionModel, x0, horizon: float,
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         sizes = radii[:, None] * dirs
     std = np.sqrt((1.0 + stable_small_jump_variance(model, eps)) * dt)
-    step_of_jump = jump_steps(jump_times, dt, n_steps)
-    # grid[k + 1] = grid[k] + (gauss_k + (0 + s_1 + s_2 ...)): np.add.at sums
-    # in index order, as the engine's np.bincount does
-    grid = np.zeros((n_steps + 1,) + sizes.shape[1:])
-    np.add.at(grid, step_of_jump + 1, sizes)
-    grid[1:] += rng.normal(0.0, std, size=grid[1:].shape)
-    grid[0] = x0
-    grid.cumsum(axis=0, out=grid)
-    # a step's first jump starts from the step's grid state, a later one
-    # from the state the jump before it left
-    pre = grid[step_of_jump]
-    for j in (step_of_jump[1:] == step_of_jump[:-1]).nonzero()[0] + 1:
-        pre[j] = pre[j - 1] + sizes[j - 1]
+    moves = rng.normal(0.0, std, size=(1, n_steps) + sizes.shape[1:])
+    grid, pre = _grid(x0, moves, jump_steps(jump_times, dt, n_steps), sizes)
+    grid = grid[0]
     return Path(
         x0=grid[0].copy(),
         events=tuple(zip(jump_times.tolist(), pre + sizes)),
@@ -498,9 +515,9 @@ def _libm_ufunc(name: str) -> np.ufunc:
     ``PyUFunc_d_d``, which calls the ``double (*)(double)`` in its data
     pointer once a value.  That pointer is the address of ``name`` in the
     process (``ctypes.CDLL(None)``), the C library's function that ``math``
-    calls too.  Raises ImportError on numpy 1.x, which keeps the capsule in
-    ``numpy.core``, and AttributeError, OSError, TypeError or ValueError
-    where the capsule or the symbol cannot be had.
+    calls too.  Raises ImportError, AttributeError, OSError, TypeError or
+    ValueError where the capsule or the symbol cannot be had, as on a
+    platform without ``ctypes.CDLL(None)``.
     """
     from numpy._core import _multiarray_umath
 
@@ -800,11 +817,14 @@ class _ContinuumEngine:
     (:func:`_poisson_count`), N jump times ``t u``, N radii
     ``eps u^{-1/alpha}``, N signs (``u < 1/2`` is negative), then one normal
     ``std ndtri(u)`` per grid step.  Jump sizes pair with the times sorted,
-    in draw order.  This is the law, the pairing and the grid arithmetic of
-    :func:`sample_jump_diffusion_path`, so on the same draws the two give the
-    same paths bit for bit; the weight is, to rounding, the one
-    :func:`rho_transform_mf` accumulates along its grid, from the same
-    lowering ``low`` (:func:`~girsanov.transform.lower_continuum`).
+    in draw order.  This is the law and the pairing of
+    :func:`sample_jump_diffusion_path`, and both build the grid by
+    :func:`_grid`, so on the same draws the two give the same paths bit for
+    bit.  The weight sums the steps of
+    :func:`~girsanov.transform._grid_log_steps` and the jump factors, so it
+    is, to rounding, the one :func:`rho_transform_mf` accumulates along its
+    grid, from the same lowering ``low``
+    (:func:`~girsanov.transform.lower_continuum`).
     """
 
     def __init__(self, model: JumpDiffusionModel, low: ContinuumLowering, region, t: float, dt: float,
@@ -888,35 +908,9 @@ class _ContinuumEngine:
         ndtri(brown, out=brown)
         brown *= self.std
 
-        # grid: x0, then per step the jumps and the Gaussian move
-        grid = np.empty((m, K + 1))
-        grid[:, 0] = x0
-        grid[:, 1:] = brown
-        cell = jpath * K + step
-        grid[:, 1:] += np.bincount(cell, weights=sizes, minlength=m * K).reshape(m, K)
-        np.cumsum(grid, axis=1, out=grid)
-
-        # pre-jump states: the step's start, then each jump where the last ended
-        pre = grid[jpath, step]
-        rank = np.arange(cell.size)
-        new = np.ones(cell.size, dtype=bool)
-        new[1:] = cell[1:] != cell[:-1]
-        rank -= np.maximum.accumulate(np.where(new, rank, 0))
-        for r in range(1, int(rank.max(initial=0)) + 1):
-            at = np.flatnonzero(rank == r)
-            pre[at] = pre[at - 1] + sizes[at - 1]
+        grid, pre = _grid(x0, brown, jpath * K + step, sizes)
         jump_log = self.low.log_jump(pre, pre + sizes)
-
-        # log Z_t: compensator, continuous exponential g dB - g^2 var_rate dt / 2
-        # with g = rho'/rho, and the explicit-jump factors
-        base = grid[:, :K]
-        g = self.low.mc(base)
-        step_log = np.asarray(self.compensator(base), dtype=float) * -dt
-        brown *= g
-        g *= g
-        g *= 0.5 * self.var_rate * dt
-        brown -= g
-        step_log += brown
+        step_log = _grid_log_steps(self.low, self.compensator, grid[:, :K], brown, self.var_rate, dt)
         log_w = step_log.sum(axis=1) + np.bincount(jpath, weights=jump_log, minlength=m)
         return x0, grid[:, K].copy(), log_w
 

@@ -500,34 +500,40 @@ def stable_rate_table(model: JumpDiffusionModel, tilt, eps: float, lo: float, hi
     return lambda x: np.interp(x, xs, out)
 
 
-def _grid_trace(path: Path, t: float, model: JumpDiffusionModel, low: ContinuumLowering,
-                compensator) -> MFTrace:
-    """The weight of ``low`` along a grid path: per step ``-(compensator +
-    a_rate) dt`` and ``g dB - g^2 v dt / 2`` with ``g = mc`` and ``v`` the
-    Gaussian driver's variance rate (1 plus the small-jump part), and
-    ``log_jump`` at each explicit jump.  The compensator, the rate table of
-    ``low.tilt`` unless supplied, is built after ``t`` and ``eps`` pass."""
-    if path.eps is None:
-        raise TransformError("grid path carries no truncation radius")
-    t = path.time(t)
-    K = steps(t, path.dt)
-    var_rate = 1.0 + stable_small_jump_variance(model, path.eps)
-    if compensator is None:
-        span = float(np.max(np.abs(path.grid))) + 2.0
-        compensator = stable_rate_table(model, low.tilt, path.eps, -span, span)
-    base = path.grid[:K]
-    inc = _brownian_increments(path, K)
-    dt = path.dt
+def _grid_log_steps(low: ContinuumLowering, compensator, base, moves, var_rate: float, dt: float) -> np.ndarray:
+    """Each grid step's log weight under ``low``, from the states ``base`` that
+    start the steps and their Gaussian moves ``dB``: ``-(compensator + a_rate)
+    dt + g dB - g^2 v dt / 2`` with ``g = mc`` (a None term left out), summed as
+    ``rate (-dt) + ((g dB) - (g g) (v dt / 2))``; the engine's step rule too."""
     rate = np.asarray(compensator(base), dtype=float)
     if low.a_rate is not None:
         rate = rate + low.a_rate(base)
-    step_log = -rate * dt
+    step_log = rate * -dt
     if low.mc is not None:
         g = np.asarray(low.mc(base), dtype=float)
-        if g.ndim == 1:
-            step_log = step_log + g * inc - 0.5 * g * g * var_rate * dt
-        else:
-            step_log = step_log + np.sum(g * inc, axis=-1) - 0.5 * np.sum(g * g, axis=-1) * var_rate * dt
+        step_log = step_log + (g * moves - g * g * (0.5 * var_rate * dt))
+    return step_log
+
+
+def _grid_trace(path: Path, t: float, model: JumpDiffusionModel, low: ContinuumLowering,
+                compensator) -> MFTrace:
+    """The weight of ``low`` along a one-dimensional grid path: the running sum
+    of :func:`_grid_log_steps` over the path's steps and Gaussian moves, and
+    ``log_jump`` at each explicit jump.  The compensator, the rate table of
+    ``low.tilt`` unless supplied, is built after ``d``, ``t`` and ``eps`` pass."""
+    if path.eps is None:
+        raise TransformError("grid path carries no truncation radius")
+    if model.d != 1 or path.grid.ndim != 1:
+        raise DomainError(f"grid weights need d = 1; this model has d = {model.d} "
+                          f"and this path d = {path.grid[0].size}")
+    t = path.time(t)
+    K = steps(t, path.dt)
+    if compensator is None:
+        span = float(np.max(np.abs(path.grid))) + 2.0
+        compensator = stable_rate_table(model, low.tilt, path.eps, -span, span)
+    dt = path.dt
+    step_log = _grid_log_steps(low, compensator, path.grid[:K], _brownian_increments(path, K),
+                               1.0 + stable_small_jump_variance(model, path.eps), dt)
     log_z = np.zeros(K + 1)
     log_z[1:] = np.cumsum(step_log)
     jump_times = [s for s, _ in path.events]

@@ -183,6 +183,18 @@ def test_verify_happy_path(tmp_path):
     assert report["seed"] == 0
 
 
+def test_verify_without_a_witness_leaves_no_older_forms(tmp_path):
+    # a run that writes no forms.csv removes the one an earlier run left in
+    # the same directory, which would otherwise read as this run's
+    out = str(tmp_path / "out")
+    assert main(["verify", "--config", happy_config(tmp_path), "--out", out]) == 0
+    assert os.path.exists(os.path.join(out, "forms.csv"))
+    plain = write_config(tmp_path, {"model": CHAIN3_MODEL, "transform": RHO121, "checks": ["symmetry"]},
+                         name="plain.json")
+    assert main(["verify", "--config", plain, "--out", out]) == 0
+    assert sorted(os.listdir(out)) == ["report.csv", "report.json"]
+
+
 def test_verify_is_byte_deterministic(tmp_path):
     cfg = write_config(tmp_path, {
         "model": CHAIN3_MODEL,

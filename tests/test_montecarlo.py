@@ -3,6 +3,7 @@ import math
 import sys
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from girsanov import (
     estimate_quadratic_form,
     estimate_symmetry_gap,
     estimate_transformed_semigroup,
+    general_mf,
     log_weight_fn,
     pure_jump_generator,
     quadratic_form_trend,
@@ -545,6 +547,41 @@ def test_grid_path_matches_the_per_step_loop(model, x0, eps):
         np.testing.assert_array_equal(path.x0, start)
 
 
+# a path's jumps by grid step, in time order: runs of 1, 2, 3 and 4 jumps in one step
+GRID_CELLS = [[0, 2, 2, 5], [], [1, 1, 1, 3, 4, 4, 4, 4], [5, 5, 5], [0, 3]]
+
+
+@pytest.mark.parametrize("tail", [(), (2,)], ids=["d=1", "d=2"])
+def test_grid_of_many_paths_equals_one_path_calls(tail):
+    rng = np.random.default_rng(11)
+    m, K = len(GRID_CELLS), 6
+    x0, moves = rng.normal(size=(m,) + tail), rng.normal(size=(m, K) + tail)
+    sizes = rng.normal(size=(sum(map(len, GRID_CELLS)),) + tail)
+    cell = np.concatenate([p * K + np.array(s, dtype=np.intp) for p, s in enumerate(GRID_CELLS)])
+    grid, pre = montecarlo._grid(x0, moves, cell, sizes)
+    assert grid.shape == (m, K + 1) + tail and pre.shape == sizes.shape
+    # the rule: a step's first jump starts from its grid state, a later one
+    # where the jump before it ended
+    for j, c in enumerate(cell.tolist()):
+        want = pre[j - 1] + sizes[j - 1] if j and cell[j - 1] == c else grid[c // K, c % K]
+        assert np.asarray(pre[j]).tobytes() == np.asarray(want).tobytes()
+    first = 0
+    for p, s in enumerate(GRID_CELLS):
+        one = slice(first, first + len(s))
+        one_grid, one_pre = montecarlo._grid(x0[p], moves[p:p + 1], np.array(s, dtype=np.intp), sizes[one])
+        assert one_grid.shape == (1, K + 1) + tail
+        assert one_grid[0].tobytes() == grid[p].tobytes()
+        assert one_pre.tobytes() == pre[one].tobytes()
+        first += len(s)
+    # the sum: each step adds its jumps, summed in time order from 0, and then its move
+    jumps = np.zeros((m * K,) + tail)
+    for c, size in zip(cell, sizes):
+        jumps[c] = jumps[c] + size
+    steps_sum = jumps.reshape((m, K) + tail) + moves
+    want = np.concatenate([x0[:, None], steps_sum], axis=1).cumsum(axis=1)
+    assert want.tobytes() == grid.tobytes()
+
+
 # -- continuum engine vs. the scalar reference -------------------------------
 
 RHO_C = lambda x: 1.0 + 0.5 * np.exp(-np.asarray(x) ** 2)  # noqa: E731
@@ -625,6 +662,24 @@ def test_continuum_engine_matches_scalar_reference(monkeypatch, seed, offset):
     monkeypatch.setattr(montecarlo, "_CONTINUUM_CHUNK", 4096)
     for a, b in zip(_engine_paths(engine, n, rng), (x0, x_t, log_w)):
         np.testing.assert_allclose(a, b, rtol=1e-15, atol=0.0)
+
+
+def test_continuum_weights_take_the_lowerings_a_rate():
+    # both routes weigh a step by _grid_log_steps: a constant a_rate takes
+    # a t off each log weight at time t, and the engine's paths stay as they were
+    t, a = 0.05, 0.3
+    flat, rated = (lambda x: np.zeros(np.shape(x))), (lambda x: np.full(np.shape(x), a))
+    low = lower_continuum(STABLE_C, RhoTransform(rho=RHO_C), RHO_C_GRAD)
+    (x0, x_t, log_w), (x0_a, x_t_a, log_w_a) = (
+        _engine_paths(montecarlo._ContinuumEngine(STABLE_C, lw, t=t, compensator=flat, **CONT), 40, RngSpec(seed=3))
+        for lw in (low, replace(low, a_rate=rated)))
+    assert x0.tobytes() == x0_a.tobytes() and x_t.tobytes() == x_t_a.tobytes()
+    np.testing.assert_allclose(log_w_a, log_w - a * t, rtol=0.0, atol=1e-12)
+    path = sample_jump_diffusion_path(STABLE_C, 0.3, t, CONT["dt"], CONT["eps"], RngSpec(seed=3).stream(0))
+    phi = lambda x, y: 0.4 * np.cos(x) * np.cos(y)  # noqa: E731
+    plain, tilted = (general_mf(path, GeneralMF(phi=phi, a_rate=r), STABLE_C, t, compensator=flat).log_z
+                     for r in (None, rated))
+    np.testing.assert_allclose(tilted, plain - a * CONT["dt"] * np.arange(plain.size), rtol=0.0, atol=1e-12)
 
 
 def test_open_uniforms_at_the_extreme_words():

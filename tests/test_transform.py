@@ -791,6 +791,34 @@ def test_grid_weight_takes_a_paths_jump_factors_in_one_call(kind):
     assert jumps > 3000
 
 
+PLANE = JumpDiffusionModel(d=2, alpha=1.2, c=1.0)
+PLANE_RHO = lambda x: 1.0 + 0.5 * np.exp(-np.sum(np.asarray(x) ** 2, axis=-1))  # noqa: E731
+PLANE_PHI = lambda x, y: 0.4 * np.cos(np.sum(x, axis=-1)) * np.cos(np.sum(y, axis=-1))  # noqa: E731
+PLANE_ROUTES = {
+    "rho": lambda p, comp: rho_transform_mf(p, PLANE_RHO, PLANE, 0.2, compensator=comp),
+    "pure_jump": lambda p, comp: pure_jump_mf(p, PLANE_PHI, PLANE, 0.2, compensator=comp),
+    "general": lambda p, comp: general_mf(p, GeneralMF(phi=PLANE_PHI, mc_integrand=lambda x: 0.1 * x),
+                                          PLANE, 0.2, comp),
+}
+
+
+@pytest.mark.parametrize("supplied", [False, True], ids=["table", "supplied"])
+@pytest.mark.parametrize("route", sorted(PLANE_ROUTES))
+def test_grid_weights_refuse_a_plane_path(monkeypatch, route, supplied):
+    # the grid weights are one-dimensional; a d = 2 path is refused by name
+    # before a rate table is built, whether or not a compensator is supplied
+    path = sample_jump_diffusion_path(PLANE, np.array([0.3, -0.2]), 0.2, 1e-2, 0.1, RngSpec(seed=4).stream(0))
+    assert path.events
+
+    def no_table(*args, **kwargs):
+        raise AssertionError("a rate table was built for a d = 2 path")
+
+    monkeypatch.setattr(transform_module, "stable_rate_table", no_table)
+    compensator = (lambda x: np.zeros(np.shape(x)[:-1])) if supplied else None
+    with pytest.raises(DomainError, match="this model has d = 2 and this path d = 2"):
+        PLANE_ROUTES[route](path, compensator)
+
+
 # -- integrability probe -----------------------------------------------------
 
 STABLE1 = JumpDiffusionModel(d=1, alpha=1.0, c=1.0)
