@@ -59,7 +59,9 @@ in order from the same ``(seed, offset + i)`` Philox stream, each word ``w``
 mapped into the open unit interval as ``((w >> 11) + 0.5) * 2**-53``: the
 start, the count of jumps longer than ``eps`` (Poisson, by inversion of a
 pinned CDF table), that many jump times, radii and signs, then one normal
-(``ndtri``) per grid step.  Jumps shorter than ``eps`` are folded into the
+per grid step, by :func:`_ndtri`: the Cephes inverse normal CDF that
+``scipy.special.ndtri`` evaluates, written in numpy with the same bits, so
+that the engine loads no SciPy.  Jumps shorter than ``eps`` are folded into the
 Gaussian step, as in :func:`sample_jump_diffusion_path`; both count the
 grid's steps by :func:`~girsanov.paths.steps`, place each jump in its step
 by :func:`~girsanov.paths.jump_steps` and build the grid by :func:`_grid`,
@@ -75,7 +77,10 @@ key and three scratch rows), grown when a chunk needs more streams and
 otherwise reused.  Every step of a block writes into it, so a block
 allocates no array and a long run does not build and free a kernel's worth
 of temporaries per chunk.  The words a block returns are rows of the
-workspace and hold until the engine's next block.
+workspace and hold until the engine's next block.  The continuum engine
+keeps its chunk's uniforms and normals the same way, and once the words
+are mapped to uniforms it lends the idle workspace to :func:`_ndtri` as
+scratch.
 
 The estimators weight base-process paths by the transform's multiplicative
 functional instead of simulating the transformed process directly; the
@@ -218,27 +223,36 @@ _LO32 = np.uint64(0xFFFFFFFF)
 _SHIFT32 = np.uint64(32)
 _PHILOX_MUL = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
 _PHILOX_WEYL = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+# each multiplier as numpy scalars (low limb, high limb, whole), and the key's second Weyl step
+_PHILOX_LIMBS = tuple((np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32), np.uint64(m)) for m in _PHILOX_MUL)
+_PHILOX_WEYL1 = np.uint64(_PHILOX_WEYL[1])
 _PHILOX_ROUNDS = 10
 _PHILOX_ROWS = 12  # two banks of four counter words, the running key, three scratch rows
+
+
+def _grown(ws: np.ndarray, capacity: int) -> np.ndarray:
+    """``ws`` itself when its rows hold ``capacity`` values, else a new
+    array of its dtype, with as many rows, that does."""
+    if ws.shape[-1] >= capacity:
+        return ws
+    return np.empty(ws.shape[:-1] + (capacity,), dtype=ws.dtype)
 
 
 def _philox_workspace(capacity: int, ws: Optional[np.ndarray] = None) -> np.ndarray:
     """Scratch for :func:`_philox_block` over up to ``capacity`` streams:
     ``ws`` itself when it has room, else a new workspace."""
-    if ws is not None and ws.shape[1] >= capacity:
-        return ws
-    return np.empty((_PHILOX_ROWS, capacity), dtype=np.uint64)
+    return _grown(np.empty((_PHILOX_ROWS, 0), dtype=np.uint64) if ws is None else ws, capacity)
 
 
-def _mulhilo(a: np.ndarray, mul: int, hi: np.ndarray, lo: np.ndarray, scratch) -> None:
+def _mulhilo(a: np.ndarray, mul: tuple, hi: np.ndarray, lo: np.ndarray, scratch) -> None:
     """Write the high and low 64-bit words of ``a * mul`` into ``hi``, ``lo``.
 
-    The 64x64 -> 128 product from 32-bit limbs (Warren, *Hacker's Delight*,
-    ``mulhu``) in fifteen ufunc calls, each writing into one of ``hi``,
-    ``lo`` and the three ``scratch`` rows; none of the sums can wrap.
+    ``mul`` is one entry of :data:`_PHILOX_LIMBS`.  The 64x64 -> 128 product
+    from 32-bit limbs (Warren, *Hacker's Delight*, ``mulhu``) in fifteen
+    ufunc calls, each writing into one of ``hi``, ``lo`` and the three
+    ``scratch`` rows; none of the sums can wrap.
     """
-    m0 = np.uint64(mul & 0xFFFFFFFF)
-    m1 = np.uint64(mul >> 32)
+    m0, m1, whole = mul
     a_lo, w, t = scratch
     np.bitwise_and(a, _LO32, out=a_lo)
     np.multiply(a_lo, m0, out=w)
@@ -254,7 +268,7 @@ def _mulhilo(a: np.ndarray, mul: int, hi: np.ndarray, lo: np.ndarray, scratch) -
     np.multiply(hi, m1, out=hi)
     np.add(hi, t, out=hi)
     np.add(hi, w, out=hi)
-    np.multiply(a, np.uint64(mul), out=lo)
+    np.multiply(a, whole, out=lo)
 
 
 def _philox_block(counter: np.ndarray, key0: int, key1: np.ndarray, ws: np.ndarray):
@@ -265,19 +279,32 @@ def _philox_block(counter: np.ndarray, key0: int, key1: np.ndarray, ws: np.ndarr
     :func:`_philox_workspace`, with room for ``counter.size`` streams), so a
     call allocates no array.  The four words returned are rows of ``ws``:
     they hold until the next call on the same workspace.
+
+    The first two rounds are folded.  Round 0 meets words 1-3 equal to 0, so
+    its second product is 0 and it gives ``(key0, 0, hi ^ key1, lo)`` from
+    the one product ``counter * M0``.  Round 1's first product is then the
+    scalar ``key0 * M0``, a Python int, and its fourth word the same for
+    every stream.
     """
     rows = tuple(ws[:, : counter.size])
     c, nxt, k1, scratch = rows[0:4], rows[4:8], rows[8], rows[9:12]
-    np.copyto(c[0], counter)
-    for word in c[1:]:
-        word.fill(0)
     np.copyto(k1, key1)
-    for r in range(_PHILOX_ROUNDS):
-        if r:
-            key0 = (key0 + _PHILOX_WEYL[0]) & _MASK64
-            np.add(k1, np.uint64(_PHILOX_WEYL[1]), out=k1)
-        _mulhilo(c[0], _PHILOX_MUL[0], nxt[2], nxt[3], scratch)
-        _mulhilo(c[2], _PHILOX_MUL[1], nxt[0], nxt[1], scratch)
+    _mulhilo(counter, _PHILOX_LIMBS[0], c[2], c[3], scratch)
+    np.bitwise_xor(c[2], k1, out=c[2])
+    product = key0 * _PHILOX_MUL[0]
+    key0 = (key0 + _PHILOX_WEYL[0]) & _MASK64
+    np.add(k1, _PHILOX_WEYL1, out=k1)
+    _mulhilo(c[2], _PHILOX_LIMBS[1], nxt[0], nxt[1], scratch)
+    np.bitwise_xor(nxt[0], np.uint64(key0), out=nxt[0])
+    np.bitwise_xor(c[3], np.uint64(product >> 64), out=nxt[2])
+    np.bitwise_xor(nxt[2], k1, out=nxt[2])
+    nxt[3].fill(product & _MASK64)
+    c, nxt = nxt, c
+    for _ in range(2, _PHILOX_ROUNDS):
+        key0 = (key0 + _PHILOX_WEYL[0]) & _MASK64
+        np.add(k1, _PHILOX_WEYL1, out=k1)
+        _mulhilo(c[0], _PHILOX_LIMBS[0], nxt[2], nxt[3], scratch)
+        _mulhilo(c[2], _PHILOX_LIMBS[1], nxt[0], nxt[1], scratch)
         np.bitwise_xor(nxt[0], c[1], out=nxt[0])
         np.bitwise_xor(nxt[0], np.uint64(key0), out=nxt[0])
         np.bitwise_xor(nxt[2], c[3], out=nxt[2])
@@ -756,26 +783,132 @@ class _ChainEngine:
 # batched continuum engine
 
 
-# paths per chunk of the continuum engine.  A chunk of 512 paths of 50 steps
-# peaks near 1.8 MB (most of it inside the Philox pass over its ~11k blocks);
-# it also ran faster than chunks of 256 or 1024 on the acceptance settings
+# paths per chunk of the continuum engine.  A run of 512-path chunks of 50
+# steps peaks near 3.3 MB above the engine (tracemalloc, continuum-energy
+# settings), 1.5 MB of it the buffers the engine keeps: the Philox workspace
+# over a chunk's ~11k blocks, the uniforms and the normals.  512 also ran
+# faster than chunks of 256 or 1024 on the acceptance settings
 _CONTINUUM_CHUNK = 1 << 9
 
+_ELEVEN = np.uint64(11)
 _TWO_M53 = 2.0 ** -53
 _BELOW_ONE = 1.0 - 2.0 ** -53  # the largest double below 1
 
 
 def _open_uniform(words: np.ndarray) -> np.ndarray:
-    """Philox words as uniforms ``((w >> 11) + 0.5) * 2**-53``, never 0.
+    """Philox words as uniforms ``((w >> 11) + 0.5) * 2**-53``, never 0."""
+    return _open_unit((words >> _ELEVEN).astype(float))
+
+
+def _open_unit(top: np.ndarray) -> np.ndarray:
+    """The uniforms of words whose top 53 bits ``top`` holds as doubles
+    (exactly), written over it: ``(top + 0.5) * 2**-53``.
 
     Above 1/2 the half does not fit in a double and the sum rounds to even,
     so the top word would give exactly 1; it is held at the largest double
     below 1 instead, and every uniform lies in the open unit interval.
     """
-    u = (words >> np.uint64(11)).astype(float)
-    u += 0.5
-    u *= _TWO_M53
-    return np.minimum(u, _BELOW_ONE, out=u)
+    top += 0.5
+    top *= _TWO_M53
+    return np.minimum(top, _BELOW_ONE, out=top)
+
+
+# Cephes ``ndtri`` (Moshier, *Methods and Programs for Mathematical
+# Functions*, 1989), the inverse of the standard normal CDF, as
+# ``scipy.special.ndtri`` evaluates it: ``y`` in ``(e^-2, 1 - e^-2]`` takes
+# the central rational in ``y - 1/2``; below or above it, with ``1 - y`` on
+# the upper side, the tail rational in ``1/x``, ``x = sqrt(-2 log y)``, from
+# the first table up to ``x = 8`` and the second beyond.  Each denominator
+# starts with the leading 1 of Cephes' ``p1evl``.
+_NDTRI_LOW = 0.13533528323661269189  # e^-2
+_NDTRI_HIGH = 1.0 - _NDTRI_LOW
+_SQRT_2PI = 2.50662827463100050242
+_NDTRI_CENTRAL = (
+    (-5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
+     1.39312609387279679503e1, -1.23916583867381258016e0),
+    (1.0, 1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
+     -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
+     1.59056225126211695515e1, -1.18331621121330003142e0),
+)
+_NDTRI_TAIL = (
+    (4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1,
+     4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539e0,
+     -1.40256079171354495875e-1, -3.50424626827848203418e-2, -8.57456785154685413611e-4),
+    (1.0, 1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
+     1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
+     -3.80806407691578277194e-2, -9.33259480895457427372e-4),
+)
+_NDTRI_FAR = (  # x >= 8, that is y <= e^-32
+    (3.23774891776946035970e0, 6.91522889068984211695e0, 3.93881025292474443415e0,
+     1.33303460815807542389e0, 2.01485389549179081538e-1, 1.23716634817820021358e-2,
+     3.01581553508235416007e-4, 2.65806974686737550832e-6, 6.23974539184983293730e-9),
+    (1.0, 6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
+     2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
+     2.89247864745380683936e-6, 6.79019408009981274425e-9),
+)
+
+
+def _horner(x: np.ndarray, coef: tuple, out: np.ndarray) -> np.ndarray:
+    """``(c0 x + c1) x + c2 ...`` into ``out``, in Cephes' order: ``polevl``,
+    and ``p1evl`` when ``c0`` is 1 (``1 x`` is ``x``)."""
+    np.multiply(x, coef[0], out=out)
+    np.add(out, coef[1], out=out)
+    for c in coef[2:]:
+        np.multiply(out, x, out=out)
+        np.add(out, c, out=out)
+    return out
+
+
+def _rational(x: np.ndarray, table: tuple, num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """``(x P(x)) / Q(x)`` into ``num``, as Cephes groups it."""
+    _horner(x, table[0], num)
+    num *= x
+    num /= _horner(x, table[1], den)
+    return num
+
+
+def _ndtri(y: np.ndarray, work: Optional[np.ndarray] = None) -> np.ndarray:
+    """The standard normal quantile of every ``y`` in the open unit
+    interval, written over ``y`` (a C-contiguous float array), with the bits
+    of ``scipy.special.ndtri``.
+
+    It follows the Cephes code operation for operation, taking ``log`` from
+    :data:`_log` (the C library's, which Cephes calls too).  The central
+    rational runs over the whole array in place, with ``work`` (three
+    arrays of ``y``'s shape, allocated when not given) as its scratch: its
+    denominator has no root for ``|y - 1/2| < 1/2``, so the values that
+    belong to the tails give finite values there, and only those, about 27%
+    of uniform draws, are gathered, taken through the tail and scattered
+    back.  Outside ``(0, 1)`` the result is undefined.
+    """
+    flat = y.reshape(-1)
+    tail = ((flat <= _NDTRI_LOW) | (flat > _NDTRI_HIGH)).nonzero()[0]
+    t = flat[tail]
+    upper = t > _NDTRI_HIGH
+    if work is None:
+        work = np.empty((3,) + y.shape)
+    y2, num, den = work
+    np.subtract(y, 0.5, out=y)
+    np.multiply(y, y, out=y2)
+    _rational(y2, _NDTRI_CENTRAL, num, den)
+    num *= y
+    y += num
+    y *= _SQRT_2PI
+    if tail.size:
+        np.minimum(t, 1.0 - t, out=t)
+        x = _log(t)
+        x *= -2.0
+        np.sqrt(x, out=x)
+        z = 1.0 / x
+        x1 = _rational(z, _NDTRI_TAIL, np.empty_like(z), np.empty_like(z))
+        far = (x >= 8.0).nonzero()[0]
+        if far.size:
+            x1[far] = _rational(z[far], _NDTRI_FAR, np.empty(far.size), np.empty(far.size))
+        x -= _log(x) / x
+        x -= x1
+        np.negative(x, out=x, where=~upper)
+        flat[tail] = x
+    return y
 
 
 def _poisson_cdf(mean: float) -> np.ndarray:
@@ -816,7 +949,7 @@ class _ContinuumEngine:
     the start (inverse of the ``rho^2`` table), the explicit-jump count N
     (:func:`_poisson_count`), N jump times ``t u``, N radii
     ``eps u^{-1/alpha}``, N signs (``u < 1/2`` is negative), then one normal
-    ``std ndtri(u)`` per grid step.  Jump sizes pair with the times sorted,
+    ``std _ndtri(u)`` per grid step.  Jump sizes pair with the times sorted,
     in draw order.  This is the law and the pairing of
     :func:`sample_jump_diffusion_path`, and both build the grid by
     :func:`_grid`, so on the same draws the two give the same paths bit for
@@ -848,7 +981,11 @@ class _ContinuumEngine:
         self.std = np.sqrt(self.var_rate * dt)
         self.alpha = model.alpha
         self.t, self.dt, self.eps, self.steps = float(t), float(dt), float(eps), K
+        # kept from chunk to chunk, each grown when a chunk needs more: the
+        # Philox workspace (_ndtri's scratch too), the uniforms and the normals
         self._ws = _philox_workspace(0)
+        self._u = np.empty(0)
+        self._normals = np.empty(0)
 
     def run(self, n: int, rng: RngSpec):
         """Yield ``(lo, hi, x0, x_t, log_w)`` for paths ``lo .. hi - 1`` of ``n``."""
@@ -877,10 +1014,11 @@ class _ContinuumEngine:
         counter = (np.arange(owner.size) - row0[owner] + 1).astype(np.uint64)
         self._ws = _philox_workspace(owner.size, self._ws)
         words = _philox_block(counter, key0, key1[owner], self._ws)
-        u = np.empty((owner.size, 4))
+        self._u = _grown(self._u, 4 * owner.size)
+        u = self._u[: 4 * owner.size]
         for j, w in enumerate(words):
-            u[:, j] = _open_uniform(w)
-        return x0, count, u.ravel(), 4 * row0 + 2
+            u[j::4] = w >> _ELEVEN
+        return x0, count, _open_unit(u), 4 * row0 + 2
 
     def _chunk(self, rng: RngSpec, first: int, m: int):
         K, dt = self.steps, self.dt
@@ -901,11 +1039,14 @@ class _ContinuumEngine:
         key.imag = times
         times = np.sort(key).imag
         step = jump_steps(times, dt, K)
-        brown = u[(start + 3 * count)[:, None] + np.arange(K)]
-        del u
-        from scipy.special import ndtri  # here, so that importing the package does not load it
-
-        ndtri(brown, out=brown)
+        self._normals = _grown(self._normals, m * K)
+        brown = self._normals[: m * K].reshape(m, K)
+        # _ndtri's scratch is the Philox workspace, idle until the next chunk,
+        # which holds 3 words for every draw: room for 3 doubles a normal
+        work = self._ws.reshape(-1)[: 3 * m * K].view(float).reshape(3, m, K)
+        # every index is in range; mode "raise" would buffer the output
+        np.take(u, (start + 3 * count)[:, None] + np.arange(K), out=brown, mode="clip")
+        _ndtri(brown, work)
         brown *= self.std
 
         grid, pre = _grid(x0, brown, jpath * K + step, sizes)

@@ -937,11 +937,13 @@ for name, payload in (("readme", readme), ("killed_ring", killed_ring)):
     config = girsanov.cli.ExperimentConfig.from_json(json.dumps(payload))
     assert girsanov.cli.run(config, out_dir=sys.argv[1] + "/" + name, paths=200) in (0, 1)
     assert scipy_loaded() == [], (name, scipy_loaded())
-report = girsanov.integrability_check(model, lambda x, y: rho(y) / rho(x) - 1.0, (-1.0, 1.0), 0.1, levels=3)
-assert report.status in ("finite", "divergent", "inconclusive"), report.status
+# the continuum estimator draws its normals from numpy alone
 est = girsanov.estimate_quadratic_form(model, girsanov.RhoTransform(rho=rho), lambda x: np.exp(-np.asarray(x) ** 2),
                                        0.05, 2, girsanov.RngSpec(seed=0), region=(-8.0, 8.0), dt=1e-3, eps=0.01)
 assert np.isfinite(est.mean)
+assert scipy_loaded() == [], scipy_loaded()
+report = girsanov.integrability_check(model, lambda x, y: rho(y) / rho(x) - 1.0, (-1.0, 1.0), 0.1, levels=3)
+assert report.status in ("finite", "divergent", "inconclusive"), report.status
 """
 
 

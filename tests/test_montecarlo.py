@@ -144,6 +144,41 @@ def test_warm_philox_block_allocates_nothing():
     assert peak - before < 4096  # one 4096-row uint64 array alone is 32 KB
 
 
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_M64 = (1 << 64) - 1
+
+
+def _philox_unfolded(counter: int, key0: int, key1: int) -> list:
+    """Philox4x64-10 of the counter ``(counter, 0, 0, 0)``, every round in
+    full, in Python ints (Salmon et al., SC'11)."""
+    x, k = [counter, 0, 0, 0], [key0, key1]
+    for r in range(10):
+        if r:
+            k = [(k[0] + _PHILOX_W[0]) & _M64, (k[1] + _PHILOX_W[1]) & _M64]
+        p0, p1 = x[0] * _PHILOX_M[0], x[2] * _PHILOX_M[1]
+        x = [(p1 >> 64) ^ x[1] ^ k[0], p1 & _M64, (p0 >> 64) ^ x[3] ^ k[1], p0 & _M64]
+    return x
+
+
+@pytest.mark.parametrize("key0", [0, 7, 2**64 - 1, 2**64 - _PHILOX_W[0]])
+@pytest.mark.parametrize("case", ["random", "shared", "one row"])
+def test_folded_philox_block_equals_the_unfolded_rounds(key0, case):
+    # the fold takes rounds 0 and 1 apart; the Weyl steps of both keys wrap
+    # for the largest key0 and the key1 near 2**64
+    rng = np.random.default_rng(23)
+    n = 1 if case == "one row" else 300
+    counter = rng.integers(0, 2**64, size=n, dtype=np.uint64, endpoint=False)
+    if case == "shared":
+        counter[:] = counter[0]
+    key1 = rng.integers(0, 2**64, size=n, dtype=np.uint64, endpoint=False)
+    key1[:2] = (2**64 - 1, 2**64 - _PHILOX_W[1])[:n]
+    ws = montecarlo._philox_workspace(n)
+    got = np.stack(montecarlo._philox_block(counter, key0, key1, ws), axis=1)
+    want = [_philox_unfolded(int(c), key0, int(k)) for c, k in zip(counter, key1)]
+    np.testing.assert_array_equal(got, np.array(want, dtype=np.uint64))
+
+
 def test_numpy_philox_rows_advance_independently():
     spec = RngSpec(seed=5, offset=1000)
     draws = _PhiloxUniforms(spec, 10, 3)
@@ -685,8 +720,39 @@ def test_continuum_weights_take_the_lowerings_a_rate():
 def test_open_uniforms_at_the_extreme_words():
     u = montecarlo._open_uniform(np.array([0, TOP_WORD], dtype=np.uint64))
     assert u.tolist() == [2.0 ** -54, 1.0 - 2.0 ** -53]
-    assert np.all(np.isfinite(ndtri(u)))
+    assert np.all(np.isfinite(montecarlo._ndtri(u.copy())))
     assert np.all(np.isfinite(CONT["eps"] * u ** (-1.0 / STABLE_C.alpha)))
+
+
+def _neighbours(values, k=3):
+    out = []
+    for v in values:
+        below = above = v
+        for _ in range(k):
+            below, above = np.nextafter(below, 0.0), np.nextafter(above, 1.0)
+            out += [below, above]
+        out.append(v)
+    return out
+
+
+def test_ndtri_matches_scipy_bit_for_bit():
+    # the engine's own normals against SciPy's Cephes ndtri: open uniforms of
+    # Philox words, the branch edges e^-2 and 1 - e^-2, the edge x = 8 of the
+    # tail tables (y = e^-32, on both sides), 1/2, log-spaced tails and the
+    # extreme words
+    words = RngSpec(seed=2023).stream(0).bit_generator.random_raw(2_000_000)
+    low, far = montecarlo._NDTRI_LOW, math.exp(-32.0)
+    edges = _neighbours([low, 1.0 - low, far, 1.0 - far, 0.5]) + [2.0 ** -54, 1.0 - 2.0 ** -53]
+    tails = np.logspace(-300.0, math.log10(low), 200_000)
+    probe = np.concatenate([montecarlo._open_uniform(words), edges, tails,
+                            1.0 - np.logspace(-16.0, math.log10(low), 200_000)])
+    assert np.all((probe > 0.0) & (probe < 1.0))
+    got, want = montecarlo._ndtri(probe.copy()), ndtri(probe)
+    assert got.tobytes() == want.tobytes(), probe[got.view(np.uint64) != want.view(np.uint64)][:5]
+    # a chunk's shape, with its scratch given, as the engine calls it
+    grid = probe[: 512 * 50].reshape(512, 50).copy()
+    montecarlo._ndtri(grid, np.empty((3, 512, 50)))
+    assert grid.tobytes() == want[: 512 * 50].tobytes()
 
 
 def test_poisson_table_and_the_top_uniform():
