@@ -77,10 +77,13 @@ key and three scratch rows), grown when a chunk needs more streams and
 otherwise reused.  Every step of a block writes into it, so a block
 allocates no array and a long run does not build and free a kernel's worth
 of temporaries per chunk.  The words a block returns are rows of the
-workspace and hold until the engine's next block.  The continuum engine
-keeps its chunk's uniforms and normals the same way, and once the words
-are mapped to uniforms it lends the idle workspace to :func:`_ndtri` as
-scratch.
+workspace and hold until the engine's next block.  The chain engine's
+draws (:class:`_PhiloxUniforms`) shift a block's words there and map them
+to uniforms by one product, and pass a counter that every row shares as
+one Python int, so that round 0 needs no product over the rows.  The
+continuum engine keeps its chunk's uniforms and normals the same way, and
+once the words are mapped to uniforms it lends the idle workspace to
+:func:`_ndtri` as scratch.
 
 The estimators weight base-process paths by the transform's multiplicative
 functional instead of simulating the transformed process directly; the
@@ -228,6 +231,8 @@ _PHILOX_LIMBS = tuple((np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32), np.uint64(
 _PHILOX_WEYL1 = np.uint64(_PHILOX_WEYL[1])
 _PHILOX_ROUNDS = 10
 _PHILOX_ROWS = 12  # two banks of four counter words, the running key, three scratch rows
+_ELEVEN = np.uint64(11)  # a word's top 53 bits, times 2**-53, are its uniform
+_TWO_M53 = 2.0 ** -53
 
 
 def _grown(ws: np.ndarray, capacity: int) -> np.ndarray:
@@ -271,29 +276,37 @@ def _mulhilo(a: np.ndarray, mul: tuple, hi: np.ndarray, lo: np.ndarray, scratch)
     np.multiply(a, whole, out=lo)
 
 
-def _philox_block(counter: np.ndarray, key0: int, key1: np.ndarray, ws: np.ndarray):
+def _philox_block(counter, key0: int, key1: np.ndarray, ws: np.ndarray) -> np.ndarray:
     """Philox4x64-10 output words for counters ``(counter[i], 0, 0, 0)``
     under keys ``(key0, key1[i])``, as numpy's ``Philox`` computes them.
+    ``counter`` is a uint64 array, one counter a stream, or a Python int in
+    ``[0, 2**64)`` that every stream shares.
 
     Every step writes into the workspace ``ws`` (from
-    :func:`_philox_workspace`, with room for ``counter.size`` streams), so a
-    call allocates no array.  The four words returned are rows of ``ws``:
-    they hold until the next call on the same workspace.
+    :func:`_philox_workspace`, with room for ``key1.size`` streams), so a
+    call allocates no array.  The words returned are a ``(4, key1.size)``
+    view of ``ws``, word ``j`` in row ``j``: they hold until the next call on
+    the same workspace, and the caller may write over them.
 
     The first two rounds are folded.  Round 0 meets words 1-3 equal to 0, so
     its second product is 0 and it gives ``(key0, 0, hi ^ key1, lo)`` from
-    the one product ``counter * M0``.  Round 1's first product is then the
-    scalar ``key0 * M0``, a Python int, and its fourth word the same for
-    every stream.
+    the one product ``counter * M0``, a Python int when the counter is one.
+    Round 1's first product is then the scalar ``key0 * M0``, a Python int,
+    and its fourth word the same for every stream.
     """
-    rows = tuple(ws[:, : counter.size])
+    words = ws[4:8, : key1.size]  # ten rounds, from the first bank, end in the second
+    rows = tuple(ws[:, : key1.size])
     c, nxt, k1, scratch = rows[0:4], rows[4:8], rows[8], rows[9:12]
-    np.copyto(k1, key1)
-    _mulhilo(counter, _PHILOX_LIMBS[0], c[2], c[3], scratch)
-    np.bitwise_xor(c[2], k1, out=c[2])
+    if isinstance(counter, int):
+        product = counter * _PHILOX_MUL[0]
+        np.bitwise_xor(key1, np.uint64(product >> 64), out=c[2])
+        c[3].fill(product & _MASK64)
+    else:
+        _mulhilo(counter, _PHILOX_LIMBS[0], c[2], c[3], scratch)
+        np.bitwise_xor(c[2], key1, out=c[2])
     product = key0 * _PHILOX_MUL[0]
     key0 = (key0 + _PHILOX_WEYL[0]) & _MASK64
-    np.add(k1, _PHILOX_WEYL1, out=k1)
+    np.add(key1, _PHILOX_WEYL1, out=k1)
     _mulhilo(c[2], _PHILOX_LIMBS[1], nxt[0], nxt[1], scratch)
     np.bitwise_xor(nxt[0], np.uint64(key0), out=nxt[0])
     np.bitwise_xor(c[3], np.uint64(product >> 64), out=nxt[2])
@@ -310,7 +323,7 @@ def _philox_block(counter: np.ndarray, key0: int, key1: np.ndarray, ws: np.ndarr
         np.bitwise_xor(nxt[2], c[3], out=nxt[2])
         np.bitwise_xor(nxt[2], k1, out=nxt[2])
         c, nxt = nxt, c
-    return c[0], c[1], c[2], c[3]
+    return words
 
 
 class _PhiloxUniforms:
@@ -321,19 +334,26 @@ class _PhiloxUniforms:
     block has counter 1), hands out the block's four words in order and maps
     a word ``x`` to ``(x >> 11) * 2**-53``.  ``ws`` is the Philox
     workspace to run on (one of its own by default).
+
+    A block whose rows all read the same counter, as the first does and as
+    paths drawing in lockstep do, passes it to :func:`_philox_block` as one
+    Python int.  The words are shifted in the workspace and mapped by one
+    product into ``_buf``, word ``j`` of row ``i`` at ``[j, i]``: directly
+    for the first block, through ``_spare`` and one scatter a word after it.
     """
 
     def __init__(self, rng: RngSpec, first: int, count: int, ws: Optional[np.ndarray] = None):
         self._ws = _philox_workspace(count, ws)
         self._key0, self._key1 = rng.keys(first, count)
         self._drawn = np.zeros(count, dtype=np.int64)
-        self._buf = np.empty((count, 4))
-        self._fill(np.arange(count), np.ones(count, dtype=np.uint64))
+        self._buf = np.empty((4, count))
+        self._spare = np.empty((4, count))
+        np.multiply(self._words(1, self._key1), _TWO_M53, out=self._buf)
 
-    def _fill(self, rows: np.ndarray, counter: np.ndarray) -> None:
-        words = _philox_block(counter, self._key0, self._key1[rows], self._ws)
-        for j, w in enumerate(words):
-            self._buf[rows, j] = (w >> np.uint64(11)).astype(float) * (1.0 / 9007199254740992.0)
+    def _words(self, counter, key1: np.ndarray) -> np.ndarray:
+        """The block's words, each shifted to its top 53 bits in place."""
+        words = _philox_block(counter, self._key0, key1, self._ws)
+        return np.right_shift(words, _ELEVEN, out=words)
 
     def draw(self, rows: np.ndarray) -> np.ndarray:
         """Next uniform of each listed row."""
@@ -341,9 +361,16 @@ class _PhiloxUniforms:
         slot = drawn & 3
         spent = (slot == 0) & (drawn > 0)
         if spent.any():
-            self._fill(rows[spent], (drawn[spent] >> 2).astype(np.uint64) + np.uint64(1))
+            refill = rows[spent]
+            block = drawn[spent] >> 2
+            lead = int(block[0])
+            counter = lead + 1 if (block == lead).all() else block.astype(np.uint64) + np.uint64(1)
+            spare = np.multiply(self._words(counter, self._key1[refill]), _TWO_M53,
+                                out=self._spare[:, : refill.size])
+            for j in range(4):
+                self._buf[j][refill] = spare[j]
         self._drawn[rows] = drawn + 1
-        return self._buf[rows, slot]
+        return self._buf[slot, rows]
 
 
 @dataclass(frozen=True)
@@ -790,8 +817,6 @@ class _ChainEngine:
 # faster than chunks of 256 or 1024 on the acceptance settings
 _CONTINUUM_CHUNK = 1 << 9
 
-_ELEVEN = np.uint64(11)
-_TWO_M53 = 2.0 ** -53
 _BELOW_ONE = 1.0 - 2.0 ** -53  # the largest double below 1
 
 

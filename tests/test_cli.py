@@ -576,6 +576,26 @@ def test_batched_form_identity_equals_the_loop_over_draws(tmp_path, name):
         assert row["estimate"] == max(0.0, by_draw.max()), draws
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1])
+def test_form_identity_generator_equals_numpy_pcg64(seed):
+    # one to four entropy words' worth of seed, and every shape the form
+    # identity asks for: one call, a block's differences, several blocks
+    sizes = [(1,), (2,), (200, 3), (56, 24)] + [(2 * (cli._FORM_BLOCK // n ** 2) + 5, n) for n in (3, 24)]
+    for size in sizes:
+        want = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed))).uniform(-1.0, 1.0, size=size)
+        got = cli._PCG64(seed).uniform(-1.0, 1.0, size)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), size
+
+
+def test_form_identity_generator_continues_its_stream():
+    # successive calls of every length, and a range that is not (-1, 1)
+    want = np.random.Generator(np.random.PCG64(np.random.SeedSequence(2**63 + 11)))
+    got = cli._PCG64(2**63 + 11)
+    for low, high, size in ((-1.0, 1.0, (1,)), (-1.0, 1.0, (3, 5)), (2.5, 7.25, (1344,)), (-1.0, 1.0, (4,)),
+                            (-1.0, 1.0, (10_001,)), (0.0, 1.0, (2,))):
+        assert got.uniform(low, high, size).tobytes() == want.uniform(low, high, size).tobytes(), size
+
+
 def test_checks_are_validated_before_any_sampling(tmp_path, monkeypatch, capsys):
     calls = []
     for name in ("estimate_chain", "estimate_transformed_semigroup", "estimate_mass", "quadratic_form_trend"):
@@ -911,11 +931,13 @@ def scipy_loaded():
 
 import girsanov
 assert scipy_loaded() == [], scipy_loaded()
+assert "numpy.random" not in sys.modules
 model = girsanov.JumpDiffusionModel(d=1, alpha=1.0, c=1.0)
 rho = lambda x: 1.0 + 0.5 * np.exp(-np.asarray(x) ** 2)
 quad = girsanov.continuum_form_quadrature(rho, lambda x: np.exp(-np.asarray(x) ** 2), model, (-8.0, 8.0), 64)
 assert np.isfinite(quad.total) and quad.total > 0.0
 assert scipy_loaded() == [], scipy_loaded()
+assert "numpy.random" not in sys.modules
 import girsanov.cli
 assert scipy_loaded() == [], scipy_loaded()
 # a chain verify takes its exact oracles from numpy alone
@@ -937,17 +959,20 @@ for name, payload in (("readme", readme), ("killed_ring", killed_ring)):
     config = girsanov.cli.ExperimentConfig.from_json(json.dumps(payload))
     assert girsanov.cli.run(config, out_dir=sys.argv[1] + "/" + name, paths=200) in (0, 1)
     assert scipy_loaded() == [], (name, scipy_loaded())
+    # the form identity draws its vectors without numpy.random
+    assert "numpy.random" not in sys.modules, name
 # the continuum estimator draws its normals from numpy alone
 est = girsanov.estimate_quadratic_form(model, girsanov.RhoTransform(rho=rho), lambda x: np.exp(-np.asarray(x) ** 2),
                                        0.05, 2, girsanov.RngSpec(seed=0), region=(-8.0, 8.0), dt=1e-3, eps=0.01)
 assert np.isfinite(est.mean)
 assert scipy_loaded() == [], scipy_loaded()
+assert "numpy.random" not in sys.modules
 report = girsanov.integrability_check(model, lambda x, y: rho(y) / rho(x) - 1.0, (-1.0, 1.0), 0.1, levels=3)
 assert report.status in ("finite", "divergent", "inconclusive"), report.status
 """
 
 
-def test_import_loads_only_the_scipy_a_run_calls(tmp_path):
+def test_import_loads_only_the_scipy_and_numpy_random_a_run_calls(tmp_path):
     proc = subprocess.run([sys.executable, "-c", _IMPORT_FOOTPRINT, str(tmp_path)], capture_output=True,
                           text=True, env=_src_env())
     assert proc.returncode == 0, proc.stderr

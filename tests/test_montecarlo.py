@@ -131,17 +131,18 @@ def test_philox_workspace_is_reused_over_growing_and_shrinking_blocks():
 def test_warm_philox_block_allocates_nothing():
     n = 4096
     ws = montecarlo._philox_workspace(n)
-    counter, key1 = np.ones(n, dtype=np.uint64), np.arange(n, dtype=np.uint64)
-    montecarlo._philox_block(counter, 7, key1, ws)
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
+    key1 = np.arange(n, dtype=np.uint64)
+    for counter in (np.ones(n, dtype=np.uint64), 1):  # one counter a row, or one shared as an int
         montecarlo._philox_block(counter, 7, key1, ws)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak - before < 4096  # one 4096-row uint64 array alone is 32 KB
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            montecarlo._philox_block(counter, 7, key1, ws)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - before < 4096, type(counter)  # one 4096-row uint64 array alone is 32 KB
 
 
 _PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
@@ -162,10 +163,11 @@ def _philox_unfolded(counter: int, key0: int, key1: int) -> list:
 
 
 @pytest.mark.parametrize("key0", [0, 7, 2**64 - 1, 2**64 - _PHILOX_W[0]])
-@pytest.mark.parametrize("case", ["random", "shared", "one row"])
+@pytest.mark.parametrize("case", ["random", "shared", "one row", "int 1", "int 2", "int 2**64 - 1"])
 def test_folded_philox_block_equals_the_unfolded_rounds(key0, case):
-    # the fold takes rounds 0 and 1 apart; the Weyl steps of both keys wrap
-    # for the largest key0 and the key1 near 2**64
+    # the fold takes rounds 0 and 1 apart, for a counter a row or one
+    # Python int for all; the Weyl steps of both keys wrap for the largest
+    # key0 and the key1 near 2**64
     rng = np.random.default_rng(23)
     n = 1 if case == "one row" else 300
     counter = rng.integers(0, 2**64, size=n, dtype=np.uint64, endpoint=False)
@@ -173,10 +175,39 @@ def test_folded_philox_block_equals_the_unfolded_rounds(key0, case):
         counter[:] = counter[0]
     key1 = rng.integers(0, 2**64, size=n, dtype=np.uint64, endpoint=False)
     key1[:2] = (2**64 - 1, 2**64 - _PHILOX_W[1])[:n]
+    if case.startswith("int"):
+        counter = eval(case[4:])
+        want = [_philox_unfolded(counter, key0, int(k)) for k in key1]
+    else:
+        want = [_philox_unfolded(int(c), key0, int(k)) for c, k in zip(counter, key1)]
     ws = montecarlo._philox_workspace(n)
     got = np.stack(montecarlo._philox_block(counter, key0, key1, ws), axis=1)
-    want = [_philox_unfolded(int(c), key0, int(k)) for c, k in zip(counter, key1)]
     np.testing.assert_array_equal(got, np.array(want, dtype=np.uint64))
+
+
+def test_numpy_philox_refills_mix_shared_and_unequal_counters(monkeypatch):
+    # rows in lockstep refill with one int counter; a row drawn ahead by a
+    # block makes the next refills of the same rows unequal, until it is
+    # left out of them and all six are level again
+    counters = []
+
+    def block(counter, *args):
+        counters.append(type(counter))
+        return philox_block(counter, *args)
+
+    philox_block = montecarlo._philox_block
+    monkeypatch.setattr(montecarlo, "_philox_block", block)
+    spec = RngSpec(seed=2**64 - 2, offset=77)
+    draws = _PhiloxUniforms(spec, 3, 6)
+    seen = {r: [] for r in range(6)}
+    every, ahead, rest = np.arange(6), np.array([4]), np.array([0, 1, 2, 3, 5])
+    for rows in [every] * 5 + [ahead] * 4 + [every] * 8 + [rest] * 4 + [every] * 4:
+        for r, u in zip(rows, draws.draw(rows)):
+            seen[int(r)].append(u)
+    for r, got in seen.items():
+        assert got == spec.stream(3 + r).random(len(got)).tolist(), r
+    # the first block, all rows, row 4 alone, two with row 4 a block ahead, the rest, all rows level again
+    assert counters == [int, int, int, np.ndarray, np.ndarray, int, int]
 
 
 def test_numpy_philox_rows_advance_independently():
