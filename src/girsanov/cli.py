@@ -294,11 +294,12 @@ _TRANSFORMS = {
 class _Oracle:
     """The pieces of the exact oracles that every check of a run shares,
     each built on first use and then kept: the cemetery generator of the
-    transform (:func:`dirichlet.cemetery_generator`) and the reference
-    measure ``mu`` of its lowering."""
+    transform (:func:`dirichlet.cemetery_generator`), the reference measure
+    ``mu`` of its lowering and the generator's exponential at each time."""
 
     def __init__(self, model, transform):
         self.model, self.transform = model, transform
+        self._semigroups = {}
 
     @cached_property
     def gen(self) -> np.ndarray:
@@ -307,6 +308,12 @@ class _Oracle:
     @cached_property
     def mu(self) -> np.ndarray:
         return lower(self.model, self.transform).mu
+
+    def semigroup(self, t: float) -> np.ndarray:
+        """``expm(t * gen)``, one exponential per distinct ``t`` of the run."""
+        if t not in self._semigroups:
+            self._semigroups[t] = expm(t * self.gen)
+        return self._semigroups[t]
 
 
 @dataclass
@@ -338,117 +345,6 @@ def _statistical_row(cid: str, res, oracle: float) -> _CheckOutput:
     return _CheckOutput(rows=[(cid, res.mean, res.stderr, oracle, res.covers(oracle))])
 
 
-# The form identity's random vectors: the draws of numpy's
-# ``Generator(PCG64(SeedSequence(seed))).uniform``, bit for bit, without
-# importing ``numpy.random`` (6.6 MB of resident memory).  PCG64 is O'Neill's
-# PCG XSL-RR 128/64 ("PCG: a family of simple fast space-efficient
-# statistically good algorithms for random number generation", 2014): a
-# 128-bit LCG ``s -> a s + inc`` whose output is ``rotr64(hi ^ lo, hi >> 58)``
-# of the new state, mapped to ``(x >> 11) * 2**-53``.
-_M32 = (1 << 32) - 1
-_M128 = (1 << 128) - 1
-_PCG64_MUL = 0x2360ED051FC65DA44385DF649FCCF645
-
-
-def _hashmix(value: int, const: int, mult: int = 0x931E8875) -> tuple:
-    """SeedSequence's hash of a 32-bit word: the hashed word, and ``const``
-    as the next word meets it."""
-    value ^= const
-    const = const * mult & _M32
-    value = value * const & _M32
-    return value ^ value >> 16, const
-
-
-def _seed_words(seed: int) -> list:
-    """``SeedSequence(seed).generate_state(4, np.uint64)`` as Python ints.
-
-    A seed in ``[0, 2**64)`` is at most two 32-bit entropy words, which the
-    pool of four takes whole: each pool word is hashed, then mixed with the
-    hash of every other, and the eight output halves are hashed from the
-    pool in turn, the low half of each word first.
-    """
-    entropy = [seed >> s & _M32 for s in range(0, max(seed.bit_length(), 1), 32)]
-    pool, const = [], 0x43B0D7E5
-    for i in range(4):
-        word, const = _hashmix(entropy[i] if i < len(entropy) else 0, const)
-        pool.append(word)
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                word, const = _hashmix(pool[src], const)
-                mixed = (0xCA01F9DD * pool[dst] - 0x4973F715 * word) & _M32
-                pool[dst] = mixed ^ mixed >> 16
-    halves, const = [], 0x8B51F9DD
-    for i in range(8):
-        word, const = _hashmix(pool[i % 4], const, 0x58F38DED)
-        halves.append(word)
-    return [halves[2 * k] | halves[2 * k + 1] << 32 for k in range(4)]
-
-
-def _limbs(values: list) -> tuple:
-    """The high and the low 64-bit words of 128-bit Python ints, as uint64 arrays."""
-    words = np.frombuffer(b"".join(v.to_bytes(16, "little") for v in values), dtype="<u8")
-    return words[1::2], words[0::2]
-
-
-class _PCG64:
-    """The draws of numpy's ``Generator(PCG64(SeedSequence(seed))).uniform``,
-    bit for bit, for a seed in ``[0, 2**64)``; the stream goes on from call
-    to call.
-
-    The four seed words set the state as numpy's ``pcg64_set_seed`` does.  A
-    call of ``count`` draws takes the states ``s_1 .. s_count`` that follow
-    the current one, by jumping ahead: ``s_{qB + r} = a^r s_{qB} + c_r`` with
-    ``c_r = inc (a^{r-1} + ... + a + 1)``, for ``r = 1 .. B`` and ``B * B >=
-    count``.  The ``B`` jumps and the base states ``s_{qB}`` are Python ints,
-    and one broadcast 128-bit product (:func:`montecarlo._mulhilo` for the
-    low words' product) gives every state modulo ``2**128``.
-    """
-
-    def __init__(self, seed: int):
-        w = _seed_words(seed)
-        self._inc = ((w[2] << 64 | w[3]) << 1 | 1) & _M128
-        # from state 0: a step (which gives inc), add the seed's state, a step
-        self._state = ((self._inc + (w[0] << 64 | w[1])) * _PCG64_MUL + self._inc) & _M128
-
-    def uniform(self, low: float, high: float, size: tuple) -> np.ndarray:
-        count = math.prod(size)
-        span = math.isqrt(count - 1) + 1
-        powers, adds = [_PCG64_MUL], [self._inc]  # a^r and c_r, r = 1 .. span
-        for _ in range(1, span):
-            powers.append(powers[-1] * _PCG64_MUL & _M128)
-            adds.append((adds[-1] * _PCG64_MUL + self._inc) & _M128)
-        bases = [self._state]
-        for _ in range(1, -(-count // span)):
-            bases.append((powers[-1] * bases[-1] + adds[-1]) & _M128)
-        q, r = divmod(count - 1, span)
-        self._state = (powers[r] * bases[q] + adds[r]) & _M128
-        (s_hi, s_lo), (a_hi, a_lo), (c_hi, c_lo) = _limbs(bases), _limbs(powers), _limbs(adds)
-        s_hi, s_lo = s_hi[:, None], s_lo[:, None]
-        hi, lo, *scratch = np.empty((5, len(bases), span), dtype=np.uint64)
-        tmp = scratch[0]
-        montecarlo._mulhilo(s_lo, (a_lo & montecarlo._LO32, a_lo >> montecarlo._SHIFT32, a_lo), hi, lo, scratch)
-        hi += np.multiply(s_hi, a_lo, out=tmp)
-        hi += np.multiply(s_lo, a_hi, out=tmp)
-        lo += c_lo
-        hi += c_hi
-        hi += lo < c_lo  # the carry out of the low words
-        # XSL-RR: hi ^ lo rotated right by the state's top six bits
-        rot = np.right_shift(hi, np.uint64(58), out=tmp)
-        hi ^= lo
-        np.right_shift(hi, rot, out=lo)
-        np.subtract(np.uint64(64), rot, out=rot)
-        rot &= np.uint64(63)
-        hi <<= rot
-        hi |= lo
-        words = hi.reshape(-1)[:count]
-        words >>= np.uint64(11)
-        u = np.multiply(words, 2.0 ** -53)
-        u *= high - low
-        u += low
-        return u.reshape(size)
-
-
 # entries of the (draws, n, n) differences the form identity builds at once;
 # a generator call draws a whole number of such blocks, up to _FORM_BLOCK values
 _FORM_BLOCK = 1 << 15
@@ -461,15 +357,16 @@ def _check_form_identity(model, transform, check, rng):
     f = None if check["f"] is None else model.state_vector(check["f"])
 
     def finish(_results, oracle):
-        duality = dirichlet._form_duality(model, transform, oracle.gen[: model.n, : model.n], oracle.mu)
-        gen_rng = _PCG64(rng.seed)
-        # a block of draws at a time, so the differences stay near
+        n = model.n
+        duality = dirichlet._form_duality(model, transform, oracle.gen[:n, :n], oracle.mu)
+        # the vectors are rng.stream(0).uniform(-1.0, 1.0, (draws, n)), a
+        # block of draws at a time, so the differences stay near
         # _FORM_BLOCK entries; blocks read the one stream in order
-        block = max(1, _FORM_BLOCK // model.n ** 2)
-        call = block * max(1, _FORM_BLOCK // (block * model.n))
+        block = max(1, _FORM_BLOCK // n ** 2)
+        call = block * max(1, _FORM_BLOCK // (block * n))
         worst = 0.0
         for start in range(0, draws, call):
-            fs = gen_rng.uniform(-1.0, 1.0, (min(call, draws - start), model.n))
+            fs = montecarlo._stream_uniforms(rng, start * n, min(call, draws - start) * n).reshape(-1, n) * 2.0 - 1.0
             for lo in range(0, len(fs), block):
                 *_parts, residual = duality(fs[lo : lo + block])
                 worst = max(worst, float(np.max(residual)))
@@ -492,7 +389,7 @@ def _check_semigroup(model, transform, check, rng):
 
     def finish(results, oracle):
         # matrix-exponential value of the transformed semigroup at x
-        p = expm(req.horizon * oracle.gen)
+        p = oracle.semigroup(req.horizon)
         return _statistical_row(check["id"], results[0], float(p[req.x0, : model.n] @ f))
 
     return [req], finish
@@ -506,7 +403,7 @@ def _check_symmetry_gap(model, transform, check, rng):
     def finish(results, oracle):
         # exact sum_x mu_x (g P_t f - f P_t g)(x) from the start measure the
         # estimator uses; 0 when the tilted jumps are in detailed balance with it
-        pt = expm(req.horizon * oracle.gen)[: model.n, : model.n]
+        pt = oracle.semigroup(req.horizon)[: model.n, : model.n]
         exact = float(np.sum(oracle.mu * (g * (pt @ f) - f * (pt @ g))))
         return _statistical_row("symmetry_gap", results[0], exact)
 
@@ -518,13 +415,13 @@ def _check_quadratic_form(model, transform, check, rng):
     reqs = montecarlo.quadratic_form_requests(model, transform, f, check["ts"], check["paths"], rng)
 
     def finish(results, oracle):
-        gen, mu = oracle.gen, oracle.mu
+        mu = oracle.mu
         # (f(y) - f(x))^2 for every end state y, the cemetery (f = 0) last
         sq = (np.append(f, 0.0)[None, :] - f[:, None]) ** 2
 
         def exact_at(t):
             # exact finite-t value of the energy statistic, dead paths included
-            pt = expm(t * gen)[: model.n]
+            pt = oracle.semigroup(t)[: model.n]
             return float(np.sum(mu * np.sum(pt * sq, axis=1)) / (2.0 * t))
 
         trend = [(req.horizon, res, exact_at(req.horizon)) for req, res in zip(reqs, results)]

@@ -373,6 +373,18 @@ class _PhiloxUniforms:
         return self._buf[slot, rows]
 
 
+def _stream_uniforms(rng: RngSpec, start: int, count: int) -> np.ndarray:
+    """Draws ``start .. start + count - 1`` of ``rng.stream(0).random()``, bit
+    for bit: the words of counters ``start // 4 + 1 .. (start + count - 1) //
+    4 + 1`` under stream 0's key, read in counter order from word ``start & 3``."""
+    first, blocks = start // 4 + 1, (start + count - 1) // 4 - start // 4 + 1
+    key0, key1 = rng.keys(0, 1)
+    counter = np.arange(first, first + blocks, dtype=np.uint64)
+    words = _philox_block(counter, key0, np.repeat(key1, blocks), _philox_workspace(blocks))
+    np.right_shift(words, _ELEVEN, out=words)
+    return words.T.ravel()[start & 3 :][:count] * _TWO_M53
+
+
 @dataclass(frozen=True)
 class EstimatorResult:
     """Sample mean with its standard error and 95% interval."""

@@ -466,6 +466,21 @@ def test_oracles_exponentiate_through_the_module_attribute(tmp_path, monkeypatch
     assert shapes == [(4, 4)] * calls  # three states and the cemetery
 
 
+def test_run_exponentiates_once_per_distinct_horizon(tmp_path, monkeypatch):
+    # four checks read t = 2 and one reads t = 3: two exponentials serve them all
+    horizons = []
+    exponential = cli.expm
+    monkeypatch.setattr(cli, "expm", lambda a: horizons.append(a.copy()) or exponential(a))
+    f, g = [0, 1, 0], [1, 0, 0]
+    checks = [{"id": "mass", "t": 2.0}, {"id": "semigroup", "f": f, "t": 2.0},
+              {"id": "symmetry_gap", "f": f, "g": g, "t": 2.0}, {"id": "quadratic_form", "f": f, "ts": [3.0, 2.0]}]
+    cfg = ExperimentConfig.from_json(json.dumps({"model": KILLED_MODEL, "transform": PHI_TILT, "checks": checks}))
+    assert run(cfg, out_dir=str(tmp_path), paths=200) in (0, 1)
+    gen = dirichlet.cemetery_generator(*cfg.resolve())
+    assert len(horizons) == 2  # mass asks for t = 2 first, quadratic_form for t = 3
+    assert np.array_equal(horizons[0], 2.0 * gen) and np.array_equal(horizons[1], 3.0 * gen)
+
+
 def test_run_resolves_the_model_once(tmp_path, monkeypatch):
     cfg = ExperimentConfig.from_json(json.dumps({"model": KILLED_MODEL, "transform": PHI_TILT,
                                                  "checks": ["symmetry"]}))
@@ -546,7 +561,7 @@ def _form_residual_by_draws(model, transform, draws, seed):
     n = model.n
     J, kappa = girsanov.transformed_jump_measure(model, transform), girsanov.transformed_killing(model, transform)
     gen, mu = dirichlet.cemetery_generator(model, transform)[:n, :n], girsanov.transform.lower(model, transform).mu
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    rng = girsanov.RngSpec(seed).stream(0)
     out = []
     for _ in range(draws):
         f = rng.uniform(-1.0, 1.0, size=n)
@@ -564,7 +579,7 @@ def test_batched_form_identity_equals_the_loop_over_draws(tmp_path, name):
     for draws in (1, 200, 2 * block + 5):
         seed = 3 + draws
         (gen, mu), by_draw = _form_residual_by_draws(model, transform, draws, seed)
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+        rng = girsanov.RngSpec(seed).stream(0)
         *_parts, batched = dirichlet._form_duality(model, transform, gen, mu)(
             rng.uniform(-1.0, 1.0, size=(draws, model.n)))
         assert np.array_equal(batched, by_draw), draws
@@ -576,24 +591,26 @@ def test_batched_form_identity_equals_the_loop_over_draws(tmp_path, name):
         assert row["estimate"] == max(0.0, by_draw.max()), draws
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1])
-def test_form_identity_generator_equals_numpy_pcg64(seed):
-    # one to four entropy words' worth of seed, and every shape the form
-    # identity asks for: one call, a block's differences, several blocks
-    sizes = [(1,), (2,), (200, 3), (56, 24)] + [(2 * (cli._FORM_BLOCK // n ** 2) + 5, n) for n in (3, 24)]
-    for size in sizes:
-        want = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed))).uniform(-1.0, 1.0, size=size)
-        got = cli._PCG64(seed).uniform(-1.0, 1.0, size)
+def test_form_identity_vectors_are_stream_zero_over_every_call_split(tmp_path, monkeypatch):
+    # n = 3, so calls after the first start inside a Philox block of four
+    # words: at value 594 for calls of 198 draws (600), 99 for 33 (100)
+    cfg = ExperimentConfig.from_json(json.dumps({**FORM_CONFIGS["readme"], "seed": 2**63 + 5,
+                                                 "checks": [{"id": "form_identity", "draws": 1000}]}))
+    want = girsanov.RngSpec(cfg.seed).stream(0).uniform(-1.0, 1.0, (1000, 3))
+    duality = dirichlet._form_duality
+
+    def traced(*args):
+        evaluate = duality(*args)
+        return lambda fs: seen.append(fs.copy()) or evaluate(fs)
+
+    monkeypatch.setattr(dirichlet, "_form_duality", traced)
+    for size in (cli._FORM_BLOCK, 600, 100):
+        monkeypatch.setattr(cli, "_FORM_BLOCK", size)
+        seen = []
+        assert run(cfg, out_dir=str(tmp_path / str(size))) == 0
+        got = np.concatenate(seen)
         assert got.shape == want.shape and got.tobytes() == want.tobytes(), size
-
-
-def test_form_identity_generator_continues_its_stream():
-    # successive calls of every length, and a range that is not (-1, 1)
-    want = np.random.Generator(np.random.PCG64(np.random.SeedSequence(2**63 + 11)))
-    got = cli._PCG64(2**63 + 11)
-    for low, high, size in ((-1.0, 1.0, (1,)), (-1.0, 1.0, (3, 5)), (2.5, 7.25, (1344,)), (-1.0, 1.0, (4,)),
-                            (-1.0, 1.0, (10_001,)), (0.0, 1.0, (2,))):
-        assert got.uniform(low, high, size).tobytes() == want.uniform(low, high, size).tobytes(), size
+        assert len(seen) == -(-1000 // max(1, size // 9)), size
 
 
 def test_checks_are_validated_before_any_sampling(tmp_path, monkeypatch, capsys):

@@ -221,6 +221,20 @@ def test_numpy_philox_rows_advance_independently():
         assert got == spec.stream(10 + r).random(len(got)).tolist()
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1])
+@pytest.mark.parametrize("offset", [0, 9, 2**64 - 1])
+def test_stream_uniforms_continue_stream_zero(seed, offset):
+    # successive spans of 1 to 10,001 draws, starting at draws 0, 1, 3, 6, 10, ... (every
+    # word of a block) and ending at every word too; the key word offset + 0 wraps for the last offset
+    spec = RngSpec(seed=seed, offset=offset)
+    want = spec.stream(0)
+    start = 0
+    for count in (1, 2, 3, 4, 5, 600, 9, 10_001, 8, 1344):
+        got = montecarlo._stream_uniforms(spec, start, count)
+        assert got.shape == (count,) and got.tobytes() == want.random(count).tobytes(), (start, count)
+        start += count
+
+
 # -- chain sampler statistics ------------------------------------------------
 
 
