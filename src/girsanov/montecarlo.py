@@ -77,13 +77,26 @@ key and three scratch rows), grown when a chunk needs more streams and
 otherwise reused.  Every step of a block writes into it, so a block
 allocates no array and a long run does not build and free a kernel's worth
 of temporaries per chunk.  The words a block returns are rows of the
-workspace and hold until the engine's next block.  The chain engine's
-draws (:class:`_PhiloxUniforms`) shift a block's words there and map them
-to uniforms by one product, and pass a counter that every row shares as
-one Python int, so that round 0 needs no product over the rows.  The
-continuum engine keeps its chunk's uniforms and normals the same way, and
-once the words are mapped to uniforms it lends the idle workspace to
-:func:`_ndtri` as scratch.
+workspace and hold until the engine's next block.
+
+The chain engine's event loop allocates no array at all.  Every value of a
+pass (the live paths, their states, times and weights, the draws, the jump
+search) is a view of scratch rows the engine keeps from chunk to chunk,
+grown only for a larger chunk, and every step writes into one: a ufunc's
+``out``, ``take`` in mode ``"clip"`` (mode ``"raise"`` buffers its
+output), ``putmask``, and a scatter to the ranks of :func:`_ranks` where a
+live set shrinks.  Its draws (:class:`_PhiloxUniforms`) keep their uniforms
+and draw counts the same way, shift a block's words in the workspace, map
+them to uniforms by a cast and one product, and pass a counter that every
+row shares as one Python int, so that round 0 needs no product over the
+rows; between draws the idle workspace holds the loop's short-lived
+floats.  A chunk so allocates only the records it returns.  Small arrays
+matter here beyond their size: numpy keeps freed data blocks under 1024
+bytes in a cache of up to 7 a byte size, unseen by ``tracemalloc``, and a
+loop whose live sets shrink through every size would fill it, run after
+run.  The continuum engine keeps its chunk's uniforms and normals the same
+way, and once the words are mapped to uniforms it lends the idle workspace
+to :func:`_ndtri` as scratch.
 
 The estimators weight base-process paths by the transform's multiplicative
 functional instead of simulating the transformed process directly; the
@@ -326,51 +339,113 @@ def _philox_block(counter, key0: int, key1: np.ndarray, ws: np.ndarray) -> np.nd
     return words
 
 
+def _ranks(mask: np.ndarray, k: int, rank: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """Where each entry of an array goes so that ``mask`` selects it: the
+    ``i``-th of the ``k`` selected entries to ``i``, every other one to
+    ``n = mask.size``.  A scatter ``out[rank] = values`` into ``n + 1``
+    values then leaves ``values[mask]`` in ``out[:k]``, with nothing
+    allocated.  Written into ``rank[:n]``; ``index`` is an ``arange`` of at
+    least ``k`` values."""
+    rank = rank[: mask.size]
+    rank.fill(mask.size)
+    rank[mask] = index[:k]
+    return rank
+
+
+def _gather(values: np.ndarray, index: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``values[index]``, written into ``out[:index.size]``.  Every index is
+    in range: ``take``'s mode "raise" would buffer the output."""
+    return values.take(index, out=out[: index.size], mode="clip")
+
+
 class _PhiloxUniforms:
-    """The uniform draws of ``count`` consecutive streams, advanced together.
+    """The uniform draws of consecutive streams, advanced together.
 
     Row ``i`` yields, draw for draw, ``rng.stream(first + i).random()``:
     numpy's Philox increments the counter before each block (so the first
     block has counter 1), hands out the block's four words in order and maps
-    a word ``x`` to ``(x >> 11) * 2**-53``.  ``ws`` is the Philox
-    workspace to run on (one of its own by default).
+    a word ``x`` to ``(x >> 11) * 2**-53``.
 
-    A block whose rows all read the same counter, as the first does and as
-    paths drawing in lockstep do, passes it to :func:`_philox_block` as one
-    Python int.  The words are shifted in the workspace and mapped by one
-    product into ``_buf``, word ``j`` of row ``i`` at ``[j, i]``: directly
-    for the first block, through ``_spare`` and one scatter a word after it.
+    One object serves run after run of streams: :meth:`start` sets it on a
+    run and keeps its buffers, growing them only for a longer run, and a
+    draw writes into them and into its scratch, so neither allocates an
+    array.  A block whose rows all read the same counter, as the first does
+    and as paths drawing in lockstep do, passes it to :func:`_philox_block`
+    as one Python int.  The words are shifted in the Philox workspace and
+    mapped to uniforms by a cast and a product into ``_buf``, word ``j`` of
+    row ``i`` at ``[j, i]``: directly for the first block, and for a refill
+    in the workspace's idle first bank, then one scatter a word.
     """
 
-    def __init__(self, rng: RngSpec, first: int, count: int, ws: Optional[np.ndarray] = None):
-        self._ws = _philox_workspace(count, ws)
-        self._key0, self._key1 = rng.keys(first, count)
-        self._drawn = np.zeros(count, dtype=np.int64)
-        self._buf = np.empty((4, count))
-        self._spare = np.empty((4, count))
-        np.multiply(self._words(1, self._key1), _TWO_M53, out=self._buf)
+    def __init__(self, rng: Optional[RngSpec] = None, first: int = 0, count: int = 0):
+        self._buf = np.empty((4, 0))
+        self._drawn = np.empty(0, dtype=np.intp)
+        self._keys = np.empty(0, dtype=np.uint64)
+        if rng is not None:
+            self.start(rng, first, count)
+
+    def start(self, rng: RngSpec, first: int, count: int, scratch: Optional[tuple] = None) -> "_PhiloxUniforms":
+        """Set on streams ``first .. first + count - 1``, from their first draws.
+
+        ``scratch`` is what a draw may write over: a Philox workspace for
+        ``count`` streams, three intp rows of at least ``count + 1`` values,
+        a float row and two bool rows of ``count``, and an ``arange`` of
+        ``count + 1``; new rows when None.  A draw returns a view of the
+        float row.
+        """
+        key0, key1 = rng.keys(first, count)
+        if self._drawn.size < count:
+            self._buf = np.empty((4, count))
+            self._drawn = np.empty(count, dtype=np.intp)
+            self._keys = np.empty(count, dtype=np.uint64)
+        if scratch is None:
+            scratch = (_philox_workspace(count), np.empty((3, count + 1), dtype=np.intp), np.empty(count),
+                       np.empty((2, count), dtype=bool), np.arange(count + 1))
+        self._ws, *self._scratch = scratch
+        self._key0, self._key1 = key0, key1
+        self._drawn[:count].fill(0)
+        for row, words in zip(self._buf[:, :count], self._words(1, key1)):
+            np.copyto(row, words, casting="unsafe")  # exact: the words are below 2**53
+            np.multiply(row, _TWO_M53, out=row)
+        return self
 
     def _words(self, counter, key1: np.ndarray) -> np.ndarray:
-        """The block's words, each shifted to its top 53 bits in place."""
+        """The block's words, each shifted to its top 53 bits in place, a row
+        at a time: before an in-place ufunc numpy copies a strided block."""
         words = _philox_block(counter, self._key0, key1, self._ws)
-        return np.right_shift(words, _ELEVEN, out=words)
+        for row in words:
+            np.right_shift(row, _ELEVEN, out=row)
+        return words
 
     def draw(self, rows: np.ndarray) -> np.ndarray:
-        """Next uniform of each listed row."""
-        drawn = self._drawn[rows]
-        slot = drawn & 3
-        spent = (slot == 0) & (drawn > 0)
-        if spent.any():
-            refill = rows[spent]
-            block = drawn[spent] >> 2
+        """Next uniform of each listed row, in a buffer that holds until the next draw."""
+        n = rows.size
+        (drawn, slot, refill), out, (spent, other), index = self._scratch
+        drawn, slot, spent, other = _gather(self._drawn, rows, drawn), slot[:n], spent[:n], other[:n]
+        np.bitwise_and(drawn, 3, out=slot)
+        np.logical_and(np.equal(slot, 0, out=spent), np.greater(drawn, 0, out=other), out=spent)
+        r = np.count_nonzero(spent)
+        if r:
+            refill[_ranks(spent, r, slot, index)] = rows
+            refill = refill[:r]
+            block = _gather(self._drawn, refill, slot)
+            np.right_shift(block, 2, out=block)
             lead = int(block[0])
-            counter = lead + 1 if (block == lead).all() else block.astype(np.uint64) + np.uint64(1)
-            spare = np.multiply(self._words(counter, self._key1[refill]), _TWO_M53,
-                                out=self._spare[:, : refill.size])
-            for j in range(4):
-                self._buf[j][refill] = spare[j]
-        self._drawn[rows] = drawn + 1
-        return self._buf[slot, rows]
+            if np.count_nonzero(np.equal(block, lead, out=other[:r])) == r:
+                counter = lead + 1
+            else:
+                counter = np.add(block, 1, out=block).view(np.uint64)
+            # the bank the rounds left, idle until the next block, as r floats a word
+            spare = self._ws[:4].reshape(-1)[: 4 * r].reshape(4, r).view(np.float64)
+            np.copyto(spare, self._words(counter, _gather(self._key1, refill, self._keys)), casting="unsafe")
+            np.multiply(spare, _TWO_M53, out=spare)
+            for row, uniforms in zip(self._buf, spare):
+                row[refill] = uniforms
+            np.bitwise_and(drawn, 3, out=slot)  # the ranks and blocks wrote over the slots
+        np.add(drawn, 1, out=drawn)
+        self._drawn[rows] = drawn
+        np.multiply(slot, self._buf.shape[1], out=slot)
+        return _gather(self._buf.reshape(-1), np.add(slot, rows, out=slot), out)
 
 
 def _stream_uniforms(rng: RngSpec, start: int, count: int) -> np.ndarray:
@@ -408,11 +483,18 @@ class EstimatorResult:
 
     @classmethod
     def from_samples(cls, samples: np.ndarray) -> "EstimatorResult":
-        samples = np.asarray(samples, dtype=float)
+        """The estimate from ``samples``, which are left as they are."""
+        return cls._from_owned(np.array(samples, dtype=float))
+
+    @classmethod
+    def _from_owned(cls, samples: np.ndarray) -> "EstimatorResult":
+        """:meth:`from_samples` of a float array the reduction owns: the
+        deviations from the mean, then their squares, are written over it,
+        and the estimate keeps its bits."""
         n = samples.size
         mean = float(np.sum(samples) / n)
-        centered = samples - mean
-        var = float(np.sum(centered * centered) / (n - 1))
+        centered = np.subtract(samples, mean, out=samples)
+        var = float(np.sum(np.multiply(centered, centered, out=centered)) / (n - 1))
         return cls(mean=mean, stderr=float(np.sqrt(var / n)), n=n)
 
 
@@ -544,24 +626,31 @@ def sample_jump_diffusion_path(model: JumpDiffusionModel, x0, horizon: float,
 # batched chain engine
 
 
-# paths advanced together; bounds the engine's working memory, which peaks at
-# about 200 bytes a path inside the Philox block.  Each chunk pays the event
-# loop's passes and small Philox refills once.  On the README verify plus its
-# energy trend (20k-path groups), rounds interleaved in one process ran at
-# 0.82, 0.74 and 0.67 of their time at 4096 with chunks of 8192, 16384 and
-# 32768 (median of 40), for a process peak RSS of 42.3, 43.6 and 43.0 MB
-# against 41.2 MB; 8192 takes most of the gain for the least memory.
+# paths advanced together; bounds the engine's working memory: it keeps about
+# 250 bytes a path of scratch (the Philox workspace 96, the draws' buffers
+# 48, its own rows 107) and 16 more a tracked pair.  Each chunk pays the
+# event loop's passes and small Philox refills once.  On the README verify
+# plus its energy trend (20k-path groups), rounds interleaved in one process
+# ran at 0.81, 0.75 and 0.66 of their time at 4096 with chunks of 8192, 16384
+# and 32768 (median of 40), for a peak RSS over 300 rounds of 35.7, 38.6 and
+# 39.6 MB against 35.0 MB; 8192 takes most of the gain for the least memory.
 _CHUNK = 1 << 13
+# the engine's scratch rows of each dtype, besides a row pair a tracked pair
+_INT_ROWS, _FLOAT_ROWS, _FLAG_ROWS = 7, 5, 3
 
 
 def _libm(fn):
     """Elementwise ``fn`` of the ``math`` module over a float array, one
     Python call a value: the route where :func:`_libm_ufunc` cannot serve."""
 
-    def apply(a: np.ndarray) -> np.ndarray:
+    def apply(a: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         # a memoryview iterates as Python floats without building a list
-        return np.fromiter(map(fn, memoryview(np.ascontiguousarray(a, dtype=float))),
-                           dtype=float, count=a.size)
+        values = np.fromiter(map(fn, memoryview(np.ascontiguousarray(a, dtype=float))),
+                             dtype=float, count=a.size)
+        if out is None:
+            return values
+        out[...] = values
+        return out
 
     return apply
 
@@ -680,19 +769,40 @@ class _ChainEngine:
     checkpoints that holding time passes, ends the paths that pass the last
     horizon, and kills or moves the rest, adding each path's log-weight
     increment in the scalar walk's order.  The table's rows of cumulative
-    rates, padded with ``inf``, are searched by vectorised bisection.  Every
+    rates, padded with ``inf``, are searched in halving steps.  Every
     holding time takes :data:`_log` of ``1 - u`` and every weight is
     :data:`_exp` of its log weight, one C loop per array, with the C
     library's bits (see the module docstring).  The engine holds the one
     lowering of its transform, ``low``, and the start law drawn from it.
+
+    Every array of the event loop is a view of the engine's scratch rows,
+    and every step writes into one, so a chunk allocates only the records it
+    returns.
     """
 
     def __init__(self, model: FiniteSymmetricModel, transform):
-        self.cum, self.target, self.jump_total, self.total = model.jump_table()
-        self.bisections = (self.cum.shape[1] - 1).bit_length()
+        cum, target, self.jump_total, self.total = model.jump_table()
         self.low = lower(model, transform)
         self.start_cdf, self.mass = _initial_cumulative(self.low.mu)
+        # the jump search: each row of the table, padded with inf (target 0)
+        # to 2**b columns and flattened, so that from src * 2**b the steps
+        # 2**(b-1) .. 1 land on the first rate above v (a row's last column is
+        # inf); with the log jump weight of each entry's target
+        bits = (cum.shape[1] - 1).bit_length()
+        self.width, self.steps = 1 << bits, [1 << j for j in reversed(range(bits))]
+        pad = ((0, 0), (0, self.width - cum.shape[1]))
+        self.cum = np.pad(cum, pad, constant_values=np.inf).ravel()
+        target = np.pad(target, pad)
+        self.target = target.ravel()
+        self.log_jump = np.take_along_axis(self.low.log_jump, target, axis=1).ravel()
+        self.neg_rate = -self.low.rate
+        self.stuck = bool((self.total <= 0.0).any())  # some state has no exit
+        self._draws = _PhiloxUniforms()
         self._ws = _philox_workspace(0)
+        self._int = np.empty((_INT_ROWS, 0), dtype=np.intp)
+        self._float = np.empty((_FLOAT_ROWS, 0))
+        self._flag = np.empty((_FLAG_ROWS, 0), dtype=bool)
+        self._index = np.empty(0, dtype=np.intp)
 
     def run(self, horizons: tuple, n: int, rng: RngSpec, *, x0: Optional[int] = None,
             pairs: tuple = (), uniforms=None):
@@ -706,98 +816,166 @@ class _ChainEngine:
         ``start_cdf``, the normalised ``mu`` of the lowering.  Each pair
         ``(x, y)`` of ``pairs`` gets the jump count and occupation time of
         the jump-rate estimator.  ``uniforms(rng, first, count)`` supplies
-        the draws; by default the paths' Philox streams, on the engine's
-        workspace.
+        the draws; by default the paths' Philox streams, through the
+        engine's one :class:`_PhiloxUniforms` on the engine's scratch.
         """
         horizons = tuple(float(h) for h in horizons)
         for lo in range(0, n, _CHUNK):
             hi = min(n, lo + _CHUNK)
             if uniforms is None:
-                self._ws = _philox_workspace(hi - lo, self._ws)
-                draws = _PhiloxUniforms(rng, lo, hi - lo, self._ws)
+                self._scratch(hi - lo, len(pairs))
+                scratch = (self._ws, self._int[4:7], self._ws[10].view(np.float64), self._flag[:2], self._index)
+                draws = self._draws.start(rng, lo, hi - lo, scratch)
             else:
                 draws = uniforms(rng, lo, hi - lo)
             yield lo, hi, self._chunk(draws, hi - lo, horizons, x0, pairs)
 
+    def _scratch(self, m: int, pairs: int) -> None:
+        """Grow the scratch rows, when needed, to ``m + 1`` values (the last
+        takes a scatter's rejects, see :func:`_ranks`) and a row of each
+        dtype for each tracked pair, and the Philox workspace to ``m``
+        streams.
+
+        Intp rows 4-6 are the draws' scratch and 5-6 :meth:`_close`'s, bool
+        rows 0-1 the draws' and 1 :meth:`_close`'s.  The workspace is idle
+        between draws: its last three rows, as floats, hold what the loop
+        does not keep over a draw, the draws' output in row 10 among it, and
+        are :meth:`_close`'s.
+        """
+        self._ws = _philox_workspace(m, self._ws)
+        if self._index.size > m and self._int.shape[0] >= _INT_ROWS + pairs:
+            return
+        width = max(m + 1, self._index.size)
+        self._int = np.empty((_INT_ROWS + pairs, width), dtype=np.intp)
+        self._float = np.empty((_FLOAT_ROWS + pairs, width))
+        self._flag = np.empty((_FLAG_ROWS, width), dtype=bool)
+        self._index = np.arange(width)
+
     def _chunk(self, draws, m: int, horizons: tuple, x0, pairs) -> tuple:
-        rows = np.arange(m)
+        self._scratch(m, len(pairs))
+        x, live, live2, src, probe, at, dst = self._int[:_INT_ROWS]
+        t, log_w, t_live, t_next, t_next2 = self._float[:_FLOAT_ROWS]
+        work, extra = self._ws[9:11].view(np.float64)
+        over, keep, dies = self._flag
+        counts, occupations = self._int[_INT_ROWS:], self._float[_FLOAT_ROWS:]
+        index = self._index
         if x0 is None:
-            x, mass = np.searchsorted(self.start_cdf, draws.draw(rows), side="right"), self.mass
+            start, mass = np.searchsorted(self.start_cdf, draws.draw(index[:m]), side="right"), self.mass
         else:
-            x, mass = np.full(m, int(x0), dtype=np.intp), 1.0
-        # the running state of every path (its alive flag unused), kept as it
+            start, mass = np.full(m, int(x0), dtype=np.intp), 1.0
+        x[:m] = start
+        t[:m] = 0.0
+        log_w[:m] = 0.0
+        for count, occupation in zip(counts, occupations):
+            count[:m] = 0
+            occupation[:m] = 0.0
+        # the running state of every path (its alive flag unset), kept as it
         # was at death by a dead one; a checkpoint's alive flag marks the
         # paths it has closed
-        run = _BatchRecord(x0=x.copy(), x_t=x, alive=np.ones(m, dtype=bool), log_w=np.zeros(m),
-                           count={p: np.zeros(m, dtype=np.int64) for p in pairs},
-                           occupation={p: np.zeros(m) for p in pairs}, mass=mass)
-        marks = [_BatchRecord(x0=run.x0, x_t=np.empty(m, dtype=np.intp), alive=np.zeros(m, dtype=bool),
+        run = _BatchRecord(x0=start, x_t=x[:m], alive=None, log_w=log_w[:m],
+                           count={p: c[:m] for p, c in zip(pairs, counts)},
+                           occupation={p: o[:m] for p, o in zip(pairs, occupations)}, mass=mass)
+        marks = [_BatchRecord(x0=start, x_t=np.empty(m, dtype=np.intp), alive=np.zeros(m, dtype=bool),
                               log_w=np.empty(m), count={p: np.empty(m, dtype=np.int64) for p in pairs},
                               occupation={p: np.empty(m) for p in pairs}, mass=mass)
                  for _ in horizons]
-        t = np.zeros(m)
-        live = rows
-        while live.size:
-            total = self.total[x[live]]
-            stuck = total <= 0.0
-            if stuck.any():
+        n = m
+        live[:m] = index[:m]
+        while n:
+            L = live[:n]
+            S = _gather(x, L, src)
+            if self.stuck:
                 # a path that cannot leave its state stays in it past every horizon
-                done = live[stuck]
-                for horizon, mark in zip(horizons, marks):
-                    self._close(mark, run, t, done[t[done] <= horizon], horizon)
-                live, total = live[~stuck], total[~stuck]
-            u = draws.draw(live)
-            zero = u == 0.0
-            while zero.any():
-                u[zero] = draws.draw(live[zero])
+                stuck = self.total[S] <= 0.0
+                if stuck.any():
+                    done = L[stuck]
+                    for horizon, mark in zip(horizons, marks):
+                        self._close(mark, run, t, done[t[done] <= horizon], horizon)
+                    moving = ~stuck
+                    n = int(np.count_nonzero(moving))
+                    L[:n], S[:n] = L[moving], S[moving]
+                    if not n:
+                        break
+                    L, S = live[:n], src[:n]
+            u = draws.draw(L)
+            if np.count_nonzero(u) < n:
+                u = u.copy()  # the draws below write over the draw buffer
                 zero = u == 0.0
-            t_live = t[live]
-            t_next = t_live - _log(1.0 - u) / total
+                while zero.any():
+                    u[zero] = draws.draw(L[zero])
+                    zero = u == 0.0
+            TL, TN = _gather(t, L, t_live), t_next[:n]
+            np.subtract(1.0, u, out=TN)
+            _log(TN, out=TN)
+            np.divide(TN, _gather(self.total, S, work), out=TN)
+            np.subtract(TL, TN, out=TN)
             # a checkpoint closes where a holding time first runs past it; a
             # live path has not passed the last horizon
+            P, K = over[:n], keep[:n]
             for horizon, mark in zip(horizons[:-1], marks):
-                passes = (t_next > horizon) & (t_live <= horizon)
-                if passes.any():
-                    self._close(mark, run, t, live[passes], horizon)
-            over = t_next > horizons[-1]
-            if over.any():
-                self._close(marks[-1], run, t, live[over], horizons[-1])
-                keep = ~over
-                live, total, t_live, t_next = live[keep], total[keep], t_live[keep], t_next[keep]
-            if not live.size:
-                break
-            src = x[live]
-            v = draws.draw(live) * total
-            dies = v >= self.jump_total[src]
-            # bisection for the first cumulative rate above v: the jump target
-            lo = np.zeros(live.size, dtype=np.intp)
-            span = np.full(live.size, self.cum.shape[1] - 1, dtype=np.intp)
-            for _ in range(self.bisections):
-                mid = (lo + span) >> 1
-                below = self.cum[src, mid] <= v
-                lo = np.where(below, mid + 1, lo)
-                span = np.where(below, span, mid)
-            dst = self.target[src, lo]
-            step = np.where(dies, self.low.log_death[src], self.low.log_jump[src, dst])
-            held = t_next - t_live
-            run.log_w[live] = run.log_w[live] + (-self.low.rate[src] * held + step)
-            for pair in pairs:
-                here = src == pair[0]
-                at = live[here]
-                run.occupation[pair][at] = run.occupation[pair][at] + held[here]
-                run.count[pair][live] += here & ~dies & (dst == pair[1])
-            moves = ~dies
-            live = live[moves]
-            x[live] = dst[moves]
-            t[live] = t_next[moves]
+                np.logical_and(np.greater(TN, horizon, out=P), np.less_equal(TL, horizon, out=K), out=P)
+                k = np.count_nonzero(P)
+                if k:
+                    live2[_ranks(P, k, probe, index)] = L
+                    self._close(mark, run, t, live2[:k], horizon)
+            k = np.count_nonzero(np.greater(TN, horizons[-1], out=P))
+            if k:
+                # the paths that go on first, in order, then those that end
+                rank, n = probe[:n], n - k
+                rank[np.logical_not(P, out=K)] = index[:n]
+                rank[P] = index[n : n + k]
+                live2[rank] = L
+                self._close(marks[-1], run, t, live2[n : n + k], horizons[-1])
+                t_next2[rank] = TN
+                live, live2, t_next, t_next2 = live2, live, t_next2, t_next
+                if not n:
+                    break
+                L, TN = live[:n], t_next[:n]
+                S, TL = _gather(x, L, src), _gather(t, L, t_live)
+            V, D, W, A, B = t_next2[:n], dies[:n], work[:n], at[:n], keep[:n]
+            np.multiply(draws.draw(L), _gather(self.total, S, W), out=V)
+            np.greater_equal(V, _gather(self.jump_total, S, W), out=D)
+            # the first cumulative rate above v, from the row's start: the jump target
+            np.multiply(S, self.width, out=A)
+            for step in self.steps:
+                ahead = np.add(A, step - 1, out=probe[:n])
+                np.less_equal(_gather(self.cum, ahead, W), V, out=B)
+                np.putmask(A, B, np.add(A, step, out=ahead))
+            to = _gather(self.target, A, dst)
+            gain = _gather(self.log_jump, A, V)
+            np.putmask(gain, D, _gather(self.low.log_death, S, W))
+            held = np.subtract(TN, TL, out=TL)
+            rise = np.multiply(_gather(self.neg_rate, S, W), held, out=W)
+            lw = _gather(log_w, L, extra)
+            log_w[L] = np.add(lw, np.add(rise, gain, out=rise), out=lw)
+            for pair, count, occupation in zip(pairs, counts, occupations):
+                here = np.equal(S, pair[0], out=over[:n])
+                occ = _gather(occupation, L, W)
+                np.putmask(occ, here, np.add(occ, held, out=V))
+                occupation[L] = occ
+                np.logical_and(here, np.logical_not(D, out=B), out=here)
+                np.logical_and(here, np.equal(to, pair[1], out=B), out=here)
+                jumps = _gather(count, L, A)
+                np.putmask(jumps, here, np.add(jumps, 1, out=probe[:n]))
+                count[L] = jumps
+            kills = np.count_nonzero(D)
+            if kills:
+                np.putmask(to, D, S)  # a dead path keeps the state it died in
+            x[L] = to
+            t[L] = TN
+            if kills:
+                n -= kills
+                live2[_ranks(np.logical_not(D, out=B), n, probe, index)] = L
+                live, live2 = live2, live
         # the paths a checkpoint has not closed died before it
+        dead = over[:m]
         for mark in marks:
-            dead = ~mark.alive
-            mark.x_t[dead] = run.x_t[dead]
-            mark.log_w[dead] = run.log_w[dead]
+            np.logical_not(mark.alive, out=dead)
+            np.putmask(mark.x_t, dead, run.x_t)
+            np.putmask(mark.log_w, dead, run.log_w)
             for pair in pairs:
-                mark.count[pair][dead] = run.count[pair][dead]
-                mark.occupation[pair][dead] = run.occupation[pair][dead]
+                np.putmask(mark.count[pair], dead, run.count[pair])
+                np.putmask(mark.occupation[pair], dead, run.occupation[pair])
             mark.w = _exp(mark.log_w)
         return tuple(marks)
 
@@ -805,17 +983,21 @@ class _ChainEngine:
                horizon: float) -> None:
         """Record paths ``done`` alive at the horizon: the compensator since
         the last event."""
-        state = run.x_t[done]
-        rest = horizon - t[done]
+        k = done.size
+        state, jumps = self._int[5:7]
+        lw, rest, acc = self._ws[9:12].view(np.float64)
+        here = self._flag[1, :k]
+        state = _gather(run.x_t, done, state)
         mark.x_t[done] = state
         mark.alive[done] = True
-        mark.log_w[done] = run.log_w[done] - self.low.rate[state] * rest
+        rest = np.subtract(horizon, _gather(t, done, rest), out=rest[:k])
+        lw = np.multiply(_gather(self.low.rate, state, lw), rest, out=lw[:k])
+        mark.log_w[done] = np.subtract(_gather(run.log_w, done, acc), lw, out=acc[:k])
         for pair, occupation in run.occupation.items():
-            mark.count[pair][done] = run.count[pair][done]
-            occupation = occupation[done]
-            here = state == pair[0]
-            occupation[here] = occupation[here] + rest[here]
-            mark.occupation[pair][done] = occupation
+            mark.count[pair][done] = _gather(run.count[pair], done, jumps)
+            occ = _gather(occupation, done, lw)
+            np.putmask(occ, np.equal(state, pair[0], out=here), np.add(occ, rest, out=acc[:k]))
+            mark.occupation[pair][done] = occ
 
 
 # ---------------------------------------------------------------------------
@@ -1110,18 +1292,20 @@ def _initial_cumulative(mu: np.ndarray):
 
 def _ratio_estimate(num: np.ndarray, den: np.ndarray) -> EstimatorResult:
     """Ratio of two sample means, its standard error by the delta method;
-    :class:`DomainError` when the denominator's mean is 0: the ratio is undefined."""
+    :class:`DomainError` when the denominator's mean is 0: the ratio is
+    undefined.  ``num`` and ``den`` are float arrays the reduction owns: the
+    deviations, then their squares, are written over them."""
     n = num.size
     num_mean = float(np.sum(num) / n)
     den_mean = float(np.sum(den) / n)
     if den_mean == 0.0:
         raise DomainError(f"the ratio {num_mean!r} / 0.0 of weighted means is undefined: every path's weight is 0")
     ratio = num_mean / den_mean
-    dn = num - num_mean
-    dd = den - den_mean
-    var_num = float(np.sum(dn * dn) / (n - 1))
-    var_den = float(np.sum(dd * dd) / (n - 1))
+    dn = np.subtract(num, num_mean, out=num)
+    dd = np.subtract(den, den_mean, out=den)
     cov = float(np.sum(dn * dd) / (n - 1))
+    var_num = float(np.sum(np.multiply(dn, dn, out=dn)) / (n - 1))
+    var_den = float(np.sum(np.multiply(dd, dd, out=dd)) / (n - 1))
     var_ratio = var_num - 2.0 * ratio * cov + ratio * ratio * var_den
     stderr = float(np.sqrt(max(var_ratio, 0.0) / n)) / den_mean
     return EstimatorResult(mean=ratio, stderr=stderr, n=n)
@@ -1137,7 +1321,8 @@ class ChainRequest:
     transform's lowering (:func:`~girsanov.transform.lower`).  ``pair`` asks for the jump count and
     occupation time of that pair.  ``reduce`` maps a chunk's
     :class:`_BatchRecord` at the horizon to a tuple of per-path sample
-    arrays, and ``summarize`` maps the full arrays to the estimate.  A
+    arrays, and ``summarize`` maps the full arrays, which the sampler made
+    for it and which it may write over, to the estimate.  A
     request with no ``reduce`` is exactly zero and samples nothing.
 
     The request is the one place that checks the values a chain estimate
@@ -1153,7 +1338,7 @@ class ChainRequest:
     n: int
     rng: RngSpec
     reduce: Optional[Callable[[_BatchRecord], tuple]]
-    summarize: Callable[..., EstimatorResult] = EstimatorResult.from_samples
+    summarize: Callable[..., EstimatorResult] = EstimatorResult._from_owned
     pair: Optional[tuple] = None
 
     def __post_init__(self):
@@ -1212,6 +1397,7 @@ def _sample_group(engine: _ChainEngine, requests: list, x0, rng: RngSpec, n: int
                 samples[k] = tuple(np.empty(n) for _ in parts)
             for whole, part in zip(samples[k], parts):
                 whole[lo:hi] = part
+        records = parts = part = None  # freed before the engine fills the next chunk
     return [req.summarize(*arrays) for req, arrays in zip(requests, samples)]
 
 
@@ -1222,8 +1408,7 @@ def semigroup_request(model: FiniteSymmetricModel, transform, f, x: int, t: floa
 
     def reduce(rec):
         out = np.zeros(rec.alive.size)
-        alive = np.flatnonzero(rec.alive)
-        out[alive] = rec.w[alive] * f[rec.x_t[alive]]
+        np.multiply(rec.w, f[rec.x_t], out=out, where=rec.alive)
         return (out,)
 
     return ChainRequest(model, transform, x0=x, horizon=t, n=n, rng=rng, reduce=reduce)
@@ -1266,9 +1451,13 @@ def quadratic_form_requests(model: FiniteSymmetricModel, transform, f, ts, n: in
 
     def request(t, block):
         def reduce(rec):
-            w = rec.mass * rec.w
-            diff = np.where(rec.alive, f[rec.x_t], 0.0) - f[rec.x0]
-            return (w * diff * diff * inv_2t,)
+            diff = np.where(rec.alive, f[rec.x_t], 0.0)
+            diff -= f[rec.x0]
+            out = np.multiply(rec.mass, rec.w)
+            out *= diff
+            out *= diff
+            out *= inv_2t
+            return (out,)
 
         req = ChainRequest(model, transform, x0=None, horizon=t, n=n, rng=block, reduce=reduce)
         inv_2t = 1.0 / (2.0 * req.horizon)  # once the request has checked t
@@ -1349,7 +1538,7 @@ def estimate_quadratic_form(model, transform, f, t: float, n: int, rng: RngSpec,
         for lo, hi, x0, x_t, log_w in engine.run(n, rng):
             diff = np.asarray(f(x_t), dtype=float) - np.asarray(f(x0), dtype=float)
             samples[lo:hi] = engine.scale * np.exp(log_w) * diff * diff / (2.0 * t)
-        return EstimatorResult.from_samples(samples)
+        return EstimatorResult._from_owned(samples)
     given = dict(region=region, dt=dt, eps=eps, rho_grad=rho_grad, compensator=compensator)
     for name, default in estimate_quadratic_form.__kwdefaults__.items():
         if given[name] is not default and not (isinstance(given[name], numbers.Real) and given[name] == default):

@@ -1,5 +1,8 @@
+import ctypes
 import json
 import math
+import os
+import subprocess
 import sys
 import tracemalloc
 import warnings
@@ -39,6 +42,7 @@ from girsanov import (
     transformed_generator,
     transformed_model,
 )
+import girsanov
 from girsanov import cli, montecarlo
 from girsanov.montecarlo import _ChainEngine, _PhiloxUniforms
 from girsanov.paths import _brownian_increments, jump_steps
@@ -105,7 +109,7 @@ def test_numpy_philox_matches_numpy_generator():
     seed, offset = 2**64 - 1, 2**64 - 3
     draws = _PhiloxUniforms(RngSpec(seed=seed, offset=offset), 0, 5)
     rows = np.arange(5)
-    got = np.array([draws.draw(rows) for _ in range(12)]).T
+    got = np.array([draws.draw(rows).copy() for _ in range(12)]).T  # a draw holds until the next
     for i in range(5):
         key = np.array([seed, (offset + i) % 2**64], dtype=np.uint64)
         want = np.random.Generator(np.random.Philox(key=key)).random(12)
@@ -874,6 +878,20 @@ def test_estimator_result_from_samples():
     assert r.n == 500
 
 
+def test_estimator_result_from_samples_leaves_the_callers_array():
+    samples = np.random.default_rng(225).normal(1.0, 3.0, size=1001)
+    given = samples.copy()
+    r = EstimatorResult.from_samples(samples)
+    assert samples.tobytes() == given.tobytes()
+    n = samples.size
+    mean = float(np.sum(given) / n)
+    centered = given - mean
+    assert (r.mean, r.stderr) == (mean, float(np.sqrt(float(np.sum(centered * centered) / (n - 1)) / n)))
+    # the in-place reduction of an array the estimator owns keeps the bits
+    assert EstimatorResult._from_owned(samples.copy()) == r
+    assert EstimatorResult.from_samples(given.tolist()) == r
+
+
 # -- batched engine vs. the scalar reference ---------------------------------
 #
 # The reference is a per-path loop: one keyed stream, ``sample_finite_path``
@@ -1082,6 +1100,62 @@ def test_checkpoints_equal_separate_runs(name, model, transform, monkeypatch):
             assert records_equal(at3, one3)
         # the two checkpoints differ, so the test would see a mix-up
         assert not all(records_equal(recs[0], recs[1]) for _lo, _hi, recs in both)
+
+
+def _records_nbytes(records):
+    arrays = {id(a): a for rec in records
+              for a in (rec.x0, rec.x_t, rec.alive, rec.log_w, rec.w, *rec.count.values(), *rec.occupation.values())}
+    return sum(a.nbytes for a in arrays.values())
+
+
+@pytest.mark.parametrize("start", [{"x0": None}, {"x0": 0, "pairs": ((0, 1),)}], ids=["drawn start", "pair"])
+def test_warm_chain_chunk_allocates_only_its_records(chain3_killed, phi3, start):
+    # a killed chain and two horizons: paths close a checkpoint, end and die
+    transform = GeneralMF(phi=phi3, a_rate=np.array([0.5, 0.0, 0.0]), phi_delta=np.array([0.0, -0.5, 0.0]))
+    engine = _ChainEngine(chain3_killed, transform)
+    chunk, beyond = engine._chunk, []
+
+    def measured(*args):
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        records = chunk(*args)
+        beyond.append(tracemalloc.get_traced_memory()[1] - before - _records_nbytes(records))
+        return records
+
+    engine._chunk = measured
+    tracemalloc.start()
+    try:
+        for seed in (1, 2):  # the first run grows the scratch
+            list(engine.run((0.3, 1.5), montecarlo._CHUNK, RngSpec(seed=seed), **start))
+    finally:
+        tracemalloc.stop()
+    # the slack is Python objects (views, the records' dicts); one chunk-wide
+    # float array alone is 64 KB
+    assert beyond[1] < 16384, beyond
+
+
+@pytest.mark.parametrize("chunk", [None, 100])
+def test_groups_of_one_call_equal_their_requests_alone(chain3_killed, phi3, chunk, monkeypatch):
+    # one engine runs every group on the same scratch: a large group, a
+    # tiny one and a middling one, fixed and drawn starts, two horizons and
+    # a pair in one group; none may see another's leftovers
+    if chunk is not None:
+        monkeypatch.setattr(montecarlo, "_CHUNK", chunk)
+    big = 2 * montecarlo._CHUNK + 300
+    transform = GeneralMF(phi=phi3, a_rate=np.array([0.5, 0.0, 0.0]), phi_delta=np.array([0.0, -0.5, 0.0]))
+    f, g = np.array([1.0, -0.5, 2.0]), np.array([0.0, 1.0, 0.5])
+    rng = RngSpec(seed=31, offset=7)
+    requests = [
+        montecarlo.semigroup_request(chain3_killed, transform, f, 1, 0.5, big, rng),
+        *montecarlo.quadratic_form_requests(chain3_killed, transform, f, (0.3, 0.05), 3, rng),
+        montecarlo.jump_rate_request(chain3_killed, transform, (0, 1), 2.0, 100, rng),
+        montecarlo.semigroup_request(chain3_killed, transform, f, 0, 0.7, 100, rng),
+        montecarlo.symmetry_gap_request(chain3_killed, transform, f, g, 0.4, big, rng),
+        montecarlo.semigroup_request(chain3_killed, transform, g, 2, 1.1, 3, rng),
+    ]
+    together = montecarlo.estimate_chain(chain3_killed, transform, requests)
+    for req, res in zip(requests, together):
+        assert same(res, montecarlo.estimate_chain(chain3_killed, transform, [req])[0])
 
 
 def test_estimate_chain_rejects_requests_built_for_another_transform(chain3):
@@ -1454,3 +1528,52 @@ def test_start_uniform_above_rounded_cdf_draws_the_last_state():
     [(_lo, _hi, (rec,))] = engine.run((0.01,), 1, RngSpec(seed=0),
                                       uniforms=lambda _rng, first, count: ScriptedDraws([script]))
     assert rec.x0[0] == n - 1
+
+
+# The semigroup and energy-trend requests of the README verify, run 60
+# times; glibc's count of bytes in use may not grow over runs 10-59.
+_HEAP_GROWTH = """
+import ctypes
+import numpy as np
+from girsanov import FiniteSymmetricModel, RhoTransform, RngSpec, montecarlo
+
+class Mallinfo2(ctypes.Structure):
+    _fields_ = [(name, ctypes.c_size_t) for name in ("arena", "ordblks", "smblks", "hblks", "hblkhd",
+                                                     "usmblks", "fsmblks", "uordblks", "fordblks", "keepcost")]
+
+mallinfo2 = ctypes.CDLL(None).mallinfo2
+mallinfo2.argtypes, mallinfo2.restype = [], Mallinfo2
+model = FiniteSymmetricModel(m=np.ones(3), q=np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 2.0], [0.0, 2.0, 0.0]]))
+rho = RhoTransform(rho=np.array([1.0, 2.0, 1.0]))
+f = np.array([0.0, 1.0, 0.0])
+
+def readme(seed):
+    rng = RngSpec(seed=seed)
+    requests = [montecarlo.semigroup_request(model, rho, f, 0, 0.5, 20_000, rng)]
+    requests += montecarlo.quadratic_form_requests(model, rho, f, (0.2, 0.1, 0.05), 20_000, rng)
+    montecarlo.estimate_chain(model, rho, requests)
+
+for seed in range(10):
+    readme(seed)
+before = mallinfo2().uordblks
+for seed in range(10, 60):
+    readme(seed)
+print(mallinfo2().uordblks - before)
+"""
+
+
+def test_repeated_chain_estimates_do_not_grow_the_heap():
+    # numpy keeps freed data blocks under 1024 bytes, up to 7 of each size,
+    # in a cache that tracemalloc cannot see; an event loop that allocated
+    # its shrinking live sets would fill it, run after run.  A fresh process,
+    # so that earlier tests have not filled it already
+    try:
+        ctypes.CDLL(None).mallinfo2
+    except (OSError, AttributeError):
+        pytest.skip("needs glibc's mallinfo2")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(girsanov.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _HEAP_GROWTH], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 128 * 1024
