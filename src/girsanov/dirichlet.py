@@ -384,13 +384,13 @@ def _mesh(value) -> int:
 
 
 def continuum_form_quadrature(rho, f, model: JumpDiffusionModel, region, mesh: int) -> QuadratureForm:
-    """Quadrature value of the tilted continuum energy over a box.
+    """Quadrature value of the tilted continuum energy over an interval.
 
-    ``region = (lo, hi)`` truncates both arguments of the jump double
-    integral; ``f`` and ``rho`` should be smooth with ``f`` effectively
-    supported inside the region.  The value is computed on ``mesh`` and
-    ``2 * mesh`` cells and the fine value is returned together with the
-    inter-level change as the error estimate; ``region`` is an interval of the model.
+    ``region = (lo, hi)``, an interval of the model, truncates both
+    arguments of the jump double integral; ``f`` and ``rho`` should be
+    smooth with ``f`` effectively supported inside the region.  The value is
+    computed on ``mesh`` and ``2 * mesh`` cells and the fine value is
+    returned together with the inter-level change as the error estimate.
     """
     lo, hi = model.interval(region)
     mesh = _mesh(mesh)

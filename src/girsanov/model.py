@@ -4,10 +4,10 @@ Two model families are supported.  ``FiniteSymmetricModel`` is a
 continuous-time chain on ``{0, ..., n-1}`` described by a symmetry measure
 ``m``, off-diagonal jump rates ``q`` and killing rates ``k``; reversibility
 means detailed balance ``m[x] q[x, y] == m[y] q[y, x]``.
-``JumpDiffusionModel`` is the d-dimensional process that superposes a
-Brownian motion (generator one half of the Laplacian) with a rotationally
+``JumpDiffusionModel`` is the process on the line that superposes a
+Brownian motion (generator one half of the second derivative) with a
 symmetric alpha-stable jump part whose jump-rate density is
-``c / |x - y|**(d + alpha)``.
+``c / |x - y|**(1 + alpha)``.
 
 Both expose the same three structural objects used throughout the package:
 the jump kernel (rate density of jumps), the jump measure ``J`` carrying the
@@ -220,12 +220,14 @@ def killing_measure(model: FiniteSymmetricModel) -> np.ndarray:
 
 @dataclass(frozen=True)
 class JumpDiffusionModel:
-    """Brownian motion plus rotationally symmetric alpha-stable jumps.
+    """Brownian motion plus symmetric alpha-stable jumps on the line.
 
-    The diffusion part is fixed at one half of the Laplacian (variance t per
-    coordinate at time t); the jump part has rate density
-    ``c / |x - y|**(d + alpha)`` with ``0 < alpha < 2`` and ``c > 0``.
-    There is no killing.  The symmetry measure is Lebesgue.
+    The diffusion part is fixed at one half of the second derivative
+    (variance t at time t); the jump part has rate density
+    ``c / |x - y|**(1 + alpha)`` with ``0 < alpha < 2`` and ``c > 0``.
+    There is no killing.  The symmetry measure is Lebesgue.  The dimension
+    ``d`` is named by every config and must be 1: the weights, the engine,
+    the form quadrature and the regions are those of the line.
     """
 
     d: int
@@ -237,24 +239,17 @@ class JumpDiffusionModel:
         for name in ("d", "alpha", "c"):
             if isinstance(getattr(self, name), (bool, np.bool_)):
                 raise ModelError(f"{name} must be a number, not the bool {getattr(self, name)!r}")
-        if int(self.d) != self.d or self.d < 1:
-            raise ModelError("dimension d must be a positive integer")
-        object.__setattr__(self, "d", int(self.d))
+        if self.d != 1:
+            raise ModelError(f"the jump diffusion is one-dimensional: d must be 1, got d = {self.d!r}")
+        object.__setattr__(self, "d", 1)
         if not (0.0 < self.alpha < 2.0):
             raise ModelError("stability index alpha must lie in (0, 2)")
         if not (self.c > 0.0 and math.isfinite(self.c)):
             raise ModelError("kernel constant c must be positive and finite")
 
-    @property
-    def sphere_surface(self) -> float:
-        """Surface area of the unit sphere in R^d."""
-        return 2.0 * math.pi ** (self.d / 2.0) / math.gamma(self.d / 2.0)
-
     def interval(self, region) -> tuple:
         """``region`` as the floats ``(lo, hi)``: two finite real numbers, not
-        bools, with ``lo < hi``, of a one-dimensional model; else :class:`DomainError`."""
-        if self.d != 1:
-            raise DomainError(f"regions are intervals of one-dimensional models; this model has d = {self.d}")
+        bools, with ``lo < hi``; else :class:`DomainError`."""
         pair = tuple(region) if isinstance(region, (tuple, list, np.ndarray)) else ()
         if len(pair) == 2 and all(isinstance(v, numbers.Real) and not isinstance(v, (bool, np.bool_)) for v in pair):
             if -math.inf < float(pair[0]) < float(pair[1]) < math.inf:
@@ -263,51 +258,38 @@ class JumpDiffusionModel:
 
 
 def stable_kernel_density(x, y, model: JumpDiffusionModel):
-    """Jump-rate density ``c / |x - y|**(d + alpha)`` of the stable part.
-
-    ``x`` and ``y`` are points of R^d (scalars are accepted when ``d == 1``).
-    Coincident points are outside the domain: the kernel is singular on the
-    diagonal.
+    """Jump-rate density ``c / |x - y|**(1 + alpha)`` of the stable part, of
+    points (or arrays of points) on the line.  Coincident points are outside
+    the domain: the kernel is singular on the diagonal.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if model.d == 1:
-        r = np.abs(x - y)
-    else:
-        diff = x - y
-        r = np.sqrt(np.sum(diff * diff, axis=-1))
+    r = np.abs(np.asarray(x, dtype=float) - np.asarray(y, dtype=float))
     if np.any(r == 0.0):
         raise DomainError("stable kernel is singular at coincident points")
-    return model.c / r ** (model.d + model.alpha)
+    return model.c / r ** (1.0 + model.alpha)
 
 
 def stable_tail_intensity(model: JumpDiffusionModel, eps: float) -> float:
     """Total rate of jumps longer than ``eps``.
 
-    Closed form ``c * S_{d-1} * eps**(-alpha) / alpha`` with ``S_{d-1}`` the
-    unit-sphere surface; this is the Poisson intensity of the explicit jumps
-    a truncated sampler generates.
+    Closed form ``2 c eps**(-alpha) / alpha``, both sides of the line; this
+    is the Poisson intensity of the explicit jumps a truncated sampler
+    generates.
     """
     if not (eps > 0.0):
         raise DomainError("truncation radius must be positive")
-    return model.c * model.sphere_surface * eps ** (-model.alpha) / model.alpha
+    return model.c * 2.0 * eps ** (-model.alpha) / model.alpha
 
 
 def stable_small_jump_variance(model: JumpDiffusionModel, eps: float) -> float:
-    """Per-coordinate variance rate of the jumps shorter than ``eps``.
+    """Variance rate of the jumps shorter than ``eps``.
 
-    Closed form ``c * S_{d-1} * eps**(2-alpha) / (d * (2 - alpha))``; a
-    truncated sampler folds this into the Gaussian step on top of the
-    diffusion's own unit variance rate.
+    Closed form ``2 c eps**(2-alpha) / (2 - alpha)``; a truncated sampler
+    folds this into the Gaussian step on top of the diffusion's own unit
+    variance rate.
     """
     if not (eps > 0.0):
         raise DomainError("truncation radius must be positive")
-    return (
-        model.c
-        * model.sphere_surface
-        * eps ** (2.0 - model.alpha)
-        / (model.d * (2.0 - model.alpha))
-    )
+    return model.c * 2.0 * eps ** (2.0 - model.alpha) / (2.0 - model.alpha)
 
 
 @dataclass(frozen=True)

@@ -558,16 +558,16 @@ def _grid_and_jump_mean(model: JumpDiffusionModel, horizon: float, dt: float, ep
 
 
 def _grid(x0, moves, cell, sizes):
-    """The ``(m, K + 1[, d])`` grids of ``m`` paths from ``x0`` and their Gaussian
-    moves ``(m, K[, d])``, and the states before their jumps: jump ``j``, of
+    """The ``(m, K + 1)`` grids of ``m`` paths from ``x0`` and their Gaussian
+    moves ``(m, K)``, and the states before their jumps: jump ``j``, of
     ``sizes[j]``, lands in the flat cell ``cell[j] = path K + step``, a path's
     jumps in time order.  ``grid[k + 1] = grid[k] + ((0 + s_1 + s_2 ...) +
     move_k)``, a step's jumps summed in time order (``np.add.at`` adds in index
     order); a step's first jump starts from the step's grid state, a later one
     where the jump before it ended."""
-    m, K = moves.shape[:2]
-    grid = np.zeros((m, K + 1) + moves.shape[2:])
-    flat = grid.reshape((-1,) + moves.shape[2:])
+    m, K = moves.shape
+    grid = np.zeros((m, K + 1))
+    flat = grid.reshape(-1)
     at = cell // K + cell  # the row in flat of the state that starts the cell's step
     np.add.at(flat, at + 1, sizes)
     grid[:, 1:] += moves
@@ -586,9 +586,9 @@ def sample_jump_diffusion_path(model: JumpDiffusionModel, x0, horizon: float,
                                rng: np.random.Generator) -> Path:
     """Euler-grid path of the Brownian-plus-stable process.
 
-    Jumps longer than ``eps`` are explicit compound-Poisson events with the
-    power-law radial law; shorter ones are folded into the Gaussian step,
-    whose per-coordinate variance becomes ``(1 + sigma2(eps)) dt``.  Within
+    Jumps longer than ``eps`` are explicit compound-Poisson events with
+    power-law lengths and a fair sign; shorter ones are folded into the
+    Gaussian step, whose variance becomes ``(1 + sigma2(eps)) dt``.  Within
     a step the jumps land first and the Gaussian move follows, so recorded
     pre/post jump states contain no partial Gaussian displacement.  The grid
     is :class:`_ContinuumEngine`'s rule, :func:`_grid`, for one path, and
@@ -601,14 +601,9 @@ def sample_jump_diffusion_path(model: JumpDiffusionModel, x0, horizon: float,
         if n_jumps == 0 or (jump_times[0] > 0.0 and np.all(np.diff(jump_times) > 0.0)):
             break
     radii = eps * rng.random(n_jumps) ** (-1.0 / model.alpha)
-    if model.d == 1:
-        sizes = radii * np.where(rng.random(n_jumps) < 0.5, -1.0, 1.0)
-    else:
-        dirs = rng.normal(size=(n_jumps, model.d))
-        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        sizes = radii[:, None] * dirs
+    sizes = radii * np.where(rng.random(n_jumps) < 0.5, -1.0, 1.0)
     std = np.sqrt((1.0 + stable_small_jump_variance(model, eps)) * dt)
-    moves = rng.normal(0.0, std, size=(1, n_steps) + sizes.shape[1:])
+    moves = rng.normal(0.0, std, size=(1, n_steps))
     grid, pre = _grid(x0, moves, jump_steps(jump_times, dt, n_steps), sizes)
     grid = grid[0]
     return Path(

@@ -67,12 +67,12 @@ class Path:
     ``(0, horizon]`` and no fictitious jumps.  ``killed_at`` marks a jump to
     the cemetery; no events may follow it.
 
-    Grid form (jump diffusions): ``grid`` holds positions at uniform times
-    ``0, dt, 2 dt, ...`` including all jumps that occurred up to each grid
-    time, ``events`` holds ``(time, new_position)`` and ``jump_pre`` the
-    matching pre-jump positions.  ``eps`` records the small-jump truncation
-    radius the sampler used (jumps below it were folded into the Gaussian
-    part), which downstream weights need.
+    Grid form (jump diffusions): ``grid``, a 1-d array, holds positions at
+    uniform times ``0, dt, 2 dt, ...`` including all jumps that occurred up
+    to each grid time, ``events`` holds ``(time, new_position)`` and
+    ``jump_pre`` the matching pre-jump positions.  ``eps`` records the
+    small-jump truncation radius the sampler used (jumps below it were
+    folded into the Gaussian part), which downstream weights need.
     """
 
     x0: object
@@ -109,6 +109,8 @@ class Path:
                 prev = s
         else:
             grid = np.asarray(self.grid, dtype=float)
+            if grid.ndim != 1:
+                raise PathError(f"a grid path lies on the line: grid must be 1-d, got shape {grid.shape}")
             object.__setattr__(self, "grid", grid)
             if self.dt is None or not (self.dt > 0.0):
                 raise PathError("grid paths need a positive step dt")
@@ -326,16 +328,11 @@ def evenness_residual(path: Path, f, t: float) -> float:
 
 
 def _num_laplacian(u, h: float = 1e-4) -> Callable:
+    """The central second difference of ``u``, elementwise over an array of
+    points: three calls of ``u`` whatever the array's length."""
     def lap(x):
         x = np.asarray(x, dtype=float)
-        if x.ndim == 0:
-            return (u(x + h) - 2.0 * u(x) + u(x - h)) / (h * h)
-        total = 0.0
-        for axis in range(x.shape[-1]):
-            e = np.zeros_like(x)
-            e[..., axis] = h
-            total = total + (u(x + e) - 2.0 * u(x) + u(x - e)) / (h * h)
-        return total
+        return (u(x + h) - 2.0 * u(x) + u(x - h)) / (h * h)
 
     return lap
 
@@ -387,23 +384,19 @@ def lyons_zheng_residual(path: Path, u, model, t: float, lap_u=None) -> float:
 def path_to_csv(path: Path) -> str:
     """Debug serialisation: one row per grid/event epoch.
 
-    Columns are ``time``, the state (one column per coordinate for grid
-    paths), and ``event_flag`` (1 on jump rows, 0 otherwise; the death row,
-    if any, is flagged 1 with state -1).  Not a stability-guaranteed format.
+    Columns are ``time``, the state (``x0`` for grid paths) and
+    ``event_flag`` (1 on jump rows, 0 otherwise; the death row, if any, is
+    flagged 1 with state -1); grid values have 17 significant digits.  Not a
+    stability-guaranteed format.
     """
     out = io.StringIO()
     if path.is_grid:
-        cols = ",".join(f"x{i}" for i in range(path.grid[0].size))
-        out.write(f"time,{cols},event_flag\n")
-        rows = []
-        for j, pos in enumerate(path.grid):
-            rows.append((j * path.dt, np.atleast_1d(pos), 0))
-        for s, post in path.events:
-            rows.append((s, np.atleast_1d(post), 1))
+        out.write("time,x0,event_flag\n")
+        rows = [(j * path.dt, pos, 0) for j, pos in enumerate(path.grid)]
+        rows.extend((s, post, 1) for s, post in path.events)
         rows.sort(key=lambda r: (r[0], r[2]))
         for s, pos, flag in rows:
-            coords = ",".join(f"{v:.17g}" for v in pos)
-            out.write(f"{s:.17g},{coords},{flag}\n")
+            out.write(f"{s:.17g},{pos:.17g},{flag}\n")
         return out.getvalue()
     out.write("time,state,event_flag\n")
     out.write(f"0,{path.x0},0\n")

@@ -32,7 +32,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .errors import DomainError, TransformError
+from .errors import TransformError
 from .model import (
     FiniteSymmetricModel,
     JumpDiffusionModel,
@@ -517,15 +517,12 @@ def _grid_log_steps(low: ContinuumLowering, compensator, base, moves, var_rate: 
 
 def _grid_trace(path: Path, t: float, model: JumpDiffusionModel, low: ContinuumLowering,
                 compensator) -> MFTrace:
-    """The weight of ``low`` along a one-dimensional grid path: the running sum
-    of :func:`_grid_log_steps` over the path's steps and Gaussian moves, and
+    """The weight of ``low`` along a grid path: the running sum of
+    :func:`_grid_log_steps` over the path's steps and Gaussian moves, and
     ``log_jump`` at each explicit jump.  The compensator, the rate table of
-    ``low.tilt`` unless supplied, is built after ``d``, ``t`` and ``eps`` pass."""
+    ``low.tilt`` unless supplied, is built after ``t`` and ``eps`` pass."""
     if path.eps is None:
         raise TransformError("grid path carries no truncation radius")
-    if model.d != 1 or path.grid.ndim != 1:
-        raise DomainError(f"grid weights need d = 1; this model has d = {model.d} "
-                          f"and this path d = {path.grid[0].size}")
     t = path.time(t)
     K = steps(t, path.dt)
     if compensator is None:
@@ -769,111 +766,78 @@ class IntegrabilityReport:
         return self.status == "finite"
 
 
-def _radial_annulus(model, tilt, x, r_lo, r_hi, dirs):
-    """Integral of |tilt| against the stable kernel over an annulus."""
+def _radial_annulus(model, tilt, x: float, r_lo: float, r_hi: float) -> float:
+    """Integral of |tilt| against the stable kernel over the two sides
+    ``r_lo <= |y - x| <= r_hi`` of the line around ``x``."""
     from scipy import integrate  # here, so that importing the package does not load it
 
     a = model.alpha
     total = 0.0
-    for u in dirs:
-        f = lambda r: abs(tilt(x, x + r * u)) * model.c * r ** (-1.0 - a)
+    for side in (1.0, -1.0):
+        f = lambda r: abs(tilt(x, x + r * side)) * model.c * r ** (-1.0 - a)
         val, _ = integrate.quad(f, r_lo, r_hi, limit=100)
         total += val
-    if model.d == 1:
-        return total  # dirs are the two signs; surface factor already counted
-    return total * model.sphere_surface / len(dirs)
-
-
-def _box(model: JumpDiffusionModel, region) -> tuple:
-    """``region`` as the float vectors ``(lo, hi)`` of a box of ``d >= 2`` dimensions: ``d`` finite
-    numbers each, not strings or bools, with ``lo < hi`` in each coordinate; else :class:`DomainError`."""
-    try:
-        box = np.asarray(region)
-    except ValueError:  # a ragged region
-        box = np.empty(0)
-    if box.shape == (2, model.d) and box.dtype.kind in "iuf" and np.all(np.isfinite(box)) and np.all(box[0] < box[1]):
-        return tuple(box.astype(float))
-    raise DomainError(f"region must be two vectors lo < hi of {model.d} finite numbers, got {region!r}")
+    return total
 
 
 def integrability_check(model: JumpDiffusionModel, phi, region, t: float,
                         levels: int = 10) -> IntegrabilityReport:
-    """Probe whether ``x -> int |phi(x, y)| c/|x-y|^{d+alpha} dy`` is finite.
+    """Probe whether ``x -> int |phi(x, y)| c/|x-y|^{1+alpha} dy`` is finite.
 
-    Sample points are spread over ``region``: the model's interval when
-    ``d = 1``, else a ``(lo, hi)`` box (:func:`_box`), checked first; around
-    each the kernel integral is accumulated over shrinking annuli and the
-    observed decay exponent decides between finite, divergent and
-    inconclusive.  ``t`` scales nothing here — finiteness at the sampled
-    points is what the pathwise integrability requirement needs on a bounded
-    time window.
+    Seven sample points are spread evenly over the model's interval
+    ``region``, checked first; around each the kernel integral is
+    accumulated over shrinking annuli and the observed decay exponent
+    decides between finite, divergent and inconclusive.  ``phi`` is called
+    on floats, and ``per_point`` keys each estimate by the 1-tuple of its
+    point.  ``t`` scales nothing here — finiteness at the sampled points is
+    what the pathwise integrability requirement needs on a bounded time
+    window.
     """
-    if model.d == 1:
-        lo, hi = (np.array([v]) for v in model.interval(region))
-        sample = [np.array([v]) for v in np.linspace(lo[0], hi[0], 7)]
-        dirs = [np.array([1.0]), np.array([-1.0])]
-    else:
-        lo, hi = _box(model, region)
-        sample = [lo.copy(), hi.copy(), 0.5 * (lo + hi)]
-        rng = np.random.default_rng(7)
-        dirs = []
-        for i in range(model.d):
-            e = np.zeros(model.d)
-            e[i] = 1.0
-            dirs.extend([e, -e])
-        for _ in range(4):
-            v = rng.normal(size=model.d)
-            dirs.append(v / np.linalg.norm(v))
-
-    def tilt1(x, y):
-        if model.d == 1:
-            return phi(float(x[0]), float(y[0])) if x.shape == (1,) else phi(x, y)
-        return phi(x, y)
-
-    width = float(np.max(hi - lo))
+    lo, hi = model.interval(region)
+    width = hi - lo
     delta0 = min(1.0, max(width, 1e-3))
-    outer = 8.0 * max(1.0, width, float(np.max(np.abs(lo))), float(np.max(np.abs(hi))))
+    outer = 8.0 * max(1.0, width, abs(lo), abs(hi))
     per_point = []
     statuses = []
-    for x in sample:
+    for x in np.linspace(lo, hi, 7).tolist():
         try:
-            body = _radial_annulus(model, tilt1, x, delta0, outer, dirs)
-            far = _radial_annulus(model, tilt1, x, outer, 4.0 * outer, dirs)
+            body = _radial_annulus(model, phi, x, delta0, outer)
+            far = _radial_annulus(model, phi, x, outer, 4.0 * outer)
             increments = []
             d_hi = delta0
             for _ in range(levels):
                 d_lo = d_hi / 4.0
-                increments.append(_radial_annulus(model, tilt1, x, d_lo, d_hi, dirs))
+                increments.append(_radial_annulus(model, phi, x, d_lo, d_hi))
                 d_hi = d_lo
         except Exception:
-            per_point.append((tuple(x), float("nan")))
+            per_point.append(((x,), float("nan")))
             statuses.append("inconclusive")
             continue
         inc = np.asarray(increments)
         scale = max(body, 1e-12)
         if np.all(inc[-3:] < 1e-13 * scale):
-            per_point.append((tuple(x), body + far + float(inc.sum())))
+            per_point.append(((x,), body + far + float(inc.sum())))
             statuses.append("finite")
             continue
         with np.errstate(divide="ignore", invalid="ignore"):
             p = np.log(inc[:-1] / inc[1:]) / np.log(4.0)
         p_tail = p[-3:]
         if not np.all(np.isfinite(p_tail)):
-            per_point.append((tuple(x), float("nan")))
+            per_point.append(((x,), float("nan")))
             statuses.append("inconclusive")
             continue
         p_est = float(np.median(p_tail))
         if far > 0.5 * max(body, 1e-12) or p_est <= 0.01:
-            per_point.append((tuple(x), float("inf")))
+            per_point.append(((x,), float("inf")))
             statuses.append("divergent")
             continue
         if np.max(p_tail) - np.min(p_tail) > 0.5:
-            per_point.append((tuple(x), float("nan")))
+            per_point.append(((x,), float("nan")))
             statuses.append("inconclusive")
             continue
         ratio = 4.0 ** (-p_est)
         remainder = float(inc[-1]) * ratio / (1.0 - ratio)
-        per_point.append((tuple(x), body + far + float(inc.sum()) + remainder))
+        per_point.append(((x,), body + far + float(inc.sum()) + remainder))
         statuses.append("finite")
     if "divergent" in statuses:
         status = "divergent"

@@ -901,6 +901,19 @@ def test_simulate_rejects_bad_options_before_any_file(tmp_path, capsys, model, a
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+def test_a_plane_jump_diffusion_exits_two_at_config_time(tmp_path, capsys, monkeypatch, command):
+    # the jump diffusion is one-dimensional: d = 2 is refused by name while the
+    # config is read, before any path is sampled or any file written
+    monkeypatch.setattr(montecarlo, "sample_jump_diffusion_path", lambda *a, **k: pytest.fail("sampled"))
+    cfg = write_config(tmp_path, {"model": {**JD_MODEL, "d": 2}})
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "error: invalid model: the jump diffusion is one-dimensional: d must be 1, got d = 2" in err
+    assert not out.exists()
+
+
 def test_simulate_deterministic(tmp_path):
     cfg = write_config(tmp_path, {"model": CHAIN3_MODEL, "seed": 9})
     a, b = str(tmp_path / "a"), str(tmp_path / "b")

@@ -12,6 +12,7 @@ from girsanov import (
     FiniteSymmetricModel,
     GeneralMF,
     JumpDiffusionModel,
+    ModelError,
     PureJumpPhi,
     RhoTransform,
     TransformError,
@@ -381,7 +382,7 @@ def test_continuum_quadrature_validation():
         continuum_form_quadrature(one, f, STABLE1, (2.0, -2.0), 64)
     with pytest.raises(DomainError):
         continuum_form_quadrature(one, f, STABLE1, (-2.0, 2.0), 4)
-    with pytest.raises(DomainError):
+    with pytest.raises(ModelError, match="d must be 1"):  # d = 2 is refused before any quadrature
         continuum_form_quadrature(one, f, JumpDiffusionModel(d=2, alpha=1.0), (-2.0, 2.0), 64)
 
 

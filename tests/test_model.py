@@ -233,6 +233,11 @@ def test_levy_system_continuum():
 def test_jump_diffusion_validation():
     with pytest.raises(ModelError):
         JumpDiffusionModel(d=0, alpha=1.0)
+    for d in (2, 3, 1.5, "1", None):
+        with pytest.raises(ModelError, match=f"d must be 1, got d = {d!r}"):
+            JumpDiffusionModel(d=d, alpha=1.0)
+    for d in (1, 1.0, np.int64(1)):
+        assert type(JumpDiffusionModel(d=d, alpha=1.0).d) is int
     with pytest.raises(ModelError):
         JumpDiffusionModel(d=1, alpha=0.0)
     with pytest.raises(ModelError):
@@ -264,14 +269,8 @@ def test_interval_is_a_float_pair_of_one_dimensional_models():
     for region in ((-8, 8), [-8.0, 8.0], np.array([-8.0, 8.0]), (np.int64(-8), np.float32(8.0))):
         lo, hi = model.interval(region)
         assert (lo, hi) == (-8.0, 8.0) and type(lo) is float and type(hi) is float
-    with pytest.raises(DomainError, match="one-dimensional"):
-        JumpDiffusionModel(d=2, alpha=1.0).interval((-8.0, 8.0))
-
-
-def test_sphere_surface():
-    assert JumpDiffusionModel(d=1, alpha=1.0).sphere_surface == pytest.approx(2.0)
-    assert JumpDiffusionModel(d=2, alpha=1.0).sphere_surface == pytest.approx(2.0 * math.pi)
-    assert JumpDiffusionModel(d=3, alpha=1.0).sphere_surface == pytest.approx(4.0 * math.pi)
+    with pytest.raises(ModelError, match="one-dimensional"):
+        JumpDiffusionModel(d=2, alpha=1.0)
 
 
 def test_stable_kernel_density_values():
@@ -281,11 +280,8 @@ def test_stable_kernel_density_values():
         stable_kernel_density(np.zeros(3), np.array([1.0, 2.0, 4.0]), model),
         [1.0, 0.25, 0.0625],
     )
-    model2 = JumpDiffusionModel(d=2, alpha=0.5, c=2.0)
-    r = math.sqrt(2.0)
-    assert stable_kernel_density(np.zeros(2), np.ones(2), model2) == pytest.approx(
-        2.0 / r ** 2.5
-    )
+    model2 = JumpDiffusionModel(d=1, alpha=0.5, c=2.0)
+    assert stable_kernel_density(1.0, -1.0, model2) == pytest.approx(2.0 / 2.0 ** 1.5)
     with pytest.raises(DomainError):
         stable_kernel_density(1.0, 1.0, model)
 
@@ -296,23 +292,33 @@ def test_stable_tail_intensity_reference_value():
 
 
 def test_stable_tail_intensity_matches_quadrature():
-    for d, alpha, c, eps in [(1, 0.7, 2.3, 0.05), (2, 1.3, 0.8, 0.2), (3, 1.9, 1.0, 0.5)]:
-        model = JumpDiffusionModel(d=d, alpha=alpha, c=c)
-        direct, _ = integrate.quad(
-            lambda r: model.sphere_surface * c * r ** (d - 1) * r ** (-d - alpha),
-            eps, np.inf,
-        )
+    # the rate of jumps longer than eps, both sides of the line
+    for alpha, c, eps in [(0.7, 2.3, 0.05), (1.3, 0.8, 0.2), (1.9, 1.0, 0.5)]:
+        model = JumpDiffusionModel(d=1, alpha=alpha, c=c)
+        direct, _ = integrate.quad(lambda r: 2.0 * c * r ** (-1.0 - alpha), eps, np.inf)
         assert stable_tail_intensity(model, eps) == pytest.approx(direct, rel=1e-9)
     with pytest.raises(DomainError):
         stable_tail_intensity(model, 0.0)
 
 
 def test_stable_small_jump_variance_matches_quadrature():
-    # per-coordinate second moment of the truncated jump law
-    for d, alpha, c, eps in [(1, 1.0, 1.0, 0.1), (1, 0.6, 2.0, 0.3), (2, 1.4, 1.1, 0.2)]:
-        model = JumpDiffusionModel(d=d, alpha=alpha, c=c)
-        direct, _ = integrate.quad(
-            lambda r: (r * r / d) * model.sphere_surface * c * r ** (d - 1) * r ** (-d - alpha),
-            0.0, eps,
-        )
+    # second moment of the jumps shorter than eps
+    for alpha, c, eps in [(1.0, 1.0, 0.1), (0.6, 2.0, 0.3), (1.4, 1.1, 0.2)]:
+        model = JumpDiffusionModel(d=1, alpha=alpha, c=c)
+        direct, _ = integrate.quad(lambda r: r * r * 2.0 * c * r ** (-1.0 - alpha), 0.0, eps)
         assert stable_small_jump_variance(model, eps) == pytest.approx(direct, rel=1e-9)
+
+
+def test_sphere_surface():
+    # the closed forms' 2.0 is the surface 2 pi^(d/2) / Gamma(d/2) of the unit
+    # sphere at d = 1 to the bit, so each equals its general-d expression there
+    surface = 2.0 * math.pi ** 0.5 / math.gamma(0.5)
+    assert surface.hex() == (2.0).hex()
+    for alpha in (0.3, 0.7, 1.0, 1.3, 1.99):
+        for c in (0.01, 0.7, 1.0, 2.5):
+            model = JumpDiffusionModel(d=1, alpha=alpha, c=c)
+            for eps in (1e-3, 0.01, 0.1, 0.3, 2.0):
+                tail = c * surface * eps ** (-alpha) / alpha
+                var = c * surface * eps ** (2.0 - alpha) / (1 * (2.0 - alpha))
+                assert stable_tail_intensity(model, eps).hex() == tail.hex()
+                assert stable_small_jump_variance(model, eps).hex() == var.hex()

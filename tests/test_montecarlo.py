@@ -21,6 +21,7 @@ from girsanov import (
     FiniteSymmetricModel,
     GeneralMF,
     JumpDiffusionModel,
+    ModelError,
     PureJumpPhi,
     RhoTransform,
     RngSpec,
@@ -517,13 +518,11 @@ def test_jump_diffusion_jump_statistics():
 
 
 def test_jump_diffusion_two_dimensional():
-    model = JumpDiffusionModel(d=2, alpha=1.2, c=1.0)
-    p = sample_jump_diffusion_path(model, np.zeros(2), 1.0, 0.01, 0.3, RngSpec(seed=223).stream(0))
-    assert p.grid.shape == (101, 2)
-    np.testing.assert_array_equal(p.grid[0], [0.0, 0.0])
-    for (s, post), pre in zip(p.events, p.jump_pre):
-        assert np.linalg.norm(np.asarray(post) - np.asarray(pre)) >= 0.3
-    assert p.state_at(1.0).shape == (2,)
+    # the jump diffusion lives on the line: a plane model is refused by name
+    # before a path could be sampled
+    with pytest.raises(ModelError, match="one-dimensional: d must be 1, got d = 2"):
+        sample_jump_diffusion_path(JumpDiffusionModel(d=2, alpha=1.2, c=1.0), np.zeros(2), 1.0, 0.01, 0.3,
+                                   RngSpec(seed=223).stream(0))
 
 
 class _OneEarlyJump:
@@ -571,23 +570,16 @@ def _per_step_loop_path(model, x0, horizon, dt, eps, rng):
     within a step the jumps land one by one in time order, then the Gaussian
     move follows, so pre/post states carry no partial Gaussian displacement."""
     n_steps = round(horizon / dt)
-    d = model.d
     n_jumps = int(rng.poisson(stable_tail_intensity(model, eps) * horizon))
     while True:
         jump_times = np.sort(rng.uniform(0.0, horizon, size=n_jumps))
         if n_jumps == 0 or (jump_times[0] > 0.0 and np.all(np.diff(jump_times) > 0.0)):
             break
     radii = eps * rng.random(n_jumps) ** (-1.0 / model.alpha)
-    if d == 1:
-        sizes = radii * np.where(rng.random(n_jumps) < 0.5, -1.0, 1.0)
-    else:
-        dirs = rng.normal(size=(n_jumps, d))
-        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        sizes = radii[:, None] * dirs
+    sizes = radii * np.where(rng.random(n_jumps) < 0.5, -1.0, 1.0)
     std = np.sqrt((1.0 + stable_small_jump_variance(model, eps)) * dt)
-    shape = (n_steps,) if d == 1 else (n_steps, d)
-    gauss = rng.normal(0.0, std, size=shape)
-    grid = np.empty((n_steps + 1,) + shape[1:])
+    gauss = rng.normal(0.0, std, size=n_steps)
+    grid = np.empty(n_steps + 1)
     grid[0] = x0
     step_of_jump = jump_steps(jump_times, dt, n_steps)
     events, pres = [], []
@@ -605,8 +597,7 @@ def _per_step_loop_path(model, x0, horizon, dt, eps, rng):
 
 @pytest.mark.parametrize("model, x0, eps", [
     (STABLE_C, 0.3, 0.01),
-    (JumpDiffusionModel(d=2, alpha=1.2, c=1.0), np.array([0.3, -0.2]), 0.1),
-], ids=["d=1", "d=2"])
+], ids=["d=1"])
 def test_grid_path_matches_the_per_step_loop(model, x0, eps):
     # on the same draws: the sampler sums a step's jumps from 0 and adds them
     # with the Gaussian move in one running sum, the loop adds them one by one,
@@ -624,44 +615,38 @@ def test_grid_path_matches_the_per_step_loop(model, x0, eps):
         steps_held = jump_steps([s for s, _ in events], dt, grid.shape[0] - 1)
         crowded += int(np.any(np.bincount(steps_held) > 1))
     assert crowded == 3  # every seed has a step with several jumps
-    if model.d > 1:
-        pre, start = [p.copy() for p in path.jump_pre], path.x0.copy()
-        path.grid[...] = np.nan
-        np.testing.assert_array_equal(path.jump_pre, pre)
-        np.testing.assert_array_equal(path.x0, start)
 
 
 # a path's jumps by grid step, in time order: runs of 1, 2, 3 and 4 jumps in one step
 GRID_CELLS = [[0, 2, 2, 5], [], [1, 1, 1, 3, 4, 4, 4, 4], [5, 5, 5], [0, 3]]
 
 
-@pytest.mark.parametrize("tail", [(), (2,)], ids=["d=1", "d=2"])
-def test_grid_of_many_paths_equals_one_path_calls(tail):
+def test_grid_of_many_paths_equals_one_path_calls():
     rng = np.random.default_rng(11)
     m, K = len(GRID_CELLS), 6
-    x0, moves = rng.normal(size=(m,) + tail), rng.normal(size=(m, K) + tail)
-    sizes = rng.normal(size=(sum(map(len, GRID_CELLS)),) + tail)
+    x0, moves = rng.normal(size=m), rng.normal(size=(m, K))
+    sizes = rng.normal(size=sum(map(len, GRID_CELLS)))
     cell = np.concatenate([p * K + np.array(s, dtype=np.intp) for p, s in enumerate(GRID_CELLS)])
     grid, pre = montecarlo._grid(x0, moves, cell, sizes)
-    assert grid.shape == (m, K + 1) + tail and pre.shape == sizes.shape
+    assert grid.shape == (m, K + 1) and pre.shape == sizes.shape
     # the rule: a step's first jump starts from its grid state, a later one
     # where the jump before it ended
     for j, c in enumerate(cell.tolist()):
         want = pre[j - 1] + sizes[j - 1] if j and cell[j - 1] == c else grid[c // K, c % K]
-        assert np.asarray(pre[j]).tobytes() == np.asarray(want).tobytes()
+        assert pre[j].tobytes() == want.tobytes()
     first = 0
     for p, s in enumerate(GRID_CELLS):
         one = slice(first, first + len(s))
         one_grid, one_pre = montecarlo._grid(x0[p], moves[p:p + 1], np.array(s, dtype=np.intp), sizes[one])
-        assert one_grid.shape == (1, K + 1) + tail
+        assert one_grid.shape == (1, K + 1)
         assert one_grid[0].tobytes() == grid[p].tobytes()
         assert one_pre.tobytes() == pre[one].tobytes()
         first += len(s)
     # the sum: each step adds its jumps, summed in time order from 0, and then its move
-    jumps = np.zeros((m * K,) + tail)
+    jumps = np.zeros(m * K)
     for c, size in zip(cell, sizes):
         jumps[c] = jumps[c] + size
-    steps_sum = jumps.reshape((m, K) + tail) + moves
+    steps_sum = jumps.reshape(m, K) + moves
     want = np.concatenate([x0[:, None], steps_sum], axis=1).cumsum(axis=1)
     assert want.tobytes() == grid.tobytes()
 

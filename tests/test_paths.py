@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from girsanov import (
     sample_jump_diffusion_path,
     shift,
 )
-from girsanov.paths import steps
+from girsanov.paths import _num_laplacian, steps
 
 CHAIN_PATH = Path(x0=0, events=((0.5, 1), (1.5, 2)), horizon=2.0)
 
@@ -300,12 +301,39 @@ def test_path_to_csv_chain():
 
 
 def test_path_to_csv_grid():
-    text = path_to_csv(_grid_path())
-    lines = text.strip().split("\n")
-    assert lines[0] == "time,x0,event_flag"
-    # 3 grid rows + 1 event row, time-sorted with the event between grid times
-    assert len(lines) == 5
-    assert float(lines[2].split(",")[0]) == pytest.approx(0.3)
-    assert lines[2].endswith(",1")
-    flags = [ln.rsplit(",", 1)[1] for ln in lines[1:]]
-    assert flags.count("1") == 1
+    # 3 grid rows + 1 event row, time-sorted with the event between grid
+    # times, every number with 17 significant digits
+    assert path_to_csv(_grid_path()) == (
+        "time,x0,event_flag\n"
+        "0,0,0\n"
+        "0.29999999999999999,1.2,1\n"
+        "0.5,1.5,0\n"
+        "1,2,0\n"
+    )
+    third = Path(x0=0.0, events=((0.1, 1.0 / 3.0),), horizon=0.5, grid=np.array([0.0, 0.5]),
+                 dt=0.5, jump_pre=(0.0,), eps=0.1)
+    assert path_to_csv(third) == "time,x0,event_flag\n0,0,0\n0.10000000000000001,0.33333333333333331,1\n0.5,0.5,0\n"
+
+
+@pytest.mark.parametrize("grid", [np.zeros((3, 2)), np.zeros((3, 1)), np.float64(0.0)], ids=["3x2", "3x1", "scalar"])
+def test_a_grid_path_lies_on_the_line(grid):
+    with pytest.raises(PathError, match=re.escape(f"grid must be 1-d, got shape {np.shape(grid)}")):
+        Path(x0=0.0, events=(), horizon=1.0, grid=grid, dt=0.5, jump_pre=(), eps=0.1)
+
+
+@pytest.mark.parametrize("k_steps", [1, 10, 2000])
+def test_numerical_laplacian_calls_u_three_times_on_any_grid(k_steps):
+    # the second difference is elementwise: three calls of u on the whole
+    # grid, with the bits of a call on each point alone
+    calls = []
+
+    def u(x):
+        calls.append(np.shape(x))
+        return np.sin(x)
+
+    x = np.linspace(-1.0, 1.0, k_steps)
+    lap = _num_laplacian(u)(x)
+    assert calls == [x.shape] * 3
+    alone = np.array([_num_laplacian(np.sin)(v) for v in x[:5]])
+    assert lap[:5].tobytes() == alone.tobytes()
+    np.testing.assert_allclose(lap, -np.sin(x), atol=1e-6)

@@ -16,7 +16,9 @@ from girsanov import (
     FiniteSymmetricModel,
     GeneralMF,
     JumpDiffusionModel,
+    ModelError,
     Path,
+    PathError,
     PureJumpPhi,
     RhoTransform,
     RngSpec,
@@ -791,32 +793,38 @@ def test_grid_weight_takes_a_paths_jump_factors_in_one_call(kind):
     assert jumps > 3000
 
 
-PLANE = JumpDiffusionModel(d=2, alpha=1.2, c=1.0)
-PLANE_RHO = lambda x: 1.0 + 0.5 * np.exp(-np.sum(np.asarray(x) ** 2, axis=-1))  # noqa: E731
-PLANE_PHI = lambda x, y: 0.4 * np.cos(np.sum(x, axis=-1)) * np.cos(np.sum(y, axis=-1))  # noqa: E731
-PLANE_ROUTES = {
-    "rho": lambda p, comp: rho_transform_mf(p, PLANE_RHO, PLANE, 0.2, compensator=comp),
-    "pure_jump": lambda p, comp: pure_jump_mf(p, PLANE_PHI, PLANE, 0.2, compensator=comp),
-    "general": lambda p, comp: general_mf(p, GeneralMF(phi=PLANE_PHI, mc_integrand=lambda x: 0.1 * x),
-                                          PLANE, 0.2, comp),
+LINE = JumpDiffusionModel(d=1, alpha=1.2, c=1.0)
+LINE_RHO = lambda x: 1.0 + 0.5 * np.exp(-np.asarray(x) ** 2)  # noqa: E731
+LINE_PHI = lambda x, y: 0.4 * np.cos(x) * np.cos(y)  # noqa: E731
+LINE_ROUTES = {
+    "rho": lambda p, comp: rho_transform_mf(p, LINE_RHO, LINE, 0.2, compensator=comp),
+    "pure_jump": lambda p, comp: pure_jump_mf(p, LINE_PHI, LINE, 0.2, compensator=comp),
+    "general": lambda p, comp: general_mf(p, GeneralMF(phi=LINE_PHI, mc_integrand=lambda x: 0.1 * x),
+                                          LINE, 0.2, comp),
 }
 
 
 @pytest.mark.parametrize("supplied", [False, True], ids=["table", "supplied"])
-@pytest.mark.parametrize("route", sorted(PLANE_ROUTES))
+@pytest.mark.parametrize("route", sorted(LINE_ROUTES))
 def test_grid_weights_refuse_a_plane_path(monkeypatch, route, supplied):
-    # the grid weights are one-dimensional; a d = 2 path is refused by name
-    # before a rate table is built, whether or not a compensator is supplied
-    path = sample_jump_diffusion_path(PLANE, np.array([0.3, -0.2]), 0.2, 1e-2, 0.1, RngSpec(seed=4).stream(0))
-    assert path.events
-
+    # no plane path reaches a grid weight: its (3, 2) grid is refused where
+    # the path is built, and d = 2 where the model is, both by name and
+    # before a rate table is built; on the line the route weighs a path
     def no_table(*args, **kwargs):
-        raise AssertionError("a rate table was built for a d = 2 path")
+        raise AssertionError("a rate table was built for a plane path")
 
     monkeypatch.setattr(transform_module, "stable_rate_table", no_table)
-    compensator = (lambda x: np.zeros(np.shape(x)[:-1])) if supplied else None
-    with pytest.raises(DomainError, match="this model has d = 2 and this path d = 2"):
-        PLANE_ROUTES[route](path, compensator)
+    with pytest.raises(PathError, match=r"grid must be 1-d, got shape \(3, 2\)"):
+        LINE_ROUTES[route](Path(x0=0.0, events=(), horizon=0.2, grid=np.zeros((3, 2)), dt=0.1,
+                                jump_pre=(), eps=0.1), None)
+    with pytest.raises(ModelError, match="got d = 2"):
+        JumpDiffusionModel(d=2, alpha=1.2, c=1.0)
+    monkeypatch.undo()
+    path = sample_jump_diffusion_path(LINE, 0.3, 0.2, 1e-2, 0.1, RngSpec(seed=1).stream(0))
+    assert path.events
+    compensator = (lambda x: np.zeros(np.shape(x))) if supplied else None
+    log_z = LINE_ROUTES[route](path, compensator).log_z
+    assert log_z.shape == (21,) and np.all(np.isfinite(log_z))
 
 
 # -- integrability probe -----------------------------------------------------
@@ -865,22 +873,25 @@ def _quad_tilt(x, y):
     return r2 / (1.0 + r2)
 
 
-@pytest.mark.parametrize("d, region", [(1, r) for r in BAD_REGIONS + [(1.0, -1.0), (True, 2.0)]] + [
+@pytest.mark.parametrize("dim, region", [(1, r) for r in BAD_REGIONS + [(1.0, -1.0), (True, 2.0)]] + [
     (2, ((1.0, 1.0), (-1.0, -1.0))), (2, ((-1.0,), (1.0, 1.0, 1.0))), (2, ((-1.0, np.nan), (1.0, 1.0))),
     (2, ((-1.0, -1.0), (1.0, np.inf))), (2, ((-1.0, 1.0), (1.0, 1.0))), (2, ((False, False), (True, True))),
-    (2, (-1.0, 1.0)), (2, ((-1.0, -1.0), (1.0, 1.0), (2.0, 2.0))), (2, ((-1.0, (0.0, 1.0)), (1.0, 1.0))),
-    (2, (("a", "b"), ("c", "d"))), (2, None)])
-def test_integrability_refuses_a_bad_box_before_any_quadrature(monkeypatch, d, region):
+    (2, np.array([[-1.0, -1.0], [1.0, 1.0]])), (2, ((-1.0, -1.0), (1.0, 1.0), (2.0, 2.0))),
+    (2, ((-1.0, (0.0, 1.0)), (1.0, 1.0))), (2, (("a", "b"), ("c", "d"))), (2, None)])
+def test_integrability_refuses_a_bad_box_before_any_quadrature(monkeypatch, dim, region):
+    # the probe's region is an interval of the line: bad intervals (dim 1)
+    # and boxes of the plane, good or bad (dim 2), are refused alike
     monkeypatch.setattr(transform_module, "_radial_annulus", lambda *a, **k: pytest.fail("integrated"))
-    with pytest.raises(DomainError):
-        integrability_check(JumpDiffusionModel(d=d, alpha=1.0), _quad_tilt, region, t=1.0)
+    with pytest.raises(DomainError, match="region must be a pair of finite numbers"):
+        integrability_check(STABLE1, _quad_tilt, region, t=1.0)
 
 
 def test_integrability_keeps_its_value_on_a_good_box():
     report = integrability_check(STABLE1, _quad_tilt, (-1, 1), t=1.0)
     assert report.status == "finite" and report.worst_estimate == 3.110345196348844
-    report = integrability_check(JumpDiffusionModel(d=2, alpha=1.0), _quad_tilt, ((-1, -1), (1, 1)), t=1.0, levels=3)
-    assert report.status == "finite"
+    # seven float points, each keyed by its 1-tuple
+    assert [x for x, _ in report.per_point] == [(v,) for v in np.linspace(-1.0, 1.0, 7).tolist()]
+    assert all(type(x[0]) is float for x, _ in report.per_point)
 
 
 # -- the time rule of the path functionals -----------------------------------
