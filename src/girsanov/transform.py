@@ -26,13 +26,15 @@ drives the weight to zero and the trace records the first time this happens.
 from __future__ import annotations
 
 import bisect
+import functools
 import math
+import numbers
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .errors import TransformError
+from .errors import DomainError, TransformError
 from .model import (
     FiniteSymmetricModel,
     JumpDiffusionModel,
@@ -432,9 +434,9 @@ def lower_continuum(model, transform: TransformSpec, rho_grad=None) -> Continuum
 
 # interpolation nodes of the rate table over [lo, hi]
 _RATE_TABLE_NODES = 241
-# composite Gauss-Legendre rule of the rate table, in u = log r
+# panels of the rate table's kernel rule, and the nodes of every panel
 _RATE_PANELS = 192
-_RATE_NODES = 16
+_RULE_NODES = 16
 # the rule stops 40/alpha past log(cut), where the kernel mass left is
 # e**-40 of that beyond cut, but never past cut * e**230 (about 1e100 cut), so
 # a tilt may square the gap without overflow; what lies beyond the last node
@@ -442,8 +444,9 @@ _RATE_NODES = 16
 _RATE_U_SPAN = 230.0
 
 
+@functools.lru_cache(maxsize=None)
 def _gauss_legendre(n: int):
-    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1].
+    """Nodes and weights (read-only) of the n-point Gauss-Legendre rule on [-1, 1].
 
     Newton's method on the Legendre three-term recurrence; numpy's
     ``leggauss`` calls an eigen-solver instead, whose first call sets aside
@@ -459,7 +462,17 @@ def _gauss_legendre(n: int):
         x = x - dx
         if np.max(np.abs(dx)) < 1e-15:
             break
-    return x, 2.0 / ((1.0 - x * x) * dp * dp)
+    return _readonly(x), _readonly(2.0 / ((1.0 - x * x) * dp * dp))
+
+
+def _kernel_rule(model: JumpDiffusionModel, edges: np.ndarray):
+    """Nodes ``r`` and weights of ``c r^{-1-alpha} dr`` over the panels between
+    ``edges`` (in ``u = log r``): 16-point Gauss-Legendre on each panel, where
+    the kernel becomes the smooth weight ``c e^{-alpha u} du``."""
+    nodes, weights = _gauss_legendre(_RULE_NODES)
+    half = 0.5 * np.diff(edges)[:, None]
+    u = (edges[:-1, None] + half * (nodes + 1.0)).ravel()
+    return np.exp(u), (half * weights).ravel() * model.c * np.exp(-model.alpha * u)
 
 
 def stable_rate_table(model: JumpDiffusionModel, tilt, eps: float, lo: float, hi: float) -> Callable:
@@ -483,14 +496,10 @@ def stable_rate_table(model: JumpDiffusionModel, tilt, eps: float, lo: float, hi
     a = model.alpha
     cut = max(10.0, 4.0 * (hi - lo))
     u_hi = math.log(cut) + min(40.0 / a, _RATE_U_SPAN)
-    nodes, weights = _gauss_legendre(_RATE_NODES)
-    edges = np.linspace(math.log(eps), u_hi, _RATE_PANELS + 1)
-    half = 0.5 * np.diff(edges)[:, None]
-    u = (edges[:-1, None] + half * (nodes + 1.0)).ravel()
-    r = np.append(np.exp(u), math.exp(u_hi))
-    # c r^{-1-alpha} dr = c e^{-alpha u} du; the last node is the tail past e^{u_hi}
-    kernel = np.append((half * weights).ravel() * model.c * np.exp(-a * u),
-                       model.c * math.exp(-a * u_hi) / a)
+    r, kernel = _kernel_rule(model, np.linspace(math.log(eps), u_hi, _RATE_PANELS + 1))
+    # the last node carries the kernel's exact mass past e^{u_hi}
+    r = np.append(r, math.exp(u_hi))
+    kernel = np.append(kernel, model.c * math.exp(-a * u_hi) / a)
     out = np.empty(_RATE_TABLE_NODES)
     for i, x in enumerate(xs.tolist()):
         # the two sides are integrated together: their first-order parts
@@ -752,10 +761,10 @@ class IntegrabilityReport:
     """Outcome of the jump-tilt integrability probe.
 
     ``status`` is one of ``"finite"``, ``"divergent"`` or ``"inconclusive"``
-    (quadrature did not settle — deliberately distinct from divergence);
-    ``worst_estimate`` is the largest sampled value of the kernel integral
-    (infinite when divergent) and ``per_point`` maps sample points to their
-    estimates.
+    (the tilt raised, or the decay exponents did not settle — deliberately
+    distinct from divergence); ``worst_estimate`` is the largest sampled value
+    of the kernel integral (infinite when divergent) and ``per_point`` maps
+    sample points to their estimates.
     """
 
     status: str
@@ -766,18 +775,29 @@ class IntegrabilityReport:
         return self.status == "finite"
 
 
-def _radial_annulus(model, tilt, x: float, r_lo: float, r_hi: float) -> float:
-    """Integral of |tilt| against the stable kernel over the two sides
-    ``r_lo <= |y - x| <= r_hi`` of the line around ``x``."""
-    from scipy import integrate  # here, so that importing the package does not load it
+# the probe's panels are at most this wide in u = log r
+_PROBE_PANEL = math.log(4.0) / 4.0
 
-    a = model.alpha
-    total = 0.0
-    for side in (1.0, -1.0):
-        f = lambda r: abs(tilt(x, x + r * side)) * model.c * r ** (-1.0 - a)
-        val, _ = integrate.quad(f, r_lo, r_hi, limit=100)
-        total += val
-    return total
+
+def _annulus_verdict(body: float, far: float, inc: np.ndarray) -> tuple:
+    """``(status, estimate)`` of one point from its annulus integrals: ``body``
+    over ``[delta0, outer]``, ``far`` over ``[outer, 4 outer]`` and ``inc[k]``
+    over ``[delta0 4^-(k+1), delta0 4^-k]``."""
+    scale = max(body, 1e-12)
+    if np.all(inc[-3:] < 1e-13 * scale):
+        return "finite", body + far + float(inc.sum())
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p = np.log(inc[:-1] / inc[1:]) / np.log(4.0)
+    p_tail = p[-3:]
+    if not np.all(np.isfinite(p_tail)):
+        return "inconclusive", float("nan")
+    p_est = float(np.median(p_tail))
+    if far > 0.5 * scale or p_est <= 0.01:
+        return "divergent", float("inf")
+    if np.max(p_tail) - np.min(p_tail) > 0.5:
+        return "inconclusive", float("nan")
+    ratio = 4.0 ** (-p_est)
+    return "finite", body + far + float(inc.sum()) + float(inc[-1]) * ratio / (1.0 - ratio)
 
 
 def integrability_check(model: JumpDiffusionModel, phi, region, t: float,
@@ -785,66 +805,46 @@ def integrability_check(model: JumpDiffusionModel, phi, region, t: float,
     """Probe whether ``x -> int |phi(x, y)| c/|x-y|^{1+alpha} dy`` is finite.
 
     Seven sample points are spread evenly over the model's interval
-    ``region``, checked first; around each the kernel integral is
-    accumulated over shrinking annuli and the observed decay exponent
-    decides between finite, divergent and inconclusive.  ``phi`` is called
-    on floats, and ``per_point`` keys each estimate by the 1-tuple of its
-    point.  ``t`` scales nothing here — finiteness at the sampled points is
-    what the pathwise integrability requirement needs on a bounded time
-    window.
+    ``region``, checked first; around each the kernel integral is summed
+    over ``levels`` (an integer >= 2) shrinking annuli, and the observed
+    decay exponent decides between finite, divergent and inconclusive.  The
+    annuli are panels of the Gauss-Legendre rule in ``u = log r`` of
+    :func:`stable_rate_table`, each at most ``log(4)/4`` wide in ``u`` and 1
+    wide in ``r``.  ``phi`` is called once per point and side of the line
+    with a float ``x`` and a float array ``y``, and returns an array of
+    ``y``'s shape or a scalar, which is broadcast; ``per_point`` keys each
+    estimate by the 1-tuple of its point.  ``t`` scales nothing here —
+    finiteness at the sampled points is what the pathwise integrability
+    requirement needs on a bounded time window.
     """
     lo, hi = model.interval(region)
+    if isinstance(levels, bool) or not isinstance(levels, numbers.Integral) or levels < 2:
+        raise DomainError(f"levels must be an integer >= 2, got {levels!r}")
     width = hi - lo
     delta0 = min(1.0, max(width, 1e-3))
     outer = 8.0 * max(1.0, width, abs(lo), abs(hi))
+    # annulus bounds, innermost first, each one a panel edge
+    bounds = [delta0 / 4.0 ** k for k in range(levels, -1, -1)] + [outer, 4.0 * outer]
+    edges, starts = [], []
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        starts.append(_RULE_NODES * len(edges))
+        grid = np.linspace(math.log(a), math.log(b), math.ceil(math.log(b / a) / _PROBE_PANEL) + 1)
+        # the integers strictly between a and b keep each panel at most 1 wide in r
+        edges.extend(np.union1d(grid, np.log(np.arange(math.floor(a) + 1.0, math.ceil(b))))[:-1].tolist())
+    r, kernel = _kernel_rule(model, np.array(edges + [math.log(bounds[-1])]))
     per_point = []
-    statuses = []
     for x in np.linspace(lo, hi, 7).tolist():
         try:
-            body = _radial_annulus(model, phi, x, delta0, outer)
-            far = _radial_annulus(model, phi, x, outer, 4.0 * outer)
-            increments = []
-            d_hi = delta0
-            for _ in range(levels):
-                d_lo = d_hi / 4.0
-                increments.append(_radial_annulus(model, phi, x, d_lo, d_hi))
-                d_hi = d_lo
+            tilt = np.abs(np.asarray(phi(x, x + r), dtype=float)) + np.abs(np.asarray(phi(x, x - r), dtype=float))
         except Exception:
-            per_point.append(((x,), float("nan")))
-            statuses.append("inconclusive")
+            per_point.append(((x,), "inconclusive", float("nan")))
             continue
-        inc = np.asarray(increments)
-        scale = max(body, 1e-12)
-        if np.all(inc[-3:] < 1e-13 * scale):
-            per_point.append(((x,), body + far + float(inc.sum())))
-            statuses.append("finite")
-            continue
-        with np.errstate(divide="ignore", invalid="ignore"):
-            p = np.log(inc[:-1] / inc[1:]) / np.log(4.0)
-        p_tail = p[-3:]
-        if not np.all(np.isfinite(p_tail)):
-            per_point.append(((x,), float("nan")))
-            statuses.append("inconclusive")
-            continue
-        p_est = float(np.median(p_tail))
-        if far > 0.5 * max(body, 1e-12) or p_est <= 0.01:
-            per_point.append(((x,), float("inf")))
-            statuses.append("divergent")
-            continue
-        if np.max(p_tail) - np.min(p_tail) > 0.5:
-            per_point.append(((x,), float("nan")))
-            statuses.append("inconclusive")
-            continue
-        ratio = 4.0 ** (-p_est)
-        remainder = float(inc[-1]) * ratio / (1.0 - ratio)
-        per_point.append(((x,), body + far + float(inc.sum()) + remainder))
-        statuses.append("finite")
-    if "divergent" in statuses:
-        status = "divergent"
-    elif "inconclusive" in statuses:
-        status = "inconclusive"
-    else:
-        status = "finite"
-    finite_vals = [v for _, v in per_point if np.isfinite(v)]
+        annuli = np.add.reduceat(tilt * kernel, starts).tolist()
+        per_point.append(((x,), *_annulus_verdict(annuli[levels], annuli[levels + 1],
+                                                   np.array(annuli[:levels][::-1]))))
+    statuses = {s for _, s, _ in per_point}
+    status = next(s for s in ("divergent", "inconclusive", "finite") if s in statuses)
+    finite_vals = [v for _, _, v in per_point if np.isfinite(v)]
     worst = float("inf") if status == "divergent" else (max(finite_vals) if finite_vals else float("nan"))
-    return IntegrabilityReport(status=status, worst_estimate=worst, per_point=tuple(per_point))
+    return IntegrabilityReport(status=status, worst_estimate=worst,
+                               per_point=tuple((x, v) for x, _, v in per_point))

@@ -858,18 +858,23 @@ def test_integrability_root_tilt_diverges():
 
 
 def test_integrability_raising_tilt_is_inconclusive():
+    raised = []
+
     def phi(x, y):
-        if abs(y - x) > 20.0:
+        if np.any(np.abs(y - x) > 20.0):
+            raised.append(x)
             raise ValueError("model blew up")
         return (y - x) ** 2 / (1.0 + (y - x) ** 2)
 
     report = integrability_check(STABLE1, phi, (-1.0, 1.0), t=1.0)
     assert report.status == "inconclusive"
     assert not bool(report)
+    # the tilt's own error, at every point
+    assert raised == np.linspace(-1.0, 1.0, 7).tolist()
 
 
 def _quad_tilt(x, y):
-    r2 = np.sum((np.asarray(y, dtype=float) - np.asarray(x, dtype=float)) ** 2)
+    r2 = (np.asarray(y, dtype=float) - x) ** 2
     return r2 / (1.0 + r2)
 
 
@@ -881,17 +886,88 @@ def _quad_tilt(x, y):
 def test_integrability_refuses_a_bad_box_before_any_quadrature(monkeypatch, dim, region):
     # the probe's region is an interval of the line: bad intervals (dim 1)
     # and boxes of the plane, good or bad (dim 2), are refused alike
-    monkeypatch.setattr(transform_module, "_radial_annulus", lambda *a, **k: pytest.fail("integrated"))
+    monkeypatch.setattr(transform_module, "_kernel_rule", lambda *a, **k: pytest.fail("rule built"))
     with pytest.raises(DomainError, match="region must be a pair of finite numbers"):
-        integrability_check(STABLE1, _quad_tilt, region, t=1.0)
+        integrability_check(STABLE1, lambda x, y: pytest.fail("tilt called"), region, t=1.0)
+
+
+@pytest.mark.parametrize("levels", [1, 0, -1, True, 2.0, 3.5, "4", None])
+def test_integrability_refuses_too_few_levels(levels):
+    # one annulus gives no decay exponent, none leaves out the disc inside delta0
+    with pytest.raises(DomainError, match="levels must be an integer >= 2"):
+        integrability_check(STABLE1, _quad_tilt, (-1.0, 1.0), t=1.0, levels=levels)
+
+
+@pytest.mark.parametrize("levels", [2, np.int64(3)])
+def test_integrability_takes_two_or_more_levels(levels):
+    assert integrability_check(STABLE1, _quad_tilt, (-1.0, 1.0), t=1.0, levels=levels).status == "finite"
 
 
 def test_integrability_keeps_its_value_on_a_good_box():
     report = integrability_check(STABLE1, _quad_tilt, (-1, 1), t=1.0)
-    assert report.status == "finite" and report.worst_estimate == 3.110345196348844
+    # int_0^64 r^2 / (1 + r^2) r^-2 dr on both sides, out to 4 outer = 64
+    assert report.status == "finite" and report.worst_estimate == pytest.approx(2.0 * math.atan(64.0), rel=1e-12)
     # seven float points, each keyed by its 1-tuple
     assert [x for x, _ in report.per_point] == [(v,) for v in np.linspace(-1.0, 1.0, 7).tolist()]
     assert all(type(x[0]) is float for x, _ in report.per_point)
+
+
+# the probe's rule against an adaptive quadrature of the same annuli; a tilt
+# is smooth when |tilt| is smooth in r on each side (not so |rho(y)/rho(x) - 1|,
+# kinked where rho(y) = rho(x), which a fixed rule resolves less well).  The
+# remainder reads the annuli near r = 1e-6, so 1 - exp(-r^2), which cancels
+# there to about 1e-4, would compare rounding noise: expm1 keeps its digits
+_ORACLE_RHO = lambda x: 1.0 + 0.5 * np.exp(-np.asarray(x) ** 2)
+_ORACLE_TILTS = {
+    "quadratic": (lambda x, y: (y - x) ** 2 / (1.0 + (y - x) ** 2), True),
+    "linear": (lambda x, y: np.abs(y - x) / (1.0 + (y - x) ** 2), True),
+    "root": (lambda x, y: np.abs(y - x) ** 0.5 / (1.0 + (y - x) ** 2), True),
+    "sin2": (lambda x, y: np.sin(y - x) ** 2, True),
+    "expm1": (lambda x, y: -np.expm1(-(y - x) ** 2), True),
+    "cos": (lambda x, y: (y - x) ** 2 * (2.0 + np.cos(x + y)) / (1.0 + (y - x) ** 4), True),
+    "p15": (lambda x, y: np.abs(y - x) ** 1.5 / (1.0 + np.abs(y - x) ** 3), True),
+    "tanh": (lambda x, y: np.tanh(y - x), True),
+    "growth": (lambda x, y: (y - x) ** 2, True),
+    "const": (lambda x, y: 0.5, True),
+    "zero": (lambda x, y: 0.0, True),
+    "rho": (lambda x, y: _ORACLE_RHO(y) / _ORACLE_RHO(x) - 1.0, False),
+}
+
+
+def _quad_point(model, phi, x, bounds, levels):
+    """``(status, estimate)`` of one point from annuli integrated by ``quad``."""
+    annuli = []
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        total = 0.0
+        for side in (1.0, -1.0):
+            f = lambda r: abs(phi(x, x + r * side)) * model.c * r ** (-1.0 - model.alpha)
+            total += integrate.quad(f, a, b, limit=100)[0]
+        annuli.append(total)
+    return transform_module._annulus_verdict(annuli[levels], annuli[levels + 1], np.array(annuli[:levels][::-1]))
+
+
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+@pytest.mark.parametrize("region", [(-1.0, 1.0), (0.25, 0.5), (-10.0, 10.0)])
+@pytest.mark.parametrize("c", [1.0, 2.5])
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 1.9])
+def test_integrability_rule_matches_quad(alpha, c, region):
+    # (-10, 10) reaches r = 640, where sin^2 oscillates: at alpha = 0.5 panels
+    # bounded in log r alone, up to 188 wide in r there, miss it by 3.2e-3
+    model = JumpDiffusionModel(d=1, alpha=alpha, c=c)
+    lo, hi = region
+    levels = 10
+    delta0 = min(1.0, hi - lo)
+    outer = 8.0 * max(1.0, hi - lo, abs(lo), abs(hi))
+    bounds = [delta0 / 4.0 ** k for k in range(levels, -1, -1)] + [outer, 4.0 * outer]
+    for name, (phi, smooth) in _ORACLE_TILTS.items():
+        report = integrability_check(model, phi, region, t=1.0, levels=levels)
+        oracle = [_quad_point(model, phi, x, bounds, levels) for (x,), _ in report.per_point]
+        statuses = {s for s, _ in oracle}
+        assert report.status == next(s for s in ("divergent", "inconclusive", "finite") if s in statuses), name
+        for (_, value), (_, expected) in zip(report.per_point, oracle):
+            assert np.isfinite(value) == np.isfinite(expected), name
+            if smooth and np.isfinite(expected):
+                assert value == pytest.approx(expected, rel=1e-9, abs=0.0), name
 
 
 # -- the time rule of the path functionals -----------------------------------
