@@ -77,7 +77,9 @@ key and three scratch rows), grown when a chunk needs more streams and
 otherwise reused.  Every step of a block writes into it, so a block
 allocates no array and a long run does not build and free a kernel's worth
 of temporaries per chunk.  The words a block returns are rows of the
-workspace and hold until the engine's next block.
+workspace and hold until the engine's next block.  A block of at most
+:data:`_PACKED_STREAMS` streams runs on Python ints instead
+(:func:`_philox_packed`), which allocate no numpy data.
 
 The chain engine's event loop allocates no array at all.  Every value of a
 pass (the live paths, their states, times and weights, the draws, the jump
@@ -86,11 +88,11 @@ grown only for a larger chunk, and every step writes into one: a ufunc's
 ``out``, ``take`` in mode ``"clip"`` (mode ``"raise"`` buffers its
 output), ``putmask``, and a scatter to the ranks of :func:`_ranks` where a
 live set shrinks.  Its draws (:class:`_PhiloxUniforms`) keep their uniforms
-and draw counts the same way, shift a block's words in the workspace, map
-them to uniforms by a cast and one product, and pass a counter that every
-row shares as one Python int, so that round 0 needs no product over the
-rows; between draws the idle workspace holds the loop's short-lived
-floats.  A chunk so allocates only the records it returns.  Small arrays
+the same way; the live paths draw in lockstep, so a draw is one ``take``
+and every fourth refills the live rows at one shared counter, a Python int,
+so that round 0 needs no product over the rows; between draws the idle
+workspace holds the loop's short-lived floats.  A chunk so allocates only
+the records it returns.  Small arrays
 matter here beyond their size: numpy keeps freed data blocks under 1024
 bytes in a cache of up to 7 a byte size, unseen by ``tracemalloc``, and a
 loop whose live sets shrink through every size would fill it, run after
@@ -222,7 +224,10 @@ class RngSpec:
     def keys(self, first: int, count: int):
         """Philox keys of streams ``first .. first + count - 1``: the word
         ``seed`` they share and one word ``offset + index`` each, both
-        modulo 2**64 (uint64 array arithmetic wraps, as the keys do)."""
+        modulo 2**64 (uint64 array arithmetic wraps, as the keys do).
+        ``first`` is an integer >= 0, taken as an exact int, as
+        :meth:`stream` takes its index."""
+        first = _nonnegative(first, "first stream index")
         return self.seed & _MASK64, np.arange(count, dtype=np.uint64) + np.uint64((self.offset + first) & _MASK64)
 
     def stream(self, index: int) -> np.random.Generator:
@@ -235,17 +240,30 @@ class RngSpec:
 # vectorised Philox4x64-10
 
 
-_LO32 = np.uint64(0xFFFFFFFF)
-_SHIFT32 = np.uint64(32)
+def _word(value: int) -> np.ndarray:
+    """``value`` as a 0-d uint64 array: as an operand of a ufunc on a short
+    row it costs about 0.4 us a call, a numpy scalar about 0.65 us."""
+    return np.array(value, dtype=np.uint64)
+
+
+_LO32 = _word(0xFFFFFFFF)
+_SHIFT32 = _word(32)
 _PHILOX_MUL = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
 _PHILOX_WEYL = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
-# each multiplier as numpy scalars (low limb, high limb, whole), and the key's second Weyl step
-_PHILOX_LIMBS = tuple((np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32), np.uint64(m)) for m in _PHILOX_MUL)
-_PHILOX_WEYL1 = np.uint64(_PHILOX_WEYL[1])
+# each multiplier as 0-d arrays (low limb, high limb, whole), and the key's second Weyl step
+_PHILOX_LIMBS = tuple((_word(m & 0xFFFFFFFF), _word(m >> 32), _word(m)) for m in _PHILOX_MUL)
+_PHILOX_WEYL1 = _word(_PHILOX_WEYL[1])
 _PHILOX_ROUNDS = 10
 _PHILOX_ROWS = 12  # two banks of four counter words, the running key, three scratch rows
-_ELEVEN = np.uint64(11)  # a word's top 53 bits, times 2**-53, are its uniform
+_ELEVEN = _word(11)  # a word's top 53 bits, times 2**-53, are its uniform
 _TWO_M53 = 2.0 ** -53
+# blocks of at most this many streams run on Python ints (_philox_packed),
+# wider ones on numpy (~300 ufunc calls, ~150 us up to a few hundred
+# streams).  The two alternating in one process (2-core VM, BENCH_30.json):
+# packed 14, 53 and 220 us at 4, 64 and 256 streams against numpy's
+# 140-241, then 189 against 171 us at 320 and 543 against 221 at 1024
+_PACKED_STREAMS = 256
+_LANE = (1).to_bytes(16, "little")  # a 128-bit lane holding 1
 
 
 def _grown(ws: np.ndarray, capacity: int) -> np.ndarray:
@@ -306,13 +324,18 @@ def _philox_block(counter, key0: int, key1: np.ndarray, ws: np.ndarray) -> np.nd
     the one product ``counter * M0``, a Python int when the counter is one.
     Round 1's first product is then the scalar ``key0 * M0``, a Python int,
     and its fourth word the same for every stream.
+
+    A block of at most :data:`_PACKED_STREAMS` streams runs on Python ints
+    instead (:func:`_philox_packed`), with the same words in the same rows.
     """
+    if key1.size <= _PACKED_STREAMS:
+        return _philox_packed(counter, key0, key1, ws)
     words = ws[4:8, : key1.size]  # ten rounds, from the first bank, end in the second
     rows = tuple(ws[:, : key1.size])
     c, nxt, k1, scratch = rows[0:4], rows[4:8], rows[8], rows[9:12]
     if isinstance(counter, int):
         product = counter * _PHILOX_MUL[0]
-        np.bitwise_xor(key1, np.uint64(product >> 64), out=c[2])
+        np.bitwise_xor(key1, _word(product >> 64), out=c[2])
         c[3].fill(product & _MASK64)
     else:
         _mulhilo(counter, _PHILOX_LIMBS[0], c[2], c[3], scratch)
@@ -321,8 +344,8 @@ def _philox_block(counter, key0: int, key1: np.ndarray, ws: np.ndarray) -> np.nd
     key0 = (key0 + _PHILOX_WEYL[0]) & _MASK64
     np.add(key1, _PHILOX_WEYL1, out=k1)
     _mulhilo(c[2], _PHILOX_LIMBS[1], nxt[0], nxt[1], scratch)
-    np.bitwise_xor(nxt[0], np.uint64(key0), out=nxt[0])
-    np.bitwise_xor(c[3], np.uint64(product >> 64), out=nxt[2])
+    np.bitwise_xor(nxt[0], _word(key0), out=nxt[0])
+    np.bitwise_xor(c[3], _word(product >> 64), out=nxt[2])
     np.bitwise_xor(nxt[2], k1, out=nxt[2])
     nxt[3].fill(product & _MASK64)
     c, nxt = nxt, c
@@ -332,10 +355,45 @@ def _philox_block(counter, key0: int, key1: np.ndarray, ws: np.ndarray) -> np.nd
         _mulhilo(c[0], _PHILOX_LIMBS[0], nxt[2], nxt[3], scratch)
         _mulhilo(c[2], _PHILOX_LIMBS[1], nxt[0], nxt[1], scratch)
         np.bitwise_xor(nxt[0], c[1], out=nxt[0])
-        np.bitwise_xor(nxt[0], np.uint64(key0), out=nxt[0])
+        np.bitwise_xor(nxt[0], _word(key0), out=nxt[0])
         np.bitwise_xor(nxt[2], c[3], out=nxt[2])
         np.bitwise_xor(nxt[2], k1, out=nxt[2])
         c, nxt = nxt, c
+    return words
+
+
+def _philox_packed(counter, key0: int, key1: np.ndarray, ws: np.ndarray) -> np.ndarray:
+    """:func:`_philox_block` on Python ints: each word of all ``r`` streams
+    is one int of ``r`` 128-bit lanes, so a round is two big-int products
+    (a lane's 128-bit product stays in its lane) and shifts, xors and masks.
+    Words 1 and 3 stay whole products and the keys unmasked (ten Weyl steps
+    keep a lane below 2**68); the masks ending words 0 and 2 drop the high
+    halves.  Keys and counters are staged in rows 8-11 of ``ws``, the words
+    written to rows 4-7; no lane constant is cached between calls.
+    """
+    r = key1.size
+    unit = int.from_bytes(_LANE * r, "little")  # 1 in every lane
+    low = unit * _MASK64  # the low word of every lane
+    lanes = ws[8:12].reshape(-1)[: 2 * r].reshape(r, 2)  # a lane a row, low word first
+    lanes[:, 0] = key1
+    if isinstance(counter, int):
+        lanes[:, 1] = 0
+        k1, x0 = int.from_bytes(lanes, "little"), counter * unit
+    else:
+        lanes[:, 1] = counter
+        both = int.from_bytes(lanes, "little")
+        k1, x0 = both & low, both >> 64 & low
+    k0, x1, x2, x3 = key0 * unit, 0, 0, 0
+    weyl0, weyl1 = _PHILOX_WEYL[0] * unit, _PHILOX_WEYL[1] * unit
+    for _ in range(_PHILOX_ROUNDS):
+        p0, p1 = x0 * _PHILOX_MUL[0], x2 * _PHILOX_MUL[1]
+        x0, x1, x2, x3 = (p1 >> 64 ^ x1 ^ k0) & low, p1, (p0 >> 64 ^ x3 ^ k1) & low, p0
+        k0 += weyl0
+        k1 += weyl1
+    words = ws[4:8, :r]
+    for pair, lo, hi in ((words[0:2], x0, x1), (words[2:4], x2, x3)):
+        packed = (lo | (hi & low) << 64).to_bytes(16 * r, "little")
+        np.copyto(pair, np.frombuffer(packed, dtype=np.uint64).reshape(r, 2).T)
     return words
 
 
@@ -369,12 +427,19 @@ class _PhiloxUniforms:
     One object serves run after run of streams: :meth:`start` sets it on a
     run and keeps its buffers, growing them only for a longer run, and a
     draw writes into them and into its scratch, so neither allocates an
-    array.  A block whose rows all read the same counter, as the first does
-    and as paths drawing in lockstep do, passes it to :func:`_philox_block`
-    as one Python int.  The words are shifted in the Philox workspace and
-    mapped to uniforms by a cast and a product into ``_buf``, word ``j`` of
-    row ``i`` at ``[j, i]``: directly for the first block, and for a refill
-    in the workspace's idle first bank, then one scatter a word.
+    array.  The words are shifted in the Philox workspace and mapped to
+    uniforms by a cast and a product into ``_buf``, word ``j`` of row ``i``
+    at ``[j, i]``: directly for the first block, and for a refill in the
+    workspace's idle first bank, then one scatter a word.
+
+    :meth:`draw_live` serves rows that have all drawn alike and leave only
+    between draws, as a chain chunk's live paths: the run keeps one position
+    ``pos``, a draw takes ``_buf[pos & 3]``, and every fourth refills the
+    rows at the shared int counter ``pos // 4 + 1``.  :meth:`draw` serves
+    any subset, as the redraw of a zero: each row counts its own draws in
+    ``_drawn``.  The run's first :meth:`draw` sets every count to ``pos``,
+    right for the rows still drawing, and sends later :meth:`draw_live`
+    calls to :meth:`draw`.
     """
 
     def __init__(self, rng: Optional[RngSpec] = None, first: int = 0, count: int = 0):
@@ -403,7 +468,7 @@ class _PhiloxUniforms:
                        np.empty((2, count), dtype=bool), np.arange(count + 1))
         self._ws, *self._scratch = scratch
         self._key0, self._key1 = key0, key1
-        self._drawn[:count].fill(0)
+        self._count, self._pos = count, 0  # _pos is None once the run draws row by row
         for row, words in zip(self._buf[:, :count], self._words(1, key1)):
             np.copyto(row, words, casting="unsafe")  # exact: the words are below 2**53
             np.multiply(row, _TWO_M53, out=row)
@@ -417,8 +482,33 @@ class _PhiloxUniforms:
             np.right_shift(row, _ELEVEN, out=row)
         return words
 
+    def _refill(self, counter, rows: np.ndarray) -> None:
+        """Load block ``counter`` (an int, or one a row) of each listed row into ``_buf``."""
+        r = rows.size
+        # the bank the rounds left, idle until the next block, as r floats a word
+        spare = self._ws[:4].reshape(-1)[: 4 * r].reshape(4, r).view(np.float64)
+        np.copyto(spare, self._words(counter, _gather(self._key1, rows, self._keys)), casting="unsafe")
+        np.multiply(spare, _TWO_M53, out=spare)
+        for row, uniforms in zip(self._buf, spare):
+            row[rows] = uniforms
+
+    def draw_live(self, rows: np.ndarray) -> np.ndarray:
+        """Next uniform of each listed row, where every listed row has drawn
+        as often as the others in this run; in a buffer that holds until the
+        next draw."""
+        pos = self._pos
+        if pos is None:
+            return self.draw(rows)
+        self._pos = pos + 1
+        if pos and not pos & 3:
+            self._refill(pos // 4 + 1, rows)
+        return _gather(self._buf[pos & 3], rows, self._scratch[1])
+
     def draw(self, rows: np.ndarray) -> np.ndarray:
         """Next uniform of each listed row, in a buffer that holds until the next draw."""
+        if self._pos is not None:
+            self._drawn[: self._count].fill(self._pos)
+            self._pos = None
         n = rows.size
         (drawn, slot, refill), out, (spent, other), index = self._scratch
         drawn, slot, spent, other = _gather(self._drawn, rows, drawn), slot[:n], spent[:n], other[:n]
@@ -435,12 +525,7 @@ class _PhiloxUniforms:
                 counter = lead + 1
             else:
                 counter = np.add(block, 1, out=block).view(np.uint64)
-            # the bank the rounds left, idle until the next block, as r floats a word
-            spare = self._ws[:4].reshape(-1)[: 4 * r].reshape(4, r).view(np.float64)
-            np.copyto(spare, self._words(counter, _gather(self._key1, refill, self._keys)), casting="unsafe")
-            np.multiply(spare, _TWO_M53, out=spare)
-            for row, uniforms in zip(self._buf, spare):
-                row[refill] = uniforms
+            self._refill(counter, refill)
             np.bitwise_and(drawn, 3, out=slot)  # the ranks and blocks wrote over the slots
         np.add(drawn, 1, out=drawn)
         self._drawn[rows] = drawn
@@ -854,8 +939,10 @@ class _ChainEngine:
         over, keep, dies = self._flag
         counts, occupations = self._int[_INT_ROWS:], self._float[_FLOAT_ROWS:]
         index = self._index
+        # every live path draws alike, but for the redraw of a zero
+        draw_live = getattr(draws, "draw_live", draws.draw)
         if x0 is None:
-            start, mass = np.searchsorted(self.start_cdf, draws.draw(index[:m]), side="right"), self.mass
+            start, mass = np.searchsorted(self.start_cdf, draw_live(index[:m]), side="right"), self.mass
         else:
             start, mass = np.full(m, int(x0), dtype=np.intp), 1.0
         x[:m] = start
@@ -892,7 +979,7 @@ class _ChainEngine:
                     if not n:
                         break
                     L, S = live[:n], src[:n]
-            u = draws.draw(L)
+            u = draw_live(L)
             if np.count_nonzero(u) < n:
                 u = u.copy()  # the draws below write over the draw buffer
                 zero = u == 0.0
@@ -928,7 +1015,7 @@ class _ChainEngine:
                 L, TN = live[:n], t_next[:n]
                 S, TL = _gather(x, L, src), _gather(t, L, t_live)
             V, D, W, A, B = t_next2[:n], dies[:n], work[:n], at[:n], keep[:n]
-            np.multiply(draws.draw(L), _gather(self.total, S, W), out=V)
+            np.multiply(draw_live(L), _gather(self.total, S, W), out=V)
             np.greater_equal(V, _gather(self.jump_total, S, W), out=D)
             # the first cumulative rate above v, from the row's start: the jump target
             np.multiply(S, self.width, out=A)

@@ -105,6 +105,15 @@ def test_rng_spec_takes_numpy_integers_as_ints():
     np.testing.assert_array_equal(spec.stream(1).random(5), RngSpec(seed=2**64 - 1).stream(4).random(5))
 
 
+@pytest.mark.parametrize("first", [np.int64(2), np.uint64(2), np.int64(2**63 - 1), np.uint64(2**64 - 1), 2**63 - 3])
+def test_keys_take_a_numpy_integer_first_as_an_int(first):
+    # a numpy integer plus an int stays a numpy integer (NEP 50): int64
+    # overflowed near 2**63 before the sum was masked
+    key0, key1 = RngSpec(seed=3, offset=5).keys(first, 3)
+    assert key0 == 3 and key1.dtype == np.uint64
+    assert key1.tolist() == [(5 + int(first) + i) % 2**64 for i in range(3)]
+
+
 def test_numpy_philox_matches_numpy_generator():
     # keys near 2**64 - 1 wrap to 0 and 1; twelve draws cross three blocks
     seed, offset = 2**64 - 1, 2**64 - 3
@@ -172,22 +181,25 @@ def _philox_unfolded(counter: int, key0: int, key1: int) -> list:
 def test_folded_philox_block_equals_the_unfolded_rounds(key0, case):
     # the fold takes rounds 0 and 1 apart, for a counter a row or one
     # Python int for all; the Weyl steps of both keys wrap for the largest
-    # key0 and the key1 near 2**64
+    # key0 and the key1 near 2**64.  Blocks of up to _PACKED_STREAMS streams
+    # run on Python ints and wider ones on numpy: widths on both sides of the
+    # edge pin both kernels and the dispatch between them
     rng = np.random.default_rng(23)
-    n = 1 if case == "one row" else 300
-    counter = rng.integers(0, 2**64, size=n, dtype=np.uint64, endpoint=False)
-    if case == "shared":
-        counter[:] = counter[0]
-    key1 = rng.integers(0, 2**64, size=n, dtype=np.uint64, endpoint=False)
-    key1[:2] = (2**64 - 1, 2**64 - _PHILOX_W[1])[:n]
-    if case.startswith("int"):
-        counter = eval(case[4:])
-        want = [_philox_unfolded(counter, key0, int(k)) for k in key1]
-    else:
-        want = [_philox_unfolded(int(c), key0, int(k)) for c, k in zip(counter, key1)]
-    ws = montecarlo._philox_workspace(n)
-    got = np.stack(montecarlo._philox_block(counter, key0, key1, ws), axis=1)
-    np.testing.assert_array_equal(got, np.array(want, dtype=np.uint64))
+    edge = montecarlo._PACKED_STREAMS
+    for n in (1,) if case == "one row" else (1, 2, 3, edge - 1, edge, edge + 1, 300):
+        counter = rng.integers(0, 2**64, size=n, dtype=np.uint64, endpoint=False)
+        if case == "shared":
+            counter[:] = counter[0]
+        key1 = rng.integers(0, 2**64, size=n, dtype=np.uint64, endpoint=False)
+        key1[:2] = (2**64 - 1, 2**64 - _PHILOX_W[1])[:n]
+        if case.startswith("int"):
+            counter = eval(case[4:])
+            want = [_philox_unfolded(counter, key0, int(k)) for k in key1]
+        else:
+            want = [_philox_unfolded(int(c), key0, int(k)) for c, k in zip(counter, key1)]
+        ws = montecarlo._philox_workspace(n)
+        got = np.stack(montecarlo._philox_block(counter, key0, key1, ws), axis=1)
+        np.testing.assert_array_equal(got, np.array(want, dtype=np.uint64), err_msg=f"{n} streams")
 
 
 def test_numpy_philox_refills_mix_shared_and_unequal_counters(monkeypatch):
@@ -213,6 +225,32 @@ def test_numpy_philox_refills_mix_shared_and_unequal_counters(monkeypatch):
         assert got == spec.stream(3 + r).random(len(got)).tolist(), r
     # the first block, all rows, row 4 alone, two with row 4 a block ahead, the rest, all rows level again
     assert counters == [int, int, int, np.ndarray, np.ndarray, int, int]
+
+
+def test_lockstep_draws_survive_a_redraw_mid_block():
+    # five rows draw in lockstep over three blocks while row 4 leaves between
+    # draws, as a finished path does; rows 1 and 3 draw once more mid-block,
+    # as a redraw of a zero does; the four left draw in lockstep again, now
+    # row by row, one block apart across the next refill
+    spec = RngSpec(seed=2**64 - 1, offset=41)
+    draws = _PhiloxUniforms(spec, 7, 5)
+    seen = {r: [] for r in range(5)}
+    every, four, skew = np.arange(5), np.arange(4), np.array([1, 3])
+    for live, rows in [(True, every)] * 6 + [(True, four)] * 4 + [(False, skew)] + [(True, four)] * 7:
+        for r, u in zip(rows, (draws.draw_live if live else draws.draw)(rows)):
+            seen[int(r)].append(u)
+    for r, got in seen.items():
+        assert got == spec.stream(7 + r).random(len(got)).tolist(), r
+    assert [len(got) for got in seen.values()] == [17, 18, 17, 18, 6]
+
+
+def test_chain_engine_draws_in_lockstep(chain3_killed, phi3, monkeypatch):
+    # without a zero uniform every draw of a chunk, from the start state on,
+    # reads all its live rows at one position; a row-by-row draw would fail
+    monkeypatch.setattr(_PhiloxUniforms, "draw", lambda self, rows: pytest.fail("row-by-row draw"))
+    engine = _ChainEngine(chain3_killed, PureJumpPhi(phi=phi3))
+    for _lo, _hi, (_short, long) in engine.run((0.5, 3.0), 300, RngSpec(seed=4), pairs=((1, 2),)):
+        assert not long.alive.all() and long.count[(1, 2)].any()
 
 
 def test_numpy_philox_rows_advance_independently():
