@@ -1,27 +1,15 @@
-"""Every demo script runs to the end from a checkout."""
+"""Every demo script runs to the end from a checkout, and prints its pinned output."""
 
-import os
-import subprocess
-import sys
+import hashlib
 
 import pytest
 
-import girsanov
-
-DEMOS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "demos")
+import fingerprints
 
 
-@pytest.mark.parametrize("demo", [
-    "finite_chain_forms.py",
-    "jump_tilt_walkthrough.py",
-    "monte_carlo_verification.py",
-    "stable_jump_diffusion.py",
-    "state_tilt_walkthrough.py",
-])
+@pytest.mark.parametrize("demo", fingerprints.DEMO_NAMES)
 def test_demo_exits_zero(tmp_path, demo):
-    # PYTHONPATH=src: the girsanov these tests import, not an installed one
-    src = os.path.dirname(os.path.dirname(os.path.abspath(girsanov.__file__)))
-    proc = subprocess.run([sys.executable, os.path.join(DEMOS, demo)], cwd=tmp_path, capture_output=True,
-                          text=True, env=dict(os.environ, PYTHONPATH=src), timeout=120)
+    proc = fingerprints.demo_stdout(demo, tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == fingerprints.stored()["demos"][demo]
