@@ -28,8 +28,8 @@ import numpy as np
 from . import dirichlet, montecarlo
 from .errors import ConfigError, GirsanovError, ModelError, TransformError
 from .model import FiniteSymmetricModel, JumpDiffusionModel, validate_symmetry
-from .montecarlo import RngSpec
 from .paths import path_to_csv
+from .streams import RngSpec, stream_uniforms
 from .transform import GeneralMF, PureJumpPhi, RhoTransform, lower, transformed_levy_kernel
 
 __all__ = ["ExperimentConfig", "run", "emit_plot_data", "main"]
@@ -366,7 +366,7 @@ def _check_form_identity(model, transform, check, rng):
         call = block * max(1, _FORM_BLOCK // (block * n))
         worst = 0.0
         for start in range(0, draws, call):
-            fs = montecarlo._stream_uniforms(rng, start * n, min(call, draws - start) * n).reshape(-1, n) * 2.0 - 1.0
+            fs = stream_uniforms(rng, start * n, min(call, draws - start) * n).reshape(-1, n) * 2.0 - 1.0
             for lo in range(0, len(fs), block):
                 *_parts, residual = duality(fs[lo : lo + block])
                 worst = max(worst, float(np.max(residual)))
@@ -384,6 +384,8 @@ def _check_form_identity(model, transform, check, rng):
 
 def _check_semigroup(model, transform, check, rng):
     """The transformed semigroup of ``f`` at ``x``; ``mass`` is that of f = 1."""
+    if check["x"] is None:  # the request would start from mu, and the oracle reads one state
+        raise ConfigError("'x' must be a state, got null")
     f = np.ones(model.n) if check["id"] == "mass" else model.state_vector(check["f"])
     req = montecarlo.semigroup_request(model, transform, f, check["x"], check["t"], check["paths"], rng)
 

@@ -78,11 +78,11 @@ class FiniteSymmetricModel:
 
     def __post_init__(self):
         m = _readonly(self.m)
-        q = _readonly(self.q)
-        k = _readonly(np.zeros(m.shape[0]) if self.k is None else self.k)
         if m.ndim != 1 or m.shape[0] == 0:
             raise ModelError("m must be a nonempty 1-d array")
         n = m.shape[0]
+        q = _readonly(self.q)
+        k = _readonly(np.zeros(n) if self.k is None else self.k)
         if q.shape != (n, n):
             raise ModelError(f"q must have shape ({n}, {n}), got {q.shape}")
         if k.shape != (n,):

@@ -34,9 +34,7 @@ from .errors import DomainError, PathError
 
 __all__ = [
     "Path",
-    "CafSpec",
     "reverse",
-    "shift",
     "steps",
     "jump_steps",
     "integrate_along",
@@ -45,17 +43,6 @@ __all__ = [
     "lyons_zheng_residual",
     "path_to_csv",
 ]
-
-
-@dataclass(frozen=True)
-class CafSpec:
-    """Integrand of a continuous additive functional ``int_0^t f(X_s) ds``.
-
-    ``integrand`` may be a vector indexed by chain state or a callable on
-    points; the cemetery state always evaluates to zero.
-    """
-
-    integrand: object
 
 
 @dataclass(frozen=True)
@@ -232,23 +219,7 @@ def reverse(path: Path, t: float) -> Path:
     return Path(x0=states[-1], events=rev_events, horizon=t)
 
 
-def shift(path: Path, s: float) -> Path:
-    """Restart the chain path at time ``s`` (time origin moves to ``s``)."""
-    if path.is_grid:
-        raise DomainError("shift is provided for chain paths only")
-    if not path.time(s) < path.horizon:
-        raise DomainError("shift time must lie in [0, horizon)")
-    if path.killed_at is not None and path.killed_at <= s:
-        raise PathError("cannot shift past the death time")
-    x0 = path.state_at(s)
-    events = tuple((u - s, x) for u, x in path.events if u > s)
-    killed = None if path.killed_at is None else path.killed_at - s
-    return Path(x0=x0, events=events, horizon=path.horizon - s, killed_at=killed)
-
-
 def _state_integrand(f) -> Callable:
-    if isinstance(f, CafSpec):
-        f = f.integrand
     if callable(f):
         fn = f
         return lambda x: 0.0 if x is None else float(fn(x))
@@ -274,11 +245,10 @@ def integrate_along(path: Path, f, t: float) -> float:
     if t == 0.0:
         return 0.0
     if path.is_grid:
-        fn = f.integrand if isinstance(f, CafSpec) else f
         tt = min(t, path.horizon)
         K = tt / path.dt
         k_full = int(np.floor(K + 1e-9))
-        vals = np.asarray(fn(path.grid), dtype=float)
+        vals = np.asarray(f(path.grid), dtype=float)
         total = float(np.trapezoid(vals[: k_full + 1], dx=path.dt)) if k_full >= 1 else 0.0
         frac = tt - k_full * path.dt
         if frac > 1e-9 * path.dt and k_full + 1 < len(vals):

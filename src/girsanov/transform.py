@@ -59,7 +59,6 @@ __all__ = [
     "transformed_levy_kernel",
     "transformed_jump_measure",
     "transformed_killing",
-    "transformed_revuz",
     "transformed_model",
     "LoweredTransform",
     "lower",
@@ -697,13 +696,6 @@ def transformed_killing(model: FiniteSymmetricModel, transform: TransformSpec) -
     """
     low = lower(model, transform)
     return (1.0 + low.phi_delta) * (model.k * low.mu) + low.a_rate * low.mu
-
-
-def transformed_revuz(mu, rho) -> np.ndarray:
-    """Revuz measure of an additive functional under the rho tilt: ``rho^2 mu``."""
-    mu = np.asarray(mu, dtype=float)
-    rho = np.asarray(rho, dtype=float)
-    return rho * rho * mu
 
 
 def transformed_model(model: FiniteSymmetricModel, transform: TransformSpec) -> FiniteSymmetricModel:

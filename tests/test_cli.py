@@ -705,6 +705,8 @@ def test_unread_fields_and_empty_draws_exit_two(tmp_path, monkeypatch, capsys, c
     {"id": "jump_rate", "pair": [0.0, 1], "horizon": 0.5},
     {"id": "jump_rate", "pair": [0, 1.9], "horizon": 0.5},
     {"id": "jump_rate", "pair": [False, 1], "horizon": 0.5},
+    {"id": "mass", "x": None, "t": 0.5},  # would start from mu, where the oracle reads one state
+    {"id": "semigroup", "f": [0, 1, 0], "x": None, "t": 0.5},
 ])
 def test_non_integer_counts_and_states_exit_two_before_any_file(tmp_path, monkeypatch, capsys, check):
     calls = []
@@ -714,6 +716,14 @@ def test_non_integer_counts_and_states_exit_two_before_any_file(tmp_path, monkey
     assert main(["verify", "--config", cfg, "--out", str(out)]) == 2
     assert "error:" in capsys.readouterr().err
     assert calls == []
+    assert not out.exists()
+
+
+def test_a_number_for_the_weights_exits_two(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"model": {"type": "finite", "m": 1.0, "q": [[0.0]]}, "checks": ["symmetry"]})
+    out = tmp_path / "out"
+    assert main(["verify", "--config", cfg, "--out", str(out)]) == 2
+    assert "error: invalid model: m must be a nonempty 1-d array" in capsys.readouterr().err
     assert not out.exists()
 
 

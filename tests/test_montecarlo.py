@@ -44,9 +44,10 @@ from girsanov import (
     transformed_model,
 )
 import girsanov
-from girsanov import cli, montecarlo
-from girsanov.montecarlo import _ChainEngine, _PhiloxUniforms
+from girsanov import cli, montecarlo, streams
+from girsanov.montecarlo import _ChainEngine
 from girsanov.paths import _brownian_increments, jump_steps
+from girsanov.streams import _PhiloxUniforms
 from girsanov.transform import lower, lower_continuum
 
 F010 = np.array([0.0, 1.0, 0.0])
@@ -129,30 +130,30 @@ def test_numpy_philox_matches_numpy_generator():
 def test_philox_workspace_is_reused_over_growing_and_shrinking_blocks():
     # keys and counters near 2**64 wrap; each call overwrites the last one's words
     key0 = 2**64 - 1
-    ws = montecarlo._philox_workspace(4096)
+    ws = streams._philox_workspace(4096)
     for n, first in ((4096, 2**64 - 2000), (1, 2**64 - 1), (7, 2**64 - 4), (4096, 0), (3, 2**64 - 2)):
         key1 = np.arange(n, dtype=np.uint64) + np.uint64(first)
         counter = (np.arange(n, dtype=np.uint64) % np.uint64(3)) + np.uint64(1)
-        assert montecarlo._philox_workspace(n, ws) is ws
-        got = np.stack(montecarlo._philox_block(counter, key0, key1, ws), axis=1)
+        assert streams._philox_workspace(n, ws) is ws
+        got = np.stack(streams._philox_block(counter, key0, key1, ws), axis=1)
         for i in sorted({0, 1, n // 2, n - 2, n - 1} & set(range(n))):
             bits = np.random.Philox(key=np.array([key0, key1[i]], dtype=np.uint64))
             want = bits.random_raw(4 * int(counter[i]))[-4:]
             np.testing.assert_array_equal(got[i], want)
-    assert montecarlo._philox_workspace(4097, ws).shape == (ws.shape[0], 4097)
+    assert streams._philox_workspace(4097, ws).shape == (ws.shape[0], 4097)
 
 
 def test_warm_philox_block_allocates_nothing():
     n = 4096
-    ws = montecarlo._philox_workspace(n)
+    ws = streams._philox_workspace(n)
     key1 = np.arange(n, dtype=np.uint64)
     for counter in (np.ones(n, dtype=np.uint64), 1):  # one counter a row, or one shared as an int
-        montecarlo._philox_block(counter, 7, key1, ws)
+        streams._philox_block(counter, 7, key1, ws)
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            montecarlo._philox_block(counter, 7, key1, ws)
+            streams._philox_block(counter, 7, key1, ws)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -185,7 +186,7 @@ def test_folded_philox_block_equals_the_unfolded_rounds(key0, case):
     # run on Python ints and wider ones on numpy: widths on both sides of the
     # edge pin both kernels and the dispatch between them
     rng = np.random.default_rng(23)
-    edge = montecarlo._PACKED_STREAMS
+    edge = streams._PACKED_STREAMS
     for n in (1,) if case == "one row" else (1, 2, 3, edge - 1, edge, edge + 1, 300):
         counter = rng.integers(0, 2**64, size=n, dtype=np.uint64, endpoint=False)
         if case == "shared":
@@ -197,8 +198,8 @@ def test_folded_philox_block_equals_the_unfolded_rounds(key0, case):
             want = [_philox_unfolded(counter, key0, int(k)) for k in key1]
         else:
             want = [_philox_unfolded(int(c), key0, int(k)) for c, k in zip(counter, key1)]
-        ws = montecarlo._philox_workspace(n)
-        got = np.stack(montecarlo._philox_block(counter, key0, key1, ws), axis=1)
+        ws = streams._philox_workspace(n)
+        got = np.stack(streams._philox_block(counter, key0, key1, ws), axis=1)
         np.testing.assert_array_equal(got, np.array(want, dtype=np.uint64), err_msg=f"{n} streams")
 
 
@@ -212,8 +213,8 @@ def test_numpy_philox_refills_mix_shared_and_unequal_counters(monkeypatch):
         counters.append(type(counter))
         return philox_block(counter, *args)
 
-    philox_block = montecarlo._philox_block
-    monkeypatch.setattr(montecarlo, "_philox_block", block)
+    philox_block = streams._philox_block
+    monkeypatch.setattr(streams, "_philox_block", block)
     spec = RngSpec(seed=2**64 - 2, offset=77)
     draws = _PhiloxUniforms(spec, 3, 6)
     seen = {r: [] for r in range(6)}
@@ -273,7 +274,7 @@ def test_stream_uniforms_continue_stream_zero(seed, offset):
     want = spec.stream(0)
     start = 0
     for count in (1, 2, 3, 4, 5, 600, 9, 10_001, 8, 1344):
-        got = montecarlo._stream_uniforms(spec, start, count)
+        got = streams.stream_uniforms(spec, start, count)
         assert got.shape == (count,) and got.tobytes() == want.random(count).tobytes(), (start, count)
         start += count
 
@@ -726,7 +727,7 @@ class _Replay:
         return low + (high - low) * self._take(size)
 
     def poisson(self, lam):
-        return int(montecarlo._poisson_count(montecarlo._poisson_cdf(lam), self._take(None)))
+        return int(streams._poisson_count(streams._poisson_cdf(lam), self._take(None)))
 
     def normal(self, loc=0.0, scale=1.0, size=None):
         return loc + scale * ndtri(self._take(size))
@@ -790,9 +791,9 @@ def test_continuum_weights_take_the_lowerings_a_rate():
 
 
 def test_open_uniforms_at_the_extreme_words():
-    u = montecarlo._open_uniform(np.array([0, TOP_WORD], dtype=np.uint64))
+    u = streams._open_uniform(np.array([0, TOP_WORD], dtype=np.uint64))
     assert u.tolist() == [2.0 ** -54, 1.0 - 2.0 ** -53]
-    assert np.all(np.isfinite(montecarlo._ndtri(u.copy())))
+    assert np.all(np.isfinite(streams._ndtri(u.copy())))
     assert np.all(np.isfinite(CONT["eps"] * u ** (-1.0 / STABLE_C.alpha)))
 
 
@@ -813,32 +814,32 @@ def test_ndtri_matches_scipy_bit_for_bit():
     # tail tables (y = e^-32, on both sides), 1/2, log-spaced tails and the
     # extreme words
     words = RngSpec(seed=2023).stream(0).bit_generator.random_raw(2_000_000)
-    low, far = montecarlo._NDTRI_LOW, math.exp(-32.0)
+    low, far = streams._NDTRI_LOW, math.exp(-32.0)
     edges = _neighbours([low, 1.0 - low, far, 1.0 - far, 0.5]) + [2.0 ** -54, 1.0 - 2.0 ** -53]
     tails = np.logspace(-300.0, math.log10(low), 200_000)
-    probe = np.concatenate([montecarlo._open_uniform(words), edges, tails,
+    probe = np.concatenate([streams._open_uniform(words), edges, tails,
                             1.0 - np.logspace(-16.0, math.log10(low), 200_000)])
     assert np.all((probe > 0.0) & (probe < 1.0))
-    got, want = montecarlo._ndtri(probe.copy()), ndtri(probe)
+    got, want = streams._ndtri(probe.copy()), ndtri(probe)
     assert got.tobytes() == want.tobytes(), probe[got.view(np.uint64) != want.view(np.uint64)][:5]
     # a chunk's shape, with its scratch given, as the engine calls it
     grid = probe[: 512 * 50].reshape(512, 50).copy()
-    montecarlo._ndtri(grid, np.empty((3, 512, 50)))
+    streams._ndtri(grid, np.empty((3, 512, 50)))
     assert grid.tobytes() == want[: 512 * 50].tobytes()
 
 
 def test_poisson_table_and_the_top_uniform():
-    cdf = montecarlo._poisson_cdf(10.0)
+    cdf = streams._poisson_cdf(10.0)
     k = np.arange(cdf.size - 1)
     np.testing.assert_allclose(cdf[:-1], scipy_stats.poisson.cdf(k, 10.0), rtol=1e-13)
     assert cdf[-1] == 1.0
     # 1 - 2**-54 rounds to 1.0 in double; either way the count is the table's
     for u in (1.0 - 2.0 ** -54, 1.0 - 2.0 ** -53):
-        count = montecarlo._poisson_count(cdf, u)
+        count = streams._poisson_count(cdf, u)
         assert 0 <= count < cdf.size
-    assert montecarlo._poisson_count(cdf, 2.0 ** -54) == 0
+    assert streams._poisson_count(cdf, 2.0 ** -54) == 0
     with pytest.raises(DomainError):
-        montecarlo._poisson_cdf(800.0)
+        streams._poisson_cdf(800.0)
 
 
 @pytest.mark.parametrize("words", [(0, 0, 0, 0), (0, TOP_WORD, 0, 0), (TOP_WORD,) * 4])
@@ -1365,7 +1366,7 @@ def c_library_inputs(name):
 def test_c_library_ufuncs_give_the_bits_of_math(name):
     x = c_library_inputs(name)
     expected = np.array([getattr(math, name)(v) for v in x.tolist()])
-    assert np.array_equal(bits(getattr(montecarlo, f"_{name}")(x)), bits(expected))
+    assert np.array_equal(bits(getattr(streams, f"_{name}")(x)), bits(expected))
 
 
 @pytest.mark.skipif(not (sys.platform == "linux" and np.lib.NumpyVersion(np.__version__) >= "2.0.0"),
@@ -1379,8 +1380,8 @@ def test_unbuildable_ufunc_falls_back_to_mapping_math(name, monkeypatch):
     def unbuildable(_name):
         raise ImportError("no numpy._core")
 
-    monkeypatch.setattr(montecarlo, "_libm_ufunc", unbuildable)
-    chosen = montecarlo._c_library(name)
+    monkeypatch.setattr(streams, "_libm_ufunc", unbuildable)
+    chosen = streams._c_library(name)
     assert not isinstance(chosen, np.ufunc)
     x = c_library_inputs(name)[:20_000]
     assert np.array_equal(bits(chosen(x)), bits([getattr(math, name)(v) for v in x.tolist()]))
@@ -1388,8 +1389,8 @@ def test_unbuildable_ufunc_falls_back_to_mapping_math(name, monkeypatch):
 
 @pytest.mark.parametrize("name,wrong", [("log", np.log1p), ("exp", np.expm1), ("log", np.exp)])
 def test_probe_rejects_a_wrong_binding(name, wrong, monkeypatch):
-    monkeypatch.setattr(montecarlo, "_libm_ufunc", lambda _name: wrong)
-    assert montecarlo._c_library(name) is not wrong
+    monkeypatch.setattr(streams, "_libm_ufunc", lambda _name: wrong)
+    assert streams._c_library(name) is not wrong
 
 
 @pytest.mark.parametrize("name", ["log", "exp"])
@@ -1398,8 +1399,8 @@ def test_probe_rejects_numpys_own_function_where_it_differs(name, monkeypatch):
     with np.errstate(under="ignore"):
         if np.array_equal(bits(getattr(np, name)(x)), bits([getattr(math, name)(v) for v in x.tolist()])):
             pytest.skip(f"numpy's {name} gives the C library's bits here")
-    monkeypatch.setattr(montecarlo, "_libm_ufunc", lambda _name: getattr(np, name))
-    assert montecarlo._c_library(name) is not getattr(np, name)
+    monkeypatch.setattr(streams, "_libm_ufunc", lambda _name: getattr(np, name))
+    assert streams._c_library(name) is not getattr(np, name)
 
 
 @pytest.mark.parametrize("name,model,transform", CHECKPOINTS, ids=[c[0] for c in CHECKPOINTS])
@@ -1408,8 +1409,8 @@ def test_mapping_math_gives_the_records_of_the_ufuncs(name, model, transform, mo
     starts = ({"x0": 1, "pairs": ((1, 2), (0, 1))}, {"x0": None})
     engine = _ChainEngine(model, transform)
     taken = [list(engine.run(horizons, 300, RngSpec(seed=31), **start)) for start in starts]
-    monkeypatch.setattr(montecarlo, "_log", montecarlo._libm(math.log))
-    monkeypatch.setattr(montecarlo, "_exp", montecarlo._libm(math.exp))
+    monkeypatch.setattr(montecarlo, "_log", streams._libm(math.log))
+    monkeypatch.setattr(montecarlo, "_exp", streams._libm(math.exp))
     mapped = [list(engine.run(horizons, 300, RngSpec(seed=31), **start)) for start in starts]
     for run_taken, run_mapped in zip(taken, mapped):
         for (_lo, _hi, recs), (_lo2, _hi2, recs2) in zip(run_taken, run_mapped):

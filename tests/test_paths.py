@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from girsanov import (
-    CafSpec,
     DomainError,
     JumpDiffusionModel,
     Path,
@@ -19,7 +18,6 @@ from girsanov import (
     reverse,
     sample_finite_path,
     sample_jump_diffusion_path,
-    shift,
 )
 from girsanov.paths import _num_laplacian, steps
 
@@ -118,7 +116,6 @@ def test_integrate_along_chain():
     assert integrate_along(CHAIN_PATH, f, 2.0) == pytest.approx(-0.25, abs=1e-15)
     assert integrate_along(CHAIN_PATH, f, 0.0) == 0.0
     assert integrate_along(CHAIN_PATH, f, 0.25) == pytest.approx(0.25)
-    assert integrate_along(CHAIN_PATH, CafSpec(integrand=f), 2.0) == pytest.approx(-0.25)
     with pytest.raises(DomainError):
         integrate_along(CHAIN_PATH, f, 2.5)
 
@@ -229,22 +226,6 @@ def test_reverse_grid_jump_at_endpoint():
     assert r.events == ()
     with pytest.raises(DomainError):
         reverse(p, 0.7)  # not a grid time
-
-
-def test_shift_chain():
-    s = shift(CHAIN_PATH, 0.7)
-    assert s.x0 == 1
-    assert s.events == ((0.8, 2),)
-    assert s.horizon == pytest.approx(1.3)
-    for u in (0.0, 0.5, 1.2):
-        assert s.state_at(u) == CHAIN_PATH.state_at(0.7 + u)
-    with pytest.raises(DomainError):
-        shift(CHAIN_PATH, 2.0)
-    killed = Path(x0=0, events=(), horizon=2.0, killed_at=1.0)
-    with pytest.raises(PathError):
-        shift(killed, 1.5)
-    with pytest.raises(DomainError):
-        shift(_grid_path(), 0.5)
 
 
 def test_evenness_residual_sampled_chains(chain3):

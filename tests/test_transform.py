@@ -42,7 +42,6 @@ from girsanov import (
     transformed_killing,
     transformed_levy_kernel,
     transformed_model,
-    transformed_revuz,
     validate_symmetry,
 )
 
@@ -373,11 +372,6 @@ def test_transformed_killing_per_type(chain3_killed, rho121, phi3):
                   phi_delta=np.array([0.0, 1.0, 0.0]))
     got = transformed_killing(chain3_killed, g)
     np.testing.assert_allclose(got, np.array([0.5, 2.0, 0.0]))
-
-
-def test_transformed_revuz(rho121):
-    mu = np.array([1.0, 3.0, 2.0])
-    np.testing.assert_allclose(transformed_revuz(mu, rho121), [1.0, 12.0, 2.0])
 
 
 def test_transformed_model_is_reversible(chain3_killed, rho121, phi3):
