@@ -46,7 +46,8 @@ CHAIN_SEEDS = range(5)
 CONTINUUM_SEEDS = range(6)
 
 sys.path.insert(0, os.path.join(ROOT, "bench"))
-import workloads as W  # noqa: E402  (the benchmark's inputs, read and never edited)
+import worker  # noqa: E402  (the benchmark's rounds and inputs, read and never edited)
+import workloads as W  # noqa: E402
 
 sys.path.remove(os.path.join(ROOT, "bench"))
 
@@ -83,35 +84,20 @@ def chain() -> dict:
 
 
 def continuum() -> dict:
-    """Mean and standard error of the continuum-energy round per seed, as hex."""
-    import girsanov as g
-
-    model = g.JumpDiffusionModel(d=1, alpha=W.ALPHA, c=W.KERNEL_C)
-    transform = g.RhoTransform(rho=W.rho)
-    lo, hi = W.REGION
-    compensator = g.stable_rate_table(model, lambda a, b: W.rho(b) / W.rho(a) - 1.0, W.CONT_EPS, lo - 2.0, hi + 2.0)
+    """Mean and standard error of the benchmark's continuum-energy round per seed, as hex."""
+    energy = worker.ContinuumEnergy("continuum-energy", None)
     out = {}
     for seed in CONTINUUM_SEEDS:
-        res = g.estimate_quadratic_form(
-            model, transform, W.f_wide, W.CONT_T, W.CONT_PATHS, g.RngSpec(seed=seed),
-            region=W.REGION, dt=W.CONT_DT, eps=W.CONT_EPS, rho_grad=W.rho_grad, compensator=compensator,
-        )
-        out[str(seed)] = {"mean": float.hex(res.mean), "stderr": float.hex(res.stderr)}
+        res = energy.round(seed)
+        out[str(seed)] = {"mean": float.hex(res["mean"]), "stderr": float.hex(res["stderr"])}
     return out
 
 
 def form_quadrature() -> dict:
-    """Total and error estimate of every rung of the form-quadrature ladder, as hex."""
-    import girsanov as g
-
-    model = g.JumpDiffusionModel(d=1, alpha=W.ALPHA, c=W.KERNEL_C)
-    out = {}
-    for name, (f, _grad) in W.QUAD_FUNCTIONS.items():
-        for mesh in W.LADDER:
-            q = g.continuum_form_quadrature(W.rho, f, model, W.REGION, mesh)
-            out[f"{name}/{mesh}"] = {"total": float.hex(q.total), "error_estimate": float.hex(q.error_estimate),
-                                     "inconclusive": bool(q.inconclusive)}
-    return out
+    """Total and error estimate of every rung of the benchmark's form-quadrature ladder, as hex."""
+    rungs = worker.FormQuadrature("form-quadrature", None).round(0)["values"]
+    return {f"{q['f']}/{q['mesh']}": {"total": float.hex(q["total"]), "error_estimate": float.hex(q["error_estimate"]),
+                                      "inconclusive": bool(q["inconclusive"])} for q in rungs}
 
 
 def demo_stdout(demo: str, cwd: str) -> subprocess.CompletedProcess:
