@@ -504,8 +504,11 @@ def run(config: ExperimentConfig, out_dir: Optional[str] = None,
     try:
         model, transform = config.resolve()
         rng = RngSpec(seed=seed if seed is not None else config.seed)
-        # every check planned, so every value checked, before any sampling or file
+        # every check planned, so every value checked, before any sampling or
+        # file; the lowering too (rho^2 m finite), which the run then reuses
         plans = [_plan(model, transform, check, rng, paths) for check in config.checks]
+        if transform is not None and isinstance(model, FiniteSymmetricModel):
+            lower(model, transform)
     except GirsanovError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

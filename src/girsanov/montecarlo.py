@@ -63,8 +63,10 @@ step writes into one: a ufunc's ``out``, ``take`` in mode ``"clip"`` (mode
 (:meth:`_PhiloxUniforms.draw_live`); between draws the idle workspace holds
 the loop's short-lived floats.  A chunk so allocates only the records it
 returns, and numpy's cache of small freed blocks does not fill (see
-:mod:`~girsanov.streams`).  The continuum engine keeps its chunk's uniforms
-and normals the same way, and lends the idle workspace to :func:`_ndtri`.
+:mod:`~girsanov.streams`).  The continuum engine keeps its workspace, its
+chunk's uniforms and its normals across calls, in a free list of at most
+one entry (:data:`_CONTINUUM_SCRATCH`), so repeated estimates fault no fresh
+pages, and lends the idle workspace to :func:`_ndtri`.
 
 The estimators weight base-process paths by the transform's multiplicative
 functional instead of simulating the transformed process directly; the
@@ -592,12 +594,40 @@ class _ChainEngine:
 # batched continuum engine
 
 
-# paths per chunk of the continuum engine.  A run of 512-path chunks of 50
-# steps peaks near 3.3 MB above the engine (tracemalloc, continuum-energy
-# settings), 1.5 MB of it the buffers the engine keeps: the Philox workspace
-# over a chunk's ~11k blocks, the uniforms and the normals.  512 also ran
-# faster than chunks of 256 or 1024 on the acceptance settings
+# paths per chunk of the continuum engine.  A warm 3000-path run of
+# 512-path chunks of 50 steps peaks near 1.5 MB above the scratch it keeps
+# (tracemalloc, continuum-energy settings; 3.5 MB when each call built its
+# own), which is 1.6 MB: the Philox workspace over a chunk's ~11k blocks,
+# the uniforms and the normals.  512 also ran faster than chunks of 256 or
+# 1024 on the acceptance settings
 _CONTINUUM_CHUNK = 1 << 9
+assert _CONTINUUM_CHUNK <= 1024  # the jump sort's key, path << 53 | word, stays an int64
+# paths whose first Philox block (the start and the jump count) the
+# continuum engine draws in one call before it runs their chunks; bounds the
+# batch's memory: 24 bytes a path kept (key, start, count), and up to 8192
+# workspace columns, fewer than a 512-path chunk of 50 steps fills.  A
+# 3000-path round takes one call of 258 us where one a chunk took six
+# (128 us each at 512 paths; 2-core VM)
+_CONTINUUM_BATCH = 1 << 13
+# the continuum engine's scratch, kept between calls: at most one list of
+# the Philox workspace, the uniforms and the normals, which a run takes and
+# gives back when it ends, so that repeated calls fault no fresh pages
+_CONTINUUM_SCRATCH = []
+
+
+def _jump_times(top: np.ndarray, jpath: np.ndarray, t: float) -> np.ndarray:
+    """The jump times ``t u`` of a chunk's jumps, sorted by path, then by
+    time, from the top 53 bits ``top`` (exact doubles) of their words and
+    their paths ``jpath`` (each below 1024).  One int64 key holds the path
+    above the word, and a uniform (so a time) never falls where its word
+    rises, so the times are those a sort of ``(path, time)`` pairs gives."""
+    key = top.astype(np.int64)
+    key |= jpath << 53
+    key.sort()
+    key &= (1 << 53) - 1
+    times = _open_unit(key.astype(float))
+    times *= t
+    return times
 
 
 class _ContinuumEngine:
@@ -618,6 +648,13 @@ class _ContinuumEngine:
     is, to rounding, the one :func:`rho_transform_mf` accumulates along its
     grid, from the same lowering ``low``
     (:func:`~girsanov.transform.lower_continuum`).
+
+    The draws and their order do not depend on the batching: a run draws
+    block 1 (the start and the count) of up to :data:`_CONTINUUM_BATCH`
+    paths in one call, then each chunk's paths read their whole runs from
+    counter 1 again.  The scratch (the Philox workspace, which is
+    :func:`_ndtri`'s scratch too, the uniforms and the normals) is taken
+    from :data:`_CONTINUUM_SCRATCH` and given back, so it outlives the call.
     """
 
     def __init__(self, model: JumpDiffusionModel, low: ContinuumLowering, region, t: float, dt: float,
@@ -626,13 +663,17 @@ class _ContinuumEngine:
         if low.rho is None:
             raise TransformError("the continuum energy statistic needs a rho tilt: its start law is rho^2")
         K, mean = _grid_and_jump_mean(model, t, dt, eps)
+        # the start law: rho^2 on the region by the trapezoid rule, and its mass
+        self.xs = np.linspace(lo, hi, 4097)
+        rho = np.asarray(low.rho(self.xs), dtype=float)
+        if rho.shape != self.xs.shape or not np.all((rho > 0.0) & (rho < np.inf)):
+            raise TransformError("rho must give a finite value > 0 at every point of the region, "
+                                 f"as an array of its argument's shape {self.xs.shape}")
         if compensator is None:
             compensator = stable_rate_table(model, low.tilt, eps, lo - 2.0, hi + 2.0)
         self.low = low
         self.compensator = compensator
-        # the start law: rho^2 on the region by the trapezoid rule, and its mass
-        self.xs = np.linspace(lo, hi, 4097)
-        w = np.asarray(low.rho(self.xs), dtype=float) ** 2
+        w = rho ** 2
         cum = np.concatenate([[0.0], np.cumsum(0.5 * (w[1:] + w[:-1]) * (self.xs[1] - self.xs[0]))])
         self.scale = float(cum[-1])
         self.start_cdf = cum / self.scale
@@ -641,69 +682,68 @@ class _ContinuumEngine:
         self.std = np.sqrt(self.var_rate * dt)
         self.alpha = model.alpha
         self.t, self.dt, self.eps, self.steps = float(t), float(dt), float(eps), K
-        # kept from chunk to chunk, each grown when a chunk needs more: the
-        # Philox workspace (_ndtri's scratch too), the uniforms and the normals
-        self._ws = _philox_workspace(0)
-        self._u = np.empty(0)
-        self._normals = np.empty(0)
 
     def run(self, n: int, rng: RngSpec):
         """Yield ``(lo, hi, x0, x_t, log_w)`` for paths ``lo .. hi - 1`` of ``n``."""
-        for lo in range(0, n, _CONTINUUM_CHUNK):
-            hi = min(n, lo + _CONTINUUM_CHUNK)
-            yield (lo, hi) + self._chunk(rng, lo, hi - lo)
+        try:  # a pop, not a check and a pop, so that two threads never take one scratch
+            scratch = _CONTINUUM_SCRATCH.pop()
+        except IndexError:
+            scratch = [_philox_workspace(0), np.empty(0), np.empty(0)]
+        try:
+            for first in range(0, n, _CONTINUUM_BATCH):
+                key0, key1 = rng.keys(first, min(n - first, _CONTINUUM_BATCH))
+                x0, count = self._firsts(key0, key1, scratch)
+                for lo in range(0, key1.size, _CONTINUUM_CHUNK):
+                    hi = min(key1.size, lo + _CONTINUUM_CHUNK)
+                    yield (first + lo, first + hi) + self._chunk(key0, key1[lo:hi], x0[lo:hi], count[lo:hi], scratch)
+        finally:
+            _CONTINUUM_SCRATCH[:] = [scratch]  # one slice assignment: never two entries
 
-    def _uniforms(self, rng: RngSpec, first: int, m: int):
-        """Every draw of paths ``first .. first + m - 1``, path after path.
-
-        Returns the starts, the jump counts, the flat uniforms and, per path,
-        the index of its first jump-time draw (draw 2).
-        """
-        paths = np.arange(m)
-        key0, key1 = rng.keys(first, m)
-        # the first block (counter 1) holds the start and the jump count,
-        # which fix how many blocks each path reads; the full pass computes
-        # it again, so that each path's words are one contiguous run
-        self._ws = _philox_workspace(m, self._ws)
-        c0, c1, _, _ = _philox_block(np.ones(m, dtype=np.uint64), key0, key1, self._ws)
+    def _firsts(self, key0: int, key1: np.ndarray, scratch: list):
+        """The starts and the jump counts of a batch of paths, from their
+        first block (counter 1), which fix how many blocks each path reads."""
+        scratch[0] = _philox_workspace(key1.size, scratch[0])
+        c0, c1, _, _ = _philox_block(np.ones(key1.size, dtype=np.uint64), key0, key1, scratch[0])
         x0 = np.interp(_open_uniform(c0), self.start_cdf, self.xs)
-        count = _poisson_count(self.count_cdf, _open_uniform(c1))
+        return x0, _poisson_count(self.count_cdf, _open_uniform(c1))
+
+    def _uniforms(self, key0: int, key1: np.ndarray, count: np.ndarray, scratch: list):
+        """Every draw of a chunk's paths, path after path, each as its word's
+        top 53 bits (a double, exactly), and per path the index of its first
+        jump-time draw (draw 2).  The pass computes block 1 again, so that
+        each path's words are one contiguous run from counter 1."""
         blocks = (2 + 3 * count + self.steps + 3) >> 2
-        owner = np.repeat(paths, blocks)
+        owner = np.repeat(np.arange(key1.size), blocks)
         row0 = np.cumsum(blocks) - blocks
         counter = (np.arange(owner.size) - row0[owner] + 1).astype(np.uint64)
-        self._ws = _philox_workspace(owner.size, self._ws)
-        words = _philox_block(counter, key0, key1[owner], self._ws)
-        self._u = _grown(self._u, 4 * owner.size)
-        u = self._u[: 4 * owner.size]
+        scratch[0] = _philox_workspace(owner.size, scratch[0])
+        words = _philox_block(counter, key0, key1[owner], scratch[0])
+        scratch[1] = _grown(scratch[1], 4 * owner.size)
+        top = scratch[1][: 4 * owner.size]
         for j, w in enumerate(words):
-            u[j::4] = w >> _ELEVEN
-        return x0, count, _open_unit(u), 4 * row0 + 2
+            np.right_shift(w, _ELEVEN, out=w)
+            np.copyto(top[j::4], w)
+        return top, 4 * row0 + 2
 
-    def _chunk(self, rng: RngSpec, first: int, m: int):
-        K, dt = self.steps, self.dt
-        x0, count, u, start = self._uniforms(rng, first, m)
+    def _chunk(self, key0: int, key1: np.ndarray, x0: np.ndarray, count: np.ndarray, scratch: list):
+        K, dt, m = self.steps, self.dt, key1.size
+        u, start = self._uniforms(key0, key1, count, scratch)
 
         # explicit jumps, one flat entry each, in path order
         jpath = np.repeat(np.arange(m), count)
         slot = start[jpath] + np.arange(jpath.size) - (np.cumsum(count) - count)[jpath]
-        times = self.t * u[slot]
+        times = _jump_times(u[slot], jpath, self.t)
+        _open_unit(u)
         slot += count[jpath]
         sizes = self.eps * u[slot] ** (-1.0 / self.alpha)
         slot += count[jpath]
         sizes *= np.where(u[slot] < 0.5, -1.0, 1.0)
-        # sorted by path, then by time: a complex key orders by its real part,
-        # then its imaginary part, and holds both exactly
-        key = np.empty(times.size, dtype=complex)
-        key.real = jpath
-        key.imag = times
-        times = np.sort(key).imag
         step = jump_steps(times, dt, K)
-        self._normals = _grown(self._normals, m * K)
-        brown = self._normals[: m * K].reshape(m, K)
+        scratch[2] = _grown(scratch[2], m * K)
+        brown = scratch[2][: m * K].reshape(m, K)
         # _ndtri's scratch is the Philox workspace, idle until the next chunk,
         # which holds 3 words for every draw: room for 3 doubles a normal
-        work = self._ws.reshape(-1)[: 3 * m * K].view(float).reshape(3, m, K)
+        work = scratch[0].reshape(-1)[: 3 * m * K].view(float).reshape(3, m, K)
         # every index is in range; mode "raise" would buffer the output
         np.take(u, (start + 3 * count)[:, None] + np.arange(K), out=brown, mode="clip")
         _ndtri(brown, work)

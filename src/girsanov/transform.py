@@ -279,10 +279,15 @@ def _build_lowering(model: FiniteSymmetricModel, transform: TransformSpec) -> Lo
     zero = np.zeros(n)
     if isinstance(transform, RhoTransform):
         rho = _table(transform.rho, "rho", (n,))
+        with np.errstate(over="ignore"):
+            mu = rho * rho * model.m
+        if not np.all(np.isfinite(mu)):
+            raise TransformError(f"rho^2 m overflows at states {np.flatnonzero(~np.isfinite(mu)).tolist()}: "
+                                 "rho is too large for the reference measure")
         lr = np.log(rho)
         return LoweredTransform(
             phi=rho[None, :] / rho[:, None] - 1.0, phi_delta=np.full(n, -1.0), a_rate=zero,
-            mu=rho * rho * model.m, rate=model.generator() @ rho / rho,
+            mu=mu, rate=model.generator() @ rho / rho,
             log_jump=lr[None, :] - lr[:, None], log_death=np.full(n, -np.inf),
         )
     if isinstance(transform, PureJumpPhi):
@@ -513,13 +518,19 @@ def _grid_log_steps(low: ContinuumLowering, compensator, base, moves, var_rate: 
     start the steps and their Gaussian moves ``dB``: ``-(compensator + a_rate)
     dt + g dB - g^2 v dt / 2`` with ``g = mc`` (a None term left out), summed as
     ``rate (-dt) + ((g dB) - (g g) (v dt / 2))``; the engine's step rule too."""
-    rate = np.asarray(compensator(base), dtype=float)
+    # the compensator's values are let go before mc makes its temporaries,
+    # and the sums are written into products made here, in the same order
+    step_log = np.asarray(compensator(base), dtype=float)
     if low.a_rate is not None:
-        rate = rate + low.a_rate(base)
-    step_log = rate * -dt
+        step_log = step_log + low.a_rate(base)
+    step_log = step_log * -dt
     if low.mc is not None:
         g = np.asarray(low.mc(base), dtype=float)
-        step_log = step_log + (g * moves - g * g * (0.5 * var_rate * dt))
+        drift = g * moves
+        square = g * g
+        square *= 0.5 * var_rate * dt
+        drift -= square
+        step_log += drift
     return step_log
 
 

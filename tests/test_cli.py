@@ -6,6 +6,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -724,6 +725,23 @@ def test_a_number_for_the_weights_exits_two(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["verify", "--config", cfg, "--out", str(out)]) == 2
     assert "error: invalid model: m must be a nonempty 1-d array" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("big", [1e308, 1e200])
+def test_a_rho_whose_measure_overflows_exits_two(tmp_path, capsys, big):
+    # rho^2 m is inf: 1e308 ended in an OverflowError traceback from
+    # cli.expm, 1e200 exited 1 with NaN rows and RuntimeWarnings
+    cfg = write_config(tmp_path, {
+        "model": CHAIN3_MODEL, "transform": {"type": "rho", "rho": [1.0, big, 1.0]},
+        "checks": ["symmetry", "conservativeness", "form_identity",
+                   {"id": "semigroup", "f": [0.0, 1.0, 0.0], "t": 0.5, "paths": 20_000},
+                   {"id": "quadratic_form", "f": [0.0, 1.0, 0.0], "ts": [0.2, 0.1, 0.05], "paths": 20_000}]})
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["verify", "--config", cfg, "--out", str(out)]) == 2
+    assert "error: rho^2 m overflows at states [1]" in capsys.readouterr().err
     assert not out.exists()
 
 

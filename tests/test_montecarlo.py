@@ -1,4 +1,5 @@
 import ctypes
+import gc
 import json
 import math
 import os
@@ -38,6 +39,7 @@ from girsanov import (
     rho_transform_mf,
     sample_finite_path,
     sample_jump_diffusion_path,
+    stable_rate_table,
     stable_small_jump_variance,
     stable_tail_intensity,
     transformed_generator,
@@ -857,6 +859,138 @@ def test_continuum_engine_stays_finite_on_extreme_words(monkeypatch, words):
     assert np.all(np.isfinite(x0)) and np.all(np.isfinite(x_t)) and np.all(np.isfinite(log_w))
 
 
+def _complex_key_times(top, jpath, t):
+    # the reference order: a complex key sorts by its real part (the path),
+    # then its imaginary part (the time), and holds both exactly
+    key = np.empty(top.size, dtype=complex)
+    key.real = jpath
+    key.imag = t * streams._open_unit(np.array(top, dtype=float))
+    return np.sort(key).imag
+
+
+_TOP = (1 << 53) - 1
+
+
+@pytest.mark.parametrize("case", ["many", "repeated", "extreme"])
+def test_integer_key_jump_times_sort_as_the_complex_key(case):
+    rng = np.random.default_rng(32)
+    if case == "many":  # 40k jumps over a chunk's 512 paths, about 80 a path
+        jpath = np.sort(rng.integers(0, 512, 40_000))
+        top = rng.integers(0, 2**53, 40_000).astype(float)
+    elif case == "repeated":  # a few words, repeated within and across paths; above 1/2 two words share a uniform
+        pool = np.array([0, 1, 2, 2**52 - 1, 2**52, 2**52 + 1, 2**52 + 2, _TOP - 2, _TOP - 1, _TOP], dtype=float)
+        jpath = np.sort(rng.integers(0, 64, 5_000))
+        top = pool[rng.integers(0, pool.size, 5_000)]
+    else:  # the largest key an int64 must hold: path 1023 above the top word
+        jpath = np.array([0, 0, 1, 1, 1023, 1023, 1023])
+        top = np.array([_TOP, 0, _TOP, _TOP, 0, _TOP, 2**52], dtype=float)
+    for t in (0.05, 1.0, 3.7):
+        got = montecarlo._jump_times(top.copy(), jpath, t)
+        assert got.tobytes() == _complex_key_times(top, jpath, t).tobytes()
+
+
+@pytest.mark.parametrize("words", [None, (0, 0, 0, 0), (TOP_WORD,) * 4, (TOP_WORD, TOP_WORD, 0, TOP_WORD)])
+def test_continuum_engine_sorts_jumps_as_the_complex_key(monkeypatch, words):
+    # engine paths with the integer-key sort against the same engine with the
+    # complex-key reference patched in: a model with about 100 jumps a path
+    # on the real draws, and the extreme-word stand-in (every time one word)
+    if words is not None:
+        monkeypatch.setattr(montecarlo, "_philox_block", lambda counter, key0, key1, _ws: tuple(
+            np.full(counter.shape, w, dtype=np.uint64) for w in words))
+    engine = montecarlo._ContinuumEngine(
+        STABLE_C, lower_continuum(STABLE_C, RhoTransform(rho=RHO_C), RHO_C_GRAD), t=0.05,
+        **{**CONT, "eps": 0.001 if words is None else CONT["eps"]})
+    got = _engine_paths(engine, 600, RngSpec(seed=9))
+    monkeypatch.setattr(montecarlo, "_jump_times", _complex_key_times)
+    want = _engine_paths(engine, 600, RngSpec(seed=9))
+    for a, b in zip(got, want):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_continuum_batches_and_chunks_give_the_same_paths(monkeypatch):
+    # first blocks drawn in batches of 128 and chunks of 64 (128 paths and
+    # fewer take the packed kernel) against one batch and one chunk (numpy's
+    # kernel): the same paths, bit for bit, and one kernel call a batch and a chunk
+    engine = montecarlo._ContinuumEngine(
+        STABLE_C, lower_continuum(STABLE_C, RhoTransform(rho=RHO_C), RHO_C_GRAD), t=0.05, **CONT)
+    rng = RngSpec(seed=23, offset=5)
+    calls = []
+    block = montecarlo._philox_block
+    monkeypatch.setattr(montecarlo, "_philox_block", lambda *a: calls.append(a[2].size) or block(*a))
+    one = _engine_paths(engine, 300, rng)
+    assert calls == [300, calls[1]] and calls[1] > 300  # the batch, then the chunk's full pass
+    monkeypatch.setattr(montecarlo, "_CONTINUUM_BATCH", 128)
+    monkeypatch.setattr(montecarlo, "_CONTINUUM_CHUNK", 64)
+    calls.clear()
+    spans = [(lo, hi) for lo, hi, *_ in engine.run(300, rng)]
+    assert spans == [(0, 64), (64, 128), (128, 192), (192, 256), (256, 300)]
+    assert len(calls) == 3 + 5 and calls[0] == 128
+    many = _engine_paths(engine, 300, rng)
+    for a, b in zip(one, many):
+        assert a.tobytes() == b.tobytes()
+
+
+_COMPENSATOR = stable_rate_table(STABLE_C, lambda a, b: RHO_C(b) / RHO_C(a) - 1.0, CONT["eps"], -10.0, 10.0)
+
+
+def _warm_energy(n=3000, f=F_C):
+    return estimate_quadratic_form(STABLE_C, RhoTransform(rho=RHO_C), f, 0.05, n, RngSpec(seed=4),
+                                   rho_grad=RHO_C_GRAD, compensator=_COMPENSATOR, **CONT)
+
+
+def test_warm_continuum_estimate_reuses_its_scratch():
+    # at the continuum-energy settings a warm 3000-path estimate traced a
+    # 1.5 MB peak; one that built its workspace, uniforms and normals each
+    # call traced 3.5 MB
+    _warm_energy()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        _warm_energy()
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.2e6
+    assert len(montecarlo._CONTINUUM_SCRATCH) == 1
+
+
+def test_continuum_scratch_survives_an_f_that_raises():
+    want = _warm_energy(n=1500)
+    seen = []
+
+    def failing(x):
+        seen.append(x.size)
+        if len(seen) == 3:  # f(x_t) of the second of three chunks
+            raise RuntimeError("f failed")
+        return F_C(x)
+
+    with pytest.raises(RuntimeError, match="f failed"):
+        _warm_energy(n=1500, f=failing)
+    gc.collect()
+    assert len(montecarlo._CONTINUUM_SCRATCH) <= 1
+    got = _warm_energy(n=1500)
+    assert (got.mean, got.stderr) == (want.mean, want.stderr)
+    assert len(montecarlo._CONTINUUM_SCRATCH) == 1
+
+
+def test_interleaved_continuum_runs_take_their_own_scratch():
+    # two runs at once each take a scratch: the second finds the free list
+    # empty and makes its own, and the list keeps one when both end
+    engine = montecarlo._ContinuumEngine(
+        STABLE_C, lower_continuum(STABLE_C, RhoTransform(rho=RHO_C), RHO_C_GRAD), t=0.05, **CONT)
+    want = [_engine_paths(engine, 1200, RngSpec(seed=s)) for s in (1, 2)]
+    runs = [engine.run(1200, RngSpec(seed=s)) for s in (1, 2)]
+    parts = [[], []]
+    for pair in zip(*runs):
+        for part, (_lo, _hi, *values) in zip(parts, pair):
+            part.append(values)
+    for part, ref in zip(parts, want):
+        for got, w in zip(zip(*part), ref):
+            assert np.concatenate(got).tobytes() == w.tobytes()
+    assert len(montecarlo._CONTINUUM_SCRATCH) == 1
+
+
 def test_continuum_estimate_matches_the_scalar_route_in_law():
     # the acceptance (c) statistic, batched engine against a per-path loop
     # over the scalar sampler and weight on numpy's own Philox draws
@@ -1515,6 +1649,22 @@ def test_continuum_estimator_needs_a_callable_rho_tilt(monkeypatch, transform):
     monkeypatch.setattr(montecarlo._ContinuumEngine, "_chunk", lambda *a, **k: pytest.fail("sampled"))
     with pytest.raises(TransformError):
         estimate_quadratic_form(STABLE_C, transform, F_C, 0.05, 100, RngSpec(seed=1), **CONT)
+
+
+@pytest.mark.parametrize("rho", [
+    pytest.param(lambda x: np.where(np.abs(x) < 1.0, 0.0, 1.0), id="zero"),
+    pytest.param(lambda x: 0.5 - 0.1 * np.asarray(x), id="negative"),  # below 0 for x > 5
+    pytest.param(lambda x: np.where(np.asarray(x) > 7.5, np.nan, 1.0), id="nan"),
+    pytest.param(lambda x: np.where(np.asarray(x) < -7.5, np.inf, 1.0), id="inf"),
+    pytest.param(lambda x: 1.5, id="float"),
+])
+def test_continuum_estimator_refuses_a_rho_that_is_not_positive(monkeypatch, rho):
+    # the paper's rho is strictly positive; before, 0, a negative value or
+    # NaN gave mean=nan, stderr=nan, and a float for an array numpy's ValueError
+    monkeypatch.setattr(montecarlo._ContinuumEngine, "_chunk", lambda *a, **k: pytest.fail("sampled"))
+    monkeypatch.setattr(montecarlo, "_philox_block", lambda *a, **k: pytest.fail("drew"))
+    with pytest.raises(TransformError, match="rho must give a finite value > 0"):
+        estimate_quadratic_form(STABLE_C, RhoTransform(rho=rho), F_C, 0.05, 100, RngSpec(seed=1), **CONT)
 
 
 def test_engine_rejects_bad_start(chain3, rho121):
