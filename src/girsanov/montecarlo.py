@@ -33,7 +33,11 @@ and path count read one batch: the engine runs it once, to the largest
 horizon asked, and records every path at each smaller horizon on the way
 (a checkpoint), since a path's stream does not depend on its horizon.  This
 makes those requests use common random numbers, as their identical streams
-already did, and changes no value.  The functions ``f`` and ``g`` a request
+already did, and changes no value.  Groups on one stream block and path
+count but with other start laws run in turn on each chunk, whose first
+Philox block is computed once: a Philox word is a function of its key and
+counter alone, so a later start law reads a kept copy of the block with
+the same bits.  The functions ``f`` and ``g`` a request
 reduces are checked by :meth:`FiniteSymmetricModel.state_vector`, the rule
 the CLI and the forms of ``dirichlet`` use too.
 
@@ -53,20 +57,23 @@ log weight from :func:`~girsanov.transform._grid_log_steps`, as
 :func:`rho_transform_mf` does along a sampled path; the two add steps and
 jumps in different orders, so their weights agree to rounding.
 
-Each engine keeps its own Philox workspace.  The chain engine's event loop
-allocates no array: every value of a pass (the live paths, their states,
-times and weights, the draws, the jump search) is a view of scratch rows the
-engine keeps from chunk to chunk, grown only for a larger chunk, and every
-step writes into one: a ufunc's ``out``, ``take`` in mode ``"clip"`` (mode
-``"raise"`` buffers its output), ``putmask``, and a scatter to the ranks of
-:func:`_ranks` where a live set shrinks.  The live paths draw in lockstep
-(:meth:`_PhiloxUniforms.draw_live`); between draws the idle workspace holds
-the loop's short-lived floats.  A chunk so allocates only the records it
-returns, and numpy's cache of small freed blocks does not fill (see
-:mod:`~girsanov.streams`).  The continuum engine keeps its workspace, its
-chunk's uniforms and its normals across calls, in a free list of at most
-one entry (:data:`_CONTINUUM_SCRATCH`), so repeated estimates fault no fresh
-pages, and lends the idle workspace to :func:`_ndtri`.
+Each engine runs on its own scratch, its Philox workspace among it, which
+outlives the call: one rule, :func:`_kept`, takes it from the engine's free
+list of at most one entry (:data:`_CHAIN_SCRATCH`, :data:`_CONTINUUM_SCRATCH`)
+and gives it back when the run ends, unless it grew past
+:data:`_KEPT_SCRATCH_BYTES`, so repeated estimates fault no fresh pages.
+The chain engine's event loop allocates no array: every value of a pass
+(the live paths, their states, times and weights, the draws, the jump
+search) is a view of scratch rows (:class:`_ChainScratch`), grown only for
+a larger chunk, and every step writes into one: a ufunc's ``out``, ``take``
+in mode ``"clip"`` (mode ``"raise"`` buffers its output), ``putmask``, and
+a scatter to the ranks of :func:`_ranks` where a live set shrinks.  The
+live paths draw in lockstep (:meth:`_PhiloxUniforms.draw_live`); between
+draws the idle workspace holds the loop's short-lived floats.  A chunk so
+allocates only the records it returns, and numpy's cache of small freed
+blocks does not fill (see :mod:`~girsanov.streams`).  The continuum engine
+keeps its workspace, its chunk's uniforms and its normals, and lends the
+idle workspace to :func:`_ndtri`.
 
 The estimators weight base-process paths by the transform's multiplicative
 functional instead of simulating the transformed process directly; the
@@ -78,6 +85,7 @@ from __future__ import annotations
 import math
 import numbers
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
@@ -134,11 +142,18 @@ def _state(model: FiniteSymmetricModel, value) -> int:
     return x
 
 
+# the most paths one estimate takes.  Its sample arrays hold 8 bytes a path
+# each, 8 GiB at the bound, and a chain path costs a few microseconds, so a
+# larger count could neither be held nor run; numpy refuses arrays of about
+# 2**63 bytes with a bare ValueError
+_MAX_PATHS = 1 << 30
+
+
 def _path_count(value) -> int:
-    """``value`` as a count of paths: an exact integer >= 2."""
+    """``value`` as a count of paths: an exact integer in ``[2, _MAX_PATHS]``."""
     n = _index(value)
-    if n is None or n < 2:
-        raise DomainError(f"estimators need an integer count of at least two paths, got {value!r}")
+    if n is None or not 2 <= n <= _MAX_PATHS:
+        raise DomainError(f"estimators need an integer count of 2 to {_MAX_PATHS} paths, got {value!r}")
     return n
 
 
@@ -308,12 +323,43 @@ def sample_jump_diffusion_path(model: JumpDiffusionModel, x0, horizon: float,
 
 
 # ---------------------------------------------------------------------------
+# scratch kept between calls
+
+
+# the most bytes of scratch an engine keeps between calls.  The chain
+# engine's, at 8192-path chunks, is about 2.3 MB (2.4 MB with a tracked
+# pair), the continuum engine's at the continuum-energy settings 1.6 MB; a
+# run that grew past the bound (a continuum grid of 1000 steps held 30 MB)
+# lets its scratch go when it ends, so a process keeps at most this much of
+# each engine's scratch
+_KEPT_SCRATCH_BYTES = 4 << 20
+
+
+@contextmanager
+def _kept(free: list, make, nbytes):
+    """The scratch of one run: the entry of the free list ``free`` (at most
+    one), else ``make()``; given back as its one entry when the run ends, if
+    ``nbytes(scratch)`` is at most :data:`_KEPT_SCRATCH_BYTES`.  Repeated
+    runs so fault no fresh pages."""
+    try:  # a pop, not a check and a pop, so that two threads never take one scratch
+        scratch = free.pop()
+    except IndexError:
+        scratch = make()
+    try:
+        yield scratch
+    finally:
+        if nbytes(scratch) <= _KEPT_SCRATCH_BYTES:
+            free[:] = [scratch]  # one slice assignment: never two entries
+
+
+# ---------------------------------------------------------------------------
 # batched chain engine
 
 
 # paths advanced together; bounds the engine's working memory: it keeps about
-# 250 bytes a path of scratch (the Philox workspace 96, the draws' buffers
-# 48, its own rows 107) and 16 more a tracked pair.  Each chunk pays the
+# 280 bytes a path of scratch (the Philox workspace 96, the draws' buffers
+# 80 with their copy of the first block, its own rows 107) and 16 more a
+# tracked pair.  Each chunk pays the
 # event loop's passes and small Philox refills once.  On the README verify
 # plus its energy trend (20k-path groups), rounds interleaved in one process
 # ran at 0.81, 0.75 and 0.66 of their time at 4096 with chunks of 8192, 16384
@@ -322,6 +368,49 @@ def sample_jump_diffusion_path(model: JumpDiffusionModel, x0, horizon: float,
 _CHUNK = 1 << 13
 # the engine's scratch rows of each dtype, besides a row pair a tracked pair
 _INT_ROWS, _FLOAT_ROWS, _FLAG_ROWS = 7, 5, 3
+# the chain engine's scratch, kept between calls by the rule of _kept
+_CHAIN_SCRATCH = []
+
+
+class _ChainScratch:
+    """What a chain run works in: the draws (:class:`_PhiloxUniforms`), the
+    Philox workspace and the event loop's intp, float and bool rows, with an
+    ``arange`` as long.  :meth:`fit` grows it for a chunk; it never shrinks.
+
+    Intp rows 4-6 are the draws' scratch and 5-6 :meth:`_ChainEngine._close`'s,
+    bool rows 0-1 the draws' and 1 ``_close``'s.  The workspace is idle
+    between draws: its last three rows, as floats, hold what the loop does
+    not keep over a draw, the draws' output in row 10 among it, and are
+    ``_close``'s.
+    """
+
+    def __init__(self):
+        self.draws = _PhiloxUniforms()
+        self.ws = _philox_workspace(0)
+        self.int = np.empty((_INT_ROWS, 0), dtype=np.intp)
+        self.float = np.empty((_FLOAT_ROWS, 0))
+        self.flag = np.empty((_FLAG_ROWS, 0), dtype=bool)
+        self.index = np.empty(0, dtype=np.intp)
+
+    def fit(self, m: int, pairs: int) -> None:
+        """Grow the rows, when needed, to ``m + 1`` values (the last takes a
+        scatter's rejects, see :func:`_ranks`) and a row of each dtype for
+        each tracked pair, and the Philox workspace to ``m`` streams."""
+        self.ws = _philox_workspace(m, self.ws)
+        if self.index.size > m and self.int.shape[0] >= _INT_ROWS + pairs:
+            return
+        width = max(m + 1, self.index.size)
+        self.int = np.empty((_INT_ROWS + pairs, width), dtype=np.intp)
+        self.float = np.empty((_FLOAT_ROWS + pairs, width))
+        self.flag = np.empty((_FLAG_ROWS, width), dtype=bool)
+        self.index = np.arange(width)
+
+    def lent(self) -> tuple:
+        """The rows the draws may write over (see :meth:`_PhiloxUniforms.start`)."""
+        return self.ws, self.int[4:7], self.ws[10].view(np.float64), self.flag[:2], self.index
+
+    def nbytes(self) -> int:
+        return self.draws.nbytes + sum(a.nbytes for a in (self.ws, self.int, self.float, self.flag, self.index))
 
 
 @dataclass
@@ -363,9 +452,9 @@ class _ChainEngine:
     library's bits (see the module docstring).  The engine holds the one
     lowering of its transform, ``low``, and the start law drawn from it.
 
-    Every array of the event loop is a view of the engine's scratch rows,
-    and every step writes into one, so a chunk allocates only the records it
-    returns.
+    Every array of the event loop is a view of the run's scratch rows
+    (:class:`_ChainScratch`), and every step writes into one, so a chunk
+    allocates only the records it returns.
     """
 
     def __init__(self, model: FiniteSymmetricModel, transform):
@@ -385,68 +474,55 @@ class _ChainEngine:
         self.log_jump = np.take_along_axis(self.low.log_jump, target, axis=1).ravel()
         self.neg_rate = -self.low.rate
         self.stuck = bool((self.total <= 0.0).any())  # some state has no exit
-        self._draws = _PhiloxUniforms()
-        self._ws = _philox_workspace(0)
-        self._int = np.empty((_INT_ROWS, 0), dtype=np.intp)
-        self._float = np.empty((_FLOAT_ROWS, 0))
-        self._flag = np.empty((_FLAG_ROWS, 0), dtype=bool)
-        self._index = np.empty(0, dtype=np.intp)
 
     def run(self, horizons: tuple, n: int, rng: RngSpec, *, x0: Optional[int] = None,
             pairs: tuple = (), uniforms=None):
-        """Yield ``(lo, hi, records)`` for paths ``lo .. hi - 1`` of ``n``.
+        """Yield ``(lo, hi, records)`` for paths ``lo .. hi - 1`` of ``n``
+        from one start law: :meth:`run_block` of the one start ``(horizons,
+        x0, pairs)``."""
+        for lo, hi, _k, records in self.run_block(n, rng, ((horizons, x0, pairs),), uniforms):
+            yield lo, hi, records
 
-        ``horizons`` is a sorted tuple; ``records`` holds one
-        :class:`_BatchRecord` per horizon.  A path's stream does not depend
-        on the horizon, so the record at ``h`` equals, bit for bit, the one a
-        run to ``h`` alone gives.  Paths start at state ``x0``, or, when it
-        is None, at a state drawn from the path's first uniform against
-        ``start_cdf``, the normalised ``mu`` of the lowering.  Each pair
-        ``(x, y)`` of ``pairs`` gets the jump count and occupation time of
-        the jump-rate estimator.  ``uniforms(rng, first, count)`` supplies
-        the draws; by default the paths' Philox streams, through the
-        engine's one :class:`_PhiloxUniforms` on the engine's scratch.
+    def run_block(self, n: int, rng: RngSpec, starts, uniforms=None):
+        """Yield ``(lo, hi, k, records)`` for paths ``lo .. hi - 1`` of ``n``
+        from start ``k`` of ``starts``, chunk by chunk, each start in turn.
+
+        A start is ``(horizons, x0, pairs)``: ``horizons`` a sorted tuple,
+        ``records`` one :class:`_BatchRecord` per horizon.  A path's stream
+        does not depend on the horizon, so the record at ``h`` equals, bit
+        for bit, the one a run to ``h`` alone gives.  Paths start at state
+        ``x0``, or, when it is None, at a state drawn from the path's first
+        uniform against ``start_cdf``, the normalised ``mu`` of the
+        lowering.  Each pair ``(x, y)`` of ``pairs`` gets the jump count and
+        occupation time of the jump-rate estimator.  ``uniforms(rng, first,
+        count)`` supplies the draws; by default the paths' Philox streams,
+        through one :class:`_PhiloxUniforms`, whose first block a chunk
+        computes once: every further start rewinds to its copy.  The
+        scratch is taken from :data:`_CHAIN_SCRATCH` and given back.
         """
-        horizons = tuple(float(h) for h in horizons)
-        for lo in range(0, n, _CHUNK):
-            hi = min(n, lo + _CHUNK)
-            if uniforms is None:
-                self._scratch(hi - lo, len(pairs))
-                scratch = (self._ws, self._int[4:7], self._ws[10].view(np.float64), self._flag[:2], self._index)
-                draws = self._draws.start(rng, lo, hi - lo, scratch)
-            else:
-                draws = uniforms(rng, lo, hi - lo)
-            yield lo, hi, self._chunk(draws, hi - lo, horizons, x0, pairs)
+        starts = [(tuple(float(h) for h in horizons), x0, pairs) for horizons, x0, pairs in starts]
+        width = max(len(pairs) for _h, _x0, pairs in starts)
+        with _kept(_CHAIN_SCRATCH, _ChainScratch, _ChainScratch.nbytes) as scratch:
+            for lo in range(0, n, _CHUNK):
+                hi = min(n, lo + _CHUNK)
+                if uniforms is None:
+                    scratch.fit(hi - lo, width)
+                    draws = scratch.draws.start(rng, lo, hi - lo, scratch.lent(), keep=len(starts) > 1)
+                for k, (horizons, x0, pairs) in enumerate(starts):
+                    if uniforms is not None:
+                        draws = uniforms(rng, lo, hi - lo)
+                    elif k:
+                        draws.rewind()
+                    yield lo, hi, k, self._chunk(draws, hi - lo, horizons, x0, pairs, scratch)
 
-    def _scratch(self, m: int, pairs: int) -> None:
-        """Grow the scratch rows, when needed, to ``m + 1`` values (the last
-        takes a scatter's rejects, see :func:`_ranks`) and a row of each
-        dtype for each tracked pair, and the Philox workspace to ``m``
-        streams.
-
-        Intp rows 4-6 are the draws' scratch and 5-6 :meth:`_close`'s, bool
-        rows 0-1 the draws' and 1 :meth:`_close`'s.  The workspace is idle
-        between draws: its last three rows, as floats, hold what the loop
-        does not keep over a draw, the draws' output in row 10 among it, and
-        are :meth:`_close`'s.
-        """
-        self._ws = _philox_workspace(m, self._ws)
-        if self._index.size > m and self._int.shape[0] >= _INT_ROWS + pairs:
-            return
-        width = max(m + 1, self._index.size)
-        self._int = np.empty((_INT_ROWS + pairs, width), dtype=np.intp)
-        self._float = np.empty((_FLOAT_ROWS + pairs, width))
-        self._flag = np.empty((_FLAG_ROWS, width), dtype=bool)
-        self._index = np.arange(width)
-
-    def _chunk(self, draws, m: int, horizons: tuple, x0, pairs) -> tuple:
-        self._scratch(m, len(pairs))
-        x, live, live2, src, probe, at, dst = self._int[:_INT_ROWS]
-        t, log_w, t_live, t_next, t_next2 = self._float[:_FLOAT_ROWS]
-        work, extra = self._ws[9:11].view(np.float64)
-        over, keep, dies = self._flag
-        counts, occupations = self._int[_INT_ROWS:], self._float[_FLOAT_ROWS:]
-        index = self._index
+    def _chunk(self, draws, m: int, horizons: tuple, x0, pairs, scratch: _ChainScratch) -> tuple:
+        scratch.fit(m, len(pairs))
+        x, live, live2, src, probe, at, dst = scratch.int[:_INT_ROWS]
+        t, log_w, t_live, t_next, t_next2 = scratch.float[:_FLOAT_ROWS]
+        work, extra = scratch.ws[9:11].view(np.float64)
+        over, keep, dies = scratch.flag
+        counts, occupations = scratch.int[_INT_ROWS:], scratch.float[_FLOAT_ROWS:]
+        index = scratch.index
         # every live path draws alike, but for the redraw of a zero
         draw_live = getattr(draws, "draw_live", draws.draw)
         if x0 is None:
@@ -480,7 +556,7 @@ class _ChainEngine:
                 if stuck.any():
                     done = L[stuck]
                     for horizon, mark in zip(horizons, marks):
-                        self._close(mark, run, t, done[t[done] <= horizon], horizon)
+                        self._close(scratch, mark, run, t, done[t[done] <= horizon], horizon)
                     moving = ~stuck
                     n = int(np.count_nonzero(moving))
                     L[:n], S[:n] = L[moving], S[moving]
@@ -507,7 +583,7 @@ class _ChainEngine:
                 k = np.count_nonzero(P)
                 if k:
                     live2[_ranks(P, k, probe, index)] = L
-                    self._close(mark, run, t, live2[:k], horizon)
+                    self._close(scratch, mark, run, t, live2[:k], horizon)
             k = np.count_nonzero(np.greater(TN, horizons[-1], out=P))
             if k:
                 # the paths that go on first, in order, then those that end
@@ -515,7 +591,7 @@ class _ChainEngine:
                 rank[np.logical_not(P, out=K)] = index[:n]
                 rank[P] = index[n : n + k]
                 live2[rank] = L
-                self._close(marks[-1], run, t, live2[n : n + k], horizons[-1])
+                self._close(scratch, marks[-1], run, t, live2[n : n + k], horizons[-1])
                 t_next2[rank] = TN
                 live, live2, t_next, t_next2 = live2, live, t_next2, t_next
                 if not n:
@@ -569,14 +645,14 @@ class _ChainEngine:
             mark.w = _exp(mark.log_w)
         return tuple(marks)
 
-    def _close(self, mark: _BatchRecord, run: _BatchRecord, t: np.ndarray, done: np.ndarray,
-               horizon: float) -> None:
+    def _close(self, scratch: _ChainScratch, mark: _BatchRecord, run: _BatchRecord, t: np.ndarray,
+               done: np.ndarray, horizon: float) -> None:
         """Record paths ``done`` alive at the horizon: the compensator since
         the last event."""
         k = done.size
-        state, jumps = self._int[5:7]
-        lw, rest, acc = self._ws[9:12].view(np.float64)
-        here = self._flag[1, :k]
+        state, jumps = scratch.int[5:7]
+        lw, rest, acc = scratch.ws[9:12].view(np.float64)
+        here = scratch.flag[1, :k]
         state = _gather(run.x_t, done, state)
         mark.x_t[done] = state
         mark.alive[done] = True
@@ -609,10 +685,17 @@ assert _CONTINUUM_CHUNK <= 1024  # the jump sort's key, path << 53 | word, stays
 # 3000-path round takes one call of 258 us where one a chunk took six
 # (128 us each at 512 paths; 2-core VM)
 _CONTINUUM_BATCH = 1 << 13
-# the continuum engine's scratch, kept between calls: at most one list of
-# the Philox workspace, the uniforms and the normals, which a run takes and
-# gives back when it ends, so that repeated calls fault no fresh pages
+# the continuum engine's scratch, kept between calls by the rule of _kept: a
+# list of the Philox workspace, the uniforms and the normals
 _CONTINUUM_SCRATCH = []
+
+
+def _continuum_scratch() -> list:
+    return [_philox_workspace(0), np.empty(0), np.empty(0)]
+
+
+def _continuum_bytes(scratch: list) -> int:
+    return sum(a.nbytes for a in scratch)
 
 
 def _jump_times(top: np.ndarray, jpath: np.ndarray, t: float) -> np.ndarray:
@@ -685,19 +768,13 @@ class _ContinuumEngine:
 
     def run(self, n: int, rng: RngSpec):
         """Yield ``(lo, hi, x0, x_t, log_w)`` for paths ``lo .. hi - 1`` of ``n``."""
-        try:  # a pop, not a check and a pop, so that two threads never take one scratch
-            scratch = _CONTINUUM_SCRATCH.pop()
-        except IndexError:
-            scratch = [_philox_workspace(0), np.empty(0), np.empty(0)]
-        try:
+        with _kept(_CONTINUUM_SCRATCH, _continuum_scratch, _continuum_bytes) as scratch:
             for first in range(0, n, _CONTINUUM_BATCH):
                 key0, key1 = rng.keys(first, min(n - first, _CONTINUUM_BATCH))
                 x0, count = self._firsts(key0, key1, scratch)
                 for lo in range(0, key1.size, _CONTINUUM_CHUNK):
                     hi = min(key1.size, lo + _CONTINUUM_CHUNK)
                     yield (first + lo, first + hi) + self._chunk(key0, key1[lo:hi], x0[lo:hi], count[lo:hi], scratch)
-        finally:
-            _CONTINUUM_SCRATCH[:] = [scratch]  # one slice assignment: never two entries
 
     def _firsts(self, key0: int, key1: np.ndarray, scratch: list):
         """The starts and the jump counts of a batch of paths, from their
@@ -807,9 +884,10 @@ class ChainRequest:
     request with no ``reduce`` is exactly zero and samples nothing.
 
     The request is the one place that checks the values a chain estimate
-    runs on: it raises :class:`DomainError` unless ``n`` is an integer >= 2,
-    ``x0`` None or an integer state and ``horizon`` a finite real number
-    > 0 (a bool is neither), and stores them as int, int and float.
+    runs on: it raises :class:`DomainError` unless ``n`` is an integer from
+    2 to ``_MAX_PATHS`` (2**30), ``x0`` None or an integer state and
+    ``horizon`` a finite real number > 0 (a bool is neither), and stores
+    them as int, int and float.
     """
 
     model: FiniteSymmetricModel
@@ -838,48 +916,55 @@ def estimate_chain(model: FiniteSymmetricModel, transform, requests) -> list:
     requests that asked for it.  A path to an earlier horizon is the prefix
     of the same path to a later one, so each estimate equals, bit for bit,
     the one a run of its request alone gives; requests of one group use
-    common random numbers, as their identical streams already did.  The
-    call lowers the transform once, in its engine, and every group reads
-    its start law and that law's mass from that one lowering.  Every
-    request must have been built for this ``model`` and ``transform``, since
-    its reducer holds their constants; a request without a reducer gives
-    an exact zero.
+    common random numbers, as their identical streams already did.  Groups
+    on one stream block and path count but another start law read the same
+    streams too: they run chunk by chunk in turn, and each chunk's first
+    Philox block is computed once for all of them.  The call lowers the
+    transform once, in its engine, and every group reads its start law and
+    that law's mass from that one lowering.  Every request must have been
+    built for this ``model`` and ``transform``, since its reducer holds
+    their constants; a request without a reducer gives an exact zero.
     """
     requests = list(requests)
     results = [None] * len(requests)
-    groups = {}
+    blocks = {}  # (stream block, path count) -> {start law: request indices}
     for idx, req in enumerate(requests):
         if req.model is not model or req.transform is not transform:
             raise DomainError("request was built for another model or transform")
         if req.reduce is None:
             results[idx] = EstimatorResult(0.0, 0.0, req.n)
             continue
-        groups.setdefault((req.x0, req.rng, req.n), []).append(idx)
-    if not groups:
+        blocks.setdefault((req.rng, req.n), {}).setdefault(req.x0, []).append(idx)
+    if not blocks:
         return results
     engine = _ChainEngine(model, transform)
-    for (x0, rng, n), members in groups.items():
-        estimates = _sample_group(engine, [requests[i] for i in members], x0, rng, n)
+    for (rng, n), groups in blocks.items():
+        members = [i for idx in groups.values() for i in idx]
+        estimates = _sample_block(engine, rng, n, [[requests[i] for i in idx] for idx in groups.values()])
         for i, res in zip(members, estimates):
             results[i] = res
     return results
 
 
-def _sample_group(engine: _ChainEngine, requests: list, x0, rng: RngSpec, n: int) -> list:
-    """Estimates of requests that read the same paths, from one engine run."""
-    horizons = tuple(sorted({req.horizon for req in requests}))
-    pairs = tuple(sorted({req.pair for req in requests} - {None}))
-    at = [horizons.index(req.horizon) for req in requests]
-    samples = [None] * len(requests)
-    for lo, hi, records in engine.run(horizons, n, rng, x0=x0, pairs=pairs):
-        for k, req in enumerate(requests):
-            parts = req.reduce(records[at[k]])
-            if samples[k] is None:
-                samples[k] = tuple(np.empty(n) for _ in parts)
-            for whole, part in zip(samples[k], parts):
+def _sample_block(engine: _ChainEngine, rng: RngSpec, n: int, groups: list) -> list:
+    """Estimates of the requests of every group, in order, from one engine
+    run over their stream block; the requests of a group read the same paths."""
+    starts, at, samples = [], [], []
+    for requests in groups:
+        horizons = tuple(sorted({req.horizon for req in requests}))
+        starts.append((horizons, requests[0].x0, tuple(sorted({req.pair for req in requests} - {None}))))
+        at.append([horizons.index(req.horizon) for req in requests])
+        samples.append([None] * len(requests))
+    for lo, hi, k, records in engine.run_block(n, rng, starts):
+        for j, req in enumerate(groups[k]):
+            parts = req.reduce(records[at[k][j]])
+            if samples[k][j] is None:
+                samples[k][j] = tuple(np.empty(n) for _ in parts)
+            for whole, part in zip(samples[k][j], parts):
                 whole[lo:hi] = part
         records = parts = part = None  # freed before the engine fills the next chunk
-    return [req.summarize(*arrays) for req, arrays in zip(requests, samples)]
+    return [req.summarize(*arrays) for requests, group in zip(groups, samples)
+            for req, arrays in zip(requests, group)]
 
 
 def semigroup_request(model: FiniteSymmetricModel, transform, f, x: int, t: float,

@@ -316,6 +316,11 @@ class _PhiloxUniforms:
     at ``[j, i]``: directly for the first block, and for a refill in the
     workspace's idle first bank, then one scatter a word.
 
+    A run started with ``keep`` keeps a copy of its first block, and
+    :meth:`rewind` sets it back on its first draw from that copy, with no
+    kernel call: the same streams read again, as another start law on the
+    same paths does.
+
     :meth:`draw_live` serves rows that have all drawn alike and leave only
     between draws, as a chain chunk's live paths: the run keeps one position
     ``pos``, a draw takes ``_buf[pos & 3]``, and every fourth refills the
@@ -328,19 +333,21 @@ class _PhiloxUniforms:
 
     def __init__(self, rng: Optional[RngSpec] = None, first: int = 0, count: int = 0):
         self._buf = np.empty((4, 0))
+        self._first = np.empty((4, 0))
         self._drawn = np.empty(0, dtype=np.intp)
         self._keys = np.empty(0, dtype=np.uint64)
         if rng is not None:
             self.start(rng, first, count)
 
-    def start(self, rng: RngSpec, first: int, count: int, scratch: Optional[tuple] = None) -> "_PhiloxUniforms":
+    def start(self, rng: RngSpec, first: int, count: int, scratch: Optional[tuple] = None,
+              keep: bool = False) -> "_PhiloxUniforms":
         """Set on streams ``first .. first + count - 1``, from their first draws.
 
         ``scratch`` is what a draw may write over: a Philox workspace for
         ``count`` streams, three intp rows of at least ``count + 1`` values,
         a float row and two bool rows of ``count``, and an ``arange`` of
         ``count + 1``; new rows when None.  A draw returns a view of the
-        float row.
+        float row.  ``keep`` keeps a copy of the first block for :meth:`rewind`.
         """
         key0, key1 = rng.keys(first, count)
         if self._drawn.size < count:
@@ -356,7 +363,22 @@ class _PhiloxUniforms:
         for row, words in zip(self._buf[:, :count], self._words(1, key1)):
             np.copyto(row, words, casting="unsafe")  # exact: the words are below 2**53
             np.multiply(row, _TWO_M53, out=row)
+        if keep:
+            self._first = _grown(self._first, count)
+            np.copyto(self._first[:, :count], self._buf[:, :count])
         return self
+
+    def rewind(self) -> "_PhiloxUniforms":
+        """Back on the first draw of the run, which :meth:`start` began with
+        ``keep``: the first block from its copy, the words bit for bit."""
+        np.copyto(self._buf[:, : self._count], self._first[:, : self._count])
+        self._pos = 0
+        return self
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the buffers kept from run to run."""
+        return sum(a.nbytes for a in (self._buf, self._first, self._drawn, self._keys))
 
     def _words(self, counter, key1: np.ndarray) -> np.ndarray:
         """The block's words, each shifted to its top 53 bits in place, a row

@@ -263,10 +263,18 @@ def lower(model: FiniteSymmetricModel, transform: TransformSpec) -> LoweredTrans
     jump tilt is the general form without death tilt or ``a_rate``; both
     walk with rate ``N phi + k phi_delta + a_rate``, factors ``log(1 + phi)``
     and ``log(1 + phi_delta)``, and mu = ``m``.
+
+    Raises :class:`TransformError` where ``rho^2 m`` overflows, or
+    underflows to 0 at a state of weight > 0, and where a tilted rate is not
+    finite: the weights and the oracles of such a tilt are not numbers.
     """
     kept = getattr(transform, "_lowering", None)
     if kept is None or kept[0] is not model:
         low = _build_lowering(model, transform)
+        bad = np.flatnonzero(~np.isfinite(low.rate))
+        if bad.size:
+            raise TransformError(f"the tilted rate is not finite at states {bad.tolist()}: "
+                                 "the tilt is too large for the chain's rates")
         for table in vars(low).values():
             table.setflags(write=False)
         kept = (model, low)
@@ -284,12 +292,17 @@ def _build_lowering(model: FiniteSymmetricModel, transform: TransformSpec) -> Lo
         if not np.all(np.isfinite(mu)):
             raise TransformError(f"rho^2 m overflows at states {np.flatnonzero(~np.isfinite(mu)).tolist()}: "
                                  "rho is too large for the reference measure")
+        lost = np.flatnonzero((mu == 0.0) & (model.m > 0.0))
+        if lost.size:
+            raise TransformError(f"rho^2 m underflows to 0 at states {lost.tolist()}: "
+                                 "rho is too small for the reference measure")
         lr = np.log(rho)
-        return LoweredTransform(
-            phi=rho[None, :] / rho[:, None] - 1.0, phi_delta=np.full(n, -1.0), a_rate=zero,
-            mu=mu, rate=model.generator() @ rho / rho,
-            log_jump=lr[None, :] - lr[:, None], log_death=np.full(n, -np.inf),
-        )
+        with np.errstate(over="ignore"):  # lower refuses a rate that is not finite
+            return LoweredTransform(
+                phi=rho[None, :] / rho[:, None] - 1.0, phi_delta=np.full(n, -1.0), a_rate=zero,
+                mu=mu, rate=model.generator() @ rho / rho,
+                log_jump=lr[None, :] - lr[:, None], log_death=np.full(n, -np.inf),
+            )
     if isinstance(transform, PureJumpPhi):
         phi, phi_delta, a_rate = _table(transform.phi, "phi", (n, n)), zero, zero
     elif isinstance(transform, GeneralMF):
@@ -300,11 +313,10 @@ def _build_lowering(model: FiniteSymmetricModel, transform: TransformSpec) -> Lo
         raise TransformError(f"unsupported transform: {type(transform).__name__}")
     with np.errstate(divide="ignore"):
         log_jump, log_death = np.log1p(phi), np.log1p(phi_delta)
-    return LoweredTransform(
-        phi=phi, phi_delta=phi_delta, a_rate=a_rate, mu=model.m,
-        rate=(model.q * phi).sum(axis=1) + model.k * phi_delta + a_rate,
-        log_jump=log_jump, log_death=log_death,
-    )
+    with np.errstate(over="ignore", invalid="ignore"):  # lower refuses a rate that is not finite
+        rate = (model.q * phi).sum(axis=1) + model.k * phi_delta + a_rate
+    return LoweredTransform(phi=phi, phi_delta=phi_delta, a_rate=a_rate, mu=model.m, rate=rate,
+                            log_jump=log_jump, log_death=log_death)
 
 
 def _moves(path: Path, t: float) -> list:

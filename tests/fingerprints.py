@@ -17,6 +17,11 @@ another platform key the comparison fails and names the key.  A change
 that moves values on purpose rewrites the file:
 
     python tests/fingerprints.py --write
+
+and one that should move none can list what it moved, exiting 1 if
+anything did (2 on another platform key):
+
+    python tests/fingerprints.py --check
 """
 
 from __future__ import annotations
@@ -133,15 +138,50 @@ def stored() -> dict:
     return pinned
 
 
+def current() -> dict:
+    """Every fingerprint, computed now."""
+    return {"platform": platform_key(), "chain": chain(), "continuum": continuum(),
+            "form_quadrature": form_quadrature(), "demos": demos()}
+
+
+def leaves(tree, prefix: str = "") -> dict:
+    """The values of nested dicts, keyed by their slash-joined keys."""
+    if not isinstance(tree, dict):
+        return {prefix: tree}
+    out = {}
+    for key, sub in tree.items():
+        out.update(leaves(sub, f"{prefix}/{key}" if prefix else str(key)))
+    return out
+
+
+def moved(pinned: dict, now: dict) -> list:
+    """``(key, pinned value, value now)`` of every fingerprint that differs,
+    a missing one as None: a report file as ``chain/<config>/<seed>/files/<file>``,
+    a continuum seed as ``continuum/<seed>/<mean or stderr>``, a rung as
+    ``form_quadrature/<f>/<mesh>/<field>``."""
+    old, new = leaves(pinned), leaves(now)
+    return [(key, old.get(key), new.get(key)) for key in sorted(old.keys() | new.keys())
+            if old.get(key) != new.get(key)]
+
+
 def main(argv=None) -> int:
     args = sys.argv[1:] if argv is None else argv
+    if args == ["--check"]:
+        try:
+            pinned = stored()
+        except AssertionError as exc:
+            print(exc)
+            return 2
+        changes = moved(pinned, current())
+        for key, was, now in changes:
+            print(f"moved: {key}: {was} -> {now}")
+        print(f"{len(changes)} fingerprints moved" if changes else "no fingerprint moved")
+        return 1 if changes else 0
     if args != ["--write"]:
         print(__doc__)
         return 2
-    pinned = {"platform": platform_key(), "chain": chain(), "continuum": continuum(),
-              "form_quadrature": form_quadrature(), "demos": demos()}
     with open(FILE, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(json.dumps(pinned, sort_keys=True, indent=1) + "\n")
+        fh.write(json.dumps(current(), sort_keys=True, indent=1) + "\n")
     print(f"wrote {FILE}")
     return 0
 

@@ -708,6 +708,7 @@ def test_unread_fields_and_empty_draws_exit_two(tmp_path, monkeypatch, capsys, c
     {"id": "jump_rate", "pair": [False, 1], "horizon": 0.5},
     {"id": "mass", "x": None, "t": 0.5},  # would start from mu, where the oracle reads one state
     {"id": "semigroup", "f": [0, 1, 0], "x": None, "t": 0.5},
+    {"id": "semigroup", "f": [0, 1, 0], "t": 0.5, "paths": 2**70},  # numpy's ValueError in the sampler
 ])
 def test_non_integer_counts_and_states_exit_two_before_any_file(tmp_path, monkeypatch, capsys, check):
     calls = []
@@ -742,6 +743,26 @@ def test_a_rho_whose_measure_overflows_exits_two(tmp_path, capsys, big):
         warnings.simplefilter("error")
         assert main(["verify", "--config", cfg, "--out", str(out)]) == 2
     assert "error: rho^2 m overflows at states [1]" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("rho, message", [
+    ([1.0, 1e-200, 1.0], "rho^2 m underflows to 0 at states [1]"),
+    ([1e-160, 1e150, 1.0], "the tilted rate is not finite at states [0]"),
+])
+def test_a_rho_whose_measure_underflows_or_rate_overflows_exits_two(tmp_path, capsys, rho, message):
+    # 1e-200 made mu[1] = 0 and a rate of about 3e200: cli.expm warned of
+    # overflow, the oracles were NaN and the run exited 1 with its reports
+    cfg = write_config(tmp_path, {
+        "model": CHAIN3_MODEL, "transform": {"type": "rho", "rho": rho},
+        "checks": ["symmetry", "conservativeness", "form_identity",
+                   {"id": "semigroup", "f": [0.0, 1.0, 0.0], "t": 0.5, "paths": 20_000},
+                   {"id": "quadratic_form", "f": [0.0, 1.0, 0.0], "ts": [0.2, 0.1, 0.05], "paths": 20_000}]})
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["verify", "--config", cfg, "--out", str(out)]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -955,6 +955,17 @@ def test_warm_continuum_estimate_reuses_its_scratch():
     assert len(montecarlo._CONTINUUM_SCRATCH) == 1
 
 
+def test_a_long_continuum_grid_leaves_no_large_scratch():
+    # t = 1 at dt = 1e-3: 1000 steps a path, whose 600-path run grows its
+    # scratch to about 30 MB; it is let go, not kept, when the run ends
+    estimate_quadratic_form(STABLE_C, RhoTransform(rho=RHO_C), F_C, 1.0, 600, RngSpec(seed=4),
+                            rho_grad=RHO_C_GRAD, **CONT)
+    kept = sum(a.nbytes for scratch in montecarlo._CONTINUUM_SCRATCH for a in scratch)
+    assert kept <= montecarlo._KEPT_SCRATCH_BYTES
+    _warm_energy()
+    assert len(montecarlo._CONTINUUM_SCRATCH) == 1
+
+
 def test_continuum_scratch_survives_an_f_that_raises():
     want = _warm_energy(n=1500)
     seen = []
@@ -1316,6 +1327,73 @@ def test_groups_of_one_call_equal_their_requests_alone(chain3_killed, phi3, chun
         assert same(res, montecarlo.estimate_chain(chain3_killed, transform, [req])[0])
 
 
+def test_start_laws_on_one_stream_block_compute_its_first_block_once_a_chunk(chain3_killed, phi3, monkeypatch):
+    # a fixed-start group (with a pair) and a drawn-start group on one block
+    # of 700 streams, in chunks of 300, 300 and 100: the kernel computes
+    # counter 1 once a chunk, at the chunk's width, and each group's
+    # estimates equal those of its requests alone
+    monkeypatch.setattr(montecarlo, "_CHUNK", 300)
+    transform = GeneralMF(phi=phi3, a_rate=np.array([0.5, 0.0, 0.0]), phi_delta=np.array([0.0, -0.5, 0.0]))
+    f = np.array([1.0, -0.5, 2.0])
+    rng = RngSpec(seed=12, offset=40)
+    requests = [
+        montecarlo.semigroup_request(chain3_killed, transform, f, 1, 0.5, 700, rng),
+        montecarlo.jump_rate_request(chain3_killed, transform, (1, 2), 2.0, 700, rng),
+        *montecarlo.quadratic_form_requests(chain3_killed, transform, f, (0.3,), 700, rng),
+    ]
+    firsts = []
+    block = streams._philox_block
+
+    def counted(counter, key0, key1, ws):
+        if isinstance(counter, int) and counter == 1:
+            firsts.append(key1.size)
+        return block(counter, key0, key1, ws)
+
+    monkeypatch.setattr(streams, "_philox_block", counted)
+    together = montecarlo.estimate_chain(chain3_killed, transform, requests)
+    assert firsts == [300, 300, 100]
+    firsts.clear()
+    alone = [montecarlo.estimate_chain(chain3_killed, transform, [req])[0] for req in requests]
+    assert firsts == [300, 300, 100] * 3
+    for a, b in zip(together, alone):
+        assert same(a, b)
+
+
+def test_warm_chain_estimate_reuses_its_scratch(chain3_killed, rho121):
+    # a fixed and a drawn start on one block of one chunk: a warm call
+    # traced about 0.54 MB (the records and samples); one that built its
+    # engine's scratch each call, about 2.3 MB of it, traced 2.53 MB
+    transform = RhoTransform(rho=rho121)
+
+    def estimate(seed):
+        rng = RngSpec(seed=seed)
+        return montecarlo.estimate_chain(chain3_killed, transform, [
+            montecarlo.semigroup_request(chain3_killed, transform, F010, 0, 0.5, montecarlo._CHUNK, rng),
+            *montecarlo.quadratic_form_requests(chain3_killed, transform, F010, (0.2,), montecarlo._CHUNK, rng)])
+
+    estimate(1)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        estimate(2)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
+    assert len(montecarlo._CHAIN_SCRATCH) == 1
+
+
+def test_path_counts_end_at_a_bound(chain3, rho121, monkeypatch):
+    monkeypatch.setattr(_ChainEngine, "_chunk", lambda *a, **k: pytest.fail("sampled"))
+    transform = RhoTransform(rho=rho121)
+    top = montecarlo._MAX_PATHS
+    assert montecarlo.semigroup_request(chain3, transform, F010, 0, 0.5, top, RngSpec(seed=1)).n == top
+    for n in (top + 1, 2**70):
+        with pytest.raises(DomainError, match="2 to 1073741824 paths"):
+            montecarlo.semigroup_request(chain3, transform, F010, 0, 0.5, n, RngSpec(seed=1))
+
+
 def test_estimate_chain_rejects_requests_built_for_another_transform(chain3):
     rng = RngSpec(seed=3)
     rho = RhoTransform(rho=np.array([1.0, 2.0, 1.0]))
@@ -1614,6 +1692,9 @@ NAN = float("nan")
                  id="ts-zero"),
     pytest.param(lambda m, tr, rng: montecarlo.quadratic_form_requests(m, tr, F010, [0.2], "5", rng),
                  id="trend-n-str"),
+    pytest.param(lambda m, tr, rng: estimate_mass(m, tr, 0, 0.5, 2**70, rng), id="n=2**70"),
+    pytest.param(lambda m, tr, rng: montecarlo.quadratic_form_requests(m, tr, F010, [0.2], 2**30 + 1, rng),
+                 id="trend-n-above-the-bound"),
 ])
 def test_chain_estimators_reject_bad_values_before_sampling(chain3, rho121, monkeypatch, estimate):
     monkeypatch.setattr(_ChainEngine, "_chunk", lambda *a, **k: pytest.fail("sampled"))
@@ -1626,6 +1707,8 @@ def test_chain_estimators_reject_bad_values_before_sampling(chain3, rho121, monk
     pytest.param(lambda tr, rng: estimate_quadratic_form(STABLE_C, tr, F_C, 0.05, 1, rng, **CONT), id="n=1"),
     pytest.param(lambda tr, rng: estimate_quadratic_form(STABLE_C, tr, F_C, 0.05, True, rng, **CONT),
                  id="n=True"),
+    pytest.param(lambda tr, rng: estimate_quadratic_form(STABLE_C, tr, F_C, 0.05, 2**70, rng, **CONT),
+                 id="n=2**70"),
     pytest.param(lambda tr, rng: estimate_quadratic_form(STABLE_C, tr, F_C, -0.05, 100, rng, **CONT),
                  id="t=-0.05"),
     pytest.param(lambda tr, rng: quadratic_form_trend(STABLE_C, tr, F_C, [], 100, rng, **CONT), id="ts-empty"),
