@@ -56,10 +56,15 @@ def expm(a) -> np.ndarray:
 
     Assumes nothing of the structure: the oracles pass cemetery generators,
     which need not be symmetrisable.  The exact oracles call it through this
-    module attribute, so a tracer that replaces it sees every call.
+    module attribute, so a tracer that replaces it sees every call.  Raises
+    :class:`TransformError` when the 1-norm is not finite: the exponential
+    would not be either.
     """
     a = np.asarray(a, dtype=float)
-    norm = np.linalg.norm(a, 1)
+    with np.errstate(over="ignore"):  # an overflowing norm is refused below
+        norm = np.linalg.norm(a, 1)
+    if not math.isfinite(norm):
+        raise TransformError(f"the oracle's generator times t has 1-norm {norm!r}: its exponential is not finite")
     s = max(0, math.ceil(math.log2(norm / _THETA13))) if norm > 0.0 else 0
     a = a / 2.0 ** s
     b = _PADE13
@@ -341,8 +346,14 @@ def _conservativeness_row(model, transform):
     return ("conservativeness", max(rep.row_sum_residual, abs(rep.unit_form_value)), None, 0.0, rep.ok)
 
 
+def _finite(res, oracle: float) -> bool:
+    """Whether an estimate, its standard error and its oracle are all
+    finite, as a statistical row must be to pass."""
+    return math.isfinite(res.mean) and math.isfinite(res.stderr) and math.isfinite(oracle)
+
+
 def _statistical_row(cid: str, res, oracle: float) -> _CheckOutput:
-    return _CheckOutput(rows=[(cid, res.mean, res.stderr, oracle, res.covers(oracle))])
+    return _CheckOutput(rows=[(cid, res.mean, res.stderr, oracle, _finite(res, oracle) and res.covers(oracle))])
 
 
 # entries of the (draws, n, n) differences the form identity builds at once;
@@ -441,7 +452,7 @@ def _check_jump_rate(model, transform, check, rng):
     def finish(results, _oracle):
         res = results[0]
         oracle = float(transformed_levy_kernel(model, transform)[req.pair])
-        passed = res.covers(oracle) if oracle > 0.0 else res.mean == 0.0
+        passed = _finite(res, oracle) and (res.covers(oracle) if oracle > 0.0 else res.mean == 0.0)
         return _CheckOutput(rows=[("jump_rate", res.mean, res.stderr, oracle, passed)],
                             series=[("jump_rate", req.horizon, res.mean, res.stderr, oracle)])
 

@@ -36,8 +36,8 @@ makes those requests use common random numbers, as their identical streams
 already did, and changes no value.  Groups on one stream block and path
 count but with other start laws run in turn on each chunk, whose first
 Philox block is computed once: a Philox word is a function of its key and
-counter alone, so a later start law reads a kept copy of the block with
-the same bits.  The functions ``f`` and ``g`` a request
+counter alone, so a later start law reads the block, which the draws keep
+in place, with the same bits.  The functions ``f`` and ``g`` a request
 reduces are checked by :meth:`FiniteSymmetricModel.state_vector`, the rule
 the CLI and the forms of ``dirichlet`` use too.
 
@@ -102,7 +102,7 @@ from .model import (
 from .paths import Path, jump_steps, steps
 from .streams import (  # module globals here, so the engines' loops look them up in this module
     _ELEVEN, RngSpec, _PhiloxUniforms, _exp, _gather, _grown, _index, _log, _ndtri, _open_uniform,
-    _open_unit, _philox_block, _philox_workspace, _poisson_cdf, _poisson_count, _ranks,
+    _open_unit, _philox_block, _philox_workspace, _poisson_cdf, _poisson_count,
 )
 from .transform import (
     ContinuumLowering,
@@ -147,6 +147,14 @@ def _state(model: FiniteSymmetricModel, value) -> int:
 # larger count could neither be held nor run; numpy refuses arrays of about
 # 2**63 bytes with a bare ValueError
 _MAX_PATHS = 1 << 30
+
+
+# the most events a chain estimate may expect: its paths times its horizon
+# times the model's largest exit rate.  An event of a path costs the engine
+# about 0.2 us (the chain-killed ring in 8192-path chunks, 2-core VM), so the
+# bound is about four hours of sampling; a finite time as large as 1e308
+# would otherwise never end
+_MAX_EVENTS = 1 << 36
 
 
 def _path_count(value) -> int:
@@ -356,10 +364,23 @@ def _kept(free: list, make, nbytes):
 # batched chain engine
 
 
+def _ranks(mask: np.ndarray, k: int, rank: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """Where each entry of an array goes so that ``mask`` selects it: the
+    ``i``-th of the ``k`` selected entries to ``i``, every other one to
+    ``n = mask.size``.  A scatter ``out[rank] = values`` into ``n + 1``
+    values then leaves ``values[mask]`` in ``out[:k]``, with nothing
+    allocated.  Written into ``rank[:n]``; ``index`` is an ``arange`` of at
+    least ``k`` values."""
+    rank = rank[: mask.size]
+    rank.fill(mask.size)
+    rank[mask] = index[:k]
+    return rank
+
+
 # paths advanced together; bounds the engine's working memory: it keeps about
 # 280 bytes a path of scratch (the Philox workspace 96, the draws' buffers
-# 80 with their copy of the first block, its own rows 107) and 16 more a
-# tracked pair.  Each chunk pays the
+# 80 with the first block's uniforms and a refill's, its own rows 107) and 16
+# more a tracked pair.  Each chunk pays the
 # event loop's passes and small Philox refills once.  On the README verify
 # plus its energy trend (20k-path groups), rounds interleaved in one process
 # ran at 0.81, 0.75 and 0.66 of their time at 4096 with chunks of 8192, 16384
@@ -377,11 +398,10 @@ class _ChainScratch:
     Philox workspace and the event loop's intp, float and bool rows, with an
     ``arange`` as long.  :meth:`fit` grows it for a chunk; it never shrinks.
 
-    Intp rows 4-6 are the draws' scratch and 5-6 :meth:`_ChainEngine._close`'s,
-    bool rows 0-1 the draws' and 1 ``_close``'s.  The workspace is idle
-    between draws: its last three rows, as floats, hold what the loop does
-    not keep over a draw, the draws' output in row 10 among it, and are
-    ``_close``'s.
+    Intp rows 5-6 and bool row 1 are :meth:`_ChainEngine._close`'s.  The
+    draws borrow only the workspace, which is idle between draws: its last
+    three rows, as floats, hold what the loop does not keep over a draw, the
+    draws' output in row 10 among it, and are ``_close``'s.
     """
 
     def __init__(self):
@@ -404,10 +424,6 @@ class _ChainScratch:
         self.float = np.empty((_FLOAT_ROWS + pairs, width))
         self.flag = np.empty((_FLAG_ROWS, width), dtype=bool)
         self.index = np.arange(width)
-
-    def lent(self) -> tuple:
-        """The rows the draws may write over (see :meth:`_PhiloxUniforms.start`)."""
-        return self.ws, self.int[4:7], self.ws[10].view(np.float64), self.flag[:2], self.index
 
     def nbytes(self) -> int:
         return self.draws.nbytes + sum(a.nbytes for a in (self.ws, self.int, self.float, self.flag, self.index))
@@ -473,7 +489,6 @@ class _ChainEngine:
         self.target = target.ravel()
         self.log_jump = np.take_along_axis(self.low.log_jump, target, axis=1).ravel()
         self.neg_rate = -self.low.rate
-        self.stuck = bool((self.total <= 0.0).any())  # some state has no exit
 
     def run(self, horizons: tuple, n: int, rng: RngSpec, *, x0: Optional[int] = None,
             pairs: tuple = (), uniforms=None):
@@ -497,36 +512,37 @@ class _ChainEngine:
         occupation time of the jump-rate estimator.  ``uniforms(rng, first,
         count)`` supplies the draws; by default the paths' Philox streams,
         through one :class:`_PhiloxUniforms`, whose first block a chunk
-        computes once: every further start rewinds to its copy.  The
-        scratch is taken from :data:`_CHAIN_SCRATCH` and given back.
+        computes once: every further start rewinds to it.  The scratch is
+        taken from :data:`_CHAIN_SCRATCH`, fitted once a chunk and given
+        back.  A state with no exit holds for ever: its holding time
+        ``-log(1 - u) / 0`` is ``inf``, with the division's warning silenced.
         """
         starts = [(tuple(float(h) for h in horizons), x0, pairs) for horizons, x0, pairs in starts]
         width = max(len(pairs) for _h, _x0, pairs in starts)
         with _kept(_CHAIN_SCRATCH, _ChainScratch, _ChainScratch.nbytes) as scratch:
             for lo in range(0, n, _CHUNK):
                 hi = min(n, lo + _CHUNK)
+                scratch.fit(hi - lo, width)
                 if uniforms is None:
-                    scratch.fit(hi - lo, width)
-                    draws = scratch.draws.start(rng, lo, hi - lo, scratch.lent(), keep=len(starts) > 1)
+                    draws = scratch.draws.start(rng, lo, hi - lo, scratch.ws)
                 for k, (horizons, x0, pairs) in enumerate(starts):
                     if uniforms is not None:
                         draws = uniforms(rng, lo, hi - lo)
                     elif k:
                         draws.rewind()
-                    yield lo, hi, k, self._chunk(draws, hi - lo, horizons, x0, pairs, scratch)
+                    with np.errstate(divide="ignore"):
+                        records = self._chunk(draws, hi - lo, horizons, x0, pairs, scratch)
+                    yield lo, hi, k, records
 
     def _chunk(self, draws, m: int, horizons: tuple, x0, pairs, scratch: _ChainScratch) -> tuple:
-        scratch.fit(m, len(pairs))
         x, live, live2, src, probe, at, dst = scratch.int[:_INT_ROWS]
         t, log_w, t_live, t_next, t_next2 = scratch.float[:_FLOAT_ROWS]
         work, extra = scratch.ws[9:11].view(np.float64)
         over, keep, dies = scratch.flag
         counts, occupations = scratch.int[_INT_ROWS:], scratch.float[_FLOAT_ROWS:]
         index = scratch.index
-        # every live path draws alike, but for the redraw of a zero
-        draw_live = getattr(draws, "draw_live", draws.draw)
         if x0 is None:
-            start, mass = np.searchsorted(self.start_cdf, draw_live(index[:m]), side="right"), self.mass
+            start, mass = np.searchsorted(self.start_cdf, draws.draw_live(index[:m]), side="right"), self.mass
         else:
             start, mass = np.full(m, int(x0), dtype=np.intp), 1.0
         x[:m] = start
@@ -550,20 +566,7 @@ class _ChainEngine:
         while n:
             L = live[:n]
             S = _gather(x, L, src)
-            if self.stuck:
-                # a path that cannot leave its state stays in it past every horizon
-                stuck = self.total[S] <= 0.0
-                if stuck.any():
-                    done = L[stuck]
-                    for horizon, mark in zip(horizons, marks):
-                        self._close(scratch, mark, run, t, done[t[done] <= horizon], horizon)
-                    moving = ~stuck
-                    n = int(np.count_nonzero(moving))
-                    L[:n], S[:n] = L[moving], S[moving]
-                    if not n:
-                        break
-                    L, S = live[:n], src[:n]
-            u = draw_live(L)
+            u = draws.draw_live(L)  # every live path draws alike, but for the redraw of a zero
             if np.count_nonzero(u) < n:
                 u = u.copy()  # the draws below write over the draw buffer
                 zero = u == 0.0
@@ -599,7 +602,7 @@ class _ChainEngine:
                 L, TN = live[:n], t_next[:n]
                 S, TL = _gather(x, L, src), _gather(t, L, t_live)
             V, D, W, A, B = t_next2[:n], dies[:n], work[:n], at[:n], keep[:n]
-            np.multiply(draw_live(L), _gather(self.total, S, W), out=V)
+            np.multiply(draws.draw_live(L), _gather(self.total, S, W), out=V)
             np.greater_equal(V, _gather(self.jump_total, S, W), out=D)
             # the first cumulative rate above v, from the row's start: the jump target
             np.multiply(S, self.width, out=A)
@@ -780,7 +783,7 @@ class _ContinuumEngine:
         """The starts and the jump counts of a batch of paths, from their
         first block (counter 1), which fix how many blocks each path reads."""
         scratch[0] = _philox_workspace(key1.size, scratch[0])
-        c0, c1, _, _ = _philox_block(np.ones(key1.size, dtype=np.uint64), key0, key1, scratch[0])
+        c0, c1, _, _ = _philox_block(1, key0, key1, scratch[0])
         x0 = np.interp(_open_uniform(c0), self.start_cdf, self.xs)
         return x0, _poisson_count(self.count_cdf, _open_uniform(c1))
 
@@ -887,7 +890,9 @@ class ChainRequest:
     runs on: it raises :class:`DomainError` unless ``n`` is an integer from
     2 to ``_MAX_PATHS`` (2**30), ``x0`` None or an integer state and
     ``horizon`` a finite real number > 0 (a bool is neither), and stores
-    them as int, int and float.
+    them as int, int and float; and unless the events the run expects, ``n
+    horizon`` times the model's largest exit rate, are at most
+    ``_MAX_EVENTS`` (2**36).
     """
 
     model: FiniteSymmetricModel
@@ -905,6 +910,11 @@ class ChainRequest:
         if self.x0 is not None:
             object.__setattr__(self, "x0", _state(self.model, self.x0))
         object.__setattr__(self, "horizon", _time(self.horizon))
+        rate = float(self.model.jump_table()[3].max())
+        events = rate * self.horizon * self.n  # 0 for a model with no exit, however long the horizon
+        if events > _MAX_EVENTS:
+            raise DomainError(f"{self.n} paths to time {self.horizon!r} at exit rates up to {rate!r} expect "
+                              f"{events:.3g} events, above the bound of 2**36 = {_MAX_EVENTS} a run may take")
 
 
 def estimate_chain(model: FiniteSymmetricModel, transform, requests) -> list:

@@ -18,9 +18,9 @@ and a long run does not build and free a kernel's worth of temporaries per
 chunk.  The words a block returns are rows of the workspace and hold until
 the next block on it.  A block of at most :data:`_PACKED_STREAMS` streams
 runs on Python ints instead (:func:`_philox_packed`), which allocate no
-numpy data.  :class:`_PhiloxUniforms` keeps its uniforms the same way, and
-its draws write into scratch rows the caller lends it: rows that draw in
-lockstep draw by one ``take``, and every fourth draw refills them at one
+numpy data.  :class:`_PhiloxUniforms` keeps its uniforms the same way and
+borrows only the caller's workspace: rows that draw in lockstep draw by one
+``take`` into the workspace, and every fourth draw refills them at one
 shared counter, a Python int, so that round 0 needs no product over the
 rows.  Small arrays matter here beyond their size: numpy keeps freed data
 blocks under 1024 bytes in a cache of up to 7 a byte size, unseen by
@@ -281,19 +281,6 @@ def _philox_packed(counter, key0: int, key1: np.ndarray, ws: np.ndarray) -> np.n
     return words
 
 
-def _ranks(mask: np.ndarray, k: int, rank: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """Where each entry of an array goes so that ``mask`` selects it: the
-    ``i``-th of the ``k`` selected entries to ``i``, every other one to
-    ``n = mask.size``.  A scatter ``out[rank] = values`` into ``n + 1``
-    values then leaves ``values[mask]`` in ``out[:k]``, with nothing
-    allocated.  Written into ``rank[:n]``; ``index`` is an ``arange`` of at
-    least ``k`` values."""
-    rank = rank[: mask.size]
-    rank.fill(mask.size)
-    rank[mask] = index[:k]
-    return rank
-
-
 def _gather(values: np.ndarray, index: np.ndarray, out: np.ndarray) -> np.ndarray:
     """``values[index]``, written into ``out[:index.size]``.  Every index is
     in range: ``take``'s mode "raise" would buffer the output."""
@@ -309,76 +296,59 @@ class _PhiloxUniforms:
     a word ``x`` to ``(x >> 11) * 2**-53``.
 
     One object serves run after run of streams: :meth:`start` sets it on a
-    run and keeps its buffers, growing them only for a longer run, and a
-    draw writes into them and into its scratch, so neither allocates an
-    array.  The words are shifted in the Philox workspace and mapped to
-    uniforms by a cast and a product into ``_buf``, word ``j`` of row ``i``
-    at ``[j, i]``: directly for the first block, and for a refill in the
-    workspace's idle first bank, then one scatter a word.
-
-    A run started with ``keep`` keeps a copy of its first block, and
-    :meth:`rewind` sets it back on its first draw from that copy, with no
-    kernel call: the same streams read again, as another start law on the
-    same paths does.
+    run and keeps its buffers, growing them only for a longer run.  The
+    words are shifted in the Philox workspace and mapped to uniforms by a
+    cast and a product into ``_buf``, word ``j`` of row ``i`` at ``[j, i]``:
+    the first block into rows 0-3, directly, and every later block into rows
+    4-7, through the workspace's idle first bank and one scatter a word.
+    The first block so stays in place, and :meth:`rewind` sets the run back
+    on its first draw with no kernel call: the same streams read again, as
+    another start law on the same paths does.
 
     :meth:`draw_live` serves rows that have all drawn alike and leave only
     between draws, as a chain chunk's live paths: the run keeps one position
-    ``pos``, a draw takes ``_buf[pos & 3]``, and every fourth refills the
-    rows at the shared int counter ``pos // 4 + 1``.  :meth:`draw` serves
-    any subset, as the redraw of a zero: each row counts its own draws in
-    ``_drawn``.  The run's first :meth:`draw` sets every count to ``pos``,
-    right for the rows still drawing, and sends later :meth:`draw_live`
-    calls to :meth:`draw`.
+    ``pos``, a draw takes word ``pos & 3`` of the current block into row 10
+    of the workspace, read as floats, and every fourth refills the rows at
+    the shared int counter ``pos // 4 + 1``; it allocates no array.
+    :meth:`draw` serves any subset, as the redraw of a zero: each row counts
+    its own draws in ``_drawn``.  The run's first :meth:`draw` sets every
+    count to ``pos``, right for the rows still drawing, and sends later
+    :meth:`draw_live` calls to :meth:`draw`.
     """
 
     def __init__(self, rng: Optional[RngSpec] = None, first: int = 0, count: int = 0):
-        self._buf = np.empty((4, 0))
-        self._first = np.empty((4, 0))
+        self._buf = np.empty((8, 0))
         self._drawn = np.empty(0, dtype=np.intp)
         self._keys = np.empty(0, dtype=np.uint64)
         if rng is not None:
             self.start(rng, first, count)
 
-    def start(self, rng: RngSpec, first: int, count: int, scratch: Optional[tuple] = None,
-              keep: bool = False) -> "_PhiloxUniforms":
-        """Set on streams ``first .. first + count - 1``, from their first draws.
-
-        ``scratch`` is what a draw may write over: a Philox workspace for
-        ``count`` streams, three intp rows of at least ``count + 1`` values,
-        a float row and two bool rows of ``count``, and an ``arange`` of
-        ``count + 1``; new rows when None.  A draw returns a view of the
-        float row.  ``keep`` keeps a copy of the first block for :meth:`rewind`.
-        """
+    def start(self, rng: RngSpec, first: int, count: int, ws: Optional[np.ndarray] = None) -> "_PhiloxUniforms":
+        """Set on streams ``first .. first + count - 1``, from their first
+        draws, on the Philox workspace ``ws`` (a new one when None or too
+        small), which the draws write over."""
         key0, key1 = rng.keys(first, count)
         if self._drawn.size < count:
-            self._buf = np.empty((4, count))
+            self._buf = np.empty((8, count))
             self._drawn = np.empty(count, dtype=np.intp)
             self._keys = np.empty(count, dtype=np.uint64)
-        if scratch is None:
-            scratch = (_philox_workspace(count), np.empty((3, count + 1), dtype=np.intp), np.empty(count),
-                       np.empty((2, count), dtype=bool), np.arange(count + 1))
-        self._ws, *self._scratch = scratch
+        self._ws = _philox_workspace(count, ws)
         self._key0, self._key1 = key0, key1
         self._count, self._pos = count, 0  # _pos is None once the run draws row by row
-        for row, words in zip(self._buf[:, :count], self._words(1, key1)):
+        for row, words in zip(self._buf[:4, :count], self._words(1, key1)):
             np.copyto(row, words, casting="unsafe")  # exact: the words are below 2**53
             np.multiply(row, _TWO_M53, out=row)
-        if keep:
-            self._first = _grown(self._first, count)
-            np.copyto(self._first[:, :count], self._buf[:, :count])
         return self
 
     def rewind(self) -> "_PhiloxUniforms":
-        """Back on the first draw of the run, which :meth:`start` began with
-        ``keep``: the first block from its copy, the words bit for bit."""
-        np.copyto(self._buf[:, : self._count], self._first[:, : self._count])
+        """Back on the first draw of the run, whose block stays in rows 0-3."""
         self._pos = 0
         return self
 
     @property
     def nbytes(self) -> int:
         """Bytes of the buffers kept from run to run."""
-        return sum(a.nbytes for a in (self._buf, self._first, self._drawn, self._keys))
+        return sum(a.nbytes for a in (self._buf, self._drawn, self._keys))
 
     def _words(self, counter, key1: np.ndarray) -> np.ndarray:
         """The block's words, each shifted to its top 53 bits in place, a row
@@ -389,54 +359,39 @@ class _PhiloxUniforms:
         return words
 
     def _refill(self, counter, rows: np.ndarray) -> None:
-        """Load block ``counter`` (an int, or one a row) of each listed row into ``_buf``."""
+        """Load block ``counter`` (an int, or one a row) of each listed row into rows 4-7 of ``_buf``."""
         r = rows.size
         # the bank the rounds left, idle until the next block, as r floats a word
         spare = self._ws[:4].reshape(-1)[: 4 * r].reshape(4, r).view(np.float64)
         np.copyto(spare, self._words(counter, _gather(self._key1, rows, self._keys)), casting="unsafe")
         np.multiply(spare, _TWO_M53, out=spare)
-        for row, uniforms in zip(self._buf, spare):
+        for row, uniforms in zip(self._buf[4:], spare):
             row[rows] = uniforms
 
     def draw_live(self, rows: np.ndarray) -> np.ndarray:
         """Next uniform of each listed row, where every listed row has drawn
         as often as the others in this run; in a buffer that holds until the
-        next draw."""
+        next draw or block on the workspace."""
         pos = self._pos
         if pos is None:
             return self.draw(rows)
         self._pos = pos + 1
-        if pos and not pos & 3:
+        if pos > 3 and not pos & 3:
             self._refill(pos // 4 + 1, rows)
-        return _gather(self._buf[pos & 3], rows, self._scratch[1])
+        return _gather(self._buf[pos if pos < 4 else 4 | pos & 3], rows, self._ws[10].view(np.float64))
 
     def draw(self, rows: np.ndarray) -> np.ndarray:
-        """Next uniform of each listed row, in a buffer that holds until the next draw."""
+        """Next uniform of each listed row, in a new array."""
         if self._pos is not None:
-            self._drawn[: self._count].fill(self._pos)
+            self._drawn[: self._count] = self._pos
             self._pos = None
-        n = rows.size
-        (drawn, slot, refill), out, (spent, other), index = self._scratch
-        drawn, slot, spent, other = _gather(self._drawn, rows, drawn), slot[:n], spent[:n], other[:n]
-        np.bitwise_and(drawn, 3, out=slot)
-        np.logical_and(np.equal(slot, 0, out=spent), np.greater(drawn, 0, out=other), out=spent)
-        r = np.count_nonzero(spent)
-        if r:
-            refill[_ranks(spent, r, slot, index)] = rows
-            refill = refill[:r]
-            block = _gather(self._drawn, refill, slot)
-            np.right_shift(block, 2, out=block)
-            lead = int(block[0])
-            if np.count_nonzero(np.equal(block, lead, out=other[:r])) == r:
-                counter = lead + 1
-            else:
-                counter = np.add(block, 1, out=block).view(np.uint64)
-            self._refill(counter, refill)
-            np.bitwise_and(drawn, 3, out=slot)  # the ranks and blocks wrote over the slots
-        np.add(drawn, 1, out=drawn)
-        self._drawn[rows] = drawn
-        np.multiply(slot, self._buf.shape[1], out=slot)
-        return _gather(self._buf.reshape(-1), np.add(slot, rows, out=slot), out)
+        drawn = self._drawn[rows]
+        spent = rows[(drawn > 3) & (drawn & 3 == 0)]
+        if spent.size:
+            block = self._drawn[spent] // 4 + 1
+            self._refill(int(block[0]) if (block == block[0]).all() else block.astype(np.uint64), spent)
+        self._drawn[rows] = drawn + 1
+        return self._buf[np.where(drawn < 4, drawn, 4 | drawn & 3), rows]
 
 
 def stream_uniforms(rng: RngSpec, start: int, count: int) -> np.ndarray:

@@ -518,6 +518,80 @@ def bench_workloads():
     return module
 
 
+def _bench_killed_ring(**edit) -> dict:
+    """The benchmark's killed ring config with each field of ``edit`` set:
+    the key ``checks__3__t`` names ``config["checks"][3]["t"]``."""
+    config = json.loads(bench_workloads().config_text("chain-killed"))
+    for at, value in edit.items():
+        node = config
+        *keys, last = at.split("__")
+        for key in keys:
+            node = node[int(key) if key.isdigit() else key]
+        node[int(last) if last.isdigit() else last] = value
+    return config
+
+
+@pytest.mark.parametrize("edit, check", [
+    ({"checks__2__t": 1e308}, "mass"),
+    ({"checks__3__t": 1e308}, "semigroup"),
+    ({"checks__4__t": 1e308}, "symmetry_gap"),
+    ({"checks__5__ts__1": 1e308}, "quadratic_form"),
+    ({"checks__3__t": 2**70}, "semigroup"),
+], ids=["mass", "semigroup", "symmetry_gap", "quadratic_form", "semigroup-2**70"])
+def test_a_run_beyond_the_event_bound_exits_two_naming_its_check(tmp_path, capsys, edit, check):
+    # these sampled for ever, or sampled and then raised OverflowError in cli.expm
+    cfg = write_config(tmp_path, _bench_killed_ring(**edit))
+    out = tmp_path / "out"
+    assert main(["verify", "--config", cfg, "--out", str(out), "--paths", "200"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: check {check!r}: 200 paths to time") and "above the bound of 2**36" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("edit", [{"model__k__3": 1e308}, {"transform__phi__0__2": 1e308}], ids=["k", "phi"])
+def test_an_oracle_that_is_not_finite_exits_two(tmp_path, capsys, edit):
+    # both ended in OverflowError from cli.expm: the generator's 1-norm was inf.
+    # A killing rate of 1e308 is now refused by the event bound while planning
+    cfg = write_config(tmp_path, _bench_killed_ring(**edit))
+    out = tmp_path / "out"
+    assert main(["verify", "--config", cfg, "--out", str(out), "--paths", "200"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (out / "report.csv").exists() and not (out / "report.json").exists()
+
+
+def test_expm_refuses_a_matrix_whose_norm_is_not_finite():
+    # an infinite or NaN entry, or finite ones whose column sum overflows
+    for a in ([[-1.0, 1.0], [np.inf, -np.inf]], [[-1.0, 1.0], [np.nan, 0.0]], [[1e308, 0.0], [1e308, 0.0]]):
+        with pytest.raises(girsanov.TransformError, match="1-norm"):
+            cli.expm(np.array(a))
+
+
+def test_a_row_with_a_non_finite_value_fails(tmp_path):
+    # f = 1e308 at one state: the semigroup row passed with estimate 5.4e305,
+    # stderr inf and oracle 9.6e305, and the run exited 0
+    cfg = write_config(tmp_path, _bench_killed_ring(checks__3__f__5=1e308))
+    out = tmp_path / "out"
+    assert main(["verify", "--config", cfg, "--out", str(out), "--paths", "200"]) == 1
+    with open(out / "report.json", encoding="utf-8") as fh:
+        rows = {row["check_id"]: row for row in json.load(fh)["checks"]}
+    assert rows["semigroup"]["stderr"] == math.inf and not rows["semigroup"]["pass"]
+    assert all(row["pass"] for cid, row in rows.items() if cid != "semigroup")
+
+
+def test_statistical_rows_pass_only_when_finite():
+    # an infinite stderr covers every oracle, an infinite one too: such rows passed
+    model, transform = ExperimentConfig.from_json(json.dumps({"model": KILLED_MODEL, "transform": PHI_TILT})).resolve()
+    _reqs, finish = cli._check_jump_rate(model, transform, {"pair": [0, 1], "horizon": 1.0, "paths": 10},
+                                         cli.RngSpec(seed=0))
+    oracle = finish([montecarlo.EstimatorResult(0.0, 0.1, 10)], None).rows[0][3]
+    assert finish([montecarlo.EstimatorResult(oracle, 0.1, 10)], None).rows[0][4]
+    wide = montecarlo.EstimatorResult(oracle, math.inf, 10)
+    assert not finish([wide], None).rows[0][4]
+    assert cli._statistical_row("mass", montecarlo.EstimatorResult(1.0, 0.1, 10), 1.0).rows[0][4]
+    for oracle in (1.0, math.inf):
+        assert not cli._statistical_row("mass", wide, oracle).rows[0][4]
+
+
 @pytest.mark.parametrize("workload", ["chain-readme", "chain-killed"])
 def test_run_builds_one_lowering(tmp_path, monkeypatch, workload):
     # the engine, the oracles' mu and cemetery generator, and the transformed
@@ -662,6 +736,10 @@ def test_malformed_check_fields_exit_two(tmp_path, monkeypatch, check, capsys):
     ({"id": "quadratic_form", "f": [0, 1, 0], "ts": [0.2, float("nan")]}, None),
     ({"id": "symmetry_gap", "f": [0, 1, 0], "g": [1, 0, 0], "t": float("inf")}, None),
     ({"id": "mass"}, "1"),
+    ({"id": "semigroup", "f": [0, 1, 0], "t": 1e308}, None),  # finite times that never ended
+    ({"id": "semigroup", "f": [0, 1, 0], "t": 2**70}, None),
+    ({"id": "quadratic_form", "f": [0, 1, 0], "ts": [0.2, 1e308]}, None),
+    ({"id": "jump_rate", "pair": [0, 1], "horizon": 1e308}, None),
 ])
 def test_times_and_path_counts_are_validated_before_any_sampling(tmp_path, monkeypatch, capsys,
                                                                  check, paths):

@@ -850,7 +850,7 @@ def test_continuum_engine_stays_finite_on_extreme_words(monkeypatch, words):
     # uniforms as starts, counts, times (in the first step, and at the very
     # end), radii (eps 2**54 and eps), signs and normals (about -8.3 and 8.2)
     def block(counter, key0, key1, _ws):
-        return tuple(np.full(counter.shape, w, dtype=np.uint64) for w in words)
+        return tuple(np.full(key1.shape, w, dtype=np.uint64) for w in words)
 
     monkeypatch.setattr(montecarlo, "_philox_block", block)
     engine = montecarlo._ContinuumEngine(
@@ -896,7 +896,7 @@ def test_continuum_engine_sorts_jumps_as_the_complex_key(monkeypatch, words):
     # on the real draws, and the extreme-word stand-in (every time one word)
     if words is not None:
         monkeypatch.setattr(montecarlo, "_philox_block", lambda counter, key0, key1, _ws: tuple(
-            np.full(counter.shape, w, dtype=np.uint64) for w in words))
+            np.full(key1.shape, w, dtype=np.uint64) for w in words))
     engine = montecarlo._ContinuumEngine(
         STABLE_C, lower_continuum(STABLE_C, RhoTransform(rho=RHO_C), RHO_C_GRAD), t=0.05,
         **{**CONT, "eps": 0.001 if words is None else CONT["eps"]})
@@ -1195,7 +1195,21 @@ def parity_cases():
 PARITY = parity_cases()
 
 
-@pytest.mark.parametrize("name,model,transform", PARITY, ids=[c[0] for c in PARITY])
+def checkpoint_cases():
+    """The parity cases, plus a chain with an isolated state, where paths
+    drawn to start there never move."""
+    q = np.zeros((4, 4))
+    q[:3, :3] = [[0.0, 1.0, 0.0], [1.0, 0.0, 2.0], [0.0, 2.0, 0.0]]
+    isolated = FiniteSymmetricModel(m=np.ones(4), q=q, k=np.array([0.0, 1.0, 0.0, 0.0]))
+    return PARITY + [("isolated-rho", isolated, RhoTransform(rho=np.array([1.0, 2.0, 1.0, 1.5])))]
+
+
+CHECKPOINTS = checkpoint_cases()
+
+
+# isolated-rho: paths drawn to start at the isolated state have no exit and
+# hold for ever, through the event loop's ordinary holding rule
+@pytest.mark.parametrize("name,model,transform", CHECKPOINTS, ids=[c[0] for c in CHECKPOINTS])
 @pytest.mark.parametrize("seed", [0, 7, 2**64 - 2])
 def test_batched_estimators_equal_scalar_reference(name, model, transform, seed):
     rng = RngSpec(seed=seed)
@@ -1237,18 +1251,6 @@ def records_equal(a, b):
             and a.count.keys() == b.count.keys() == a.occupation.keys() == b.occupation.keys()
             and all(np.array_equal(a.count[p], b.count[p]) and np.array_equal(a.occupation[p], b.occupation[p])
                     for p in a.count))
-
-
-def checkpoint_cases():
-    """The parity cases, plus a chain with an isolated state, where paths
-    drawn to start there never move."""
-    q = np.zeros((4, 4))
-    q[:3, :3] = [[0.0, 1.0, 0.0], [1.0, 0.0, 2.0], [0.0, 2.0, 0.0]]
-    isolated = FiniteSymmetricModel(m=np.ones(4), q=q, k=np.array([0.0, 1.0, 0.0, 0.0]))
-    return PARITY + [("isolated-rho", isolated, RhoTransform(rho=np.array([1.0, 2.0, 1.0, 1.5])))]
-
-
-CHECKPOINTS = checkpoint_cases()
 
 
 @pytest.mark.parametrize("name,model,transform", CHECKPOINTS, ids=[c[0] for c in CHECKPOINTS])
@@ -1359,6 +1361,37 @@ def test_start_laws_on_one_stream_block_compute_its_first_block_once_a_chunk(cha
         assert same(a, b)
 
 
+def test_a_rewind_after_row_by_row_draws_gives_the_start_law_alone(chain3, rho121, monkeypatch):
+    # every word of block 3 of one stream is 0, so the first start's chunk
+    # redraws a zero holding time and draws row by row from then on; the
+    # second start, rewound onto the same streams, must draw as it does alone
+    engine = _ChainEngine(chain3, RhoTransform(rho=rho121))
+    rng, n, row = RngSpec(seed=8, offset=3), 40, 17
+    block, draw, rowwise = streams._philox_block, _PhiloxUniforms.draw, []
+
+    def zeroed(counter, key0, key1, ws):
+        words = block(counter, key0, key1, ws)
+        words[:, (key1 == np.uint64(rng.offset + row)) & (np.asarray(counter) == 3)] = 0
+        return words
+
+    def counted(self, rows):
+        rowwise.append(rows.size)
+        return draw(self, rows)
+
+    monkeypatch.setattr(streams, "_philox_block", zeroed)
+    monkeypatch.setattr(_PhiloxUniforms, "draw", counted)
+    starts = (((5.0, 9.0), 1, ((1, 2),)), ((9.0,), None, ()))
+    together = []
+    for _lo, _hi, _k, records in engine.run_block(n, rng, starts):
+        together.append((records, len(rowwise)))
+        rowwise.clear()
+    for (horizons, x0, pairs), (records, drawn) in zip(starts, together):
+        [(_lo, _hi, alone)] = engine.run(horizons, n, rng, x0=x0, pairs=pairs)
+        assert drawn and len(rowwise) == drawn, "each start draws row by row, as alone"
+        rowwise.clear()
+        assert all(records_equal(a, b) for a, b in zip(records, alone))
+
+
 def test_warm_chain_estimate_reuses_its_scratch(chain3_killed, rho121):
     # a fixed and a drawn start on one block of one chunk: a warm call
     # traced about 0.54 MB (the records and samples); one that built its
@@ -1420,6 +1453,8 @@ class ScriptedDraws:
 
     def draw(self, rows):
         return np.array([next(self.scripts[r]) for r in rows])
+
+    draw_live = draw
 
 
 class ScriptedStream:
